@@ -167,15 +167,17 @@ struct StageHooks;
 /// Thermal-aware placement refinement — the place->thermal feedback edge
 /// (DESIGN.md section 15). Off by default: with enabled == false the flow
 /// graph, every stage hash, and every result are untouched. When enabled,
-/// two extra stages run after the thermally-blind flow: `thermal_place`
-/// (price tiles with d(peak T)/d(P) from ThermalGrid::solve_adjoint and
-/// greedily refine the placement under the composed cost model, up to
+/// one extra stage runs after the thermally-blind flow: `thermal_place`
+/// prices tiles with d(peak T)/d(P) from ThermalGrid::solve_adjoint and
+/// greedily refines the placement under the composed cost model, up to
 /// `passes` candidate passes with the gradient field refreshed after each
-/// accepted one) and `route_refined` (re-route the refined placement),
-/// and the final STA is built on the refined artifacts. Every pass is
-/// guarded: it is kept only if the rerouted design is strictly faster at
-/// the pricing point, or equally fast with a strictly lower realized
-/// peak — the feedback edge can only improve the implementation.
+/// accepted one. Every candidate is rerouted, and the stage's one
+/// artifact is the accepted placement with those routes; the final STA is
+/// built on it. Every pass is guarded: it is kept only if its reroute
+/// has no more overused nodes than the current routes and the design is
+/// strictly faster at the pricing point, or equally fast with a strictly
+/// lower realized peak — the feedback edge can only improve the
+/// implementation.
 struct ThermalPlaceOptions {
   bool enabled = false;
   /// Device whose Table II characterization prices block dynamic power

@@ -22,7 +22,6 @@ const char* artifact_kind_name(ArtifactKind kind) {
     case ArtifactKind::Activity: return "activity";
     case ArtifactKind::Sta: return "sta";
     case ArtifactKind::PlacementRefined: return "placement_refined";
-    case ArtifactKind::RoutesRefined: return "routes_refined";
   }
   return "unknown";
 }
@@ -136,10 +135,14 @@ std::string save_pack(const FlowBuild& b) {
   return e.take();
 }
 
+// Loaders decode the whole payload into locals and install it only after
+// expect_done(): a rejected payload must leave the build untouched, since
+// the stage then runs from whatever the build holds.
 void load_pack(FlowBuild& b, std::string_view payload) {
   util::codec::Decoder d(payload);
-  b.packed = pack::deserialize(d);
+  pack::PackedNetlist packed = pack::deserialize(d);
   d.expect_done();
+  b.packed = std::move(packed);
 }
 
 // --- Place -----------------------------------------------------------------
@@ -159,8 +162,9 @@ std::string save_place(const FlowBuild& b) {
 
 void load_place(FlowBuild& b, std::string_view payload) {
   util::codec::Decoder d(payload);
-  b.impl->placement = place::deserialize(d);
+  place::Placement placement = place::deserialize(d);
   d.expect_done();
+  b.impl->placement = std::move(placement);
 }
 
 // --- Route -----------------------------------------------------------------
@@ -186,8 +190,9 @@ std::string save_route(const FlowBuild& b) {
 
 void load_route(FlowBuild& b, std::string_view payload) {
   util::codec::Decoder d(payload);
-  b.impl->routes = route::deserialize(d);
+  route::RouteResult routes = route::deserialize(d);
   d.expect_done();
+  b.impl->routes = std::move(routes);
 }
 
 // --- Activity --------------------------------------------------------------
@@ -202,8 +207,9 @@ std::string save_activity(const FlowBuild& b) {
 
 void load_activity(FlowBuild& b, std::string_view payload) {
   util::codec::Decoder d(payload);
-  b.impl->activity = activity::deserialize(d);
+  std::vector<activity::SignalStats> activity = activity::deserialize(d);
   d.expect_done();
+  b.impl->activity = std::move(activity);
 }
 
 // --- ThermalPlace (place -> thermal feedback edge) -------------------------
@@ -269,6 +275,10 @@ void run_thermal_place(FlowBuild& b) {
 
     route::RouteResult rerouted =
         route::route(impl.rr, impl.packed, refined, b.opt.route);
+    // Legality guard: a partly routed candidate can time faster precisely
+    // because nets are missing, so more overuse than the current routes
+    // is a rejection before timing is even consulted.
+    if (rerouted.overused_nodes > impl.routes.overused_nodes) continue;
     const double fmax_refined =
         timing::TimingAnalyzer(impl.nl, impl.packed, refined, impl.rr, rerouted,
                                impl.grid)
@@ -297,11 +307,22 @@ void run_thermal_place(FlowBuild& b) {
   }
 }
 
-// --- RouteRefined ----------------------------------------------------------
+/// The refined artifact is the accepted placement and the routes the
+/// stage already computed for it — one payload, placement then routes.
+std::string save_thermal_place(const FlowBuild& b) {
+  util::codec::Encoder e;
+  place::serialize(b.impl->placement, e);
+  route::serialize(b.impl->routes, e);
+  return e.take();
+}
 
-void run_route_refined(FlowBuild& b) {
-  b.impl->routes = route::route(b.impl->rr, b.impl->packed, b.impl->placement,
-                                b.opt.route);
+void load_thermal_place(FlowBuild& b, std::string_view payload) {
+  util::codec::Decoder d(payload);
+  place::Placement placement = place::deserialize(d);
+  route::RouteResult routes = route::deserialize(d);
+  d.expect_done();
+  b.impl->placement = std::move(placement);
+  b.impl->routes = std::move(routes);
 }
 
 // --- StaBuild --------------------------------------------------------------
@@ -396,59 +417,39 @@ FlowGraph FlowGraph::standard(const netlist::BenchmarkSpec& spec,
           "implement: thermal_place.enabled requires a device model for power "
           "pricing (thermal_place.device is null)");
     }
-    {
-      FlowStage s;
-      s.name = "thermal_place";
-      s.phase = FlowPhase::Place;
-      s.output = ArtifactKind::PlacementRefined;
-      s.inputs = {ArtifactKind::Netlist, ArtifactKind::Packed,
-                  ArtifactKind::Placement, ArtifactKind::Routes,
-                  ArtifactKind::Activity};
-      util::Fnv1a h;
-      h.add(opt.seed);
-      h.add(tp.weight);
-      h.add(tp.passes);
-      h.add(tp.effort);
-      h.add(tp.max_rounds);
-      h.add(tp.smooth_tau_k.value());
-      h.add(tp.pricing_f_mhz.value());
-      h.add(tp.pricing_temp_c.value());
-      h.add(std::string_view(tp.device->name));
-      h.add(tp.device->t_opt_c.value());
-      // Thermal-model knobs that shape the gradient field. The backend is
-      // deliberately NOT hashed: prices are quantized far above solver
-      // tolerance, so both backends produce the same refined placement.
-      h.add(tp.thermal.silicon_k_w_mk);
-      h.add(tp.thermal.die_thickness_um);
-      h.add(tp.thermal.tile_edge_um);
-      h.add(tp.thermal.package_r_k_per_w);
-      s.param_hash = h.state;
-      s.storable = true;
-      s.run = run_thermal_place;
-      s.save = save_place;
-      s.load = load_place;
-      g.add(std::move(s));
-    }
-    {
-      FlowStage s;
-      s.name = "route_refined";
-      s.phase = FlowPhase::Route;
-      s.output = ArtifactKind::RoutesRefined;
-      s.inputs = {ArtifactKind::Packed, ArtifactKind::PlacementRefined};
-      util::Fnv1a h;
-      h.add(opt.route.max_iterations);
-      h.add(opt.route.first_iter_pres_fac);
-      h.add(opt.route.pres_fac_mult);
-      h.add(opt.route.hist_fac);
-      h.add(opt.route.astar_fac);
-      s.param_hash = h.state;
-      s.storable = true;
-      s.run = run_route_refined;
-      s.finalize = finalize_route;
-      s.save = save_route;
-      s.load = load_route;
-      g.add(std::move(s));
-    }
+    FlowStage s;
+    s.name = "thermal_place";
+    s.phase = FlowPhase::Place;
+    s.output = ArtifactKind::PlacementRefined;
+    // Router knobs reach this stage through the Routes input's hash.
+    s.inputs = {ArtifactKind::Netlist, ArtifactKind::Packed,
+                ArtifactKind::Placement, ArtifactKind::Routes,
+                ArtifactKind::Activity};
+    util::Fnv1a h;
+    h.add(opt.seed);
+    h.add(tp.weight);
+    h.add(tp.passes);
+    h.add(tp.effort);
+    h.add(tp.max_rounds);
+    h.add(tp.smooth_tau_k.value());
+    h.add(tp.pricing_f_mhz.value());
+    h.add(tp.pricing_temp_c.value());
+    h.add(std::string_view(tp.device->name));
+    h.add(tp.device->t_opt_c.value());
+    // Thermal-model knobs that shape the gradient field. The backend is
+    // deliberately NOT hashed: prices are quantized far above solver
+    // tolerance, so both backends produce the same refined placement.
+    h.add(tp.thermal.silicon_k_w_mk);
+    h.add(tp.thermal.die_thickness_um);
+    h.add(tp.thermal.tile_edge_um);
+    h.add(tp.thermal.package_r_k_per_w);
+    s.param_hash = h.state;
+    s.storable = true;
+    s.run = run_thermal_place;
+    s.finalize = finalize_route;
+    s.save = save_thermal_place;
+    s.load = load_thermal_place;
+    g.add(std::move(s));
   }
   {
     FlowStage s;
@@ -460,8 +461,7 @@ FlowGraph FlowGraph::standard(const netlist::BenchmarkSpec& spec,
     s.inputs = feedback
                    ? std::vector<ArtifactKind>{ArtifactKind::Netlist,
                                                ArtifactKind::Packed,
-                                               ArtifactKind::PlacementRefined,
-                                               ArtifactKind::RoutesRefined}
+                                               ArtifactKind::PlacementRefined}
                    : std::vector<ArtifactKind>{ArtifactKind::Netlist,
                                                ArtifactKind::Packed,
                                                ArtifactKind::Placement,

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <string>
-#include <string_view>
 
 #include "core/stage_graph.hpp"
 #include "runner/artifact_store.hpp"
@@ -119,38 +118,13 @@ const core::Implementation& FlowCache::implementation(const netlist::BenchmarkSp
                                                       const arch::ArchParams& arch,
                                                       double scale,
                                                       const core::ImplementOptions& opt) {
-  Hasher h;
-  h.add(netlist::spec_hash(spec));
-  h.add(opt.seed);
-  h.add(scale);
-  h.add(arch_hash(arch));
-  // Every option that changes the implementation must be in the key.
-  h.add(opt.place_effort);
-  h.add(opt.route.max_iterations);
-  h.add(opt.route.first_iter_pres_fac);
-  h.add(opt.route.pres_fac_mult);
-  h.add(opt.route.hist_fac);
-  h.add(opt.route.astar_fac);
-  h.add(opt.thermal_place.enabled ? 1 : 0);
-  if (opt.thermal_place.enabled) {
-    const core::ThermalPlaceOptions& tp = opt.thermal_place;
-    h.add(tp.weight);
-    h.add(tp.passes);
-    h.add(tp.effort);
-    h.add(tp.max_rounds);
-    h.add(tp.smooth_tau_k.value());
-    h.add(tp.pricing_f_mhz.value());
-    h.add(tp.pricing_temp_c.value());
-    h.add(tp.thermal.silicon_k_w_mk);
-    h.add(tp.thermal.die_thickness_um);
-    h.add(tp.thermal.tile_edge_um);
-    h.add(tp.thermal.package_r_k_per_w);
-    if (tp.device != nullptr) {
-      h.add(std::string_view(tp.device->name));
-      h.add(tp.device->t_opt_c.value());
-    }
-  }
-  return get_or_build(impls_, h.state, &impl_hits_, &impl_misses_, [&] {
+  // The stage graph owns implementation identity: its final stage's
+  // chained input hash covers every option that shapes any stage, and
+  // the scaled spec's hash covers the scale.
+  const netlist::BenchmarkSpec scaled = netlist::scaled(spec, scale);
+  const std::uint64_t key =
+      core::FlowGraph::standard(scaled, arch, opt).stages().back().input_hash;
+  return get_or_build(impls_, key, &impl_hits_, &impl_misses_, [&] {
     // Disk tier: consulted only here, inside a build — i.e. only after an
     // in-memory miss — keyed per stage by the stage graph's chained input
     // hash. A caller-supplied stage_hooks takes precedence.
@@ -166,7 +140,7 @@ const core::Implementation& FlowCache::implementation(const netlist::BenchmarkSp
       };
       iopt.stage_hooks = &hooks;
     }
-    return core::implement(netlist::scaled(spec, scale), arch, iopt);
+    return core::implement(scaled, arch, iopt);
   });
 }
 

@@ -11,8 +11,9 @@
 //  * device models:  {tech-hash, arch-hash, quantize_t_opt(t_opt_c)} —
 //    the corner is quantized to millidegrees, never compared as a raw
 //    double (26.999999999 and 27.0 hit the same entry)
-//  * implementations: {spec-hash (name + resource mix), seed, scale bits,
-//    arch-hash}
+//  * implementations: the final stage's chained input_hash of
+//    core::FlowGraph::standard(scaled spec, arch, options) — the stage
+//    graph is the one place that says which options shape a build
 //
 // Entries are built exactly once: concurrent requests for the same key
 // block until the first builder finishes, requests for different keys
@@ -48,7 +49,7 @@ class FlowCache {
     std::uint64_t impl_hits = 0;
     std::uint64_t impl_misses = 0;
     // Disk tier (all zero when no artifact store is attached). These are
-    // per-*stage* counters — one implementation build probes up to four
+    // per-*stage* counters — one implementation build probes up to five
     // storable stages — and are only ever incremented inside a build, so
     // an in-memory hit never touches them (no double counting).
     std::uint64_t disk_hits = 0;
@@ -78,6 +79,8 @@ class FlowCache {
 
   /// Implemented benchmark at `scale`. `opt.observer` (if any) only fires
   /// for the call that actually builds the entry; cache hits are silent.
+  /// Throws std::invalid_argument for a feedback-edge request without a
+  /// device (see core::ThermalPlaceOptions).
   /// When an artifact store is attached and `opt.stage_hooks` is unset,
   /// the build consults the disk tier stage by stage.
   const core::Implementation& implementation(const netlist::BenchmarkSpec& spec,

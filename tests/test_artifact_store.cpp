@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "activity/activity.hpp"
+#include "coffe/device_model.hpp"
 #include "core/flow.hpp"
 #include "core/stage_graph.hpp"
 #include "netlist/benchmarks.hpp"
@@ -191,29 +192,36 @@ TEST(StageGraph, AddValidatesDependencies) {
 
 TEST(StageGraph, HashChainPropagatesUpstreamChanges) {
   const auto spec = spec_of("sha");
-  core::ImplementOptions a;
-  core::ImplementOptions b = a;
-  b.seed = a.seed + 1;
-  const auto ga = core::FlowGraph::standard(spec, test_arch(), a);
-  const auto gb = core::FlowGraph::standard(spec, test_arch(), b);
-  ASSERT_EQ(ga.stages().size(), gb.stages().size());
-  // The seed feeds the netlist (and the placer), so every stage hash
-  // downstream of either must change.
-  for (std::size_t i = 0; i < ga.stages().size(); ++i) {
-    EXPECT_NE(ga.stages()[i].input_hash, gb.stages()[i].input_hash)
-        << ga.stages()[i].name;
-  }
+  const coffe::DeviceModel dev = coffe::Characterizer::paper_table2_reference();
+  core::ImplementOptions feedback;
+  feedback.thermal_place.enabled = true;
+  feedback.thermal_place.device = &dev;
 
-  // A route-only knob changes route (and downstream) but not pack/place.
-  core::ImplementOptions c = a;
-  c.route.astar_fac += 0.125;
-  const auto gc = core::FlowGraph::standard(spec, test_arch(), c);
-  for (std::size_t i = 0; i < ga.stages().size(); ++i) {
-    const std::string name = ga.stages()[i].name;
-    if (name == "pack" || name == "place" || name == "activity") {
-      EXPECT_EQ(ga.stages()[i].input_hash, gc.stages()[i].input_hash) << name;
-    } else {
-      EXPECT_NE(ga.stages()[i].input_hash, gc.stages()[i].input_hash) << name;
+  for (const core::ImplementOptions& a : {core::ImplementOptions{}, feedback}) {
+    SCOPED_TRACE(a.thermal_place.enabled ? "feedback on" : "feedback off");
+    core::ImplementOptions b = a;
+    b.seed = a.seed + 1;
+    const auto ga = core::FlowGraph::standard(spec, test_arch(), a);
+    const auto gb = core::FlowGraph::standard(spec, test_arch(), b);
+    ASSERT_EQ(ga.stages().size(), gb.stages().size());
+    // The seed feeds the netlist (and the placer), so every stage hash
+    // downstream of either must change.
+    for (std::size_t i = 0; i < ga.stages().size(); ++i) {
+      EXPECT_NE(ga.stages()[i].input_hash, gb.stages()[i].input_hash)
+          << ga.stages()[i].name;
+    }
+
+    // A route-only knob changes route (and downstream) but not pack/place.
+    core::ImplementOptions c = a;
+    c.route.astar_fac += 0.125;
+    const auto gc = core::FlowGraph::standard(spec, test_arch(), c);
+    for (std::size_t i = 0; i < ga.stages().size(); ++i) {
+      const std::string name = ga.stages()[i].name;
+      if (name == "pack" || name == "place" || name == "activity") {
+        EXPECT_EQ(ga.stages()[i].input_hash, gc.stages()[i].input_hash) << name;
+      } else {
+        EXPECT_NE(ga.stages()[i].input_hash, gc.stages()[i].input_hash) << name;
+      }
     }
   }
 }
@@ -318,6 +326,38 @@ TEST(FlowCacheDisk, WarmLoadIsBitIdenticalToComputedBuild) {
   EXPECT_EQ(s.disk_hits, 4u);
   EXPECT_EQ(s.disk_misses, 0u);
   EXPECT_EQ(s.disk_writes, 0u);  // loads are never re-stored
+}
+
+TEST(FlowCacheDisk, WarmAwareBuildIsBitIdenticalToColdBuild) {
+  // With the feedback edge on, thermal_place stores the refined
+  // placement and its routes as one artifact; a warm build reloads all
+  // five storable stages and reproduces the cold build bit for bit.
+  const TempDir dir;
+  const auto spec = spec_of("diffeq1");
+  const coffe::DeviceModel dev = coffe::Characterizer::paper_table2_reference();
+  core::ImplementOptions opt;
+  opt.thermal_place.enabled = true;
+  opt.thermal_place.device = &dev;
+
+  std::vector<std::string> cold_bytes;
+  {
+    runner::ArtifactStore store(dir.path);
+    runner::FlowCache cache;
+    cache.set_artifact_store(&store);
+    cold_bytes = artifact_bytes(cache.implementation(spec, test_arch(), kScale, opt));
+    EXPECT_EQ(cache.stats().disk_writes, 5u);
+  }
+  runner::ArtifactStore store(dir.path);
+  runner::FlowCache cache;
+  cache.set_artifact_store(&store);
+  const std::uint64_t solves = core::thread_flow_counters().thermal_adjoint_solves;
+  EXPECT_EQ(artifact_bytes(cache.implementation(spec, test_arch(), kScale, opt)), cold_bytes);
+  EXPECT_EQ(core::thread_flow_counters().thermal_adjoint_solves, solves);  // not rerun
+  const auto s = cache.stats();
+  EXPECT_EQ(s.disk_hits, 5u);
+  EXPECT_EQ(s.disk_misses, 0u);
+  EXPECT_EQ(s.disk_writes, 0u);
+  EXPECT_EQ(s.disk_errors, 0u);
 }
 
 TEST(FlowCacheDisk, ResumeRecomputesOnlyTheMissingStage) {

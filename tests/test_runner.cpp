@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/stage_graph.hpp"
 #include "runner/flow_cache.hpp"
 #include "runner/metrics.hpp"
 #include "runner/sweep.hpp"
@@ -134,6 +135,52 @@ TEST(FlowCache, DistinctKeysAreDistinctEntries) {
   // Same key again: still the original entry.
   EXPECT_EQ(&cache.implementation(spec, test_arch(), 1.0 / 16), &base);
   EXPECT_EQ(cache.stats().impl_misses, 4u);
+}
+
+TEST(FlowCache, FeedbackEdgeKeyFollowsTheStageGraph) {
+  // The key is the stage graph's chained hash, so exactly the
+  // thermal_place fields that stage hashes give distinct entries.
+  runner::FlowCache cache;
+  const auto spec = spec_of("stereovision3");
+  const coffe::DeviceModel dev = coffe::Characterizer::paper_table2_reference();
+  coffe::DeviceModel other = dev;
+  other.name = "paper-D25-copy";
+
+  core::ImplementOptions aware;
+  aware.thermal_place.enabled = true;
+  aware.thermal_place.device = &dev;
+  aware.thermal_place.passes = 1;
+  const auto* base = &cache.implementation(spec, test_arch(), 1.0 / 16, aware);
+  EXPECT_NE(&cache.implementation(spec, test_arch(), 1.0 / 16), base);  // edge off
+  const auto variant = [&](auto&& mutate) {
+    core::ImplementOptions o = aware;
+    mutate(o);
+    return &cache.implementation(spec, test_arch(), 1.0 / 16, o);
+  };
+
+  EXPECT_NE(variant([](auto& o) { o.thermal_place.weight *= 2.0; }), base);
+  EXPECT_NE(variant([](auto& o) { o.thermal_place.passes = 2; }), base);
+  EXPECT_NE(variant([&](auto& o) { o.thermal_place.device = &other; }), base);
+  EXPECT_NE(variant([](auto& o) { o.thermal_place.thermal.silicon_k_w_mk *= 2.0; }), base);
+  EXPECT_EQ(cache.stats().impl_misses, 6u);
+
+  // What the stage deliberately leaves out of its hash shares the entry.
+  const core::FlowObserver obs;
+  const core::StageHooks hooks;
+  EXPECT_EQ(variant([](auto& o) {
+              o.thermal_place.thermal.backend =
+                  o.thermal_place.thermal.backend == thermal::ThermalBackend::Stencil
+                      ? thermal::ThermalBackend::Generic
+                      : thermal::ThermalBackend::Stencil;
+            }),
+            base);
+  EXPECT_EQ(variant([&](auto& o) { o.observer = &obs; }), base);
+  EXPECT_EQ(variant([&](auto& o) { o.stage_hooks = &hooks; }), base);
+  EXPECT_EQ(cache.stats().impl_misses, 6u);
+
+  // A null device is still refused, not cached.
+  EXPECT_THROW(variant([](auto& o) { o.thermal_place.device = nullptr; }),
+               std::invalid_argument);
 }
 
 TEST(FlowCache, ImplementationMatchesDirectFlow) {
