@@ -152,9 +152,7 @@ int main(int argc, char** argv) {
       runner::TaskMetrics& m = warm_metrics[i];
       m.name = warm[i].kind + ":" + warm[i].name;
       m.kind = warm[i].kind;
-      const runner::SpiceCounterScope spice_scope(m);
-      const runner::FlowCounterScope flow_scope(m);
-      const runner::ArtifactCounterScope artifact_scope(m);
+      const runner::TaskCounterScope counter_scope(m);
       util::Stopwatch sw;
       if (warm[i].spec) {
         core::ImplementOptions iopt;
@@ -185,9 +183,7 @@ int main(int argc, char** argv) {
     {
       // Captures only driver-thread work; sweep cells report their own
       // counters via bench::collected_sweep_metrics() below.
-      const runner::SpiceCounterScope spice_scope(m);
-      const runner::FlowCounterScope flow_scope(m);
-      const runner::ArtifactCounterScope artifact_scope(m);
+      const runner::TaskCounterScope counter_scope(m);
       code = experiments[i].fn();
     }
     m.wall_s = sw.seconds();
@@ -216,10 +212,9 @@ int main(int argc, char** argv) {
       nonconv += m.guardband_nonconverged;
     }
     std::fprintf(stderr,
-                 "[bench_all] guardband (%s incremental, %s thermal): %zu sweep "
+                 "[bench_all] guardband (%s thermal): %zu sweep "
                  "cells, %llu edges re-evaluated, %llu delay-cache hits, "
                  "%llu CG iters (%llu preconditioned), %llu non-converged\n",
-                 core::incremental_mode_name(core::default_incremental_mode()),
                  thermal::thermal_backend_name(thermal::default_thermal_backend()),
                  cells.size(), edges, hits, cg, pcg, nonconv);
     if (nonconv > 0) {

@@ -305,10 +305,9 @@ DynamicResult DynamicGuardband::replay(const ActivityTrace& trace) const {
   }
   const std::size_t n = base_power_w_.size();
 
-  // Exact mode is bit-identical to a full analyze() (DESIGN.md section
+  // The session is bit-identical to a full analyze() (DESIGN.md section
   // 8), so sampling through a warm session changes nothing but speed.
-  timing::IncrementalSta session(*impl_.sta, dev_,
-                                 timing::IncrementalSta::Mode::Exact);
+  timing::IncrementalSta session(*impl_.sta, dev_);
 
   DynamicResult result;
   std::vector<double> temps(n, opt_.t_amb_c.value());

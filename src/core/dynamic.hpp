@@ -5,15 +5,15 @@
 // Three pieces:
 //   * ActivityTrace — a piecewise-constant per-block utilization
 //     schedule. This header/dynamic.cpp pair is the single sanctioned
-//     owner of the trace's text and wire representations (tools/taf-lint
+//     owner of the trace's text and wire representations (taf-analyze
 //     rule trace-codec-seam): everyone else goes through parse_text /
 //     to_text / serialize / deserialize / the envelope helpers, so the
 //     format cannot fork the way raw-serialization protects artifacts.
 //   * DynamicGuardband — replays a trace through thermal::TransientEngine
 //     over one implemented design, re-times the design at each sampled
-//     temperature field (IncrementalSta, Exact mode — bit-identical to a
-//     full STA), and emits the time-resolved safe fmax plus throttle
-//     decisions. A replay is a pure function of (implementation, device,
+//     temperature field (IncrementalSta — bit-identical to a full STA),
+//     and emits the time-resolved safe fmax plus throttle decisions.
+//     A replay is a pure function of (implementation, device,
 //     options, trace): bit-identical on every rerun, which is what the
 //     guardband_trace service kind's determinism contract pins.
 //   * allocate_tasks — the greedy Hung-style task-to-tile allocator:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cctype>
 #include <cmath>
 #include <optional>
 #include <stdexcept>
@@ -10,7 +9,6 @@
 #include <utility>
 
 #include "core/stage_graph.hpp"
-#include "util/env.hpp"
 #include "util/log.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
@@ -29,31 +27,6 @@ const char* flow_phase_name(FlowPhase phase) {
     case FlowPhase::Thermal: return "thermal";
   }
   return "unknown";
-}
-
-const char* incremental_mode_name(IncrementalMode mode) {
-  switch (mode) {
-    case IncrementalMode::Off: return "off";
-    case IncrementalMode::Exact: return "exact";
-    case IncrementalMode::Quantized: return "quantized";
-  }
-  return "unknown";
-}
-
-IncrementalMode default_incremental_mode() {
-  static const IncrementalMode mode = [] {
-    const char* env = util::env_cstr("TAF_INCREMENTAL");
-    if (env == nullptr || *env == '\0') return IncrementalMode::Exact;
-    std::string v(env);
-    for (char& c : v) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    if (v == "off") return IncrementalMode::Off;
-    if (v == "exact") return IncrementalMode::Exact;
-    if (v == "quantized") return IncrementalMode::Quantized;
-    util::log_warn("TAF_INCREMENTAL=%s not recognized (off|exact|quantized); using exact",
-                   env);
-    return IncrementalMode::Exact;
-  }();
-  return mode;
 }
 
 FlowCounters& thread_flow_counters() {
@@ -127,15 +100,11 @@ std::vector<GuardbandResult> guardband_lockstep(const Implementation& impl,
 
     c.incremental = opt.incremental != IncrementalMode::Off;
     if (c.incremental) {
-      c.session.emplace(*impl.sta, dev,
-                        opt.incremental == IncrementalMode::Quantized
-                            ? timing::IncrementalSta::Mode::Quantized
-                            : timing::IncrementalSta::Mode::Exact,
-                        opt.incremental_epsilon_c);
+      c.session.emplace(*impl.sta, dev);
     }
 
     // Conventional baseline: clock for the worst-case corner. Evaluated
-    // through the session when incremental (Exact mode is bit-identical
+    // through the session when incremental (the session is bit-identical
     // to analyze_uniform, and the re-derived delay tables seed the cache).
     c.result.baseline_fmax_mhz =
         c.incremental

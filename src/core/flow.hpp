@@ -66,20 +66,11 @@ enum class IncrementalMode {
   /// Full recompute every iteration — the original path, kept alive as
   /// the differential-testing oracle.
   Off,
-  /// Incremental STA session + warm-started CG. Bit-identical timing to
-  /// Off (DESIGN.md section 8); temperatures agree within the CG
-  /// termination tolerance.
+  /// Incremental STA session + warm-started CG — the production engine.
+  /// Bit-identical timing to Off (DESIGN.md section 8); temperatures
+  /// agree within the CG termination tolerance.
   Exact,
-  /// Like Exact, but tile delays are frozen until the tile temperature
-  /// drifts more than GuardbandOptions::incremental_epsilon_c. Fastest,
-  /// approximate.
-  Quantized,
 };
-const char* incremental_mode_name(IncrementalMode mode);
-
-/// Session default: reads TAF_INCREMENTAL ("off" | "exact" | "quantized")
-/// once; Exact when unset. Mirrors spice::default_backend().
-IncrementalMode default_incremental_mode();
 
 /// Work performed by the Algorithm 1 loop of one guardband() call
 /// (priming/baseline/margin analyses excluded).
@@ -225,9 +216,7 @@ struct GuardbandOptions {
   units::Celsius t_worst_c{100.0}; ///< conventional worst-case corner
   thermal::ThermalConfig thermal;  ///< ambient_c is overridden by t_amb_c
   /// Loop evaluation strategy (see IncrementalMode).
-  IncrementalMode incremental = default_incremental_mode();
-  /// Tile-delay refresh threshold for IncrementalMode::Quantized.
-  units::Kelvin incremental_epsilon_c{0.05};
+  IncrementalMode incremental = IncrementalMode::Exact;
   /// Multiplier on every computed power map (1.0 = physical). The zero
   /// setting is the metamorphic test seam: P = 0 must converge in one
   /// iteration with zero re-evaluated edges.

@@ -31,7 +31,7 @@
 namespace taf::runner {
 
 /// Per-thread disk-tier counters, in the mold of spice::thread_counters():
-/// the runner snapshots them around each task (ArtifactCounterScope).
+/// the runner snapshots them around each task (TaskCounterScope).
 struct ArtifactCounters {
   std::uint64_t disk_hits = 0;
   std::uint64_t disk_misses = 0;

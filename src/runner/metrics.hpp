@@ -68,78 +68,52 @@ struct TaskMetrics {
   std::uint64_t replace_moves = 0;
   std::uint64_t guardband_nonconverged = 0;
   /// Disk artifact-store traffic attributable to this task (per stage:
-  /// one implement build probes up to four storable stages). All zero
+  /// one implement build probes up to five storable stages). All zero
   /// when no store is attached.
   std::uint64_t disk_hits = 0;
   std::uint64_t disk_misses = 0;
   std::uint64_t disk_writes = 0;
 };
 
-/// RAII capture of the thread-local SPICE solver counters: snapshots at
-/// construction and adds the delta to the task at scope exit. Valid
-/// because a runner task executes on exactly one pool thread.
-class SpiceCounterScope {
+/// RAII capture of the thread-local work counters — SPICE solver, flow
+/// (STA/thermal/transient/feedback/guardband) and artifact store: snapshots
+/// them at construction and adds the deltas to the task at scope exit.
+/// Valid because a runner task executes on exactly one pool thread.
+class TaskCounterScope {
  public:
-  explicit SpiceCounterScope(TaskMetrics& m)
-      : m_(m), before_(spice::thread_counters()) {}
-  ~SpiceCounterScope() {
-    const spice::SolverCounters d = spice::thread_counters() - before_;
-    m_.spice_factorizations += d.factorizations;
-    m_.spice_pattern_reuses += d.pattern_reuses;
-    m_.spice_newton_iters += d.newton_iterations;
+  explicit TaskCounterScope(TaskMetrics& m)
+      : m_(m),
+        spice_before_(spice::thread_counters()),
+        flow_before_(core::thread_flow_counters()),
+        artifact_before_(thread_artifact_counters()) {}
+  ~TaskCounterScope() {
+    const spice::SolverCounters s = spice::thread_counters() - spice_before_;
+    m_.spice_factorizations += s.factorizations;
+    m_.spice_pattern_reuses += s.pattern_reuses;
+    m_.spice_newton_iters += s.newton_iterations;
+    const core::FlowCounters f = core::thread_flow_counters() - flow_before_;
+    m_.sta_edges_reevaluated += f.sta_edges_reevaluated;
+    m_.sta_delay_cache_hits += f.sta_delay_cache_hits;
+    m_.thermal_cg_iters += f.thermal_cg_iterations;
+    m_.thermal_precond_iters += f.thermal_precond_iterations;
+    m_.transient_steps += f.transient_steps;
+    m_.transient_cg_iters += f.transient_cg_iterations;
+    m_.thermal_adjoint_solves += f.thermal_adjoint_solves;
+    m_.replace_moves += f.replace_moves;
+    m_.guardband_nonconverged += f.guardband_nonconverged;
+    const ArtifactCounters a = thread_artifact_counters() - artifact_before_;
+    m_.disk_hits += a.disk_hits;
+    m_.disk_misses += a.disk_misses;
+    m_.disk_writes += a.disk_writes;
   }
-  SpiceCounterScope(const SpiceCounterScope&) = delete;
-  SpiceCounterScope& operator=(const SpiceCounterScope&) = delete;
+  TaskCounterScope(const TaskCounterScope&) = delete;
+  TaskCounterScope& operator=(const TaskCounterScope&) = delete;
 
  private:
   TaskMetrics& m_;
-  spice::SolverCounters before_;
-};
-
-/// RAII capture of the thread-local guardband flow counters, same
-/// snapshot/delta contract as SpiceCounterScope.
-class FlowCounterScope {
- public:
-  explicit FlowCounterScope(TaskMetrics& m)
-      : m_(m), before_(core::thread_flow_counters()) {}
-  ~FlowCounterScope() {
-    const core::FlowCounters d = core::thread_flow_counters() - before_;
-    m_.sta_edges_reevaluated += d.sta_edges_reevaluated;
-    m_.sta_delay_cache_hits += d.sta_delay_cache_hits;
-    m_.thermal_cg_iters += d.thermal_cg_iterations;
-    m_.thermal_precond_iters += d.thermal_precond_iterations;
-    m_.transient_steps += d.transient_steps;
-    m_.transient_cg_iters += d.transient_cg_iterations;
-    m_.thermal_adjoint_solves += d.thermal_adjoint_solves;
-    m_.replace_moves += d.replace_moves;
-    m_.guardband_nonconverged += d.guardband_nonconverged;
-  }
-  FlowCounterScope(const FlowCounterScope&) = delete;
-  FlowCounterScope& operator=(const FlowCounterScope&) = delete;
-
- private:
-  TaskMetrics& m_;
-  core::FlowCounters before_;
-};
-
-/// RAII capture of the thread-local artifact-store counters, same
-/// snapshot/delta contract as SpiceCounterScope.
-class ArtifactCounterScope {
- public:
-  explicit ArtifactCounterScope(TaskMetrics& m)
-      : m_(m), before_(thread_artifact_counters()) {}
-  ~ArtifactCounterScope() {
-    const ArtifactCounters d = thread_artifact_counters() - before_;
-    m_.disk_hits += d.disk_hits;
-    m_.disk_misses += d.disk_misses;
-    m_.disk_writes += d.disk_writes;
-  }
-  ArtifactCounterScope(const ArtifactCounterScope&) = delete;
-  ArtifactCounterScope& operator=(const ArtifactCounterScope&) = delete;
-
- private:
-  TaskMetrics& m_;
-  ArtifactCounters before_;
+  spice::SolverCounters spice_before_;
+  core::FlowCounters flow_before_;
+  ArtifactCounters artifact_before_;
 };
 
 /// A full runner report: every task plus process-wide cache statistics.

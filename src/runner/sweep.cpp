@@ -25,9 +25,7 @@ std::vector<SweepCellResult> Sweep::run(const std::vector<SweepPoint>& points) c
     }
     cell.metrics.kind = "guardband";
     const core::FlowObserver obs = observe_into(cell.metrics);
-    const SpiceCounterScope spice_scope(cell.metrics);
-    const FlowCounterScope flow_scope(cell.metrics);
-    const ArtifactCounterScope artifact_scope(cell.metrics);
+    const TaskCounterScope counter_scope(cell.metrics);
     util::Stopwatch wall;
 
     // Cache misses attribute the build (characterize / implement) phases

@@ -210,9 +210,7 @@ void GuardbandServer::evaluate_group(
     tm.kind = "service-group";
     util::Stopwatch wall;
     {
-      const runner::SpiceCounterScope spice_scope(tm);
-      const runner::FlowCounterScope flow_scope(tm);
-      const runner::ArtifactCounterScope artifact_scope(tm);
+      const runner::TaskCounterScope counter_scope(tm);
       const core::FlowObserver obs = runner::observe_into(tm);
 
       const double grade_c = static_cast<double>(grade_mdeg) / 1000.0;
@@ -285,9 +283,7 @@ void GuardbandServer::evaluate_trace_group(const std::string& design,
     tm.kind = "service-trace-group";
     util::Stopwatch wall;
     {
-      const runner::SpiceCounterScope spice_scope(tm);
-      const runner::FlowCounterScope flow_scope(tm);
-      const runner::ArtifactCounterScope artifact_scope(tm);
+      const runner::TaskCounterScope counter_scope(tm);
 
       const double grade_c = static_cast<double>(grade_mdeg) / 1000.0;
       const coffe::DeviceModel& dev = cache_.device(config_.tech, config_.arch, grade_c);

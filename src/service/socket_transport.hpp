@@ -1,7 +1,7 @@
 #pragma once
 // POSIX socket transport for the guardband service. This header and its
 // .cpp are the only sanctioned home of raw socket and frame-stream
-// handling — tools/taf-lint (rule service-socket-seam) bans the socket
+// handling — taf-analyze (rule service-socket-seam) bans the socket
 // syscalls and headers everywhere outside src/service/, the way
 // thermal-backend-seam confines stencil internals.
 //

@@ -17,7 +17,7 @@
 // This header is an implementation detail of ThermalGrid: everything
 // outside src/thermal selects the backend through
 // ThermalConfig::backend / TAF_THERMAL_BACKEND and calls the ThermalGrid
-// API (tools/taf-lint rule thermal-backend-seam keeps it that way).
+// API (taf-analyze rule thermal-backend-seam keeps it that way).
 
 #include <vector>
 

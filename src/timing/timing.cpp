@@ -457,12 +457,9 @@ void IncrementalTopology::build(const TimingAnalyzer& an) {
 }
 
 IncrementalSta::IncrementalSta(const TimingAnalyzer& analyzer,
-                               const coffe::DeviceModel& dev, Mode mode,
-                               units::Kelvin epsilon)
+                               const coffe::DeviceModel& dev)
     : an_(&analyzer),
       dev_(&dev),
-      mode_(mode),
-      eps_(epsilon.value()),
       n_tiles_(analyzer.inc_topo_.n_tiles_),
       prim_kind_(analyzer.inc_topo_.prim_kind_),
       prim_tile_(analyzer.inc_topo_.prim_tile_),
@@ -549,10 +546,7 @@ TimingResult IncrementalSta::analyze(const std::vector<double>& tile_temp_c,
   for (int t = 0; t < n_tiles_; ++t) {
     const double temp = tile_temp_c[static_cast<std::size_t>(t)];
     const double base = base_temp_[static_cast<std::size_t>(t)];
-    const bool moved = !primed_ || (mode_ == Mode::Exact
-                                        ? temp != base
-                                        : std::fabs(temp - base) > eps_);
-    if (moved) dirty_tiles.push_back(t);
+    if (!primed_ || temp != base) dirty_tiles.push_back(t);
   }
 
   if (primed_ && dirty_tiles.empty()) {

@@ -161,26 +161,14 @@ class TimingAnalyzer {
 /// the arrival/critical-arc state — then repropagates arrival times only
 /// downstream of the frontier of connections whose delay actually
 /// changed. Evaluation order and arithmetic mirror
-/// TimingAnalyzer::analyze() expression for expression, so in Exact mode
-/// the results are bit-identical to a full recompute (DESIGN.md sec. 8).
+/// TimingAnalyzer::analyze() expression for expression, so the results
+/// are bit-identical to a full recompute (DESIGN.md sec. 8).
 ///
 /// Not thread-safe; sessions are cheap and task-local (one per
 /// guardband() call).
 class IncrementalSta {
  public:
-  enum class Mode {
-    /// Refresh a tile's delays whenever its temperature changed at all.
-    /// Results are bitwise equal to TimingAnalyzer::analyze().
-    Exact,
-    /// Freeze a tile's delays until its temperature drifts more than
-    /// epsilon_c from the value they were derived at. Approximate: the
-    /// reported critical path can be stale by up to epsilon_c times the
-    /// delay/temperature slope per element on the path.
-    Quantized,
-  };
-
-  IncrementalSta(const TimingAnalyzer& analyzer, const coffe::DeviceModel& dev,
-                 Mode mode = Mode::Exact, units::Kelvin epsilon = units::Kelvin{0.05});
+  IncrementalSta(const TimingAnalyzer& analyzer, const coffe::DeviceModel& dev);
 
   /// Re-analyze at a new temperature map. with_critical_path controls
   /// whether cp_prims/cp_breakdown are reconstructed (the in-loop callers
@@ -190,8 +178,6 @@ class IncrementalSta {
 
   const StaCounters& counters() const { return counters_; }
   void reset_counters() { counters_ = {}; }
-  Mode mode() const { return mode_; }
-  units::Kelvin epsilon() const { return units::Kelvin{eps_}; }
 
  private:
   double tile_delay(coffe::ResourceKind k, int tile) const {
@@ -206,8 +192,6 @@ class IncrementalSta {
 
   const TimingAnalyzer* an_;
   const coffe::DeviceModel* dev_;
-  Mode mode_;
-  double eps_;
   int n_tiles_ = 0;
 
   // Per-kind linear delay fits copied out of the device (evaluating the

@@ -2,7 +2,7 @@
 // Compact, versioned binary codec for on-disk flow artifacts.
 //
 // This header is the single sanctioned place where TAF values become
-// bytes: tools/taf-lint (rule raw-serialization) bans fwrite/fread and
+// bytes: taf-analyze (rule raw-serialization) bans fwrite/fread and
 // memcpy-of-struct serialization everywhere else, so the artifact format
 // cannot fork. Properties:
 //

@@ -5,7 +5,7 @@
 namespace taf::util {
 
 const char* env_cstr(const char* name) noexcept {
-  // The one allowed std::getenv call site (taf-lint: env-through-util).
+  // The one allowed std::getenv call site (taf-analyze rule env-through-util).
   return std::getenv(name);
 }
 

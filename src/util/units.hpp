@@ -29,7 +29,8 @@
 // Bulk per-tile fields (temperature maps, power maps) deliberately stay
 // std::vector<double>: they are solver payloads addressed by BLAS-style
 // loops, and their producing/consuming APIs are typed at every scalar
-// crossing. tools/taf-lint carries the justified suppression list.
+// crossing. tools/taf-analyze.suppressions carries the justified
+// suppression list.
 
 namespace taf::util::units {
 

@@ -66,7 +66,7 @@ TEST(Lexer, RawStringInteriorBlankedEvenWithQuotesAndParens) {
   EXPECT_EQ(std::count(f.stripped.begin(), f.stripped.end(), '\n'), 2);
 }
 
-// The stripper algorithm taf-lint shipped before the raw-string fix:
+// The stripper algorithm the seam rules used before the raw-string fix:
 // literals end at the first unescaped matching quote, and an escape always
 // blanks two characters (dropping escaped newlines). Kept here as a
 // regression witness: it must FAIL on the corpus raw-string input that the
@@ -250,14 +250,10 @@ TEST(Corpus, CoversBothNewRuleFamiliesWithPositivesAndNegatives) {
     for (const std::string& e : cf.expected)
       ++positives[e.substr(e.rfind(':') + 1)];
   }
-  // Lock-discipline family.
-  EXPECT_GE(positives["lock-order-cycle"], 1);
-  EXPECT_GE(positives["blocking-while-locked"], 1);
-  // Determinism family.
-  EXPECT_GE(positives["unordered-iteration"], 1);
-  EXPECT_GE(positives["wall-clock"], 1);
-  EXPECT_GE(positives["raw-random"], 1);
-  EXPECT_GE(positives["pointer-keyed-container"], 1);
+  // Every registered rule — seam, lock-discipline and determinism — has
+  // at least one positive the corpus pins.
+  for (const std::string& rule : all_rules())
+    EXPECT_GE(positives[rule], 1) << "no corpus positive for " << rule;
   // Pinned non-findings are as load-bearing as the positives.
   EXPECT_GE(clean_files, 3);
 }
@@ -323,25 +319,12 @@ TEST(Cli, ExitCodeTwoOnMissingExplicitPath) {
   EXPECT_NE(res.err.find("cannot read no/such/dir"), std::string::npos);
 }
 
-TEST(Cli, CompatFormatPrintsPathLineRule) {
-  const fs::path root = fs::path(testing::TempDir()) / "taf_an_compat";
-  fs::remove_all(root);
-  spit(root / "src" / "bad.cpp", "#include <cstdlib>\nint f() { return atoi(\"1\"); }\n");
-  CliOptions opts;
-  opts.root = root.string();
-  opts.compat = true;
-  opts.summary = false;
-  const CliResult res = run_cli(opts);
-  EXPECT_EQ(res.out, "src/bad.cpp:2:banned-identifier\n");
-  EXPECT_EQ(res.exit_code, 1);
-}
-
 TEST(Cli, SummaryTableCountsPerRule) {
   const fs::path root = fs::path(testing::TempDir()) / "taf_an_summary";
   fs::remove_all(root);
   spit(root / "src" / "bad.cpp",
        "#include <cstdlib>\nint f() { return atoi(\"1\") + (atof(\"2\") > 0); }\n");
-  spit(root / "tools" / "taf-lint.suppressions",
+  spit(root / "tools" / "taf-analyze.suppressions",
        "src/bad.cpp:banned-identifier:atof  # pinned\n");
   CliOptions opts;
   opts.root = root.string();
@@ -357,7 +340,7 @@ TEST(Cli, PruneReportsOnlyStaleSuppressions) {
   const fs::path root = fs::path(testing::TempDir()) / "taf_an_prune";
   fs::remove_all(root);
   spit(root / "src" / "bad.cpp", "#include <cstdlib>\nint f() { return atoi(\"1\"); }\n");
-  spit(root / "tools" / "taf-lint.suppressions",
+  spit(root / "tools" / "taf-analyze.suppressions",
        "# comment line\n"
        "src/bad.cpp:banned-identifier  # live\n"
        "src/gone.cpp:raw-serialization  # stale: file no longer exists\n");
@@ -367,7 +350,7 @@ TEST(Cli, PruneReportsOnlyStaleSuppressions) {
   const CliResult res = run_cli(opts);
   EXPECT_EQ(res.exit_code, 0);  // report-only, never fails the build
   EXPECT_EQ(res.out.find("src/bad.cpp"), std::string::npos) << res.out;
-  EXPECT_NE(res.out.find("stale suppression (tools/taf-lint.suppressions:3): "
+  EXPECT_NE(res.out.find("stale suppression (tools/taf-analyze.suppressions:3): "
                          "src/gone.cpp:raw-serialization"),
             std::string::npos)
       << res.out;
@@ -392,10 +375,11 @@ TEST(Cli, RuleFilterRunsOnlyRequestedRules) {
   CliOptions opts;
   opts.root = root.string();
   opts.rules = {"env-through-util"};
-  opts.compat = true;
   opts.summary = false;
   const CliResult res = run_cli(opts);
-  EXPECT_EQ(res.out, "src/bad.cpp:2:env-through-util\n");
+  EXPECT_EQ(res.out,
+            "src/bad.cpp:2: [env-through-util] read environment through "
+            "util::env_cstr / env_set / env_positive_int (src/util/env.hpp)\n");
 }
 
 // ------------------------------------------------------ suppressions

@@ -298,7 +298,7 @@ TEST(FlowCacheDisk, WarmLoadIsBitIdenticalToComputedBuild) {
   runner::TaskMetrics metrics;
   std::vector<std::string> cold_bytes;
   {
-    const runner::ArtifactCounterScope scope(metrics);
+    const runner::TaskCounterScope scope(metrics);
     cold_bytes = artifact_bytes(cache_a.implementation(spec, test_arch(), kScale));
   }
   {

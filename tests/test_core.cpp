@@ -375,7 +375,7 @@ TEST(GuardbandBatch, FallbackPathsStayBitIdentical) {
       base.thermal.backend =
           generic ? thermal::ThermalBackend::Generic : thermal::ThermalBackend::Stencil;
       SCOPED_TRACE(std::string(generic ? "generic" : "stencil") + "/" +
-                   core::incremental_mode_name(mode));
+                   (mode == core::IncrementalMode::Off ? "off" : "exact"));
       const auto batch = core::guardband_batch(sha_impl(), dev, base, corners);
       ASSERT_EQ(batch.size(), corners.size());
       for (std::size_t k = 0; k < corners.size(); ++k) {

@@ -126,22 +126,6 @@ TEST(IncrementalDifferentialDetail, CriticalPathStructureIsIdentical) {
   }
 }
 
-TEST(IncrementalDifferentialDetail, QuantizedStaysWithinEpsilonBounds) {
-  // Quantized mode trades exactness for speed: delays may be derived at a
-  // temperature stale by up to epsilon, so fmax can drift by roughly
-  // (slope * epsilon / cp) — bound it loosely rather than exactly.
-  auto opt = base_options(25.0, core::IncrementalMode::Quantized);
-  opt.incremental_epsilon_c = units::Kelvin(0.05);
-  const auto full = core::guardband(sha_impl(), device(),
-                                    base_options(25.0, core::IncrementalMode::Off));
-  const auto q = core::guardband(sha_impl(), device(), opt);
-  EXPECT_NEAR(q.fmax_mhz.value(), full.fmax_mhz.value(), 0.005 * full.fmax_mhz.value());
-  ASSERT_EQ(full.tile_temp_c.size(), q.tile_temp_c.size());
-  for (std::size_t i = 0; i < full.tile_temp_c.size(); ++i) {
-    ASSERT_NEAR(full.tile_temp_c[i], q.tile_temp_c[i], 0.1) << "tile " << i;
-  }
-}
-
 TEST(IncrementalMetamorphic, ZeroPowerConvergesInOneIterationWithZeroWork) {
   // With the power map forced to zero the fixed point is the ambient
   // field itself: the first iteration must leave every temperature

@@ -359,7 +359,7 @@ TEST(Metrics, FlowCounterScopeCapturesGuardbandWork) {
   runner::TaskMetrics m;
   core::GuardbandOptions opt;
   {
-    const runner::FlowCounterScope scope(m);
+    const runner::TaskCounterScope scope(m);
     core::guardband(impl, dev, opt);
   }
   // The default (incremental) engine does thermal CG work every
@@ -385,15 +385,14 @@ TEST(Determinism, ImplementIsReproducibleAcrossRuns) {
 }
 
 TEST(Determinism, FullFlowMatchesAcrossThreadCountsWithIncrementalEngine) {
-  // The sweep bit-equality above runs whatever engine TAF_INCREMENTAL
-  // selects; this pins the incremental engine explicitly so a CI
-  // environment override can't silently skip the interesting path.
+  // Beyond the science columns, the default (incremental) engine's work
+  // counters — edges re-evaluated, CG iterations — must not depend on
+  // the pool size either: each cell's session is task-local.
   auto run = [](int threads) {
     runner::FlowCache cache;
     runner::ThreadPool pool(threads);
     runner::Sweep sweep(cache, pool, tech::ptm22());
     core::GuardbandOptions base;
-    base.incremental = core::IncrementalMode::Exact;
     const std::vector<netlist::BenchmarkSpec> specs = {spec_of("sha"),
                                                        spec_of("diffeq1")};
     return sweep.run(runner::Sweep::grid(specs, 1.0 / 16, test_arch(), {25.0},

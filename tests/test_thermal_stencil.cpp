@@ -5,7 +5,7 @@
 // SSOR preconditioner SPD-ness, and the preconditioner actually earning
 // its keep (strictly fewer iterations than plain CG). This file is the
 // one place outside src/thermal allowed to include the backend header
-// (tools/taf-lint rule thermal-backend-seam).
+// (taf-analyze rule thermal-backend-seam).
 
 #include <gtest/gtest.h>
 

@@ -10,7 +10,7 @@
 //
 // This file hand-crafts malformed trace text and envelope bytes, so it
 // is the one sanctioned suppression of the trace-codec-seam lint rule
-// (tools/taf-lint.suppressions).
+// (tools/taf-analyze.suppressions).
 
 #include <gtest/gtest.h>
 

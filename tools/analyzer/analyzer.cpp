@@ -261,7 +261,7 @@ CliResult run_cli(const CliOptions& opts) {
 
   std::vector<Suppression> suppressions;
   {
-    std::ifstream in(root / "tools" / "taf-lint.suppressions", std::ios::binary);
+    std::ifstream in(root / "tools" / "taf-analyze.suppressions", std::ios::binary);
     if (in) {
       std::ostringstream buf;
       buf << in.rdbuf();
@@ -279,7 +279,7 @@ CliResult run_cli(const CliOptions& opts) {
     for (std::size_t k = 0; k < suppressions.size(); ++k) {
       if (live[k]) continue;
       ++stale;
-      res.out += "taf-analyze: stale suppression (tools/taf-lint.suppressions:" +
+      res.out += "taf-analyze: stale suppression (tools/taf-analyze.suppressions:" +
                  std::to_string(suppressions[k].line) + "): " + suppressions[k].entry +
                  "\n";
     }
@@ -315,12 +315,8 @@ CliResult run_cli(const CliOptions& opts) {
     }
     ++visible;
     ++counts.first;
-    if (opts.compat) {
-      res.out += f.path + ":" + std::to_string(f.line) + ":" + f.rule + "\n";
-    } else {
-      res.out +=
-          f.path + ":" + std::to_string(f.line) + ": [" + f.rule + "] " + f.message + "\n";
-    }
+    res.out +=
+        f.path + ":" + std::to_string(f.line) + ": [" + f.rule + "] " + f.message + "\n";
   }
 
   if (opts.summary) {

@@ -1,14 +1,12 @@
 #pragma once
 // taf-analyze — compiled static-analysis gate for the TAF tree.
 //
-// Sixteen rules over the shared lexer (lexer.hpp): the ten seam rules
-// ported char-for-char from tools/taf-lint (the Python tool stays as a
-// differential oracle), plus two families the regex linter cannot
-// express — lock discipline (lock-order-cycle, blocking-while-locked)
-// and determinism (unordered-iteration, wall-clock, raw-random,
-// pointer-keyed-container). DESIGN.md section 14 documents the rule
-// semantics and the suppression format (tools/taf-lint.suppressions,
-// shared with taf-lint).
+// Sixteen rules over the shared lexer (lexer.hpp): ten char-level seam
+// rules, plus two token-level families — lock discipline
+// (lock-order-cycle, blocking-while-locked) and determinism
+// (unordered-iteration, wall-clock, raw-random, pointer-keyed-container).
+// DESIGN.md section 14 documents the rule semantics and the suppression
+// format (tools/taf-analyze.suppressions).
 
 #include <string>
 #include <vector>
@@ -62,7 +60,6 @@ struct CliOptions {
   std::vector<std::string> paths;   // files/dirs relative to root; empty = defaults
   std::vector<std::string> rules;   // empty = all
   bool use_suppressions = true;     // --no-suppress clears this
-  bool compat = false;              // print "path:line:rule" only (oracle diffing)
   bool prune = false;               // --prune-suppressions report mode
   bool list_rules = false;
   bool summary = true;              // per-rule stderr table (--no-summary clears)

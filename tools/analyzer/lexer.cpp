@@ -49,10 +49,10 @@ std::size_t raw_string_end(const std::string& t, std::size_t i) {
   return at == std::string::npos ? n : at + term.size();
 }
 
-// The (fixed) taf-lint strip_comments state machine: comments and literal
-// contents become spaces; newlines, quote characters, and all code stay.
-// Raw strings blank everything between the outer quotes; escape sequences
-// blank both characters but keep an escaped newline as a newline.
+// The strip state machine: comments and literal contents become spaces;
+// newlines, quote characters, and all code stay. Raw strings blank
+// everything between the outer quotes; escape sequences blank both
+// characters but keep an escaped newline as a newline.
 std::string strip(const std::string& text) {
   std::string out;
   out.reserve(text.size());

@@ -6,9 +6,8 @@
 // logical preprocessor lines) with byte offsets and 1-based line numbers.
 // From the same pass it derives a "stripped" view of the text — comments
 // and literal *contents* blanked to spaces, quotes and newlines kept —
-// with exactly the semantics of taf-lint's (fixed) strip_comments, so the
-// ten ported seam rules can run char-level scans that agree with the
-// Python oracle byte for byte. Token-level rules (lock discipline,
+// so the ten seam rules can run char-level scans that never match inside
+// a comment or a literal. Token-level rules (lock discipline,
 // determinism) walk `tokens` instead. DESIGN.md section 14.
 
 #include <cstddef>

@@ -11,7 +11,7 @@ namespace {
 
 const char kUsage[] =
     "usage: taf-analyze [--root DIR] [--rules a,b,...] [--list-rules]\n"
-    "                   [--no-suppress] [--compat] [--prune-suppressions]\n"
+    "                   [--no-suppress] [--prune-suppressions]\n"
     "                   [--no-summary] [paths...]\n"
     "\n"
     "Compiled static-analysis gate for the TAF tree (DESIGN.md section 14).\n"
@@ -46,8 +46,6 @@ int main(int argc, char** argv) {
       opts.list_rules = true;
     } else if (arg == "--no-suppress") {
       opts.use_suppressions = false;
-    } else if (arg == "--compat") {
-      opts.compat = true;
     } else if (arg == "--prune-suppressions") {
       opts.prune = true;
     } else if (arg == "--no-summary") {

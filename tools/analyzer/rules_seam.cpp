@@ -1,12 +1,11 @@
-// The ten taf-lint seam rules, ported char-level onto the shared lexer's
-// stripped view (and the raw text where the Python tool scans raw text).
-// Fidelity contract: on the live tree these ports agree finding-for-finding
-// with tools/taf-lint (the migration test diffs both tools' --no-suppress
-// output), so every scanning quirk of the Python regexes is reproduced
-// deliberately — non-overlapping match consumption, backtracking order of
-// alternations, `[^,)]*` running across newlines, printf argument splitting
-// on raw text. Do not "clean up" a scan here without changing the oracle in
-// the same commit.
+// The ten seam rules, char-level scans over the shared lexer's stripped
+// view (and the raw text where a rule must see literal contents). Each
+// scan is specified by the regex quoted above it and keeps that regex's
+// matching semantics exactly — non-overlapping match consumption,
+// backtracking order of alternations, `[^,)]*` running across newlines,
+// printf argument splitting on raw text. The findings corpus
+// (tests/analyzer_corpus) pins every rule's positives and negatives; a
+// change to a scan updates its corpus expectations in the same commit.
 
 #include <array>
 #include <cstring>
@@ -220,7 +219,7 @@ struct Spec {
 };
 
 // FORMAT_SPEC: %[-+ #0]*\d*(\.\d+)?(hh|h|ll|l|j|z|t)?([diuoxXfFeEgGcsp%])
-// with the Python alternation/backtracking order, non-overlapping.
+// with regex alternation/backtracking order, non-overlapping.
 std::vector<Spec> parse_specs(const std::string& fmt) {
   static const std::array<const char*, 7> kLens = {"hh", "h", "ll", "l", "j", "z", "t"};
   std::vector<Spec> specs;
@@ -288,7 +287,7 @@ std::string strip_ws(const std::string& s) {
 }
 
 void check_printf_sized_int(const LexedFile& f, std::vector<Finding>& out) {
-  const std::string& text = f.text;  // the Python rule scans the raw text
+  const std::string& text = f.text;  // scans the raw text: needs literal contents
   for (std::size_t i = 0; i < text.size(); ++i) {
     if (!ident_start(text[i]) || (i > 0 && word_char(text[i - 1]))) continue;
     std::size_t name_len = 0;
@@ -312,7 +311,7 @@ void check_printf_sized_int(const LexedFile& f, std::vector<Finding>& out) {
         --depth;
       ++j;
     }
-    const std::size_t call_end = j > 0 ? j - 1 : 0;  // text[start : j-1], as the oracle
+    const std::size_t call_end = j > 0 ? j - 1 : 0;  // text[start : j-1]
     const std::string call =
         call_end > start ? text.substr(start, call_end - start) : std::string();
     // fmt = concatenation of every "((?:[^"\\]|\\.)*)" span in the call
@@ -376,7 +375,7 @@ void check_header_using_ns(const LexedFile& f, std::vector<Finding>& out) {
   for (std::size_t p = 0; p < clean.size(); ++p) {
     if (p != 0 && clean[p - 1] != '\n') continue;  // ^ in multiline mode
     if (p < resume) continue;
-    std::size_t j = skip_space(clean, p);  // ^\s* may span blank lines, as the oracle
+    std::size_t j = skip_space(clean, p);  // ^\s* may span blank lines
     if (clean.compare(j, 5, "using") != 0) continue;
     j += 5;
     std::size_t ws = j;
@@ -665,7 +664,7 @@ void check_place_cost_seam(const LexedFile& f, std::vector<Finding>& out) {
   }
   const std::string& clean = f.stripped;
   // \b(?:CostModel|NetBox|q_factor)\b — alternatives tried in order at each
-  // position; the Python scan is non-overlapping, so resume after a match.
+  // position; the scan is non-overlapping, so resume after a match.
   static const std::array<const char*, 3> kIdents = {"CostModel", "NetBox",
                                                      "q_factor"};
   std::size_t i = 0;
