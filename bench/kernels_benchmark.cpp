@@ -5,6 +5,7 @@
 
 #include "bench_common.hpp"
 #include "coffe/path_eval.hpp"
+#include "route/router.hpp"
 #include "spice/solver.hpp"
 #include "thermal/thermal_grid.hpp"
 
@@ -128,6 +129,17 @@ void BM_GuardbandFlow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GuardbandFlow)->Unit(benchmark::kMillisecond);
+
+/// One full PathFinder route of stereovision0 at 1/16 scale. Packing,
+/// placement and the RR graph come from the shared implementation, built
+/// outside the timed loop.
+void BM_RouteDesign(benchmark::State& state) {
+  const auto& impl = bench::implementation_of("stereovision0");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(route::route(impl.rr, impl.packed, impl.placement));
+  }
+}
+BENCHMARK(BM_RouteDesign)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <queue>
+#include <cstdint>
+#include <functional>
+#include <span>
+#include <stdexcept>
 
 #include "util/log.hpp"
 
@@ -28,6 +31,19 @@ double base_cost(const RrNode& n) {
   return 1.0;
 }
 
+/// Everything one relaxation reads or writes about a node, packed into
+/// one 32-byte record so it costs one cache line (DESIGN.md section 16).
+struct alignas(32) SearchNode {
+  double hist_cost = 0.0;  ///< base_cost * (1 + hist), refreshed where hist changes
+  double best_cost = 0.0;  ///< valid when visit_epoch == the current epoch
+  int visit_epoch = -1;
+  RrNodeId prev = -1;
+  int over = 0;            ///< occupancy - capacity
+  std::int16_t x = 0;      ///< anchor tile, for the A* heuristic
+  std::int16_t y = 0;
+};
+static_assert(sizeof(SearchNode) == 32);
+
 }  // namespace
 
 RouteResult route(const RrGraph& rr, const pack::PackedNetlist& packed,
@@ -35,38 +51,53 @@ RouteResult route(const RrGraph& rr, const pack::PackedNetlist& packed,
   const int n_nodes = rr.num_nodes();
   const auto n_nets = static_cast<int>(packed.block_nets.size());
   const int seg = std::max(1, rr.arch().wire_segment_length);
+  const RrNodeId first_wire = rr.first_wire();
+  if (rr.grid().width() > INT16_MAX || rr.grid().height() > INT16_MAX)
+    throw std::length_error("route: grid dimensions exceed the int16 tile coordinates");
 
   RouteResult result;
   result.routes.assign(static_cast<std::size_t>(n_nets), {});
 
-  std::vector<int> occ(static_cast<std::size_t>(n_nodes), 0);
+  // Search state, packed per node; hist and in_tree are off the hot path.
+  std::vector<SearchNode> state(static_cast<std::size_t>(n_nodes));
   std::vector<double> hist(static_cast<std::size_t>(n_nodes), 0.0);
-
-  auto over = [&](RrNodeId n) {
-    return std::max(0, occ[static_cast<std::size_t>(n)] - rr.node(n).capacity);
-  };
+  std::vector<char> in_tree(static_cast<std::size_t>(n_nodes), 0);
+  for (RrNodeId n = 0; n < n_nodes; ++n) {
+    const RrNode& node = rr.node(n);
+    SearchNode& s = state[static_cast<std::size_t>(n)];
+    s.hist_cost = base_cost(node);  // hist starts at 0
+    s.over = -node.capacity;
+    s.x = static_cast<std::int16_t>(node.tile.x);
+    s.y = static_cast<std::int16_t>(node.tile.y);
+  }
+  auto at = [&](RrNodeId n) -> SearchNode& { return state[static_cast<std::size_t>(n)]; };
 
   double pres_fac = opt.first_iter_pres_fac;
-  auto node_cost = [&](RrNodeId n, int extra_occ) {
-    const RrNode& node = rr.node(n);
-    const int over_after =
-        std::max(0, occ[static_cast<std::size_t>(n)] + extra_occ - node.capacity);
-    return base_cost(node) * (1.0 + hist[static_cast<std::size_t>(n)]) *
-           (1.0 + pres_fac * over_after);
+  // Cost of entering `s` with one more net on it.
+  auto node_cost = [&](const SearchNode& s) {
+    return s.hist_cost * (1.0 + pres_fac * std::max(0, s.over + 1));
   };
 
-  // A* bookkeeping with epoch-tagged visitation to avoid clearing.
-  std::vector<double> best_cost(static_cast<std::size_t>(n_nodes), 0.0);
-  std::vector<RrNodeId> prev(static_cast<std::size_t>(n_nodes), -1);
-  std::vector<int> visit_epoch(static_cast<std::size_t>(n_nodes), -1);
-  std::vector<char> in_tree(static_cast<std::size_t>(n_nodes), 0);
-  int epoch = 0;
+  // A* heuristic, tabulated by Manhattan distance (same expression, so
+  // the same doubles).
+  std::vector<double> dist_cost(static_cast<std::size_t>(rr.grid().width() + rr.grid().height()));
+  for (std::size_t d = 0; d < dist_cost.size(); ++d)
+    dist_cost[d] = opt.astar_fac * static_cast<double>(d) / seg;
+  auto heuristic = [&](const SearchNode& s, arch::TilePos target) {
+    return dist_cost[static_cast<std::size_t>(std::abs(s.x - target.x) + std::abs(s.y - target.y))];
+  };
 
-  auto heuristic = [&](RrNodeId n, arch::TilePos target) {
-    const RrNode& node = rr.node(n);
-    const int dx = std::abs(node.tile.x - target.x);
-    const int dy = std::abs(node.tile.y - target.y);
-    return opt.astar_fac * static_cast<double>(dx + dy) / seg;
+  // A* bookkeeping with epoch-tagged visitation to avoid clearing. The
+  // heap is a binary heap over a reused vector: the same push/pop
+  // sequence as std::priority_queue, so ties break identically.
+  int epoch = 0;
+  std::vector<HeapEntry> heap;
+  std::vector<int> order;
+  std::vector<RrNodeId> tree;
+  std::vector<RrNodeId> path;
+  auto push = [&](const HeapEntry& e) {
+    heap.push_back(e);
+    std::push_heap(heap.begin(), heap.end(), std::greater<>{});
   };
 
   // Route one net; returns false if any sink is unreachable.
@@ -75,8 +106,9 @@ RouteResult route(const RrGraph& rr, const pack::PackedNetlist& packed,
     NetRoute& nr = result.routes[static_cast<std::size_t>(net_idx)];
 
     // Rip up previous occupancy.
-    for (RrNodeId n : nr.nodes) --occ[static_cast<std::size_t>(n)];
-    nr.paths.assign(bn.sink_blocks.size(), {});
+    for (RrNodeId n : nr.nodes) --at(n).over;
+    nr.paths.resize(bn.sink_blocks.size());
+    for (auto& p : nr.paths) p.clear();
     nr.nodes.clear();
     nr.parents.clear();
 
@@ -84,7 +116,7 @@ RouteResult route(const RrGraph& rr, const pack::PackedNetlist& packed,
     const RrNodeId source = rr.opin_at(src_pos.x, src_pos.y);
 
     // Route sinks nearest-first (cheap heuristic for better trees).
-    std::vector<int> order(bn.sink_blocks.size());
+    order.resize(bn.sink_blocks.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
     std::sort(order.begin(), order.end(), [&](int a, int b) {
       const auto pa = pl.pos[static_cast<std::size_t>(bn.sink_blocks[static_cast<std::size_t>(a)])];
@@ -94,8 +126,8 @@ RouteResult route(const RrGraph& rr, const pack::PackedNetlist& packed,
       return da < db;
     });
 
-    std::vector<RrNodeId> tree{source};
-    for (RrNodeId n : tree) in_tree[static_cast<std::size_t>(n)] = 1;
+    tree.assign(1, source);
+    in_tree[static_cast<std::size_t>(source)] = 1;
 
     bool ok = true;
     for (int sink_i : order) {
@@ -104,64 +136,70 @@ RouteResult route(const RrGraph& rr, const pack::PackedNetlist& packed,
       const RrNodeId target = rr.ipin_at(dst.x, dst.y);
 
       ++epoch;
-      std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> heap;
+      heap.clear();
       for (RrNodeId n : tree) {
         // Tree nodes re-usable at zero cost.
-        best_cost[static_cast<std::size_t>(n)] = 0.0;
-        prev[static_cast<std::size_t>(n)] = -1;
-        visit_epoch[static_cast<std::size_t>(n)] = epoch;
-        heap.push({heuristic(n, dst), 0.0, n});
+        SearchNode& s = at(n);
+        s.best_cost = 0.0;
+        s.prev = -1;
+        s.visit_epoch = epoch;
+        push({heuristic(s, dst), 0.0, n});
       }
+
+      auto relax = [&](RrNodeId from, double cost, RrNodeId to) {
+        SearchNode& s = at(to);
+        const double c = cost + node_cost(s);
+        if (s.visit_epoch == epoch && c >= s.best_cost - 1e-12) return;
+        s.visit_epoch = epoch;
+        s.best_cost = c;
+        s.prev = from;
+        push({c + heuristic(s, dst), c, to});
+      };
 
       bool found = false;
       while (!heap.empty()) {
-        const HeapEntry e = heap.top();
-        heap.pop();
-        if (e.cost > best_cost[static_cast<std::size_t>(e.node)] + 1e-12) continue;
+        std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+        const HeapEntry e = heap.back();
+        heap.pop_back();
+        if (e.cost > at(e.node).best_cost + 1e-12) continue;
         if (e.node == target) {
           found = true;
           break;
         }
-        for (RrNodeId to : rr.fanout(e.node)) {
-          const RrNode& tn = rr.node(to);
-          // IPINs other than the target are dead ends; skip early.
-          if (tn.kind == RrKind::Ipin && to != target) continue;
-          if (tn.kind == RrKind::Opin) continue;  // never route through OPINs
-          const double c = e.cost + node_cost(to, /*extra_occ=*/1);
-          if (visit_epoch[static_cast<std::size_t>(to)] == epoch &&
-              c >= best_cost[static_cast<std::size_t>(to)] - 1e-12)
-            continue;
-          visit_epoch[static_cast<std::size_t>(to)] = epoch;
-          best_cost[static_cast<std::size_t>(to)] = c;
-          prev[static_cast<std::size_t>(to)] = e.node;
-          heap.push({c + heuristic(to, dst), c, to});
+        // Rows are ascending and pins precede wires. No edge enters an
+        // OPIN, and IPINs other than the target are dead ends, so the pin
+        // prefix only matters if it holds the target.
+        const std::span<const RrNodeId> fan = rr.fanout(e.node);
+        auto it = fan.begin();
+        for (; it != fan.end() && *it < first_wire; ++it) {
+          if (*it == target) relax(e.node, e.cost, target);
         }
+        for (; it != fan.end(); ++it) relax(e.node, e.cost, *it);
       }
       if (!found) {
         ok = false;
         break;
       }
       // Trace back to the tree and commit the path.
-      std::vector<RrNodeId> path;
-      for (RrNodeId n = target; n != -1 && !in_tree[static_cast<std::size_t>(n)];
-           n = prev[static_cast<std::size_t>(n)]) {
+      path.clear();
+      for (RrNodeId n = target; n != -1 && !in_tree[static_cast<std::size_t>(n)]; n = at(n).prev) {
         path.push_back(n);
       }
       std::reverse(path.begin(), path.end());
       for (RrNodeId n : path) {
         tree.push_back(n);
         in_tree[static_cast<std::size_t>(n)] = 1;
-        nr.parents.emplace_back(n, prev[static_cast<std::size_t>(n)]);
+        nr.parents.emplace_back(n, at(n).prev);
       }
-      nr.paths[static_cast<std::size_t>(sink_i)] = std::move(path);
+      nr.paths[static_cast<std::size_t>(sink_i)].assign(path.begin(), path.end());
     }
 
     for (RrNodeId n : tree) in_tree[static_cast<std::size_t>(n)] = 0;
     if (ok) {
-      nr.nodes = std::move(tree);
+      nr.nodes.assign(tree.begin(), tree.end());
       std::sort(nr.nodes.begin(), nr.nodes.end());
       nr.nodes.erase(std::unique(nr.nodes.begin(), nr.nodes.end()), nr.nodes.end());
-      for (RrNodeId n : nr.nodes) ++occ[static_cast<std::size_t>(n)];
+      for (RrNodeId n : nr.nodes) ++at(n).over;
     }
     return ok;
   };
@@ -182,10 +220,12 @@ RouteResult route(const RrGraph& rr, const pack::PackedNetlist& packed,
     // Accumulate history and find congested nets.
     int overused = 0;
     for (RrNodeId n = 0; n < n_nodes; ++n) {
-      const int o = over(n);
-      if (o > 0) {
+      SearchNode& s = at(n);
+      if (s.over > 0) {
         ++overused;
-        hist[static_cast<std::size_t>(n)] += opt.hist_fac * o;
+        double& h = hist[static_cast<std::size_t>(n)];
+        h += opt.hist_fac * s.over;
+        s.hist_cost = base_cost(rr.node(n)) * (1.0 + h);
       }
     }
     result.overused_nodes = overused;
@@ -203,7 +243,7 @@ RouteResult route(const RrGraph& rr, const pack::PackedNetlist& packed,
         continue;
       }
       for (RrNodeId node : nr.nodes) {
-        if (over(node) > 0) {
+        if (at(node).over > 0) {
           dirty[static_cast<std::size_t>(n)] = 1;
           break;
         }
@@ -214,11 +254,8 @@ RouteResult route(const RrGraph& rr, const pack::PackedNetlist& packed,
   }
 
   int used_wires = 0;
-  for (RrNodeId n = 0; n < n_nodes; ++n) {
-    const RrNode& node = rr.node(n);
-    if ((node.kind == RrKind::WireH || node.kind == RrKind::WireV) &&
-        occ[static_cast<std::size_t>(n)] > 0)
-      ++used_wires;
+  for (RrNodeId n = first_wire; n < n_nodes; ++n) {
+    if (at(n).over + rr.node(n).capacity > 0) ++used_wires;
   }
   result.wire_utilization =
       rr.num_wires() > 0 ? static_cast<double>(used_wires) / rr.num_wires() : 0.0;

@@ -1,7 +1,7 @@
 #include "route/rr_graph.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <cstddef>
 
 namespace taf::route {
 
@@ -49,15 +49,19 @@ RrGraph::RrGraph(const arch::FpgaGrid& grid, const arch::ArchParams& arch)
     }
   }
 
+  first_wire_ = static_cast<RrNodeId>(nodes_.size());
+
   // --- Wire nodes. Track t's horizontal wires start at x = t % seg and
   // repeat every `seg` columns (staggered segmentation); vertical wires
-  // are symmetric in y. wires_through[(x,y)][dir] lists (track -> node).
-  // Per tile and track there is exactly one wire of each direction.
+  // are symmetric in y. through_h/through_v[tile * tracks + track] is the
+  // node of the one wire of each direction passing that tile on that track.
   const auto tile_count = static_cast<std::size_t>(w) * h;
-  std::vector<std::vector<RrNodeId>> through_h(tile_count);
-  std::vector<std::vector<RrNodeId>> through_v(tile_count);
-  for (auto& v : through_h) v.assign(static_cast<std::size_t>(tracks), -1);
-  for (auto& v : through_v) v.assign(static_cast<std::size_t>(tracks), -1);
+  const auto ntracks = static_cast<std::size_t>(tracks);
+  std::vector<RrNodeId> through_h(tile_count * ntracks, -1);
+  std::vector<RrNodeId> through_v(tile_count * ntracks, -1);
+  auto through = [&](std::vector<RrNodeId>& t, int x, int y, int track) -> RrNodeId& {
+    return t[static_cast<std::size_t>(index(x, y)) * ntracks + static_cast<std::size_t>(track)];
+  };
 
   auto add_wire = [&](RrKind kind, int x, int y, int track, int span) {
     RrNode n;
@@ -71,9 +75,9 @@ RrGraph::RrGraph(const arch::FpgaGrid& grid, const arch::ArchParams& arch)
     ++num_wires_;
     for (int k = 0; k < span; ++k) {
       if (kind == RrKind::WireH) {
-        through_h[static_cast<std::size_t>(index(x + k, y))][static_cast<std::size_t>(track)] = id;
+        through(through_h, x + k, y, track) = id;
       } else {
-        through_v[static_cast<std::size_t>(index(x, y + k))][static_cast<std::size_t>(track)] = id;
+        through(through_v, x, y + k, track) = id;
       }
     }
     return id;
@@ -99,79 +103,97 @@ RrGraph::RrGraph(const arch::FpgaGrid& grid, const arch::ArchParams& arch)
     }
   }
 
-  edges_.resize(nodes_.size());
-
-  // --- OPIN -> wires passing the tile (Fc_out = W/4), IPIN taps
-  // (Fc_in = W/4), both direction-balanced.
-  for (int y = 0; y < h; ++y) {
-    for (int x = 0; x < w; ++x) {
-      const RrNodeId op = opin_at(x, y);
-      const RrNodeId ip = ipin_at(x, y);
-      for (int t = 0; t < tracks; ++t) {
-        const RrNodeId wh = through_h[static_cast<std::size_t>(index(x, y))][static_cast<std::size_t>(t)];
-        const RrNodeId wv = through_v[static_cast<std::size_t>(index(x, y))][static_cast<std::size_t>(t)];
-        if (t % 2 == (x + y) % 2) {
-          if (wh >= 0) add_edge(op, wh);
-          if (wv >= 0) add_edge(op, wv);
-        }
-        if ((t + 2 * x + 3 * y) % 2 == 1) {
-          if (wh >= 0) add_edge(wh, ip);
-          if (wv >= 0) add_edge(wv, ip);
+  // Calls emit(from, to) once per generated edge. An edge may repeat
+  // (corner cases connect twice); the CSR build below dedups rows.
+  auto for_each_edge = [&](auto&& emit) {
+    // --- OPIN -> wires passing the tile (Fc_out = W/4), IPIN taps
+    // (Fc_in = W/4), both direction-balanced.
+    for (int y = 0; y < h; ++y) {
+      for (int x = 0; x < w; ++x) {
+        const RrNodeId op = opin_at(x, y);
+        const RrNodeId ip = ipin_at(x, y);
+        for (int t = 0; t < tracks; ++t) {
+          const RrNodeId wh = through(through_h, x, y, t);
+          const RrNodeId wv = through(through_v, x, y, t);
+          if (t % 2 == (x + y) % 2) {
+            if (wh >= 0) emit(op, wh);
+            if (wv >= 0) emit(op, wv);
+          }
+          if ((t + 2 * x + 3 * y) % 2 == 1) {
+            if (wh >= 0) emit(wh, ip);
+            if (wv >= 0) emit(wv, ip);
+          }
         }
       }
     }
-  }
 
-  // --- Switch-block edges at wire endpoints: same-direction continuation
-  // (track window +-1) and perpendicular turns (track window +-2).
-  // Wires behave bidirectionally: edges are added both ways.
-  auto connect = [&](RrNodeId a, RrNodeId b) {
-    if (a < 0 || b < 0 || a == b) return;
-    add_edge(a, b);
-    add_edge(b, a);
+    // --- Switch-block edges at wire endpoints: same-direction continuation
+    // (track window +-1) and perpendicular turns (track window +-2).
+    // Wires behave bidirectionally: edges are added both ways.
+    auto connect = [&](RrNodeId a, RrNodeId b) {
+      if (a < 0 || b < 0 || a == b) return;
+      emit(a, b);
+      emit(b, a);
+    };
+    for (RrNodeId id = first_wire_; id < static_cast<RrNodeId>(nodes_.size()); ++id) {
+      const RrNode& n = nodes_[static_cast<std::size_t>(id)];
+      const bool horiz = n.kind == RrKind::WireH;
+      const int xs = n.tile.x;
+      const int ys = n.tile.y;
+      const int xe = horiz ? xs + n.span - 1 : xs;
+      const int ye = horiz ? ys : ys + n.span - 1;
+
+      // Same-direction continuation beyond each endpoint (track window +-1,
+      // as in a disjoint switch block).
+      for (int dt = -1; dt <= 1; ++dt) {
+        const int t2 = n.track + dt;
+        if (t2 < 0 || t2 >= tracks) continue;
+        if (horiz) {
+          if (xe + 1 < w) connect(id, through(through_h, xe + 1, ys, t2));
+        } else {
+          if (ye + 1 < h) connect(id, through(through_v, xs, ye + 1, t2));
+        }
+      }
+      // Perpendicular turns at both endpoints. Wilton-style track twisting:
+      // turns reach the same track, its neighbour, and the reversed track
+      // (W-1-t), so track bands mix after a few hops and congestion can
+      // spread over the whole channel instead of saturating one band.
+      const int turn_tracks[4] = {n.track, (n.track + 1) % tracks,
+                                  (n.track + seg) % tracks, tracks - 1 - n.track};
+      for (int t2 : turn_tracks) {
+        if (horiz) {
+          connect(id, through(through_v, xs, ys, t2));
+          connect(id, through(through_v, xe, ys, t2));
+        } else {
+          connect(id, through(through_h, xs, ys, t2));
+          connect(id, through(through_h, xs, ye, t2));
+        }
+      }
+    }
   };
-  for (RrNodeId id = 0; id < static_cast<RrNodeId>(nodes_.size()); ++id) {
-    const RrNode& n = nodes_[static_cast<std::size_t>(id)];
-    if (n.kind != RrKind::WireH && n.kind != RrKind::WireV) continue;
-    const bool horiz = n.kind == RrKind::WireH;
-    const int xs = n.tile.x;
-    const int ys = n.tile.y;
-    const int xe = horiz ? xs + n.span - 1 : xs;
-    const int ye = horiz ? ys : ys + n.span - 1;
 
-    // Same-direction continuation beyond each endpoint (track window +-1,
-    // as in a disjoint switch block).
-    for (int dt = -1; dt <= 1; ++dt) {
-      const int t2 = n.track + dt;
-      if (t2 < 0 || t2 >= tracks) continue;
-      if (horiz) {
-        if (xe + 1 < w) connect(id, through_h[static_cast<std::size_t>(index(xe + 1, ys))][static_cast<std::size_t>(t2)]);
-      } else {
-        if (ye + 1 < h) connect(id, through_v[static_cast<std::size_t>(index(xs, ye + 1))][static_cast<std::size_t>(t2)]);
-      }
-    }
-    // Perpendicular turns at both endpoints. Wilton-style track twisting:
-    // turns reach the same track, its neighbour, and the reversed track
-    // (W-1-t), so track bands mix after a few hops and congestion can
-    // spread over the whole channel instead of saturating one band.
-    const int turn_tracks[4] = {n.track, (n.track + 1) % tracks,
-                                (n.track + seg) % tracks, tracks - 1 - n.track};
-    for (int t2 : turn_tracks) {
-      if (horiz) {
-        connect(id, through_v[static_cast<std::size_t>(index(xs, ys))][static_cast<std::size_t>(t2)]);
-        connect(id, through_v[static_cast<std::size_t>(index(xe, ys))][static_cast<std::size_t>(t2)]);
-      } else {
-        connect(id, through_h[static_cast<std::size_t>(index(xs, ys))][static_cast<std::size_t>(t2)]);
-        connect(id, through_h[static_cast<std::size_t>(index(xs, ye))][static_cast<std::size_t>(t2)]);
-      }
-    }
+  // --- CSR in place: one pass counts each row, a second fills it; then
+  // each row is sorted and deduped, compacting the target array leftward.
+  const std::size_t n_nodes = nodes_.size();
+  edge_start_.assign(n_nodes + 1, 0);
+  for_each_edge([&](RrNodeId from, RrNodeId) { ++edge_start_[static_cast<std::size_t>(from) + 1]; });
+  for (std::size_t i = 0; i < n_nodes; ++i) edge_start_[i + 1] += edge_start_[i];
+  edge_targets_.resize(edge_start_[n_nodes]);
+  std::vector<std::size_t> cursor(edge_start_.begin(), edge_start_.end() - 1);
+  for_each_edge([&](RrNodeId from, RrNodeId to) {
+    edge_targets_[cursor[static_cast<std::size_t>(from)]++] = to;
+  });
+  std::size_t out = 0;
+  for (std::size_t i = 0; i < n_nodes; ++i) {
+    const auto first = edge_targets_.begin() + static_cast<std::ptrdiff_t>(edge_start_[i]);
+    const auto last = edge_targets_.begin() + static_cast<std::ptrdiff_t>(edge_start_[i + 1]);
+    std::sort(first, last);
+    const auto unique_end = std::unique(first, last);
+    edge_start_[i] = out;
+    for (auto it = first; it != unique_end; ++it) edge_targets_[out++] = *it;
   }
-
-  // Dedup edges (corner cases connect twice).
-  for (auto& fan : edges_) {
-    std::sort(fan.begin(), fan.end());
-    fan.erase(std::unique(fan.begin(), fan.end()), fan.end());
-  }
+  edge_start_[n_nodes] = out;
+  edge_targets_.resize(out);
 }
 
 }  // namespace taf::route

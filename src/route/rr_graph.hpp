@@ -6,8 +6,16 @@
 // block connections join wires at their endpoints (a ~12-way window that
 // matches the Table I SB mux fan-in); connection-block edges tap wires
 // passing a tile into its IPIN.
+//
+// Layout (DESIGN.md section 16): pins take ids [0, first_wire()) and wires
+// [first_wire(), num_nodes()). Edges are stored in CSR form, and fanout()
+// returns a node's row as a span of target ids, strictly ascending. So a
+// row lists its pins (only IPINs: no edge targets an OPIN) before its
+// wires, which lets the router skip non-target IPINs without loading them.
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "arch/arch_params.hpp"
@@ -37,10 +45,15 @@ class RrGraph {
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   const RrNode& node(RrNodeId id) const { return nodes_[static_cast<std::size_t>(id)]; }
 
-  /// Outgoing edges of a node.
-  const std::vector<RrNodeId>& fanout(RrNodeId id) const {
-    return edges_[static_cast<std::size_t>(id)];
+  /// Outgoing edges of a node: a view into the CSR target array, sorted
+  /// strictly ascending (so deduped, pins before wires).
+  std::span<const RrNodeId> fanout(RrNodeId id) const {
+    const auto i = static_cast<std::size_t>(id);
+    return {edge_targets_.data() + edge_start_[i], edge_start_[i + 1] - edge_start_[i]};
   }
+
+  /// First wire id: every pin id is below it, every wire id at or above.
+  RrNodeId first_wire() const { return first_wire_; }
 
   RrNodeId opin_at(int x, int y) const { return opin_[static_cast<std::size_t>(index(x, y))]; }
   RrNodeId ipin_at(int x, int y) const { return ipin_[static_cast<std::size_t>(index(x, y))]; }
@@ -53,14 +66,16 @@ class RrGraph {
 
  private:
   int index(int x, int y) const { return y * grid_->width() + x; }
-  void add_edge(RrNodeId from, RrNodeId to) { edges_[static_cast<std::size_t>(from)].push_back(to); }
 
   const arch::FpgaGrid* grid_;
   const arch::ArchParams* arch_;
   std::vector<RrNode> nodes_;
-  std::vector<std::vector<RrNodeId>> edges_;
+  /// CSR: node i's targets are edge_targets_[edge_start_[i], edge_start_[i+1]).
+  std::vector<std::size_t> edge_start_;
+  std::vector<RrNodeId> edge_targets_;
   std::vector<RrNodeId> opin_;
   std::vector<RrNodeId> ipin_;
+  RrNodeId first_wire_ = 0;
   int num_wires_ = 0;
 };
 
