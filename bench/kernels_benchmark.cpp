@@ -1,10 +1,15 @@
 // google-benchmark microbenchmarks of the flow's computational kernels:
-// SPICE transient, Elmore evaluation, thermal solve, STA, and routing.
+// SPICE transient, Elmore evaluation, thermal solve, STA, routing and the
+// feedback edge's incremental reroute.
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+
 #include "bench_common.hpp"
 #include "coffe/path_eval.hpp"
+#include "place/place.hpp"
+#include "power/power.hpp"
 #include "route/router.hpp"
 #include "spice/solver.hpp"
 #include "thermal/thermal_grid.hpp"
@@ -140,6 +145,43 @@ void BM_RouteDesign(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RouteDesign)->Unit(benchmark::kMillisecond);
+
+/// The first thermal_place candidate reroute of stereovision0 at 1/16
+/// scale: the blind routes seed an incremental reroute of the candidate
+/// placement. The candidate is built outside the timed loop the way the
+/// stage builds its first pass (DESIGN.md section 15): quantized adjoint
+/// prices of the blind build, then one bounded refinement.
+void BM_RerouteCandidate(benchmark::State& state) {
+  const auto& impl = bench::implementation_of("stereovision0");
+  core::ThermalPlaceOptions tp;
+  tp.device = &bench::device_at(25.0);
+  const std::vector<double> pricing_temp(static_cast<std::size_t>(impl.grid.num_tiles()),
+                                         tp.pricing_temp_c.value());
+  const power::PowerBreakdown power =
+      power::compute_power(*tp.device, impl.nl, impl.packed, impl.placement, impl.rr,
+                           impl.routes, impl.activity, tp.pricing_f_mhz, pricing_temp,
+                           impl.grid);
+  const thermal::AdjointResult adj =
+      thermal::ThermalGrid(impl.grid, tp.thermal).solve_adjoint(power.tile_w, tp.smooth_tau_k);
+  place::ThermalField field;
+  for (double v : adj.dpeak_dp_k_per_w) {
+    field.dpeak_dp_k_per_w.push_back(std::round(v * 1000.0) / 1000.0);
+  }
+  field.block_power_w = power::block_dynamic_power(*tp.device, impl.nl, impl.packed,
+                                                   impl.activity, tp.pricing_f_mhz);
+  field.weight = tp.weight;
+  place::RefineOptions ropt;
+  ropt.seed = core::ImplementOptions{}.seed;
+  ropt.effort = tp.effort;
+  ropt.max_rounds = tp.max_rounds;
+  const place::Placement candidate =
+      place::refine_placement(impl.packed, impl.grid, impl.placement, field, ropt);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        route::reroute(impl.rr, impl.packed, impl.placement, candidate, impl.routes));
+  }
+}
+BENCHMARK(BM_RerouteCandidate)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -273,8 +273,10 @@ void run_thermal_place(FlowBuild& b) {
     counters.replace_moves += static_cast<std::uint64_t>(rstats.moves);
     if (rstats.accepted == 0) break;  // descent fixed point: nothing moved
 
-    route::RouteResult rerouted =
-        route::route(impl.rr, impl.packed, refined, b.opt.route);
+    // Only nets touching a moved block are ripped up; the rest keep
+    // their trees from the current routes.
+    route::RouteResult rerouted = route::reroute(impl.rr, impl.packed, impl.placement,
+                                                 refined, impl.routes, b.opt.route);
     // Legality guard: a partly routed candidate can time faster precisely
     // because nets are missing, so more overuse than the current routes
     // is a rejection before timing is even consulted.
@@ -443,6 +445,9 @@ FlowGraph FlowGraph::standard(const netlist::BenchmarkSpec& spec,
     h.add(tp.thermal.die_thickness_um);
     h.add(tp.thermal.tile_edge_um);
     h.add(tp.thermal.package_r_k_per_w);
+    // The candidate reroute algorithm shapes the artifact too: a stored
+    // full-reroute result must not be served for an incremental one.
+    h.add(std::string_view("reroute:incremental"));
     s.param_hash = h.state;
     s.storable = true;
     s.run = run_thermal_place;

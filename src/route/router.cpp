@@ -7,6 +7,7 @@
 #include <functional>
 #include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "util/log.hpp"
 
@@ -44,19 +45,20 @@ struct alignas(32) SearchNode {
 };
 static_assert(sizeof(SearchNode) == 32);
 
-}  // namespace
-
-RouteResult route(const RrGraph& rr, const pack::PackedNetlist& packed,
-                  const place::Placement& pl, const RouteOptions& opt) {
+/// The one PathFinder loop behind route() and reroute(). `result.routes`
+/// holds the kept tree of every clean net and an empty route for every
+/// net flagged in `dirty`. Kept trees are charged to occupancy up front;
+/// iteration 1 routes only the dirty nets, and later iterations rip up
+/// every congested net, kept or not. History always starts at zero.
+RouteResult negotiate(const RrGraph& rr, const pack::PackedNetlist& packed,
+                      const place::Placement& pl, RouteResult result,
+                      std::vector<char> dirty, const RouteOptions& opt) {
   const int n_nodes = rr.num_nodes();
   const auto n_nets = static_cast<int>(packed.block_nets.size());
   const int seg = std::max(1, rr.arch().wire_segment_length);
   const RrNodeId first_wire = rr.first_wire();
   if (rr.grid().width() > INT16_MAX || rr.grid().height() > INT16_MAX)
     throw std::length_error("route: grid dimensions exceed the int16 tile coordinates");
-
-  RouteResult result;
-  result.routes.assign(static_cast<std::size_t>(n_nets), {});
 
   // Search state, packed per node; hist and in_tree are off the hot path.
   std::vector<SearchNode> state(static_cast<std::size_t>(n_nodes));
@@ -71,6 +73,9 @@ RouteResult route(const RrGraph& rr, const pack::PackedNetlist& packed,
     s.y = static_cast<std::int16_t>(node.tile.y);
   }
   auto at = [&](RrNodeId n) -> SearchNode& { return state[static_cast<std::size_t>(n)]; };
+  for (const NetRoute& nr : result.routes) {
+    for (RrNodeId n : nr.nodes) ++at(n).over;
+  }
 
   double pres_fac = opt.first_iter_pres_fac;
   // Cost of entering `s` with one more net on it.
@@ -206,7 +211,6 @@ RouteResult route(const RrGraph& rr, const pack::PackedNetlist& packed,
 
   // --- PathFinder iterations. The reroute order rotates every iteration
   // so two nets contending for one node do not ping-pong forever.
-  std::vector<char> dirty(static_cast<std::size_t>(n_nets), 1);
   for (int iter = 1; iter <= opt.max_iterations; ++iter) {
     result.iterations = iter;
     bool all_routed = true;
@@ -260,6 +264,49 @@ RouteResult route(const RrGraph& rr, const pack::PackedNetlist& packed,
   result.wire_utilization =
       rr.num_wires() > 0 ? static_cast<double>(used_wires) / rr.num_wires() : 0.0;
   return result;
+}
+
+}  // namespace
+
+RouteResult route(const RrGraph& rr, const pack::PackedNetlist& packed,
+                  const place::Placement& pl, const RouteOptions& opt) {
+  const std::size_t n_nets = packed.block_nets.size();
+  RouteResult empty;
+  empty.routes.resize(n_nets);
+  return negotiate(rr, packed, pl, std::move(empty), std::vector<char>(n_nets, 1), opt);
+}
+
+RouteResult reroute(const RrGraph& rr, const pack::PackedNetlist& packed,
+                    const place::Placement& from, const place::Placement& to,
+                    const RouteResult& seed, const RouteOptions& opt) {
+  const std::size_t n_blocks = packed.blocks.size();
+  const std::size_t n_nets = packed.block_nets.size();
+  if (from.pos.size() != n_blocks || to.pos.size() != n_blocks)
+    throw std::invalid_argument("reroute: placement size does not match the packed blocks");
+  if (seed.routes.size() != n_nets)
+    throw std::invalid_argument("reroute: seed routes do not match the packed nets");
+
+  std::vector<char> moved(n_blocks);
+  for (std::size_t b = 0; b < n_blocks; ++b) moved[b] = from.pos[b] == to.pos[b] ? 0 : 1;
+  auto block_moved = [&](int b) { return moved[static_cast<std::size_t>(b)] != 0; };
+  auto off_graph = [&](RrNodeId n) { return n < 0 || n >= rr.num_nodes(); };
+
+  RouteResult start;
+  start.routes.resize(n_nets);
+  std::vector<char> dirty(n_nets, 0);
+  for (std::size_t n = 0; n < n_nets; ++n) {
+    const pack::BlockNet& bn = packed.block_nets[n];
+    const NetRoute& kept = seed.routes[n];
+    if (kept.nodes.empty() || block_moved(bn.driver_block) ||
+        std::any_of(bn.sink_blocks.begin(), bn.sink_blocks.end(), block_moved)) {
+      dirty[n] = 1;
+    } else if (std::any_of(kept.nodes.begin(), kept.nodes.end(), off_graph)) {
+      throw std::invalid_argument("reroute: a seed route names a node outside the RR graph");
+    } else {
+      start.routes[n] = kept;
+    }
+  }
+  return negotiate(rr, packed, to, std::move(start), std::move(dirty), opt);
 }
 
 void serialize(const RouteResult& result, util::codec::Encoder& enc) {

@@ -6,7 +6,8 @@
 // priced by a growing pres_fac, history cost accumulates on persistently
 // overused nodes, and only congested nets are ripped up between
 // iterations. A* with an admissible distance heuristic accelerates each
-// search.
+// search. reroute() runs the same loop from a previous result, routing
+// first only the nets a placement change touched.
 
 #include <vector>
 
@@ -48,8 +49,25 @@ struct RouteOptions {
   double astar_fac = 0.85;  ///< heuristic weight (<=1 keeps A* admissible-ish)
 };
 
+/// Route every net of placement `pl` from scratch: reroute() with
+/// nothing kept.
 RouteResult route(const RrGraph& rr, const pack::PackedNetlist& packed,
                   const place::Placement& pl, const RouteOptions& opt = {});
+
+/// Incremental reroute after a placement change (VPR's incremental
+/// reroute). `seed` is a RouteResult of placement `from`; the result
+/// routes placement `to`. Every net with no endpoint on a block that
+/// moved between `from` and `to` keeps its tree and its occupancy; only
+/// the nets touching a moved block, and any net unrouted in `seed`, are
+/// routed in iteration 1. Later iterations rip up congested nets exactly
+/// as route() does, and history starts at zero. With every block moved
+/// the result is byte-identical to route(rr, packed, to, opt). Throws
+/// std::invalid_argument when `from`/`to` do not place every packed
+/// block, `seed` does not hold one route per packed net, or a kept route
+/// names a node outside `rr`.
+RouteResult reroute(const RrGraph& rr, const pack::PackedNetlist& packed,
+                    const place::Placement& from, const place::Placement& to,
+                    const RouteResult& seed, const RouteOptions& opt = {});
 
 /// Artifact codec (util/codec.hpp): exact round-trip, byte-identical on
 /// re-serialization. RR node ids are stored raw; they are only valid for

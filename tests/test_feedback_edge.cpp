@@ -1,8 +1,8 @@
 // Tests for the place->thermal feedback edge of the stage graph
 // (DESIGN.md section 15) and for the stage loaders' decode-then-commit
 // contract: the stage list the edge adds, the invariant that the routes
-// thermal_place installs are exactly route::route() of the placement it
-// installs, the legality guard, the device precondition, and a rejected
+// thermal_place installs are a legal incremental reroute of the placement
+// it installs, the legality guard, the device precondition, and a rejected
 // stored payload warning once and recomputing from the blind build —
 // never from the bytes it rejected.
 
@@ -22,6 +22,7 @@
 #include "pack/pack.hpp"
 #include "place/place.hpp"
 #include "route/router.hpp"
+#include "route_checks.hpp"
 #include "util/codec.hpp"
 #include "util/log.hpp"
 
@@ -123,22 +124,43 @@ TEST(FeedbackEdge, NullDeviceThrowsInvalidArgument) {
 
 // ---------- routes invariant ----------
 
-TEST(FeedbackEdge, InstalledRoutesAreTheRouteOfTheInstalledPlacement) {
-  // The edge keeps the routes it computed for the accepted candidate
-  // instead of routing again; route() is pure, so those must be the very
-  // bytes a fresh route of the final placement produces.
+TEST(FeedbackEdge, InstalledRoutesAreLegalAndConnectTheInstalledPlacement) {
+  // The edge keeps the routes it computed for the accepted candidate.
+  // Those come from an incremental reroute, so they need not equal a
+  // fresh route() of the final placement; they must still be a legal
+  // tree from every driver's OPIN to each sink at that placement.
   const core::ImplementOptions opt = aware_options();
   int refined = 0;
   for (const char* name : {"stereovision3", "diffeq1", "diffeq2", "ch_intrinsics"}) {
     SCOPED_TRACE(name);
     const auto impl = core::implement(scaled_spec(name), test_arch(), opt);
-    EXPECT_TRUE(route_bytes(impl->routes) ==
-                route_bytes(route::route(impl->rr, impl->packed, impl->placement, opt.route)));
+    EXPECT_TRUE(impl->routes.success);
+    EXPECT_EQ(impl->routes.overused_nodes, 0);
+    routecheck::expect_connected(impl->rr, impl->packed, impl->placement, impl->routes);
     const auto blind = core::implement(scaled_spec(name), test_arch());
     if (impl->placement.pos != blind->placement.pos) ++refined;
   }
-  // At least one design moved, so the invariant is pinned on a refined
-  // placement and not only on the blind one.
+  // At least one design moved, so the checks see a rerouted design and
+  // not only the blind one.
+  EXPECT_GT(refined, 0);
+}
+
+TEST(FeedbackEdge, OneAcceptedPassInstallsTheRerouteOfTheBlindRoutes) {
+  // With one pass, a moved placement means exactly one candidate was
+  // accepted, and its routes are reroute() seeded from the blind build.
+  core::ImplementOptions opt = aware_options();
+  opt.thermal_place.passes = 1;
+  int refined = 0;
+  for (const char* name : {"stereovision3", "diffeq1", "diffeq2", "ch_intrinsics"}) {
+    SCOPED_TRACE(name);
+    const auto blind = core::implement(scaled_spec(name), test_arch());
+    const auto impl = core::implement(scaled_spec(name), test_arch(), opt);
+    if (impl->placement.pos == blind->placement.pos) continue;
+    ++refined;
+    EXPECT_TRUE(route_bytes(impl->routes) ==
+                route_bytes(route::reroute(impl->rr, impl->packed, blind->placement,
+                                           impl->placement, blind->routes, opt.route)));
+  }
   EXPECT_GT(refined, 0);
 }
 

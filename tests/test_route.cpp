@@ -3,12 +3,16 @@
 // The golden tests pin an FNV-1a digest of the serialized RouteResult, so
 // any drift in PathFinder's cost arithmetic, relaxation order or heap
 // tie-breaking fails here, not three stages later in a guardband table.
-// The invariant tests pin the RR-graph layout the router's fast path
-// relies on (DESIGN.md section 16).
+// The reroute tests hold the incremental entry point to the same loop:
+// nothing kept reproduces route() exactly, nothing moved keeps every
+// tree. The invariant tests pin the RR-graph layout the router's fast
+// path relies on (DESIGN.md section 16).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -21,6 +25,7 @@
 #include "place/place.hpp"
 #include "route/router.hpp"
 #include "route/rr_graph.hpp"
+#include "route_checks.hpp"
 #include "util/codec.hpp"
 #include "util/hash.hpp"
 
@@ -32,6 +37,32 @@ std::uint64_t route_digest(const route::RouteResult& r) {
   util::codec::Encoder enc;
   route::serialize(r, enc);
   return util::fnv1a_bytes(enc.buffer().data(), enc.buffer().size());
+}
+
+std::string net_bytes(const route::NetRoute& nr) {
+  route::RouteResult one;
+  one.routes.push_back(nr);
+  util::codec::Encoder enc;
+  route::serialize(one, enc);
+  return enc.take();
+}
+
+/// `to` with every block shifted off the grid: a `from` placement under
+/// which every block of `to` counts as moved.
+place::Placement all_moved_from(const place::Placement& to) {
+  place::Placement from = to;
+  for (arch::TilePos& p : from.pos) p.x += 1 << 20;
+  return from;
+}
+
+/// implement() at scale 1/16 of one suite design.
+std::unique_ptr<core::Implementation> implement_design(
+    const char* name, const arch::ArchParams& a = arch::scaled_arch()) {
+  for (const netlist::BenchmarkSpec& spec : netlist::vtr_suite()) {
+    if (spec.name == name) return core::implement(netlist::scaled(spec, 1.0 / 16), a);
+  }
+  ADD_FAILURE() << "no suite design named " << name;
+  return nullptr;
 }
 
 // ---------- golden routes ----------
@@ -77,15 +108,39 @@ class RouteGoldenSuite : public ::testing::TestWithParam<SuiteDigest> {};
 /// implement() at scale 1/16 on the routed-experiment arch: the exact
 /// routes every bench table and perfbench workload starts from.
 TEST_P(RouteGoldenSuite, SerializedRoutesMatchPinnedDigest) {
-  const SuiteDigest& p = GetParam();
-  for (const netlist::BenchmarkSpec& spec : netlist::vtr_suite()) {
-    if (spec.name != p.design) continue;
-    const auto impl = core::implement(netlist::scaled(spec, 1.0 / 16), arch::scaled_arch());
-    EXPECT_TRUE(impl->routes.success);
-    EXPECT_EQ(route_digest(impl->routes), p.digest);
-    return;
+  const auto impl = implement_design(GetParam().design);
+  ASSERT_NE(impl, nullptr);
+  EXPECT_TRUE(impl->routes.success);
+  EXPECT_EQ(route_digest(impl->routes), GetParam().digest);
+}
+
+/// Differential oracle: with every block moved nothing is kept, so the
+/// seeded loop must reproduce route() byte for byte — the pinned digest.
+TEST_P(RouteGoldenSuite, RerouteWithEveryBlockMovedIsRoute) {
+  const auto impl = implement_design(GetParam().design);
+  ASSERT_NE(impl, nullptr);
+  const route::RouteResult r =
+      route::reroute(impl->rr, impl->packed, all_moved_from(impl->placement), impl->placement,
+                     impl->routes);
+  EXPECT_EQ(route_digest(r), GetParam().digest);
+}
+
+/// With no block moved every net is clean: the seed comes back unchanged
+/// and legal after one iteration that routes nothing.
+TEST_P(RouteGoldenSuite, RerouteWithNoBlockMovedKeepsEveryNet) {
+  const auto impl = implement_design(GetParam().design);
+  ASSERT_NE(impl, nullptr);
+  ASSERT_TRUE(impl->routes.success);
+  const route::RouteResult r = route::reroute(impl->rr, impl->packed, impl->placement,
+                                              impl->placement, impl->routes);
+  EXPECT_TRUE(r.success);
+  EXPECT_EQ(r.iterations, 1);
+  EXPECT_EQ(r.overused_nodes, 0);
+  EXPECT_EQ(r.wire_utilization, impl->routes.wire_utilization);
+  ASSERT_EQ(r.routes.size(), impl->routes.routes.size());
+  for (std::size_t n = 0; n < r.routes.size(); ++n) {
+    ASSERT_TRUE(net_bytes(r.routes[n]) == net_bytes(impl->routes.routes[n])) << "net " << n;
   }
-  FAIL() << "no suite design named " << p.design;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -97,6 +152,74 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<SuiteDigest>& param_info) {
       return std::string(param_info.param.design);
     });
+
+// ---------- incremental reroute ----------
+
+/// Swapping two logic blocks dirties only the nets on them. Every swap
+/// must yield a legal, connected result; a swap that converges in the
+/// first iteration must leave every other net's tree untouched. The
+/// channels are twice the experiment width so that some swaps need no
+/// negotiation (at the experiment width every swap here takes two).
+TEST(Reroute, TwoBlockSwapTouchesOnlyIncidentNets) {
+  arch::ArchParams a = arch::scaled_arch();
+  a.channel_tracks *= 2;
+  const auto impl = implement_design("sha", a);
+  ASSERT_NE(impl, nullptr);
+  const pack::PackedNetlist& packed = impl->packed;
+  std::vector<int> clbs;
+  for (std::size_t b = 0; b < packed.blocks.size() && clbs.size() < 10; ++b) {
+    if (packed.blocks[b].kind == pack::BlockKind::Clb) clbs.push_back(static_cast<int>(b));
+  }
+
+  int one_iteration = 0;
+  for (std::size_t i = 0; i < clbs.size(); ++i) {
+    for (std::size_t j = i + 1; j < clbs.size(); ++j) {
+      SCOPED_TRACE(testing::Message() << "swap " << clbs[i] << " <-> " << clbs[j]);
+      place::Placement swapped = impl->placement;
+      std::swap(swapped.pos[static_cast<std::size_t>(clbs[i])],
+                swapped.pos[static_cast<std::size_t>(clbs[j])]);
+      const route::RouteResult r =
+          route::reroute(impl->rr, packed, impl->placement, swapped, impl->routes);
+      EXPECT_TRUE(r.success);
+      EXPECT_EQ(r.overused_nodes, 0);
+      routecheck::expect_connected(impl->rr, packed, swapped, r);
+      if (r.iterations != 1) continue;
+
+      ++one_iteration;
+      const auto on_swap = [&](int b) { return b == clbs[i] || b == clbs[j]; };
+      for (std::size_t n = 0; n < r.routes.size(); ++n) {
+        const pack::BlockNet& bn = packed.block_nets[n];
+        if (on_swap(bn.driver_block) ||
+            std::any_of(bn.sink_blocks.begin(), bn.sink_blocks.end(), on_swap)) {
+          continue;
+        }
+        ASSERT_TRUE(net_bytes(r.routes[n]) == net_bytes(impl->routes.routes[n]))
+            << "net " << n;
+      }
+    }
+  }
+  EXPECT_GT(one_iteration, 0) << "no swap converges in one iteration any more";
+}
+
+TEST(Reroute, MismatchedSeedOrPlacementThrows) {
+  const auto impl = implement_design("sha");
+  ASSERT_NE(impl, nullptr);
+  const place::Placement& pl = impl->placement;
+  place::Placement short_pl = pl;
+  short_pl.pos.pop_back();
+  route::RouteResult short_seed = impl->routes;
+  short_seed.routes.pop_back();
+  EXPECT_THROW(route::reroute(impl->rr, impl->packed, pl, pl, short_seed),
+               std::invalid_argument);
+  EXPECT_THROW(route::reroute(impl->rr, impl->packed, short_pl, pl, impl->routes),
+               std::invalid_argument);
+  EXPECT_THROW(route::reroute(impl->rr, impl->packed, pl, short_pl, impl->routes),
+               std::invalid_argument);
+  // A seed from another RR graph would index occupancy out of range.
+  route::RouteResult foreign = impl->routes;
+  foreign.routes.front().nodes.push_back(impl->rr.num_nodes());
+  EXPECT_THROW(route::reroute(impl->rr, impl->packed, pl, pl, foreign), std::invalid_argument);
+}
 
 /// The packed search record keeps tile coordinates as int16; a wider grid
 /// is rejected up front rather than routed with wrapped coordinates.

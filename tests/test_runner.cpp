@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -181,6 +183,28 @@ TEST(FlowCache, FeedbackEdgeKeyFollowsTheStageGraph) {
   // A null device is still refused, not cached.
   EXPECT_THROW(variant([](auto& o) { o.thermal_place.device = nullptr; }),
                std::invalid_argument);
+}
+
+TEST(FlowCache, FeedbackEdgeKeyNamesTheRerouteAlgorithm) {
+  // thermal_place's identity covers its candidate reroute algorithm, so
+  // an artifact directory filled when candidates were routed from scratch
+  // is not served for the incremental reroute. The pinned value is sha's
+  // thermal_place input_hash under the full-reroute stage.
+  constexpr std::uint64_t kFullRerouteHash = 0x3cadcb3bd870b064ull;
+  const coffe::DeviceModel dev = coffe::Characterizer::paper_table2_reference();
+  core::ImplementOptions aware;
+  aware.thermal_place.enabled = true;
+  aware.thermal_place.device = &dev;
+  aware.thermal_place.passes = 1;
+  const auto g =
+      core::FlowGraph::standard(netlist::scaled(spec_of("sha"), 1.0 / 16), test_arch(), aware);
+  int seen = 0;
+  for (const core::FlowStage& s : g.stages()) {
+    if (std::string_view(s.name) != "thermal_place") continue;
+    ++seen;
+    EXPECT_NE(s.input_hash, kFullRerouteHash);
+  }
+  EXPECT_EQ(seen, 1);
 }
 
 TEST(FlowCache, ImplementationMatchesDirectFlow) {
