@@ -20,6 +20,7 @@
 // and in the --metrics/--csv output.
 
 #include <algorithm>
+#include <cinttypes>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -203,26 +204,22 @@ int main(int argc, char** argv) {
   {
     const std::lock_guard<std::mutex> lock(bench::sweep_metrics_mutex());
     const auto& cells = bench::collected_sweep_metrics();
-    unsigned long long edges = 0, hits = 0, cg = 0, pcg = 0, nonconv = 0;
-    for (const auto& m : cells) {
-      edges += m.sta_edges_reevaluated;
-      hits += m.sta_delay_cache_hits;
-      cg += m.thermal_cg_iters;
-      pcg += m.thermal_precond_iters;
-      nonconv += m.guardband_nonconverged;
-    }
+    runner::TaskMetrics sum;
+    for (const auto& m : cells) sum.add_counters(m);
     std::fprintf(stderr,
                  "[bench_all] guardband (%s thermal): %zu sweep "
-                 "cells, %llu edges re-evaluated, %llu delay-cache hits, "
-                 "%llu CG iters (%llu preconditioned), %llu non-converged\n",
+                 "cells, %" PRIu64 " edges re-evaluated, %" PRIu64 " delay-cache hits, "
+                 "%" PRIu64 " CG iters (%" PRIu64 " preconditioned), %" PRIu64
+                 " non-converged\n",
                  thermal::thermal_backend_name(thermal::default_thermal_backend()),
-                 cells.size(), edges, hits, cg, pcg, nonconv);
-    if (nonconv > 0) {
+                 cells.size(), sum.sta_edges_reevaluated, sum.sta_delay_cache_hits,
+                 sum.thermal_cg_iters, sum.thermal_precond_iters, sum.guardband_nonconverged);
+    if (sum.guardband_nonconverged > 0) {
       std::fprintf(stderr,
-                   "[bench_all] WARNING: %llu guardband run(s) exhausted the "
+                   "[bench_all] WARNING: %" PRIu64 " guardband run(s) exhausted the "
                    "iteration budget; reported fmax values are not thermal "
                    "fixed points\n",
-                   nonconv);
+                   sum.guardband_nonconverged);
     }
     report.tasks.insert(report.tasks.end(), cells.begin(), cells.end());
   }

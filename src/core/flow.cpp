@@ -16,17 +16,8 @@
 namespace taf::core {
 
 const char* flow_phase_name(FlowPhase phase) {
-  switch (phase) {
-    case FlowPhase::Pack: return "pack";
-    case FlowPhase::Place: return "place";
-    case FlowPhase::Route: return "route";
-    case FlowPhase::Activity: return "activity";
-    case FlowPhase::StaBuild: return "sta_build";
-    case FlowPhase::Sta: return "sta";
-    case FlowPhase::Power: return "power";
-    case FlowPhase::Thermal: return "thermal";
-  }
-  return "unknown";
+  const auto i = static_cast<std::size_t>(phase);
+  return i < std::size(kFlowPhaseNames) ? kFlowPhaseNames[i] : "unknown";
 }
 
 FlowCounters& thread_flow_counters() {

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "route/rr_graph.hpp"
 #include "thermal/thermal_grid.hpp"
 #include "timing/timing.hpp"
+#include "util/counters.hpp"
 #include "util/units.hpp"
 
 namespace taf::core {
@@ -45,19 +47,29 @@ struct Implementation {
   Implementation& operator=(const Implementation&) = delete;
 };
 
-/// CAD/analysis phases reported through FlowObserver. The runner's sweep
-/// reports aggregate per-task time under these labels.
-enum class FlowPhase {
-  Pack = 0,
-  Place,
-  Route,
-  Activity,
-  StaBuild,  ///< TimingAnalyzer construction (route-tree walk)
-  Sta,
-  Power,
-  Thermal,
-};
-inline constexpr int kNumFlowPhases = 8;
+/// CAD/analysis phases reported through FlowObserver, as X(id, name):
+/// the FlowPhase enumerator and its report label, in enum order. The
+/// runner's sweep reports aggregate per-task time under these labels.
+/// StaBuild is TimingAnalyzer construction (the route-tree walk).
+#define TAF_FLOW_PHASES(X) \
+  X(Pack, "pack")          \
+  X(Place, "place")        \
+  X(Route, "route")        \
+  X(Activity, "activity")  \
+  X(StaBuild, "sta_build") \
+  X(Sta, "sta")            \
+  X(Power, "power")        \
+  X(Thermal, "thermal")
+
+#define TAF_FLOW_PHASE_ENUMERATOR(id, name) id,
+enum class FlowPhase { TAF_FLOW_PHASES(TAF_FLOW_PHASE_ENUMERATOR) };
+#undef TAF_FLOW_PHASE_ENUMERATOR
+
+#define TAF_FLOW_PHASE_NAME(id, name) name,
+inline constexpr const char* kFlowPhaseNames[] = {TAF_FLOW_PHASES(TAF_FLOW_PHASE_NAME)};
+#undef TAF_FLOW_PHASE_NAME
+
+inline constexpr int kNumFlowPhases = static_cast<int>(std::size(kFlowPhaseNames));
 const char* flow_phase_name(FlowPhase phase);
 
 /// How guardband() evaluates timing and thermal state inside the
@@ -84,41 +96,27 @@ struct GuardbandStats {
   std::uint64_t precond_cg_iterations = 0;
 };
 
-/// Per-thread accumulation of guardband work counters, in the mold of
-/// spice::thread_counters(): the runner snapshots them around each task.
-struct FlowCounters {
-  std::uint64_t guardband_runs = 0;
-  std::uint64_t guardband_nonconverged = 0;
-  std::uint64_t sta_edges_reevaluated = 0;
-  std::uint64_t sta_delay_cache_hits = 0;
-  std::uint64_t thermal_cg_iterations = 0;
-  std::uint64_t thermal_precond_iterations = 0;
-  /// Transient-engine work (DynamicGuardband replays; see
-  /// core/dynamic.hpp). Kept apart from the steady-state thermal
-  /// counters so Algorithm 1 and trace-replay work never conflate.
-  std::uint64_t transient_steps = 0;
-  std::uint64_t transient_cg_iterations = 0;
-  /// Place->thermal feedback work (the thermal_place stage): adjoint
-  /// gradient solves performed and re-place moves proposed by the
-  /// bounded refinement passes. Zero whenever the feature is off or the
-  /// refined placement was served from the artifact store.
-  std::uint64_t thermal_adjoint_solves = 0;
-  std::uint64_t replace_moves = 0;
+/// Per-thread accumulation of flow work counters, as X(name, doc), in the
+/// mold of spice::thread_counters(): the runner snapshots them around each
+/// task. The transient counters (DynamicGuardband replays; see
+/// core/dynamic.hpp) are kept apart from the steady-state thermal ones so
+/// Algorithm 1 and trace-replay work never conflate. The place->thermal
+/// feedback counters stay zero whenever that stage is off or its refined
+/// placement was served from the artifact store.
+#define TAF_FLOW_COUNTERS(X)                                                     \
+  X(guardband_runs, "guardband() calls")                                         \
+  X(guardband_nonconverged, "runs that exhausted max_iterations unconverged")    \
+  X(sta_edges_reevaluated, "connection delays re-derived by incremental STA")    \
+  X(sta_delay_cache_hits, "cached connection delays reused")                     \
+  X(thermal_cg_iterations, "steady-state thermal CG iterations (all solves)")    \
+  X(thermal_precond_iterations, "subset of those run preconditioned (SSOR-PCG)") \
+  X(transient_steps, "backward-Euler steps of trace replays")                    \
+  X(transient_cg_iterations, "CG iterations those steps cost")                   \
+  X(thermal_adjoint_solves, "thermal_place adjoint gradient solves")             \
+  X(replace_moves, "re-place moves proposed by thermal_place refinement")
 
-  FlowCounters operator-(const FlowCounters& rhs) const {
-    FlowCounters d;
-    d.guardband_runs = guardband_runs - rhs.guardband_runs;
-    d.guardband_nonconverged = guardband_nonconverged - rhs.guardband_nonconverged;
-    d.sta_edges_reevaluated = sta_edges_reevaluated - rhs.sta_edges_reevaluated;
-    d.sta_delay_cache_hits = sta_delay_cache_hits - rhs.sta_delay_cache_hits;
-    d.thermal_cg_iterations = thermal_cg_iterations - rhs.thermal_cg_iterations;
-    d.thermal_precond_iterations = thermal_precond_iterations - rhs.thermal_precond_iterations;
-    d.transient_steps = transient_steps - rhs.transient_steps;
-    d.transient_cg_iterations = transient_cg_iterations - rhs.transient_cg_iterations;
-    d.thermal_adjoint_solves = thermal_adjoint_solves - rhs.thermal_adjoint_solves;
-    d.replace_moves = replace_moves - rhs.replace_moves;
-    return d;
-  }
+struct FlowCounters {
+  TAF_COUNTER_MEMBERS(FlowCounters, TAF_FLOW_COUNTERS)
 };
 
 /// Counters of the calling thread (thread-local; never contended).
@@ -144,9 +142,7 @@ struct FlowObserver {
   /// Called after each phase with its wall-clock duration.
   std::function<void(FlowPhase, units::Seconds)> on_phase;
   /// Called once after each Algorithm 1 iteration with its outcome and
-  /// work. (Formerly two hooks — a narrow on_iteration plus a richer
-  /// on_iteration_info — dispatched back to back; consolidated into this
-  /// single IterationInfo callback.)
+  /// work.
   std::function<void(const IterationInfo&)> on_iteration;
 };
 

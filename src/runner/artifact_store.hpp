@@ -28,22 +28,20 @@
 #include <string_view>
 #include <unordered_set>
 
+#include "util/counters.hpp"
+
 namespace taf::runner {
 
-/// Per-thread disk-tier counters, in the mold of spice::thread_counters():
-/// the runner snapshots them around each task (TaskCounterScope).
-struct ArtifactCounters {
-  std::uint64_t disk_hits = 0;
-  std::uint64_t disk_misses = 0;
-  std::uint64_t disk_writes = 0;
+/// Per-thread disk-tier counters, as X(name, doc), in the mold of
+/// spice::thread_counters(): the runner snapshots them around each task
+/// (TaskCounterScope).
+#define TAF_ARTIFACT_COUNTERS(X)                         \
+  X(disk_hits, "stage artifacts loaded from the store")  \
+  X(disk_misses, "probes that found no valid artifact")  \
+  X(disk_writes, "stage artifacts written to the store")
 
-  ArtifactCounters operator-(const ArtifactCounters& rhs) const {
-    ArtifactCounters d;
-    d.disk_hits = disk_hits - rhs.disk_hits;
-    d.disk_misses = disk_misses - rhs.disk_misses;
-    d.disk_writes = disk_writes - rhs.disk_writes;
-    return d;
-  }
+struct ArtifactCounters {
+  TAF_COUNTER_MEMBERS(ArtifactCounters, TAF_ARTIFACT_COUNTERS)
 };
 
 /// Counters of the calling thread (thread-local; never contended).

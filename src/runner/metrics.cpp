@@ -31,6 +31,16 @@ std::string fmt(double v) {
   return buf;
 }
 
+/// The task table as data: each counter column's report name and field.
+struct CounterColumn {
+  const char* name;
+  std::uint64_t TaskMetrics::*field;
+};
+#define TAF_COUNTER_COLUMN(report_name, layer, layer_field) \
+  {#report_name, &TaskMetrics::report_name},
+constexpr CounterColumn kCounterColumns[] = {TAF_TASK_COUNTERS(TAF_COUNTER_COLUMN)};
+#undef TAF_COUNTER_COLUMN
+
 void append_phases_json(std::string& out, const PhaseTimes& phases) {
   out += '{';
   for (int p = 0; p < core::kNumFlowPhases; ++p) {
@@ -44,6 +54,22 @@ void append_phases_json(std::string& out, const PhaseTimes& phases) {
 }
 
 }  // namespace
+
+void TaskMetrics::add_counters(const TaskMetrics& other) {
+  for (const CounterColumn& c : kCounterColumns) this->*c.field += other.*c.field;
+}
+
+LayerCounters LayerCounters::of_this_thread() {
+  return {spice::thread_counters(), core::thread_flow_counters(), thread_artifact_counters()};
+}
+
+TaskCounterScope::~TaskCounterScope() {
+  const LayerCounters now = LayerCounters::of_this_thread();
+#define TAF_CAPTURE_COUNTER(report_name, layer, layer_field)           \
+  m_.report_name += now.layer.layer_field - before_.layer.layer_field;
+  TAF_TASK_COUNTERS(TAF_CAPTURE_COUNTER)
+#undef TAF_CAPTURE_COUNTER
+}
 
 std::string RunReport::to_json() const {
   std::string out = "{\n";
@@ -73,23 +99,13 @@ std::string RunReport::to_json() const {
     out += "\", \"kind\": \"";
     append_escaped(out, t.kind);
     out += "\", \"wall_s\": " + fmt(t.wall_s) +
-           ", \"iterations\": " + std::to_string(t.iterations) +
-           ", \"spice_factorizations\": " + std::to_string(t.spice_factorizations) +
-           ", \"spice_pattern_reuses\": " + std::to_string(t.spice_pattern_reuses) +
-           ", \"spice_newton_iters\": " + std::to_string(t.spice_newton_iters) +
-           ", \"sta_edges_reevaluated\": " + std::to_string(t.sta_edges_reevaluated) +
-           ", \"sta_delay_cache_hits\": " + std::to_string(t.sta_delay_cache_hits) +
-           ", \"thermal_cg_iters\": " + std::to_string(t.thermal_cg_iters) +
-           ", \"thermal_precond_iters\": " + std::to_string(t.thermal_precond_iters) +
-           ", \"transient_steps\": " + std::to_string(t.transient_steps) +
-           ", \"transient_cg_iters\": " + std::to_string(t.transient_cg_iters) +
-           ", \"thermal_adjoint_solves\": " + std::to_string(t.thermal_adjoint_solves) +
-           ", \"replace_moves\": " + std::to_string(t.replace_moves) +
-           ", \"guardband_nonconverged\": " + std::to_string(t.guardband_nonconverged) +
-           ", \"disk_hits\": " + std::to_string(t.disk_hits) +
-           ", \"disk_misses\": " + std::to_string(t.disk_misses) +
-           ", \"disk_writes\": " + std::to_string(t.disk_writes) +
-           ", \"phases\": ";
+           ", \"iterations\": " + std::to_string(t.iterations);
+    for (const CounterColumn& c : kCounterColumns) {
+      out += ", \"";
+      out += c.name;
+      out += "\": " + std::to_string(t.*c.field);
+    }
+    out += ", \"phases\": ";
     append_phases_json(out, t.phases);
     out += i + 1 < tasks.size() ? "},\n" : "}\n";
   }
@@ -98,12 +114,11 @@ std::string RunReport::to_json() const {
 }
 
 std::string RunReport::to_csv() const {
-  std::string out =
-      "name,kind,wall_s,iterations,spice_factorizations,spice_pattern_reuses,"
-      "spice_newton_iters,sta_edges_reevaluated,sta_delay_cache_hits,"
-      "thermal_cg_iters,thermal_precond_iters,transient_steps,transient_cg_iters,"
-      "thermal_adjoint_solves,replace_moves,"
-      "guardband_nonconverged,disk_hits,disk_misses,disk_writes";
+  std::string out = "name,kind,wall_s,iterations";
+  for (const CounterColumn& c : kCounterColumns) {
+    out += ',';
+    out += c.name;
+  }
   for (int p = 0; p < core::kNumFlowPhases; ++p) {
     out += ',';
     out += core::flow_phase_name(static_cast<core::FlowPhase>(p));
@@ -114,22 +129,11 @@ std::string RunReport::to_csv() const {
     out += "scalar," + name + ',' + fmt(value) + '\n';
   }
   for (const TaskMetrics& t : tasks) {
-    out += t.name + ',' + t.kind + ',' + fmt(t.wall_s) + ',' +
-           std::to_string(t.iterations) + ',' +
-           std::to_string(t.spice_factorizations) + ',' +
-           std::to_string(t.spice_pattern_reuses) + ',' +
-           std::to_string(t.spice_newton_iters) + ',' +
-           std::to_string(t.sta_edges_reevaluated) + ',' +
-           std::to_string(t.sta_delay_cache_hits) + ',' +
-           std::to_string(t.thermal_cg_iters) + ',' +
-           std::to_string(t.thermal_precond_iters) + ',' +
-           std::to_string(t.transient_steps) + ',' +
-           std::to_string(t.transient_cg_iters) + ',' +
-           std::to_string(t.thermal_adjoint_solves) + ',' +
-           std::to_string(t.replace_moves) + ',' +
-           std::to_string(t.guardband_nonconverged) + ',' +
-           std::to_string(t.disk_hits) + ',' + std::to_string(t.disk_misses) + ',' +
-           std::to_string(t.disk_writes);
+    out += t.name + ',' + t.kind + ',' + fmt(t.wall_s) + ',' + std::to_string(t.iterations);
+    for (const CounterColumn& c : kCounterColumns) {
+      out += ',';
+      out += std::to_string(t.*c.field);
+    }
     for (double s : t.phases.seconds) {
       out += ',';
       out += fmt(s);

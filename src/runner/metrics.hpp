@@ -32,6 +32,29 @@ struct PhaseTimes {
   }
 };
 
+/// The per-task work counters, one row per report column in column order:
+/// X(report_name, layer, layer_field) reports LayerCounters::layer's
+/// layer_field under report_name. The table generates the TaskMetrics
+/// counter fields, TaskCounterScope's capture and the counter columns of
+/// RunReport::to_json()/to_csv() (EXPERIMENTS.md documents each column).
+/// guardband_runs and symbolic_analyses are collected but not reported.
+#define TAF_TASK_COUNTERS(X)                                 \
+  X(spice_factorizations, solver, factorizations)            \
+  X(spice_pattern_reuses, solver, pattern_reuses)            \
+  X(spice_newton_iters, solver, newton_iterations)           \
+  X(sta_edges_reevaluated, flow, sta_edges_reevaluated)      \
+  X(sta_delay_cache_hits, flow, sta_delay_cache_hits)        \
+  X(thermal_cg_iters, flow, thermal_cg_iterations)           \
+  X(thermal_precond_iters, flow, thermal_precond_iterations) \
+  X(transient_steps, flow, transient_steps)                  \
+  X(transient_cg_iters, flow, transient_cg_iterations)       \
+  X(thermal_adjoint_solves, flow, thermal_adjoint_solves)    \
+  X(replace_moves, flow, replace_moves)                      \
+  X(guardband_nonconverged, flow, guardband_nonconverged)    \
+  X(disk_hits, artifact, disk_hits)                          \
+  X(disk_misses, artifact, disk_misses)                      \
+  X(disk_writes, artifact, disk_writes)
+
 /// One unit of runner work: an implement/characterize warm-up task, a
 /// guardband sweep cell, or a whole experiment.
 struct TaskMetrics {
@@ -40,80 +63,40 @@ struct TaskMetrics {
   double wall_s = 0.0;
   int iterations = 0;  ///< Algorithm 1 iterations (guardband tasks)
   PhaseTimes phases;
-  /// SPICE linear-solver work performed by this task (see EXPERIMENTS.md):
-  /// numeric factorizations, how many reused a previously analyzed
-  /// sparsity pattern, and total Newton iterations.
-  std::uint64_t spice_factorizations = 0;
-  std::uint64_t spice_pattern_reuses = 0;
-  std::uint64_t spice_newton_iters = 0;
-  /// Incremental guardband engine work (see EXPERIMENTS.md): connection
-  /// delays re-derived vs served from cache across the Algorithm 1 loop,
-  /// total thermal CG iterations, and guardband runs that exhausted
-  /// max_iterations without reaching the delta_t_c fixed point.
-  std::uint64_t sta_edges_reevaluated = 0;
-  std::uint64_t sta_delay_cache_hits = 0;
-  std::uint64_t thermal_cg_iters = 0;
-  /// Subset of thermal_cg_iters run preconditioned (stencil SSOR-PCG);
-  /// zero under the generic oracle backend.
-  std::uint64_t thermal_precond_iters = 0;
-  /// Transient-engine work (DynamicGuardband trace replays): backward-
-  /// Euler steps taken and the CG iterations they cost, kept apart from
-  /// the steady-state thermal counters above.
-  std::uint64_t transient_steps = 0;
-  std::uint64_t transient_cg_iters = 0;
-  /// Place->thermal feedback work (thermal_place stage): adjoint solves
-  /// and bounded re-place moves. Zero when the feature is off or the
-  /// refined placement came from the artifact store.
-  std::uint64_t thermal_adjoint_solves = 0;
-  std::uint64_t replace_moves = 0;
-  std::uint64_t guardband_nonconverged = 0;
-  /// Disk artifact-store traffic attributable to this task (per stage:
-  /// one implement build probes up to five storable stages). All zero
-  /// when no store is attached.
-  std::uint64_t disk_hits = 0;
-  std::uint64_t disk_misses = 0;
-  std::uint64_t disk_writes = 0;
+#define TAF_TASK_COUNTER_FIELD(report_name, layer, layer_field) std::uint64_t report_name = 0;
+  TAF_TASK_COUNTERS(TAF_TASK_COUNTER_FIELD)
+#undef TAF_TASK_COUNTER_FIELD
+
+  /// Adds every work counter of `other` into this task's.
+  void add_counters(const TaskMetrics& other);
 };
 
-/// RAII capture of the thread-local work counters — SPICE solver, flow
-/// (STA/thermal/transient/feedback/guardband) and artifact store: snapshots
-/// them at construction and adds the deltas to the task at scope exit.
-/// Valid because a runner task executes on exactly one pool thread.
+/// The thread-local layer counters the task table reads: the SPICE
+/// solver's, the flow's (STA/thermal/transient/feedback/guardband) and
+/// the artifact store's.
+struct LayerCounters {
+  spice::SolverCounters solver;
+  core::FlowCounters flow;
+  ArtifactCounters artifact;
+
+  /// Snapshot of the calling thread's counters.
+  static LayerCounters of_this_thread();
+};
+
+/// RAII capture of the thread-local layer counters: snapshots them at
+/// construction and adds the deltas to the task at scope exit. Valid
+/// because a runner task executes on exactly one pool thread.
 class TaskCounterScope {
  public:
   explicit TaskCounterScope(TaskMetrics& m)
-      : m_(m),
-        spice_before_(spice::thread_counters()),
-        flow_before_(core::thread_flow_counters()),
-        artifact_before_(thread_artifact_counters()) {}
-  ~TaskCounterScope() {
-    const spice::SolverCounters s = spice::thread_counters() - spice_before_;
-    m_.spice_factorizations += s.factorizations;
-    m_.spice_pattern_reuses += s.pattern_reuses;
-    m_.spice_newton_iters += s.newton_iterations;
-    const core::FlowCounters f = core::thread_flow_counters() - flow_before_;
-    m_.sta_edges_reevaluated += f.sta_edges_reevaluated;
-    m_.sta_delay_cache_hits += f.sta_delay_cache_hits;
-    m_.thermal_cg_iters += f.thermal_cg_iterations;
-    m_.thermal_precond_iters += f.thermal_precond_iterations;
-    m_.transient_steps += f.transient_steps;
-    m_.transient_cg_iters += f.transient_cg_iterations;
-    m_.thermal_adjoint_solves += f.thermal_adjoint_solves;
-    m_.replace_moves += f.replace_moves;
-    m_.guardband_nonconverged += f.guardband_nonconverged;
-    const ArtifactCounters a = thread_artifact_counters() - artifact_before_;
-    m_.disk_hits += a.disk_hits;
-    m_.disk_misses += a.disk_misses;
-    m_.disk_writes += a.disk_writes;
-  }
+      : m_(m), before_(LayerCounters::of_this_thread()) {}
+  ~TaskCounterScope();
   TaskCounterScope(const TaskCounterScope&) = delete;
   TaskCounterScope& operator=(const TaskCounterScope&) = delete;
 
  private:
   TaskMetrics& m_;
-  spice::SolverCounters spice_before_;
-  core::FlowCounters flow_before_;
-  ArtifactCounters artifact_before_;
+  LayerCounters before_;
 };
 
 /// A full runner report: every task plus process-wide cache statistics.

@@ -20,6 +20,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/counters.hpp"
+
 namespace taf::spice {
 
 enum class LinearBackend { Dense, Sparse };
@@ -40,19 +42,18 @@ inline constexpr double kPivotNudge = 1e-9;
 /// per the contract above rather than rejected.
 void dense_lu_solve(std::vector<double>& a, std::vector<double>& b, int n);
 
-/// Per-thread cumulative solver counters. The solver bumps these on every
-/// factorization/Newton iteration; runner tasks snapshot deltas into
-/// TaskMetrics so bench_all can report where the SPICE time went.
-struct SolverCounters {
-  std::uint64_t factorizations = 0;     ///< numeric (re)factorizations
-  std::uint64_t symbolic_analyses = 0;  ///< sparse symbolic factorizations
-  std::uint64_t pattern_reuses = 0;     ///< numeric refactors on a cached pattern
-  std::uint64_t newton_iterations = 0;  ///< Newton steps across all solves
+/// Per-thread cumulative solver counters, as X(name, doc). The solver
+/// bumps these on every factorization/Newton iteration; runner tasks
+/// snapshot deltas into TaskMetrics so bench_all can report where the
+/// SPICE time went.
+#define TAF_SOLVER_COUNTERS(X)                               \
+  X(factorizations, "numeric (re)factorizations")            \
+  X(symbolic_analyses, "sparse symbolic factorizations")     \
+  X(pattern_reuses, "numeric refactors on a cached pattern") \
+  X(newton_iterations, "Newton steps across all solves")
 
-  SolverCounters operator-(const SolverCounters& o) const {
-    return {factorizations - o.factorizations, symbolic_analyses - o.symbolic_analyses,
-            pattern_reuses - o.pattern_reuses, newton_iterations - o.newton_iterations};
-  }
+struct SolverCounters {
+  TAF_COUNTER_MEMBERS(SolverCounters, TAF_SOLVER_COUNTERS)
 };
 
 SolverCounters& thread_counters();

@@ -182,25 +182,9 @@ void StencilSolver::precondition(const double* r, double* z) const {
   const int w = op_.width(), h = op_.height();
   const int n = op_.size();
   const double og = omega_ * op_.lateral_g();
-  switch (pc_) {
-    case StencilPreconditioner::None:
-      for (int i = 0; i < n; ++i) z[static_cast<std::size_t>(i)] = r[static_cast<std::size_t>(i)];
-      return;
-    case StencilPreconditioner::Jacobi:
-      for (int j = 0; j < h; ++j) {
-        const int vdeg = (j > 0 ? 1 : 0) + (j < h - 1 ? 1 : 0);
-        const double id_edge = inv_diag_[w > 1 ? 1 + vdeg : vdeg];
-        const double id_int = inv_diag_[2 + vdeg];
-        const auto row = static_cast<std::size_t>(j) * static_cast<std::size_t>(w);
-        z[row] = r[row] * id_edge;
-        for (int i = 1; i < w - 1; ++i) z[row + static_cast<std::size_t>(i)] =
-            r[row + static_cast<std::size_t>(i)] * id_int;
-        if (w > 1) z[row + static_cast<std::size_t>(w - 1)] =
-            r[row + static_cast<std::size_t>(w - 1)] * id_edge;
-      }
-      return;
-    case StencilPreconditioner::Ssor:
-      break;
+  if (pc_ == StencilPreconditioner::None) {
+    for (int i = 0; i < n; ++i) z[static_cast<std::size_t>(i)] = r[static_cast<std::size_t>(i)];
+    return;
   }
   // SSOR(omega): M = (D + omega L) D^{-1} (D + omega U) up to a positive
   // scalar that PCG is invariant to. Forward sweep y = (D + omega L)^{-1} r,

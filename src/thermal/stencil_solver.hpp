@@ -10,9 +10,8 @@
 // share one operator (the hand-copied CG loop the two paths used to
 // carry cannot diverge again), and StencilSolver runs preconditioned
 // conjugate gradients over it with an SSOR (symmetric successive
-// over-relaxation, auto-tuned omega) or Jacobi preconditioner and a
-// row-blocked, branch-free traversal whose working set is sized to stay
-// cache-resident.
+// over-relaxation, auto-tuned omega) preconditioner and a row-blocked,
+// branch-free traversal whose working set is sized to stay cache-resident.
 //
 // This header is an implementation detail of ThermalGrid: everything
 // outside src/thermal selects the backend through
@@ -81,11 +80,10 @@ class StencilOp {
   double g_base_;  ///< g_vert + g_c
 };
 
-/// Preconditioner of the stencil CG. Ssor is the default; Jacobi is the
-/// cheap fallback (diagonal scaling only); None degrades to plain CG and
-/// exists so the property tests can assert the preconditioner actually
-/// cuts iterations.
-enum class StencilPreconditioner { None, Jacobi, Ssor };
+/// Preconditioner of the stencil CG. Ssor is the default; None degrades
+/// to plain CG and exists so the property tests can assert the
+/// preconditioner actually cuts iterations.
+enum class StencilPreconditioner { None, Ssor };
 
 /// Outcome of one stencil PCG solve (per right-hand side).
 struct StencilSolveInfo {
@@ -105,7 +103,7 @@ class StencilSolver {
 
   const StencilOp& op() const { return op_; }
   StencilPreconditioner preconditioner() const { return pc_; }
-  /// SSOR relaxation factor in use (1 for the other preconditioners).
+  /// SSOR relaxation factor in use (1 for None).
   /// Chosen per operator by tuned_omega().
   double omega() const { return omega_; }
 

@@ -54,57 +54,63 @@ std::vector<int> probe_tiles(const std::vector<double>& power) {
   return tiles;
 }
 
-TEST(AdjointDifferential, MatchesCentralFiniteDifferenceOnEveryBenchmark) {
+class AdjointSuiteDifferential : public ::testing::TestWithParam<int> {};
+
+TEST_P(AdjointSuiteDifferential, MatchesCentralFiniteDifference) {
   auto& cache = runner::FlowCache::global();
   const tech::Technology tech = tech::ptm22();
   const coffe::DeviceModel& dev = cache.device(tech, test_arch(), 25.0);
+  const netlist::BenchmarkSpec spec =
+      netlist::vtr_suite()[static_cast<std::size_t>(GetParam())];
 
-  for (const auto& spec : netlist::vtr_suite()) {
-    const core::Implementation& impl =
-        cache.implementation(spec, test_arch(), kScale);
-    const std::vector<double> temps(
-        static_cast<std::size_t>(impl.grid.num_tiles()), 60.0);
-    const power::PowerBreakdown power = power::compute_power(
-        dev, impl.nl, impl.packed, impl.placement, impl.rr, impl.routes,
-        impl.activity, units::Megahertz(100.0), temps, impl.grid);
+  const core::Implementation& impl = cache.implementation(spec, test_arch(), kScale);
+  const std::vector<double> temps(static_cast<std::size_t>(impl.grid.num_tiles()), 60.0);
+  const power::PowerBreakdown power =
+      power::compute_power(dev, impl.nl, impl.packed, impl.placement, impl.rr, impl.routes,
+                           impl.activity, units::Megahertz(100.0), temps, impl.grid);
 
-    for (ThermalBackend backend :
-         {ThermalBackend::Generic, ThermalBackend::Stencil}) {
-      SCOPED_TRACE(std::string(spec.name) + " / " +
-                   (backend == ThermalBackend::Generic ? "generic" : "stencil"));
-      ThermalConfig cfg;
-      cfg.backend = backend;
-      const ThermalGrid grid(impl.grid, cfg);
+  for (ThermalBackend backend : {ThermalBackend::Generic, ThermalBackend::Stencil}) {
+    SCOPED_TRACE(std::string(spec.name) + " / " +
+                 (backend == ThermalBackend::Generic ? "generic" : "stencil"));
+    ThermalConfig cfg;
+    cfg.backend = backend;
+    const ThermalGrid grid(impl.grid, cfg);
 
-      const thermal::AdjointResult adj =
-          grid.solve_adjoint(power.tile_w, units::Kelvin(kTauK));
-      ASSERT_EQ(adj.dpeak_dp_k_per_w.size(), power.tile_w.size());
+    const thermal::AdjointResult adj = grid.solve_adjoint(power.tile_w, units::Kelvin(kTauK));
+    ASSERT_EQ(adj.dpeak_dp_k_per_w.size(), power.tile_w.size());
 
-      // Softmax weights sum to one, so the gradient's total mass through
-      // the (diagonally dominant SPD) operator is bounded by the package
-      // path: 0 < dS/dP_i, and sum_i g_vert * dS/dP_i >= ... — assert the
-      // cheap invariants before the expensive FD probes.
-      for (double g : adj.dpeak_dp_k_per_w) {
-        ASSERT_GT(g, 0.0);
-        ASSERT_TRUE(std::isfinite(g));
-      }
+    // Softmax weights sum to one, so the gradient's total mass through
+    // the (diagonally dominant SPD) operator is bounded by the package
+    // path: 0 < dS/dP_i, and sum_i g_vert * dS/dP_i >= ... — assert the
+    // cheap invariants before the expensive FD probes.
+    for (double g : adj.dpeak_dp_k_per_w) {
+      ASSERT_GT(g, 0.0);
+      ASSERT_TRUE(std::isfinite(g));
+    }
 
-      const double eps = 1e-4;  // watts
-      for (int tile : probe_tiles(power.tile_w)) {
-        std::vector<double> plus = power.tile_w, minus = power.tile_w;
-        plus[static_cast<std::size_t>(tile)] += eps;
-        minus[static_cast<std::size_t>(tile)] -= eps;
-        const double s_plus =
-            grid.solve_adjoint(plus, units::Kelvin(kTauK)).smooth_peak_c.value();
-        const double s_minus =
-            grid.solve_adjoint(minus, units::Kelvin(kTauK)).smooth_peak_c.value();
-        const double fd = (s_plus - s_minus) / (2.0 * eps);
-        const double exact = adj.dpeak_dp_k_per_w[static_cast<std::size_t>(tile)];
-        EXPECT_NEAR(exact, fd, 1e-4 + 1e-3 * std::abs(fd)) << "tile " << tile;
-      }
+    const double eps = 1e-4;  // watts
+    for (int tile : probe_tiles(power.tile_w)) {
+      std::vector<double> plus = power.tile_w, minus = power.tile_w;
+      plus[static_cast<std::size_t>(tile)] += eps;
+      minus[static_cast<std::size_t>(tile)] -= eps;
+      const double s_plus =
+          grid.solve_adjoint(plus, units::Kelvin(kTauK)).smooth_peak_c.value();
+      const double s_minus =
+          grid.solve_adjoint(minus, units::Kelvin(kTauK)).smooth_peak_c.value();
+      const double fd = (s_plus - s_minus) / (2.0 * eps);
+      const double exact = adj.dpeak_dp_k_per_w[static_cast<std::size_t>(tile)];
+      EXPECT_NEAR(exact, fd, 1e-4 + 1e-3 * std::abs(fd)) << "tile " << tile;
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(AllBenchmarks, AdjointSuiteDifferential,
+                         ::testing::Range(0, static_cast<int>(netlist::vtr_suite().size())),
+                         [](const auto& name_info) {
+                           return netlist::vtr_suite()[static_cast<std::size_t>(
+                                                           name_info.param)]
+                               .name;
+                         });
 
 TEST(AdjointDifferential, SmoothPeakDominatesTruePeak) {
   // LSE smooth-max upper-bounds the true max and approaches it as tau->0.

@@ -426,50 +426,59 @@ TEST(FlowCacheDisk, InMemoryHitSemanticsUnchangedByDiskTier) {
 
 // ---------- suite-wide round trip ----------
 
-TEST(ArtifactRoundTrip, EverySuiteBenchmarkReserializesByteIdentical) {
+class ArtifactRoundTrip : public ::testing::TestWithParam<int> {};
+
+TEST_P(ArtifactRoundTrip, ReserializesByteIdentical) {
   // The byte-exactness contract behind the disk tier: for every suite
   // benchmark, serialize -> deserialize -> re-serialize of all four
   // storable artifacts reproduces the original bytes exactly.
-  for (const auto& spec : netlist::vtr_suite()) {
-    const auto impl =
-        core::implement(netlist::scaled(spec, kScale), test_arch());
+  const netlist::BenchmarkSpec spec =
+      netlist::vtr_suite()[static_cast<std::size_t>(GetParam())];
+  const auto impl = core::implement(netlist::scaled(spec, kScale), test_arch());
 
-    codec::Encoder e1;
-    pack::serialize(impl->packed, e1);
-    codec::Decoder d1(e1.buffer());
-    const pack::PackedNetlist packed2 = pack::deserialize(d1);
-    d1.expect_done();
-    codec::Encoder e1b;
-    pack::serialize(packed2, e1b);
-    EXPECT_EQ(e1b.buffer(), e1.buffer()) << spec.name << " pack";
+  codec::Encoder e1;
+  pack::serialize(impl->packed, e1);
+  codec::Decoder d1(e1.buffer());
+  const pack::PackedNetlist packed2 = pack::deserialize(d1);
+  d1.expect_done();
+  codec::Encoder e1b;
+  pack::serialize(packed2, e1b);
+  EXPECT_EQ(e1b.buffer(), e1.buffer()) << spec.name << " pack";
 
-    codec::Encoder e2;
-    place::serialize(impl->placement, e2);
-    codec::Decoder d2(e2.buffer());
-    const place::Placement placement2 = place::deserialize(d2);
-    d2.expect_done();
-    codec::Encoder e2b;
-    place::serialize(placement2, e2b);
-    EXPECT_EQ(e2b.buffer(), e2.buffer()) << spec.name << " place";
+  codec::Encoder e2;
+  place::serialize(impl->placement, e2);
+  codec::Decoder d2(e2.buffer());
+  const place::Placement placement2 = place::deserialize(d2);
+  d2.expect_done();
+  codec::Encoder e2b;
+  place::serialize(placement2, e2b);
+  EXPECT_EQ(e2b.buffer(), e2.buffer()) << spec.name << " place";
 
-    codec::Encoder e3;
-    route::serialize(impl->routes, e3);
-    codec::Decoder d3(e3.buffer());
-    const route::RouteResult routes2 = route::deserialize(d3);
-    d3.expect_done();
-    codec::Encoder e3b;
-    route::serialize(routes2, e3b);
-    EXPECT_EQ(e3b.buffer(), e3.buffer()) << spec.name << " route";
+  codec::Encoder e3;
+  route::serialize(impl->routes, e3);
+  codec::Decoder d3(e3.buffer());
+  const route::RouteResult routes2 = route::deserialize(d3);
+  d3.expect_done();
+  codec::Encoder e3b;
+  route::serialize(routes2, e3b);
+  EXPECT_EQ(e3b.buffer(), e3.buffer()) << spec.name << " route";
 
-    codec::Encoder e4;
-    activity::serialize(impl->activity, e4);
-    codec::Decoder d4(e4.buffer());
-    const std::vector<activity::SignalStats> activity2 = activity::deserialize(d4);
-    d4.expect_done();
-    codec::Encoder e4b;
-    activity::serialize(activity2, e4b);
-    EXPECT_EQ(e4b.buffer(), e4.buffer()) << spec.name << " activity";
-  }
+  codec::Encoder e4;
+  activity::serialize(impl->activity, e4);
+  codec::Decoder d4(e4.buffer());
+  const std::vector<activity::SignalStats> activity2 = activity::deserialize(d4);
+  d4.expect_done();
+  codec::Encoder e4b;
+  activity::serialize(activity2, e4b);
+  EXPECT_EQ(e4b.buffer(), e4.buffer()) << spec.name << " activity";
 }
+
+INSTANTIATE_TEST_SUITE_P(AllBenchmarks, ArtifactRoundTrip,
+                         ::testing::Range(0, static_cast<int>(netlist::vtr_suite().size())),
+                         [](const auto& name_info) {
+                           return netlist::vtr_suite()[static_cast<std::size_t>(
+                                                           name_info.param)]
+                               .name;
+                         });
 
 }  // namespace

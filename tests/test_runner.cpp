@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -392,6 +393,53 @@ TEST(Metrics, FlowCounterScopeCapturesGuardbandWork) {
   EXPECT_GT(m.thermal_cg_iters, 0u);
   EXPECT_GT(m.sta_edges_reevaluated, 0u);
   EXPECT_EQ(m.guardband_nonconverged, 0u);
+}
+
+TEST(Metrics, TaskCounterScopeCapturesEveryMappedLayerField) {
+  // Bump every field of the three thread-local layer structs by a
+  // distinct amount inside one scope: each report column must receive
+  // exactly the delta of the layer field the task table maps it to. A
+  // first round of bumps outside the scope gives it a nonzero baseline
+  // to subtract.
+  spice::SolverCounters& solver = spice::thread_counters();
+  core::FlowCounters& flow = core::thread_flow_counters();
+  runner::ArtifactCounters& artifact = runner::thread_artifact_counters();
+  runner::LayerCounters bump;
+  std::uint64_t amount = 0;
+  const auto bump_every_field = [&] {
+#define TAF_TEST_BUMP_SOLVER(name, doc) \
+  bump.solver.name = ++amount;          \
+  solver.name += bump.solver.name;
+#define TAF_TEST_BUMP_FLOW(name, doc) \
+  bump.flow.name = ++amount;          \
+  flow.name += bump.flow.name;
+#define TAF_TEST_BUMP_ARTIFACT(name, doc) \
+  bump.artifact.name = ++amount;          \
+  artifact.name += bump.artifact.name;
+    TAF_SOLVER_COUNTERS(TAF_TEST_BUMP_SOLVER)
+    TAF_FLOW_COUNTERS(TAF_TEST_BUMP_FLOW)
+    TAF_ARTIFACT_COUNTERS(TAF_TEST_BUMP_ARTIFACT)
+#undef TAF_TEST_BUMP_SOLVER
+#undef TAF_TEST_BUMP_FLOW
+#undef TAF_TEST_BUMP_ARTIFACT
+  };
+  bump_every_field();
+  runner::TaskMetrics m;
+  {
+    const runner::TaskCounterScope scope(m);
+    bump_every_field();
+  }
+
+  // The bumps are distinct, so distinct values also prove that no two
+  // columns read the same layer field.
+  std::vector<std::uint64_t> captured;
+#define TAF_TEST_EXPECT_MAPPED(report_name, layer, layer_field)     \
+  EXPECT_EQ(m.report_name, bump.layer.layer_field) << #report_name; \
+  captured.push_back(m.report_name);
+  TAF_TASK_COUNTERS(TAF_TEST_EXPECT_MAPPED)
+#undef TAF_TEST_EXPECT_MAPPED
+  std::sort(captured.begin(), captured.end());
+  EXPECT_EQ(std::adjacent_find(captured.begin(), captured.end()), captured.end());
 }
 
 // ---------- cross-run / cross-thread-count determinism ----------

@@ -158,20 +158,17 @@ TEST(StencilSolver, SsorTakesStrictlyFewerIterationsThanPlainCgOn64x64) {
   std::vector<double> b(static_cast<std::size_t>(n), 1e-5);
   b[static_cast<std::size_t>(32 * w + 32)] = 0.5;
   const double floor_rr = n * std::pow(2.03e-5 * 1e-11, 2.0);
-  int iters[3] = {0, 0, 0};
-  const StencilPreconditioner pcs[3] = {StencilPreconditioner::None,
-                                        StencilPreconditioner::Jacobi,
+  int iters[2] = {0, 0};
+  const StencilPreconditioner pcs[2] = {StencilPreconditioner::None,
                                         StencilPreconditioner::Ssor};
-  for (int k = 0; k < 3; ++k) {
+  for (int k = 0; k < 2; ++k) {
     const StencilSolver solver(op, pcs[k]);
     std::vector<double> x(static_cast<std::size_t>(n), 0.0);
     const auto info = solver.solve(b.data(), x.data(), 1e-20, floor_rr);
     iters[k] = info.iterations;
     EXPECT_GT(info.iterations, 0);
   }
-  EXPECT_LT(iters[2], iters[0]) << "SSOR vs plain CG";
-  // SSOR should not merely tie Jacobi either; it carries the smoothing.
-  EXPECT_LT(iters[2], iters[1]) << "SSOR vs Jacobi";
+  EXPECT_LT(iters[1], iters[0]) << "SSOR vs plain CG";
 }
 
 TEST(StencilSolver, BatchedSolveIsBitIdenticalToSequentialSolves) {
