@@ -24,6 +24,10 @@
 // response envelope — the fleet-scale determinism check (concurrent +
 // batched + cached responses must equal the cold serial replay).
 //
+// stdout carries response_digest=<16 hex digits>, an FNV-1a digest of
+// every response envelope in request order. Matching digests from two
+// builds show that they served the same bytes for the stream.
+//
 // Deliberately NOT a TAF_EXPERIMENT: its output includes wall-clock
 // latencies, which would break bench_all's byte-identical-stdout
 // invariant (EXPERIMENTS.md).
@@ -35,12 +39,14 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "runner/metrics.hpp"
 #include "service/guardband_server.hpp"
 #include "service/protocol.hpp"
 #include "service/socket_transport.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -261,6 +267,12 @@ int main(int argc, char** argv) {
     report.tasks = server->drain_metrics();
     report.cache = server->flow_cache().stats();
   }
+  // One FNV-1a digest over every response envelope, in request order:
+  // a deterministic fingerprint of the served bytes (work counters
+  // included) for comparing builds with one run.
+  taf::util::Fnv1a digest;
+  for (const std::string& env : envelopes) digest.add(std::string_view(env));
+  std::printf("response_digest=%016llx\n", static_cast<unsigned long long>(digest.state));
   std::printf("queries=%llu wall=%.3fs throughput=%.0f qps\n",
               static_cast<unsigned long long>(queries), wall_s, qps);
   std::printf("latency p50=%.3fms p90=%.3fms p99=%.3fms max=%.3fms\n",

@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "coffe/path_eval.hpp"
@@ -134,6 +135,23 @@ void BM_GuardbandFlow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GuardbandFlow)->Unit(benchmark::kMillisecond);
+
+/// One service cache miss group: Algorithm 1 for 8 corners of sha in
+/// lockstep (ambients 35-55 degC, activity alternating 1.0 / 0.5), the
+/// shape GuardbandServer hands to guardband_batch.
+void BM_GuardbandBatch(benchmark::State& state) {
+  const auto& impl = bench::implementation_of("sha");
+  const auto& dev = bench::device_at(25.0);
+  const core::GuardbandOptions base;
+  std::vector<core::GuardbandCorner> corners;
+  for (int k = 0; k < 8; ++k) {
+    corners.push_back({units::Celsius(35.0 + 20.0 * k / 7.0), k % 2 == 0 ? 1.0 : 0.5});
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::guardband_batch(impl, dev, base, corners));
+  }
+}
+BENCHMARK(BM_GuardbandBatch)->Unit(benchmark::kMillisecond);
 
 /// One full PathFinder route of stereovision0 at 1/16 scale. Packing,
 /// placement and the RR graph come from the shared implementation, built

@@ -10,6 +10,7 @@
 namespace taf::arch {
 
 enum class TileKind : std::uint8_t { Clb, Bram, Dsp, Io };
+inline constexpr int kNumTileKinds = 4;
 
 const char* tile_kind_name(TileKind k);
 

@@ -78,6 +78,13 @@ std::vector<GuardbandResult> guardband_lockstep(const Implementation& impl,
   const auto n_tiles = static_cast<std::size_t>(impl.grid.num_tiles());
   std::vector<CornerState> corners(opts.size());
   util::Stopwatch watch;
+  // Corners differ only in ambient and activity (with_corner), so the
+  // worst-case corner and the STA engine are common to all of them.
+  for ([[maybe_unused]] const GuardbandOptions& opt : opts) {
+    assert(opt.t_worst_c == opts.front().t_worst_c);
+    assert(opt.incremental == opts.front().incremental);
+  }
+  std::optional<units::Megahertz> baseline;
 
   for (std::size_t k = 0; k < opts.size(); ++k) {
     CornerState& c = corners[k];
@@ -94,16 +101,20 @@ std::vector<GuardbandResult> guardband_lockstep(const Implementation& impl,
       c.session.emplace(*impl.sta, dev);
     }
 
-    // Conventional baseline: clock for the worst-case corner. Evaluated
-    // through the session when incremental (the session is bit-identical
-    // to analyze_uniform, and the re-derived delay tables seed the cache).
-    c.result.baseline_fmax_mhz =
-        c.incremental
-            ? c.session
-                  ->analyze(std::vector<double>(n_tiles, opt.t_worst_c.value()),
-                            /*with_critical_path=*/false)
-                  .fmax_mhz
-            : impl.sta->analyze_uniform(dev, opt.t_worst_c).fmax_mhz;
+    // Conventional baseline: clock for the worst-case corner, a pure
+    // function of (impl, dev, t_worst_c) and so timed once per call.
+    // Through the first session when incremental (bit-identical to
+    // analyze_uniform, the Off oracle); the priming pass below re-derives
+    // every tile, so the session's cache does not depend on it.
+    if (!baseline) {
+      baseline = c.incremental
+                     ? c.session
+                           ->analyze(std::vector<double>(n_tiles, opt.t_worst_c.value()),
+                                     /*with_critical_path=*/false)
+                           .fmax_mhz
+                     : impl.sta->analyze_uniform(dev, opt.t_worst_c).fmax_mhz;
+    }
+    c.result.baseline_fmax_mhz = *baseline;
 
     // Priming analysis at a uniform ambient field.
     c.temps.assign(n_tiles, opt.t_amb_c.value());
@@ -178,12 +189,14 @@ std::vector<GuardbandResult> guardband_lockstep(const Implementation& impl,
       std::vector<std::vector<double>> batch_temps =
           corners[live.front()].tgrid->solve_batch(batch_power, batch_init, batch_amb,
                                                    &batch_cg);
-      const double solve_s = watch.lap();
+      // Each live corner is charged its share of the one traversal, so
+      // the phases a batch reports never exceed its wall time.
+      const double share_s = watch.lap() / static_cast<double>(live.size());
       for (std::size_t a = 0; a < live.size(); ++a) {
         const std::size_t k = live[a];
         new_temps[k] = std::move(batch_temps[a]);
         cg[k] = batch_cg[a];
-        corners[k].emit_phase(FlowPhase::Thermal, solve_s);
+        corners[k].emit_phase(FlowPhase::Thermal, share_s);
       }
     } else {
       for (std::size_t k : live) {

@@ -1,6 +1,8 @@
 #include "power/power.hpp"
 
+#include <array>
 #include <cassert>
+#include <limits>
 
 namespace taf::power {
 
@@ -100,11 +102,25 @@ PowerBreakdown compute_power(const coffe::DeviceModel& dev, const netlist::Netli
   };
 
   // --- Leakage: full per-tile inventory at the tile temperature.
+  // tile_leakage is a pure function of (tile kind, temperature), so each
+  // kind keeps its last evaluation; uniform maps (Algorithm 1's first
+  // iteration) then evaluate once per kind. Same refresh predicate as
+  // IncrementalSta: a NaN temperature never matches.
+  struct LeakageMemo {
+    double temp_c = std::numeric_limits<double>::quiet_NaN();
+    double uw = 0.0;
+  };
+  std::array<LeakageMemo, arch::kNumTileKinds> memo{};
   for (int y = 0; y < grid.height(); ++y) {
     for (int x = 0; x < grid.width(); ++x) {
       const double t = tile_temp_c[static_cast<std::size_t>(grid.index_of(x, y))];
-      add_uw({x, y}, tile_leakage(dev, grid.at(x, y), dev.arch, units::Celsius{t}).value(),
-             false);
+      const arch::TileKind kind = grid.at(x, y);
+      LeakageMemo& m = memo[static_cast<std::size_t>(kind)];
+      if (t != m.temp_c) {
+        m.temp_c = t;
+        m.uw = tile_leakage(dev, kind, dev.arch, units::Celsius{t}).value();
+      }
+      add_uw({x, y}, m.uw, false);
     }
   }
 

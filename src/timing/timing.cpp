@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <unordered_map>
 
 #include "util/log.hpp"
@@ -541,26 +540,99 @@ TimingResult IncrementalSta::analyze(const std::vector<double>& tile_temp_c,
                                      bool with_critical_path) {
   assert(static_cast<int>(tile_temp_c.size()) == n_tiles_);
 
-  // 1. Frontier: tiles whose delays must be re-derived.
+  // Frontier: tiles whose delays must be re-derived. An empty frontier
+  // leaves the cached analysis standing; a full one (the priming pass,
+  // and every Algorithm 1 iteration, since CG perturbs the whole map)
+  // has nothing to prune, so it skips the frontier bookkeeping.
   std::vector<int> dirty_tiles;
   for (int t = 0; t < n_tiles_; ++t) {
     const double temp = tile_temp_c[static_cast<std::size_t>(t)];
     const double base = base_temp_[static_cast<std::size_t>(t)];
     if (!primed_ || temp != base) dirty_tiles.push_back(t);
   }
-
-  if (primed_ && dirty_tiles.empty()) {
-    // Nothing to re-derive or propagate: the cached analysis stands.
-    TimingResult result;
-    result.critical_path_ps = units::Picoseconds{cached_cp_};
-    result.fmax_mhz = cached_cp_ > 0.0
-                          ? units::frequency_of(units::Picoseconds{cached_cp_})
-                          : units::Megahertz{0.0};
-    if (with_critical_path) reconstruct_critical_path(result);
-    return result;
+  if (static_cast<int>(dirty_tiles.size()) == n_tiles_) {
+    recompute_all(tile_temp_c);
+  } else if (!dirty_tiles.empty()) {
+    propagate_frontier(tile_temp_c, dirty_tiles);
   }
+  primed_ = true;
 
+  TimingResult result;
+  result.critical_path_ps = units::Picoseconds{cached_cp_};
+  result.fmax_mhz = cached_cp_ > 0.0 ? units::frequency_of(units::Picoseconds{cached_cp_})
+                                     : units::Megahertz{0.0};
+  if (with_critical_path) reconstruct_critical_path(result);
+  return result;
+}
+
+void IncrementalSta::recompute_all(const std::vector<double>& tile_temp_c) {
+  // The full pass's computation over the session's cached tables: every
+  // tile, connection total, BRAM launch, combinational arrival and
+  // capture value is recomputed once, with the same arithmetic and
+  // order (frozen DSP feedback edges still contribute 0).
+  for (int t = 0; t < n_tiles_; ++t) refresh_tile(t, tile_temp_c[static_cast<std::size_t>(t)]);
+  const auto n_conns = conn_total_.size();
+  for (std::size_t ci = 0; ci < n_conns; ++ci) {
+    conn_total_[ci] = conn_delay_total(static_cast<int>(ci));
+  }
+  counters_.edges_reevaluated += n_conns;
+
+  const auto n_prims = static_cast<PrimId>(prim_kind_.size());
+  for (PrimId p = 0; p < n_prims; ++p) {
+    if (prim_kind_[static_cast<std::size_t>(p)] == PrimKind::Bram) {
+      arrival_[static_cast<std::size_t>(p)] =
+          tile_delay(ResourceKind::Bram, prim_tile_[static_cast<std::size_t>(p)]);
+    }
+  }
+  for (PrimId id : an_->topo_) {
+    const PrimKind kind = prim_kind_[static_cast<std::size_t>(id)];
+    if (kind != PrimKind::Lut && kind != PrimKind::Dsp && kind != PrimKind::Output) continue;
+    arrival_[static_cast<std::size_t>(id)] = arrival_through(id);
+  }
+  for (std::size_t i = 0; i < captures_.size(); ++i) {
+    const CaptureEntry& e = captures_[i];
+    if (e.conn < 0) continue;
+    capture_val_[i] =
+        arrival_[static_cast<std::size_t>(conn_src_[static_cast<std::size_t>(e.conn)])] +
+        conn_total_[static_cast<std::size_t>(e.conn)] + e.setup_ps.value();
+  }
+  scan_captures();
+}
+
+double IncrementalSta::arrival_through(PrimId id) {
+  // The full pass's arrival expression: worst fanin arrival plus
+  // connection delay (first strict maximum wins), then the primitive's
+  // own tile-local delay.
+  double worst = 0.0;
+  int worst_conn = -1;
+  for (int i = conn_in_start_[static_cast<std::size_t>(id)];
+       i < conn_in_start_[static_cast<std::size_t>(id) + 1]; ++i) {
+    const int ci = conn_in_flat_[static_cast<std::size_t>(i)];
+    const double src_arr =
+        conn_src_frozen_[static_cast<std::size_t>(ci)]
+            ? 0.0
+            : arrival_[static_cast<std::size_t>(conn_src_[static_cast<std::size_t>(ci)])];
+    const double t = src_arr + conn_total_[static_cast<std::size_t>(ci)];
+    if (t > worst) {
+      worst = t;
+      worst_conn = ci;
+    }
+  }
+  crit_conn_[static_cast<std::size_t>(id)] = worst_conn;
+  const int tile = prim_tile_[static_cast<std::size_t>(id)];
+  const PrimKind kind = prim_kind_[static_cast<std::size_t>(id)];
+  if (kind == PrimKind::Lut) {
+    worst += tile_delay(ResourceKind::LocalMux, tile) + tile_delay(ResourceKind::Lut, tile);
+  } else if (kind == PrimKind::Dsp) {
+    worst += tile_delay(ResourceKind::Dsp, tile);
+  }
+  return worst;
+}
+
+void IncrementalSta::propagate_frontier(const std::vector<double>& tile_temp_c,
+                                        const std::vector<int>& dirty_tiles) {
   std::fill(node_pending_.begin(), node_pending_.end(), 0);
+  std::fill(conn_dirty_.begin(), conn_dirty_.end(), 0);
   std::vector<char> capture_pending(captures_.size(), 0);
 
   auto mark_fanout = [&](PrimId p) {
@@ -580,19 +652,22 @@ TimingResult IncrementalSta::analyze(const std::vector<double>& tile_temp_c,
     }
   };
 
-  // 2. Refresh the frontier's delay tables, then mark affected
-  // connections, tile-resident primitives, and BRAM launch times. When
-  // every tile moved (each Exact-mode loop iteration: CG perturbs the
-  // whole map) the per-tile incidence walk only rediscovers "everything";
-  // mark it all directly instead.
+  // 1. Refresh the frontier's delay tables, then mark affected
+  // connections, tile-resident primitives, and BRAM launch times.
   std::vector<int> dirty_conns;
   for (int t : dirty_tiles) refresh_tile(t, tile_temp_c[static_cast<std::size_t>(t)]);
-  if (static_cast<int>(dirty_tiles.size()) == n_tiles_) {
-    std::fill(conn_dirty_.begin(), conn_dirty_.end(), 1);
-    dirty_conns.resize(conn_dirty_.size());
-    std::iota(dirty_conns.begin(), dirty_conns.end(), 0);
-    const auto n_prims = static_cast<PrimId>(prim_kind_.size());
-    for (PrimId p = 0; p < n_prims; ++p) {
+  for (int t : dirty_tiles) {
+    for (int i = tile_conn_start_[static_cast<std::size_t>(t)];
+         i < tile_conn_start_[static_cast<std::size_t>(t) + 1]; ++i) {
+      const int ci = tile_conn_flat_[static_cast<std::size_t>(i)];
+      if (!conn_dirty_[static_cast<std::size_t>(ci)]) {
+        conn_dirty_[static_cast<std::size_t>(ci)] = 1;
+        dirty_conns.push_back(ci);
+      }
+    }
+    for (int i = tile_prim_start_[static_cast<std::size_t>(t)];
+         i < tile_prim_start_[static_cast<std::size_t>(t) + 1]; ++i) {
+      const PrimId p = tile_prim_flat_[static_cast<std::size_t>(i)];
       const PrimKind k = prim_kind_[static_cast<std::size_t>(p)];
       if (k == PrimKind::Bram) {
         const double launch =
@@ -601,35 +676,8 @@ TimingResult IncrementalSta::analyze(const std::vector<double>& tile_temp_c,
           arrival_[static_cast<std::size_t>(p)] = launch;
           mark_fanout(p);
         }
-      } else if (k == PrimKind::Lut || k == PrimKind::Dsp) {
+      } else {  // Lut / Dsp self-delay changed
         node_pending_[static_cast<std::size_t>(p)] = 1;
-      }
-    }
-  } else {
-    std::fill(conn_dirty_.begin(), conn_dirty_.end(), 0);
-    for (int t : dirty_tiles) {
-      for (int i = tile_conn_start_[static_cast<std::size_t>(t)];
-           i < tile_conn_start_[static_cast<std::size_t>(t) + 1]; ++i) {
-        const int ci = tile_conn_flat_[static_cast<std::size_t>(i)];
-        if (!conn_dirty_[static_cast<std::size_t>(ci)]) {
-          conn_dirty_[static_cast<std::size_t>(ci)] = 1;
-          dirty_conns.push_back(ci);
-        }
-      }
-      for (int i = tile_prim_start_[static_cast<std::size_t>(t)];
-           i < tile_prim_start_[static_cast<std::size_t>(t) + 1]; ++i) {
-        const PrimId p = tile_prim_flat_[static_cast<std::size_t>(i)];
-        const PrimKind k = prim_kind_[static_cast<std::size_t>(p)];
-        if (k == PrimKind::Bram) {
-          const double launch =
-              tile_delay(ResourceKind::Bram, prim_tile_[static_cast<std::size_t>(p)]);
-          if (launch != arrival_[static_cast<std::size_t>(p)]) {
-            arrival_[static_cast<std::size_t>(p)] = launch;
-            mark_fanout(p);
-          }
-        } else {  // Lut / Dsp self-delay changed
-          node_pending_[static_cast<std::size_t>(p)] = 1;
-        }
       }
     }
   }
@@ -645,43 +693,24 @@ TimingResult IncrementalSta::analyze(const std::vector<double>& tile_temp_c,
     }
   }
 
-  // 3. Repropagate arrivals downstream of the frontier, in the same
+  // 2. Repropagate arrivals downstream of the frontier, in the same
   // topological order (and with the same arithmetic) as the full pass.
   for (PrimId id : an_->topo_) {
     if (!node_pending_[static_cast<std::size_t>(id)]) continue;
-    const PrimKind kind = prim_kind_[static_cast<std::size_t>(id)];
-    double worst = 0.0;
-    int worst_conn = -1;
     for (int i = conn_in_start_[static_cast<std::size_t>(id)];
          i < conn_in_start_[static_cast<std::size_t>(id) + 1]; ++i) {
-      const int ci = conn_in_flat_[static_cast<std::size_t>(i)];
-      if (!conn_dirty_[static_cast<std::size_t>(ci)]) ++counters_.delay_cache_hits;
-      const double src_arr =
-          conn_src_frozen_[static_cast<std::size_t>(ci)]
-              ? 0.0
-              : arrival_[static_cast<std::size_t>(conn_src_[static_cast<std::size_t>(ci)])];
-      const double t = src_arr + conn_total_[static_cast<std::size_t>(ci)];
-      if (t > worst) {
-        worst = t;
-        worst_conn = ci;
+      if (!conn_dirty_[static_cast<std::size_t>(conn_in_flat_[static_cast<std::size_t>(i)])]) {
+        ++counters_.delay_cache_hits;
       }
     }
-    crit_conn_[static_cast<std::size_t>(id)] = worst_conn;
-    const int tile = prim_tile_[static_cast<std::size_t>(id)];
-    if (kind == PrimKind::Lut) {
-      worst += tile_delay(ResourceKind::LocalMux, tile) +
-               tile_delay(ResourceKind::Lut, tile);
-    } else if (kind == PrimKind::Dsp) {
-      worst += tile_delay(ResourceKind::Dsp, tile);
-    }
+    const double worst = arrival_through(id);
     if (worst != arrival_[static_cast<std::size_t>(id)]) {
       arrival_[static_cast<std::size_t>(id)] = worst;
       mark_fanout(id);
     }
   }
 
-  // 4. Refresh pending capture arrivals; rescan all captures for the
-  // critical path (same order and tie-breaking as the full pass).
+  // 3. Refresh pending capture arrivals, then rescan every capture.
   for (std::size_t i = 0; i < captures_.size(); ++i) {
     const CaptureEntry& e = captures_[i];
     if (e.conn < 0 || !capture_pending[i]) continue;
@@ -690,6 +719,11 @@ TimingResult IncrementalSta::analyze(const std::vector<double>& tile_temp_c,
         arrival_[static_cast<std::size_t>(conn_src_[static_cast<std::size_t>(e.conn)])] +
         conn_total_[static_cast<std::size_t>(e.conn)] + e.setup_ps.value();
   }
+  scan_captures();
+}
+
+void IncrementalSta::scan_captures() {
+  // Critical endpoint, with the full pass's order and tie-breaking.
   double cp = 0.0;
   PrimId cp_end = -1;
   int cp_end_conn = -1;
@@ -706,14 +740,6 @@ TimingResult IncrementalSta::analyze(const std::vector<double>& tile_temp_c,
   cached_cp_ = cp;
   cached_cp_end_ = cp_end;
   cached_cp_end_conn_ = cp_end_conn;
-  primed_ = true;
-
-  TimingResult result;
-  result.critical_path_ps = units::Picoseconds{cp};
-  result.fmax_mhz =
-      cp > 0.0 ? units::frequency_of(units::Picoseconds{cp}) : units::Megahertz{0.0};
-  if (with_critical_path) reconstruct_critical_path(result);
-  return result;
 }
 
 void IncrementalSta::reconstruct_critical_path(TimingResult& result) const {
@@ -725,21 +751,24 @@ void IncrementalSta::reconstruct_critical_path(TimingResult& result) const {
   int guard = 0;
   while (ci >= 0 && guard++ < static_cast<int>(n_prims)) {
     const auto& c = an_->connections_[static_cast<std::size_t>(ci)];
-    // Per-kind decomposition, mirroring conn_delay()'s order.
+    // Per-kind decomposition of the arc first, then folded into the
+    // path: the same association as the full pass's ArcDelay.
+    ArcDelay d;
     if (c.same_block) {
-      result.cp_breakdown[static_cast<std::size_t>(ResourceKind::FeedbackMux)] +=
-          tile_delay(ResourceKind::FeedbackMux, conn_src_tile_[static_cast<std::size_t>(ci)]);
+      d.add(ResourceKind::FeedbackMux,
+            tile_delay(ResourceKind::FeedbackMux, conn_src_tile_[static_cast<std::size_t>(ci)]));
     } else {
-      result.cp_breakdown[static_cast<std::size_t>(ResourceKind::OutputMux)] +=
-          tile_delay(ResourceKind::OutputMux, conn_src_tile_[static_cast<std::size_t>(ci)]);
+      d.add(ResourceKind::OutputMux,
+            tile_delay(ResourceKind::OutputMux, conn_src_tile_[static_cast<std::size_t>(ci)]));
       for (int w = wire_tile_start_[static_cast<std::size_t>(ci)];
            w < wire_tile_start_[static_cast<std::size_t>(ci) + 1]; ++w) {
-        result.cp_breakdown[static_cast<std::size_t>(ResourceKind::SbMux)] +=
-            tile_delay(ResourceKind::SbMux, wire_tile_flat_[static_cast<std::size_t>(w)]);
+        d.add(ResourceKind::SbMux,
+              tile_delay(ResourceKind::SbMux, wire_tile_flat_[static_cast<std::size_t>(w)]));
       }
-      result.cp_breakdown[static_cast<std::size_t>(ResourceKind::CbMux)] +=
-          tile_delay(ResourceKind::CbMux, conn_dst_tile_[static_cast<std::size_t>(ci)]);
+      d.add(ResourceKind::CbMux,
+            tile_delay(ResourceKind::CbMux, conn_dst_tile_[static_cast<std::size_t>(ci)]));
     }
+    for (std::size_t k = 0; k < d.by_kind.size(); ++k) result.cp_breakdown[k] += d.by_kind[k];
     cur = c.src;
     result.cp_prims.push_back(cur);
     const PrimKind kind = an_->nl_->prim(cur).kind;

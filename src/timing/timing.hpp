@@ -129,6 +129,9 @@ class TimingAnalyzer {
   /// STA with a uniform junction temperature (the conventional corner).
   TimingResult analyze_uniform(const coffe::DeviceModel& dev, units::Celsius temp) const;
 
+  /// Timing arcs between primitives: the edges one full pass evaluates.
+  std::size_t num_connections() const { return connections_.size(); }
+
  private:
   struct Connection {
     netlist::PrimId src;
@@ -160,7 +163,8 @@ class TimingAnalyzer {
 /// delay tables for every resource kind, per-connection delay totals, and
 /// the arrival/critical-arc state — then repropagates arrival times only
 /// downstream of the frontier of connections whose delay actually
-/// changed. Evaluation order and arithmetic mirror
+/// changed, or recomputes everything in one sweep when every tile moved
+/// (no frontier to prune). Evaluation order and arithmetic mirror
 /// TimingAnalyzer::analyze() expression for expression, so the results
 /// are bit-identical to a full recompute (DESIGN.md sec. 8).
 ///
@@ -186,6 +190,17 @@ class IncrementalSta {
   }
   void refresh_tile(int tile, double temp_c);
   double conn_delay_total(int ci) const;
+  /// Every tile moved: re-derive every delay and arrival in one
+  /// topological sweep (no frontier bookkeeping).
+  void recompute_all(const std::vector<double>& tile_temp_c);
+  /// Some tiles moved: repropagate downstream of their connections only.
+  void propagate_frontier(const std::vector<double>& tile_temp_c,
+                          const std::vector<int>& dirty_tiles);
+  /// Arrival at combinational prim `id` from the cached fanin state;
+  /// records its critical incoming connection.
+  double arrival_through(netlist::PrimId id);
+  /// Critical endpoint over all capture entries into cached_cp_*.
+  void scan_captures();
   void reconstruct_critical_path(TimingResult& result) const;
 
   using CaptureEntry = IncrementalTopology::CaptureEntry;

@@ -3,7 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <utility>
+#include <vector>
+
 #include "core/flow.hpp"
+#include "util/rng.hpp"
+#include "util/timer.hpp"
 
 namespace {
 
@@ -76,6 +84,101 @@ TEST(Power, TilePowersSumToTotals) {
   EXPECT_NEAR(sum, p.total_w().value(), 1e-9);
   EXPECT_GT(p.leakage_w.value(), 0.0);
   EXPECT_GT(p.dynamic_w.value(), 0.0);
+}
+
+/// compute_power without its leakage memo: tile_leakage evaluated at
+/// every tile, then the block and routing dynamic terms, accumulated in
+/// the same order.
+power::PowerBreakdown reference_power(const coffe::DeviceModel& dev,
+                                      const core::Implementation& impl, units::Megahertz f,
+                                      const std::vector<double>& temps) {
+  using coffe::ResourceKind;
+  power::PowerBreakdown r;
+  r.tile_w.assign(temps.size(), 0.0);
+  auto add_uw = [&](arch::TilePos pos, double uw, bool dynamic) {
+    const double w = uw * 1e-6;
+    r.tile_w[static_cast<std::size_t>(impl.grid.index_of(pos))] += w;
+    (dynamic ? r.dynamic_w : r.leakage_w) += units::Watts{w};
+  };
+  for (int y = 0; y < impl.grid.height(); ++y) {
+    for (int x = 0; x < impl.grid.width(); ++x) {
+      const double t = temps[static_cast<std::size_t>(impl.grid.index_of(x, y))];
+      add_uw({x, y},
+             power::tile_leakage(dev, impl.grid.at(x, y), dev.arch, units::Celsius{t}).value(),
+             false);
+    }
+  }
+  auto density = [&](netlist::NetId n) {
+    return n >= 0 && n < static_cast<netlist::NetId>(impl.activity.size())
+               ? impl.activity[static_cast<std::size_t>(n)].density
+               : 0.0;
+  };
+  for (netlist::PrimId id = 0; id < static_cast<netlist::PrimId>(impl.nl.prims().size());
+       ++id) {
+    const auto& p = impl.nl.prim(id);
+    const int block = impl.packed.block_of_prim[static_cast<std::size_t>(id)];
+    if (block < 0) continue;
+    const arch::TilePos pos = impl.placement.pos[static_cast<std::size_t>(block)];
+    const double alpha = p.output != netlist::kNoNet ? density(p.output) : 0.0;
+    if (p.kind == netlist::PrimKind::Lut) {
+      add_uw(pos, dev.dyn_power(ResourceKind::Lut, f, alpha).value(), true);
+      double in_alpha = 0.0;
+      for (netlist::NetId in : p.inputs)
+        if (in != netlist::kNoNet) in_alpha += density(in);
+      add_uw(pos, dev.dyn_power(ResourceKind::LocalMux, f, in_alpha).value(), true);
+      add_uw(pos, dev.dyn_power(ResourceKind::OutputMux, f, alpha).value(), true);
+    } else if (p.kind == netlist::PrimKind::Bram) {
+      add_uw(pos, dev.dyn_power(ResourceKind::Bram, f, 0.5 + alpha).value(), true);
+    } else if (p.kind == netlist::PrimKind::Dsp) {
+      add_uw(pos, dev.dyn_power(ResourceKind::Dsp, f, 0.25 + 0.5 * alpha).value(), true);
+    }
+  }
+  for (std::size_t bn = 0; bn < impl.packed.block_nets.size(); ++bn) {
+    const double alpha = density(impl.packed.block_nets[bn].net);
+    for (route::RrNodeId n : impl.routes.routes[bn].nodes) {
+      const route::RrNode& node = impl.rr.node(n);
+      if (node.kind == route::RrKind::WireH || node.kind == route::RrKind::WireV) {
+        add_uw(node.tile, dev.dyn_power(ResourceKind::SbMux, f, alpha).value(), true);
+      } else if (node.kind == route::RrKind::Ipin) {
+        add_uw(node.tile, dev.dyn_power(ResourceKind::CbMux, f, alpha).value(), true);
+      }
+    }
+  }
+  return r;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(Power, MatchesPerTileReferenceBitForBit) {
+  // compute_power reuses a tile kind's leakage while its temperature is
+  // unchanged; that must be invisible in every output bit. The NaN tile
+  // comes first in scan order, where a memo that matched NaN bit patterns
+  // would hand back its empty initial value instead of NaN.
+  const auto& impl = sha_impl();
+  const auto dev = characterizer().characterize(units::Celsius(25.0));
+  const auto n = static_cast<std::size_t>(impl.grid.num_tiles());
+  util::Rng rng(0x9071);
+  std::vector<double> random(n);
+  for (double& t : random) t = rng.uniform(25.0, 95.0);
+  std::vector<double> shared(n);
+  for (std::size_t i = 0; i < n; ++i) shared[i] = 40.0 + 5.0 * static_cast<double>(i % 3);
+  shared[static_cast<std::size_t>(impl.grid.index_of(0, 0))] =
+      std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<const char*, std::vector<double>>> maps = {
+      {"uniform", std::vector<double>(n, 45.0)}, {"random", random}, {"shared+nan", shared}};
+  for (const auto& [name, temps] : maps) {
+    SCOPED_TRACE(name);
+    const units::Megahertz f(180.0);
+    const auto got = power::compute_power(dev, impl.nl, impl.packed, impl.placement, impl.rr,
+                                          impl.routes, impl.activity, f, temps, impl.grid);
+    const auto want = reference_power(dev, impl, f, temps);
+    ASSERT_EQ(got.tile_w.size(), want.tile_w.size());
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(bits(got.tile_w[i]), bits(want.tile_w[i])) << "tile " << i;
+    }
+    EXPECT_EQ(bits(got.dynamic_w.value()), bits(want.dynamic_w.value()));
+    EXPECT_EQ(bits(got.leakage_w.value()), bits(want.leakage_w.value()));
+  }
 }
 
 TEST(Guardband, GainIsPositiveAtRoomAmbient) {
@@ -386,6 +489,28 @@ TEST(GuardbandBatch, FallbackPathsStayBitIdentical) {
       }
     }
   }
+}
+
+TEST(GuardbandBatch, PhasesSumToAtMostWallTime) {
+  // The shared thermal traversal is one stretch of wall time; charging
+  // it to every live corner would report more phase time than elapsed.
+  const auto dev = characterizer().characterize(units::Celsius(25.0));
+  double phase_s = 0.0;
+  core::FlowObserver obs;
+  obs.on_phase = [&](core::FlowPhase, units::Seconds s) { phase_s += s.value(); };
+  core::GuardbandOptions base;
+  base.delta_t_c = units::Kelvin(0.2);
+  base.observer = &obs;
+  std::vector<core::GuardbandCorner> corners;
+  for (int k = 0; k < 8; ++k) {
+    corners.push_back({units::Celsius(35.0 + 20.0 * k / 7.0), k % 2 == 0 ? 1.0 : 0.5});
+  }
+  const util::Stopwatch wall;
+  const auto batch = core::guardband_batch(sha_impl(), dev, base, corners);
+  const double wall_s = wall.seconds();
+  ASSERT_EQ(batch.size(), corners.size());
+  EXPECT_GT(phase_s, 0.0);
+  EXPECT_LE(phase_s, wall_s);
 }
 
 TEST(GuardbandBatch, EmptyAndSingletonBatches) {

@@ -5,16 +5,20 @@
 // identical iteration counts, bitwise-equal baseline, fmax within
 // 1e-9 MHz and tile temperatures within 1e-9 degC. Plus the metamorphic
 // zero-power check (one iteration, zero incremental work) and the
-// non-convergence flag/counter satellite.
+// non-convergence flag/counter satellite. The STA-level differential
+// drives one IncrementalSta session through every frontier shape (all,
+// some and no tiles moved) against TimingAnalyzer::analyze.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "core/flow.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -98,6 +102,65 @@ INSTANTIATE_TEST_SUITE_P(AllBenchmarks, IncrementalDifferential,
                                                            name_info.param)]
                                .name;
                          });
+
+class StaSessionDifferential : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(StaSessionDifferential, MatchesFullAnalyzerOnEveryFrontierShape) {
+  netlist::BenchmarkSpec spec;
+  for (const auto& s : suite()) {
+    if (s.name == GetParam()) spec = netlist::scaled(s, 1.0 / 16);
+  }
+  const auto impl = core::implement(spec, test_arch());
+  const timing::TimingAnalyzer& sta = *impl->sta;
+  const auto n_tiles = static_cast<std::size_t>(impl->grid.num_tiles());
+  const std::uint64_t n_conns = sta.num_connections();
+
+  // Seeded map sequence: every tile moves, then a tenth of them, then
+  // none, then every tile again (and once more for each shape).
+  enum class Moved { All, Some, None };
+  util::Rng rng(0x5eed0017);
+  std::vector<double> temps(n_tiles, 0.0);
+  timing::IncrementalSta session(sta, device());
+  for (const Moved moved : {Moved::All, Moved::Some, Moved::None, Moved::All, Moved::Some,
+                            Moved::None, Moved::All}) {
+    if (moved == Moved::All) {
+      for (double& t : temps) t = rng.uniform(25.0, 95.0);
+    } else if (moved == Moved::Some) {
+      for (std::size_t i = 0; i < n_tiles / 10; ++i) {
+        temps[rng.next_below(static_cast<std::uint32_t>(n_tiles))] += rng.uniform(0.1, 5.0);
+      }
+    }
+    const timing::StaCounters before = session.counters();
+    const timing::TimingResult inc = session.analyze(temps, /*with_critical_path=*/true);
+    const std::uint64_t edges = session.counters().edges_reevaluated - before.edges_reevaluated;
+    const std::uint64_t hits = session.counters().delay_cache_hits - before.delay_cache_hits;
+    const timing::TimingResult full = sta.analyze(device(), temps);
+
+    EXPECT_EQ(inc.fmax_mhz.value(), full.fmax_mhz.value());
+    EXPECT_EQ(inc.critical_path_ps.value(), full.critical_path_ps.value());
+    EXPECT_EQ(inc.cp_prims, full.cp_prims);
+    EXPECT_EQ(inc.cp_breakdown, full.cp_breakdown);
+    switch (moved) {
+      case Moved::All:
+        EXPECT_EQ(edges, n_conns);
+        EXPECT_EQ(hits, 0u);
+        break;
+      case Moved::Some:
+        EXPECT_GT(edges, 0u);
+        EXPECT_LT(edges, n_conns);
+        break;
+      case Moved::None:
+        EXPECT_EQ(edges, 0u);
+        EXPECT_EQ(hits, 0u);
+        break;
+    }
+  }
+}
+
+// LUT/FF only, DSP feedback (frozen edges), BRAM launch/capture, and both.
+INSTANTIATE_TEST_SUITE_P(SuiteDesigns, StaSessionDifferential,
+                         ::testing::Values("sha", "diffeq1", "mkPktMerge", "or1200"),
+                         [](const auto& name_info) { return std::string(name_info.param); });
 
 // Shared small implementation for the non-parameterized checks.
 const core::Implementation& sha_impl() {
