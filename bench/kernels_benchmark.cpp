@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks of the flow's computational kernels:
-// SPICE transient, Elmore evaluation, thermal solve, STA, routing and the
-// feedback edge's incremental reroute.
+// SPICE transient, Elmore evaluation, thermal solve, STA, power maps,
+// routing and the feedback edge's incremental reroute.
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +14,7 @@
 #include "route/router.hpp"
 #include "spice/solver.hpp"
 #include "thermal/thermal_grid.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -124,6 +125,58 @@ void BM_ThermalAwareSta(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ThermalAwareSta)->Unit(benchmark::kMillisecond);
+
+/// One uniform-map session analysis of stereovision0, alternating
+/// between two temperatures so every call moves every tile: the shape of
+/// Algorithm 1's worst-case baseline and priming passes.
+void BM_StaSessionUniform(benchmark::State& state) {
+  const auto& impl = bench::implementation_of("stereovision0");
+  const auto& dev = bench::device_at(25.0);
+  const auto n = static_cast<std::size_t>(impl.grid.num_tiles());
+  const std::vector<double> maps[2] = {std::vector<double>(n, 45.0),
+                                       std::vector<double>(n, 100.0)};
+  timing::IncrementalSta session(*impl.sta, dev);
+  std::size_t k = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(session.analyze(maps[k++ % 2], /*with_critical_path=*/false));
+  }
+}
+BENCHMARK(BM_StaSessionUniform)->Unit(benchmark::kMicrosecond);
+
+/// A seeded non-uniform temperature map for power-map benchmarks.
+std::vector<double> random_map(const core::Implementation& impl) {
+  util::Rng rng(0x90e7);
+  std::vector<double> temps(static_cast<std::size_t>(impl.grid.num_tiles()));
+  for (double& t : temps) t = rng.uniform(45.0, 85.0);
+  return temps;
+}
+
+/// stereovision0's power map priced from its prebuilt load table, the
+/// way Algorithm 1 prices it every iteration.
+void BM_PowerMapLoads(benchmark::State& state) {
+  const auto& impl = bench::implementation_of("stereovision0");
+  const auto& dev = bench::device_at(25.0);
+  const std::vector<double> temps = random_map(impl);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        power::compute_power(dev, impl.loads, units::Megahertz(150.0), temps, impl.grid));
+  }
+}
+BENCHMARK(BM_PowerMapLoads)->Unit(benchmark::kMicrosecond);
+
+/// The same map from the one-shot walk over netlist and routes, the way
+/// thermal_place prices a candidate placement.
+void BM_PowerMapOneShot(benchmark::State& state) {
+  const auto& impl = bench::implementation_of("stereovision0");
+  const auto& dev = bench::device_at(25.0);
+  const std::vector<double> temps = random_map(impl);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(power::compute_power(dev, impl.nl, impl.packed, impl.placement,
+                                                  impl.rr, impl.routes, impl.activity,
+                                                  units::Megahertz(150.0), temps, impl.grid));
+  }
+}
+BENCHMARK(BM_PowerMapOneShot)->Unit(benchmark::kMicrosecond);
 
 void BM_GuardbandFlow(benchmark::State& state) {
   const auto& impl = bench::implementation_of("sha");

@@ -136,9 +136,8 @@ std::vector<GuardbandResult> guardband_lockstep(const Implementation& impl,
   // consumed); the margin analysis below reconstructs it.
   auto run_power = [&](const CornerState& c, double f_mhz,
                        const std::vector<double>& t) {
-    power::PowerBreakdown p = power::compute_power(
-        dev, impl.nl, impl.packed, impl.placement, impl.rr, impl.routes,
-        impl.activity, units::Megahertz{f_mhz}, t, impl.grid);
+    power::PowerBreakdown p =
+        power::compute_power(dev, impl.loads, units::Megahertz{f_mhz}, t, impl.grid);
     if (c.opt->power_scale != 1.0) {
       for (double& w : p.tile_w) w *= c.opt->power_scale;
       p.dynamic_w *= c.opt->power_scale;

@@ -39,7 +39,9 @@ struct Implementation {
   route::RrGraph rr;
   route::RouteResult routes;
   std::vector<activity::SignalStats> activity;
+  // Derived from the final artifacts by the StaBuild stage; never stored.
   std::unique_ptr<timing::TimingAnalyzer> sta;
+  power::DynamicLoads loads;  ///< every dynamic-power term, priced per call
 
   Implementation(arch::ArchParams a, netlist::Netlist n, arch::FpgaGrid g)
       : arch(a), nl(std::move(n)), grid(g), rr(grid, arch) {}
@@ -50,7 +52,8 @@ struct Implementation {
 /// CAD/analysis phases reported through FlowObserver, as X(id, name):
 /// the FlowPhase enumerator and its report label, in enum order. The
 /// runner's sweep reports aggregate per-task time under these labels.
-/// StaBuild is TimingAnalyzer construction (the route-tree walk).
+/// StaBuild is TimingAnalyzer construction (the route-tree walk) plus the
+/// dynamic-load table.
 #define TAF_FLOW_PHASES(X) \
   X(Pack, "pack")          \
   X(Place, "place")        \

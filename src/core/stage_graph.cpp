@@ -330,9 +330,11 @@ void load_thermal_place(FlowBuild& b, std::string_view payload) {
 // --- StaBuild --------------------------------------------------------------
 
 void run_sta_build(FlowBuild& b) {
-  b.impl->sta = std::make_unique<timing::TimingAnalyzer>(
-      b.impl->nl, b.impl->packed, b.impl->placement, b.impl->rr, b.impl->routes,
-      b.impl->grid);
+  Implementation& impl = *b.impl;
+  impl.sta = std::make_unique<timing::TimingAnalyzer>(
+      impl.nl, impl.packed, impl.placement, impl.rr, impl.routes, impl.grid);
+  impl.loads = power::dynamic_loads(impl.nl, impl.packed, impl.placement, impl.rr,
+                                    impl.routes, impl.activity, impl.grid);
 }
 
 }  // namespace

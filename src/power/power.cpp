@@ -11,6 +11,126 @@ namespace {
 using coffe::ResourceKind;
 using netlist::PrimKind;
 
+double net_density(const std::vector<activity::SignalStats>& act, netlist::NetId n) {
+  return n >= 0 && n < static_cast<netlist::NetId>(act.size())
+             ? act[static_cast<std::size_t>(n)].density
+             : 0.0;
+}
+
+// The dynamic terms, defined once. Each visitor calls
+// emit(anchor, kind, activity) per term, in compute_power's order; the
+// term burns dev.dyn_power(kind, f, activity) in the anchor's tile.
+
+/// Block-anchored terms (LUT + local/output mux, BRAM, DSP switching);
+/// the anchor is the packed block.
+template <typename Emit>
+void for_each_block_term(const netlist::Netlist& nl, const pack::PackedNetlist& packed,
+                         const std::vector<activity::SignalStats>& act, Emit&& emit) {
+  for (netlist::PrimId id = 0; id < static_cast<netlist::PrimId>(nl.prims().size());
+       ++id) {
+    const auto& p = nl.prim(id);
+    const int block = packed.block_of_prim[static_cast<std::size_t>(id)];
+    if (block < 0) continue;
+    const double alpha = p.output != netlist::kNoNet ? net_density(act, p.output) : 0.0;
+    switch (p.kind) {
+      case PrimKind::Lut: {
+        emit(block, ResourceKind::Lut, alpha);
+        // Input muxes switch with the input nets.
+        double in_alpha = 0.0;
+        for (netlist::NetId in : p.inputs)
+          if (in != netlist::kNoNet) in_alpha += net_density(act, in);
+        emit(block, ResourceKind::LocalMux, in_alpha);
+        emit(block, ResourceKind::OutputMux, alpha);
+        break;
+      }
+      case PrimKind::Bram:
+        emit(block, ResourceKind::Bram, 0.5 + alpha);
+        break;
+      case PrimKind::Dsp:
+        emit(block, ResourceKind::Dsp, 0.25 + 0.5 * alpha);
+        break;
+      default:
+        break;
+    }
+  }
+}
+
+/// Routed-wire terms: each occupied wire burns one SB mux's switched
+/// energy in the tile that anchors (drives) it, each input pin one CB
+/// mux's. The anchor is the RR node's tile.
+template <typename Emit>
+void for_each_wire_term(const pack::PackedNetlist& packed, const route::RrGraph& rr,
+                        const route::RouteResult& routes,
+                        const std::vector<activity::SignalStats>& act, Emit&& emit) {
+  for (std::size_t bn = 0; bn < packed.block_nets.size(); ++bn) {
+    const double alpha = net_density(act, packed.block_nets[bn].net);
+    for (route::RrNodeId n : routes.routes[bn].nodes) {
+      const route::RrNode& node = rr.node(n);
+      switch (node.kind) {
+        case route::RrKind::WireH:
+        case route::RrKind::WireV:
+          emit(node.tile, ResourceKind::SbMux, alpha);
+          break;
+        case route::RrKind::Ipin:
+          emit(node.tile, ResourceKind::CbMux, alpha);
+          break;
+        case route::RrKind::Opin:
+          break;  // output mux accounted with the block
+      }
+    }
+  }
+}
+
+/// Every dynamic term with its tile index, blocks then wires.
+template <typename Emit>
+void for_each_dynamic_term(const netlist::Netlist& nl, const pack::PackedNetlist& packed,
+                           const place::Placement& pl, const route::RrGraph& rr,
+                           const route::RouteResult& routes,
+                           const std::vector<activity::SignalStats>& act,
+                           const arch::FpgaGrid& grid, Emit&& emit) {
+  for_each_block_term(nl, packed, act, [&](int block, ResourceKind k, double a) {
+    emit(grid.index_of(pl.pos[static_cast<std::size_t>(block)]), k, a);
+  });
+  for_each_wire_term(packed, rr, routes, act, [&](arch::TilePos pos, ResourceKind k,
+                                                  double a) {
+    emit(grid.index_of(pos), k, a);
+  });
+}
+
+/// A power map holding only leakage: the full per-tile inventory at the
+/// tile temperature. tile_leakage is a pure function of (tile kind,
+/// temperature), so each kind keeps its last evaluation; uniform maps
+/// (Algorithm 1's first iteration) then evaluate once per kind. Same
+/// refresh predicate as IncrementalSta: a NaN temperature never matches.
+PowerBreakdown leakage_map(const coffe::DeviceModel& dev,
+                           const std::vector<double>& tile_temp_c,
+                           const arch::FpgaGrid& grid) {
+  assert(static_cast<int>(tile_temp_c.size()) == grid.num_tiles());
+  PowerBreakdown result;
+  result.tile_w.assign(static_cast<std::size_t>(grid.num_tiles()), 0.0);
+  struct LeakageMemo {
+    double temp_c = std::numeric_limits<double>::quiet_NaN();
+    double uw = 0.0;
+  };
+  std::array<LeakageMemo, arch::kNumTileKinds> memo{};
+  for (int y = 0; y < grid.height(); ++y) {
+    for (int x = 0; x < grid.width(); ++x) {
+      const auto i = static_cast<std::size_t>(grid.index_of(x, y));
+      const double t = tile_temp_c[i];
+      const arch::TileKind kind = grid.at(x, y);
+      LeakageMemo& m = memo[static_cast<std::size_t>(kind)];
+      if (t != m.temp_c) {
+        m.temp_c = t;
+        m.uw = tile_leakage(dev, kind, dev.arch, units::Celsius{t}).value();
+      }
+      const double w = m.uw * 1e-6;
+      result.tile_w[i] += w;
+      result.leakage_w += units::Watts{w};
+    }
+  }
+  return result;
+}
+
 }  // namespace
 
 units::Microwatts tile_leakage(const coffe::DeviceModel& dev, arch::TileKind kind,
@@ -44,44 +164,33 @@ std::vector<double> block_dynamic_power(const coffe::DeviceModel& dev,
                                         const pack::PackedNetlist& packed,
                                         const std::vector<activity::SignalStats>& act,
                                         units::Megahertz f) {
-  // Mirrors the block-dynamic section of compute_power() term for term,
-  // binned by block instead of tile so the result is placement-free.
   std::vector<double> block_w(packed.blocks.size(), 0.0);
-  auto net_density = [&](netlist::NetId n) {
-    return n >= 0 && n < static_cast<netlist::NetId>(act.size())
-               ? act[static_cast<std::size_t>(n)].density
-               : 0.0;
-  };
-  auto add_uw = [&](int block, double uw) {
-    block_w[static_cast<std::size_t>(block)] += uw * 1e-6;
-  };
-  for (netlist::PrimId id = 0; id < static_cast<netlist::PrimId>(nl.prims().size());
-       ++id) {
-    const auto& p = nl.prim(id);
-    const int block = packed.block_of_prim[static_cast<std::size_t>(id)];
-    if (block < 0) continue;
-    const double alpha = p.output != netlist::kNoNet ? net_density(p.output) : 0.0;
-    switch (p.kind) {
-      case PrimKind::Lut: {
-        add_uw(block, dev.dyn_power(ResourceKind::Lut, f, alpha).value());
-        double in_alpha = 0.0;
-        for (netlist::NetId in : p.inputs)
-          if (in != netlist::kNoNet) in_alpha += net_density(in);
-        add_uw(block, dev.dyn_power(ResourceKind::LocalMux, f, in_alpha).value());
-        add_uw(block, dev.dyn_power(ResourceKind::OutputMux, f, alpha).value());
-        break;
-      }
-      case PrimKind::Bram:
-        add_uw(block, dev.dyn_power(ResourceKind::Bram, f, 0.5 + alpha).value());
-        break;
-      case PrimKind::Dsp:
-        add_uw(block, dev.dyn_power(ResourceKind::Dsp, f, 0.25 + 0.5 * alpha).value());
-        break;
-      default:
-        break;
-    }
-  }
+  for_each_block_term(nl, packed, act, [&](int block, ResourceKind k, double a) {
+    block_w[static_cast<std::size_t>(block)] += dev.dyn_power(k, f, a).value() * 1e-6;
+  });
   return block_w;
+}
+
+DynamicLoads dynamic_loads(const netlist::Netlist& nl, const pack::PackedNetlist& packed,
+                           const place::Placement& pl, const route::RrGraph& rr,
+                           const route::RouteResult& routes,
+                           const std::vector<activity::SignalStats>& act,
+                           const arch::FpgaGrid& grid) {
+  // Count first so the table is allocated at its exact size.
+  std::size_t n = 0;
+  for_each_dynamic_term(nl, packed, pl, rr, routes, act, grid,
+                        [&](int, ResourceKind, double) { ++n; });
+  DynamicLoads loads;
+  loads.tile.reserve(n);
+  loads.kind.reserve(n);
+  loads.activity.reserve(n);
+  for_each_dynamic_term(nl, packed, pl, rr, routes, act, grid,
+                        [&](int tile, ResourceKind k, double a) {
+                          loads.tile.push_back(tile);
+                          loads.kind.push_back(static_cast<std::uint8_t>(k));
+                          loads.activity.push_back(a);
+                        });
+  return loads;
 }
 
 PowerBreakdown compute_power(const coffe::DeviceModel& dev, const netlist::Netlist& nl,
@@ -91,98 +200,34 @@ PowerBreakdown compute_power(const coffe::DeviceModel& dev, const netlist::Netli
                              const std::vector<activity::SignalStats>& act,
                              units::Megahertz f, const std::vector<double>& tile_temp_c,
                              const arch::FpgaGrid& grid) {
-  assert(static_cast<int>(tile_temp_c.size()) == grid.num_tiles());
-  PowerBreakdown result;
-  result.tile_w.assign(static_cast<std::size_t>(grid.num_tiles()), 0.0);
+  PowerBreakdown result = leakage_map(dev, tile_temp_c, grid);
+  for_each_dynamic_term(nl, packed, pl, rr, routes, act, grid,
+                        [&](int tile, ResourceKind k, double a) {
+                          const double w = dev.dyn_power(k, f, a).value() * 1e-6;
+                          result.tile_w[static_cast<std::size_t>(tile)] += w;
+                          result.dynamic_w += units::Watts{w};
+                        });
+  return result;
+}
 
-  auto add_uw = [&](arch::TilePos pos, double uw, bool dynamic) {
-    const double w = uw * 1e-6;
-    result.tile_w[static_cast<std::size_t>(grid.index_of(pos))] += w;
-    (dynamic ? result.dynamic_w : result.leakage_w) += units::Watts{w};
-  };
-
-  // --- Leakage: full per-tile inventory at the tile temperature.
-  // tile_leakage is a pure function of (tile kind, temperature), so each
-  // kind keeps its last evaluation; uniform maps (Algorithm 1's first
-  // iteration) then evaluate once per kind. Same refresh predicate as
-  // IncrementalSta: a NaN temperature never matches.
-  struct LeakageMemo {
-    double temp_c = std::numeric_limits<double>::quiet_NaN();
-    double uw = 0.0;
-  };
-  std::array<LeakageMemo, arch::kNumTileKinds> memo{};
-  for (int y = 0; y < grid.height(); ++y) {
-    for (int x = 0; x < grid.width(); ++x) {
-      const double t = tile_temp_c[static_cast<std::size_t>(grid.index_of(x, y))];
-      const arch::TileKind kind = grid.at(x, y);
-      LeakageMemo& m = memo[static_cast<std::size_t>(kind)];
-      if (t != m.temp_c) {
-        m.temp_c = t;
-        m.uw = tile_leakage(dev, kind, dev.arch, units::Celsius{t}).value();
-      }
-      add_uw({x, y}, m.uw, false);
-    }
+PowerBreakdown compute_power(const coffe::DeviceModel& dev, const DynamicLoads& loads,
+                             units::Megahertz f, const std::vector<double>& tile_temp_c,
+                             const arch::FpgaGrid& grid) {
+  PowerBreakdown result = leakage_map(dev, tile_temp_c, grid);
+  // dyn_power is (pdyn * (f / 100)) * activity; alpha = 1 is exact, so
+  // pricing each kind once and multiplying by the activity is dyn_power's
+  // own product, term for term.
+  std::array<double, coffe::kNumResourceKinds> per_alpha{};
+  for (const ResourceKind k : coffe::all_resource_kinds()) {
+    per_alpha[static_cast<std::size_t>(k)] = dev.dyn_power(k, f, 1.0).value();
   }
-
-  // --- Dynamic: blocks.
-  auto net_density = [&](netlist::NetId n) {
-    return n >= 0 && n < static_cast<netlist::NetId>(act.size())
-               ? act[static_cast<std::size_t>(n)].density
-               : 0.0;
-  };
-  for (netlist::PrimId id = 0; id < static_cast<netlist::PrimId>(nl.prims().size());
-       ++id) {
-    const auto& p = nl.prim(id);
-    const int block = packed.block_of_prim[static_cast<std::size_t>(id)];
-    if (block < 0) continue;
-    const arch::TilePos pos = pl.pos[static_cast<std::size_t>(block)];
-    const double alpha = p.output != netlist::kNoNet ? net_density(p.output) : 0.0;
-    switch (p.kind) {
-      case PrimKind::Lut: {
-        add_uw(pos, dev.dyn_power(ResourceKind::Lut, f, alpha).value(), true);
-        // Input muxes switch with the input nets.
-        double in_alpha = 0.0;
-        for (netlist::NetId in : p.inputs)
-          if (in != netlist::kNoNet) in_alpha += net_density(in);
-        add_uw(pos, dev.dyn_power(ResourceKind::LocalMux, f, in_alpha).value(), true);
-        add_uw(pos, dev.dyn_power(ResourceKind::OutputMux, f, alpha).value(), true);
-        break;
-      }
-      case PrimKind::Bram:
-        add_uw(pos, dev.dyn_power(ResourceKind::Bram, f, 0.5 + alpha).value(), true);
-        break;
-      case PrimKind::Dsp:
-        add_uw(pos, dev.dyn_power(ResourceKind::Dsp, f, 0.25 + 0.5 * alpha).value(), true);
-        break;
-      default:
-        break;
-    }
+  double dynamic = 0.0;
+  for (std::size_t i = 0; i < loads.tile.size(); ++i) {
+    const double w = per_alpha[loads.kind[i]] * loads.activity[i] * 1e-6;
+    result.tile_w[static_cast<std::size_t>(loads.tile[i])] += w;
+    dynamic += w;
   }
-
-  // --- Dynamic: routing. Each occupied wire burns one SB mux's switched
-  // energy in the tile that anchors (drives) it.
-  for (std::size_t bn = 0; bn < packed.block_nets.size(); ++bn) {
-    const auto& net = packed.block_nets[bn];
-    const double alpha = net_density(net.net);
-    const route::NetRoute& nr = routes.routes[bn];
-    for (route::RrNodeId n : nr.nodes) {
-      const route::RrNode& node = rr.node(n);
-      switch (node.kind) {
-        case route::RrKind::WireH:
-        case route::RrKind::WireV:
-          add_uw(node.tile, dev.dyn_power(ResourceKind::SbMux, f, alpha).value(), true);
-          break;
-        case route::RrKind::Ipin:
-          add_uw(node.tile, dev.dyn_power(ResourceKind::CbMux, f, alpha).value(), true);
-          break;
-        case route::RrKind::Opin:
-          break;  // output mux accounted with the block
-      }
-    }
-    // Intra-block feedback connections switch the feedback muxes.
-    (void)nl;
-  }
-
+  result.dynamic_w = units::Watts{dynamic};
   return result;
 }
 

@@ -9,7 +9,12 @@
 // alpha=1) by each net's estimated activity and the design frequency;
 // routed wires burn SB-mux energy in the tile that drives them, so the
 // spatial power distribution tracks the routing, as the paper requires.
+// The dynamic terms are LUT, local-mux, output-mux, BRAM and DSP
+// switching per primitive, plus one SB mux per routed wire and one CB mux
+// per routed input pin. Intra-block feedback connections add no term: the
+// feedback muxes only leak.
 
+#include <cstdint>
 #include <vector>
 
 #include "activity/activity.hpp"
@@ -51,14 +56,41 @@ std::vector<double> block_dynamic_power(const coffe::DeviceModel& dev,
                                         const std::vector<activity::SignalStats>& act,
                                         units::Megahertz f);
 
+/// Every dynamic term of one implementation, in the order compute_power()
+/// adds them: the tile that burns the term (FpgaGrid::index_of), its
+/// resource kind (coffe::ResourceKind) and the activity argument of
+/// DeviceModel::dyn_power. Neither the device nor the frequency enters,
+/// so core::Implementation builds the table once and prices it at every
+/// (f, temperature map). Struct of arrays: 13 bytes per term.
+struct DynamicLoads {
+  std::vector<std::int32_t> tile;
+  std::vector<std::uint8_t> kind;
+  std::vector<double> activity;
+
+  bool operator==(const DynamicLoads&) const = default;
+};
+
+DynamicLoads dynamic_loads(const netlist::Netlist& nl, const pack::PackedNetlist& packed,
+                           const place::Placement& pl, const route::RrGraph& rr,
+                           const route::RouteResult& routes,
+                           const std::vector<activity::SignalStats>& act,
+                           const arch::FpgaGrid& grid);
+
 /// Full power map for an implemented design at frequency f and the given
-/// per-tile temperatures.
+/// per-tile temperatures. One-shot: walks the netlist and routes in
+/// place, allocating only the result.
 PowerBreakdown compute_power(const coffe::DeviceModel& dev,
                              const netlist::Netlist& nl,
                              const pack::PackedNetlist& packed,
                              const place::Placement& pl, const route::RrGraph& rr,
                              const route::RouteResult& routes,
                              const std::vector<activity::SignalStats>& act,
+                             units::Megahertz f, const std::vector<double>& tile_temp_c,
+                             const arch::FpgaGrid& grid);
+
+/// The same power map priced from a prebuilt table: bit-identical to the
+/// overload above on the artifacts the table was built from.
+PowerBreakdown compute_power(const coffe::DeviceModel& dev, const DynamicLoads& loads,
                              units::Megahertz f, const std::vector<double>& tile_temp_c,
                              const arch::FpgaGrid& grid);
 

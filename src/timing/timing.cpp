@@ -1,6 +1,7 @@
 #include "timing/timing.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -315,6 +316,7 @@ void IncrementalTopology::build(const TimingAnalyzer& an) {
       for (const arch::TilePos& wt : c.wire_tiles) {
         wire_tile_flat_.push_back(an.grid_->index_of(wt));
       }
+      max_hops_ = std::max(max_hops_, static_cast<int>(c.wire_tiles.size()));
     }
   }
   wire_tile_start_[n_conns] = static_cast<int>(wire_tile_flat_.size());
@@ -507,6 +509,7 @@ IncrementalSta::IncrementalSta(const TimingAnalyzer& analyzer,
 
   conn_dirty_.assign(n_conns, 0);
   node_pending_.assign(n_prims, 0);
+  hop_total_.assign(static_cast<std::size_t>(analyzer.inc_topo_.max_hops_) + 1, 0.0);
 }
 
 void IncrementalSta::refresh_tile(int tile, double temp_c) {
@@ -543,16 +546,28 @@ TimingResult IncrementalSta::analyze(const std::vector<double>& tile_temp_c,
   // Frontier: tiles whose delays must be re-derived. An empty frontier
   // leaves the cached analysis standing; a full one (the priming pass,
   // and every Algorithm 1 iteration, since CG perturbs the whole map)
-  // has nothing to prune, so it skips the frontier bookkeeping.
-  std::vector<int> dirty_tiles;
+  // has nothing to prune, so it skips the frontier bookkeeping. The same
+  // scan notes whether the map is uniform: every tile bitwise equal.
+  auto moved = [&](int t) {
+    return !primed_ || tile_temp_c[static_cast<std::size_t>(t)] !=
+                           base_temp_[static_cast<std::size_t>(t)];
+  };
+  const auto first = std::bit_cast<std::uint64_t>(tile_temp_c.front());
+  int n_moved = 0;
+  bool uniform = true;
   for (int t = 0; t < n_tiles_; ++t) {
-    const double temp = tile_temp_c[static_cast<std::size_t>(t)];
-    const double base = base_temp_[static_cast<std::size_t>(t)];
-    if (!primed_ || temp != base) dirty_tiles.push_back(t);
+    if (moved(t)) ++n_moved;
+    uniform = uniform &&
+              std::bit_cast<std::uint64_t>(tile_temp_c[static_cast<std::size_t>(t)]) == first;
   }
-  if (static_cast<int>(dirty_tiles.size()) == n_tiles_) {
-    recompute_all(tile_temp_c);
-  } else if (!dirty_tiles.empty()) {
+  if (n_moved == n_tiles_) {
+    recompute_all(tile_temp_c, uniform);
+  } else if (n_moved > 0) {
+    std::vector<int> dirty_tiles;
+    dirty_tiles.reserve(static_cast<std::size_t>(n_moved));
+    for (int t = 0; t < n_tiles_; ++t) {
+      if (moved(t)) dirty_tiles.push_back(t);
+    }
     propagate_frontier(tile_temp_c, dirty_tiles);
   }
   primed_ = true;
@@ -565,15 +580,33 @@ TimingResult IncrementalSta::analyze(const std::vector<double>& tile_temp_c,
   return result;
 }
 
-void IncrementalSta::recompute_all(const std::vector<double>& tile_temp_c) {
+void IncrementalSta::recompute_all(const std::vector<double>& tile_temp_c, bool uniform) {
   // The full pass's computation over the session's cached tables: every
   // tile, connection total, BRAM launch, combinational arrival and
   // capture value is recomputed once, with the same arithmetic and
   // order (frozen DSP feedback edges still contribute 0).
   for (int t = 0; t < n_tiles_; ++t) refresh_tile(t, tile_temp_c[static_cast<std::size_t>(t)]);
   const auto n_conns = conn_total_.size();
-  for (std::size_t ci = 0; ci < n_conns; ++ci) {
-    conn_total_[ci] = conn_delay_total(static_cast<int>(ci));
+  if (uniform) {
+    // Every tile holds the same delays, so a connection's total depends
+    // only on its hop count. Each count's total is accumulated in
+    // conn_delay_total's order: output mux, h SB hops, CB mux.
+    double wires = 0.0 + tile_delay(ResourceKind::OutputMux, 0);
+    for (double& total : hop_total_) {
+      total = wires + tile_delay(ResourceKind::CbMux, 0);
+      wires += tile_delay(ResourceKind::SbMux, 0);
+    }
+    const double feedback = 0.0 + tile_delay(ResourceKind::FeedbackMux, 0);
+    for (std::size_t ci = 0; ci < n_conns; ++ci) {
+      conn_total_[ci] = conn_same_block_[ci]
+                            ? feedback
+                            : hop_total_[static_cast<std::size_t>(wire_tile_start_[ci + 1] -
+                                                                  wire_tile_start_[ci])];
+    }
+  } else {
+    for (std::size_t ci = 0; ci < n_conns; ++ci) {
+      conn_total_[ci] = conn_delay_total(static_cast<int>(ci));
+    }
   }
   counters_.edges_reevaluated += n_conns;
 

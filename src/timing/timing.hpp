@@ -104,6 +104,7 @@ struct IncrementalTopology {
   std::vector<char> conn_src_frozen_;
   std::vector<int> wire_tile_flat_;             ///< all conns' wire tiles, CSR
   std::vector<int> wire_tile_start_;            ///< CSR offsets into wire_tile_flat_
+  int max_hops_ = 0;                            ///< most wire tiles on one conn
   std::vector<int> tile_conn_flat_;             ///< conns touching a tile, CSR
   std::vector<int> tile_conn_start_;
   std::vector<netlist::PrimId> tile_prim_flat_; ///< tile-delayed prims, CSR
@@ -164,7 +165,8 @@ class TimingAnalyzer {
 /// the arrival/critical-arc state — then repropagates arrival times only
 /// downstream of the frontier of connections whose delay actually
 /// changed, or recomputes everything in one sweep when every tile moved
-/// (no frontier to prune). Evaluation order and arithmetic mirror
+/// (no frontier to prune; on a uniform map each connection total is then
+/// looked up by hop count). Evaluation order and arithmetic mirror
 /// TimingAnalyzer::analyze() expression for expression, so the results
 /// are bit-identical to a full recompute (DESIGN.md sec. 8).
 ///
@@ -191,8 +193,9 @@ class IncrementalSta {
   void refresh_tile(int tile, double temp_c);
   double conn_delay_total(int ci) const;
   /// Every tile moved: re-derive every delay and arrival in one
-  /// topological sweep (no frontier bookkeeping).
-  void recompute_all(const std::vector<double>& tile_temp_c);
+  /// topological sweep (no frontier bookkeeping). `uniform`: every tile
+  /// holds the same temperature bit pattern.
+  void recompute_all(const std::vector<double>& tile_temp_c, bool uniform);
   /// Some tiles moved: repropagate downstream of their connections only.
   void propagate_frontier(const std::vector<double>& tile_temp_c,
                           const std::vector<int>& dirty_tiles);
@@ -251,6 +254,7 @@ class IncrementalSta {
   // Per-call scratch.
   std::vector<char> conn_dirty_;
   std::vector<char> node_pending_;
+  std::vector<double> hop_total_;     ///< uniform-map total per hop count [ps]
 
   StaCounters counters_;
 };

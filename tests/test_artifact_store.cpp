@@ -9,10 +9,8 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -27,6 +25,7 @@
 #include "runner/artifact_store.hpp"
 #include "runner/flow_cache.hpp"
 #include "runner/metrics.hpp"
+#include "temp_dir.hpp"
 #include "util/codec.hpp"
 
 namespace {
@@ -50,21 +49,7 @@ netlist::BenchmarkSpec spec_of(const char* name) {
   return {};
 }
 
-/// Fresh directory under the system temp dir; removed by the guard.
-struct TempDir {
-  TempDir() {
-    std::string tmpl = (fs::temp_directory_path() / "taf_store_XXXXXX").string();
-    if (::mkdtemp(tmpl.data()) == nullptr) {
-      throw std::runtime_error("mkdtemp failed");
-    }
-    path = tmpl;
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-  std::string path;
-};
+using testutil::TempDir;
 
 /// The four storable artifacts of an implementation, as codec payloads.
 std::vector<std::string> artifact_bytes(const core::Implementation& impl) {

@@ -10,6 +10,9 @@
 #include <vector>
 
 #include "core/flow.hpp"
+#include "runner/artifact_store.hpp"
+#include "runner/flow_cache.hpp"
+#include "temp_dir.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -88,13 +91,21 @@ TEST(Power, TilePowersSumToTotals) {
 
 /// compute_power without its leakage memo: tile_leakage evaluated at
 /// every tile, then the block and routing dynamic terms, accumulated in
-/// the same order.
-power::PowerBreakdown reference_power(const coffe::DeviceModel& dev,
-                                      const core::Implementation& impl, units::Megahertz f,
-                                      const std::vector<double>& temps) {
+/// the same order. The block terms are also binned by block, the way
+/// block_dynamic_power bins them.
+struct ReferencePower {
+  power::PowerBreakdown map;
+  std::vector<double> block_w;
+};
+
+ReferencePower reference_power(const coffe::DeviceModel& dev,
+                               const core::Implementation& impl, units::Megahertz f,
+                               const std::vector<double>& temps) {
   using coffe::ResourceKind;
-  power::PowerBreakdown r;
+  ReferencePower ref;
+  power::PowerBreakdown& r = ref.map;
   r.tile_w.assign(temps.size(), 0.0);
+  ref.block_w.assign(impl.packed.blocks.size(), 0.0);
   auto add_uw = [&](arch::TilePos pos, double uw, bool dynamic) {
     const double w = uw * 1e-6;
     r.tile_w[static_cast<std::size_t>(impl.grid.index_of(pos))] += w;
@@ -119,18 +130,22 @@ power::PowerBreakdown reference_power(const coffe::DeviceModel& dev,
     const int block = impl.packed.block_of_prim[static_cast<std::size_t>(id)];
     if (block < 0) continue;
     const arch::TilePos pos = impl.placement.pos[static_cast<std::size_t>(block)];
+    auto add_block_uw = [&](double uw) {
+      add_uw(pos, uw, true);
+      ref.block_w[static_cast<std::size_t>(block)] += uw * 1e-6;
+    };
     const double alpha = p.output != netlist::kNoNet ? density(p.output) : 0.0;
     if (p.kind == netlist::PrimKind::Lut) {
-      add_uw(pos, dev.dyn_power(ResourceKind::Lut, f, alpha).value(), true);
+      add_block_uw(dev.dyn_power(ResourceKind::Lut, f, alpha).value());
       double in_alpha = 0.0;
       for (netlist::NetId in : p.inputs)
         if (in != netlist::kNoNet) in_alpha += density(in);
-      add_uw(pos, dev.dyn_power(ResourceKind::LocalMux, f, in_alpha).value(), true);
-      add_uw(pos, dev.dyn_power(ResourceKind::OutputMux, f, alpha).value(), true);
+      add_block_uw(dev.dyn_power(ResourceKind::LocalMux, f, in_alpha).value());
+      add_block_uw(dev.dyn_power(ResourceKind::OutputMux, f, alpha).value());
     } else if (p.kind == netlist::PrimKind::Bram) {
-      add_uw(pos, dev.dyn_power(ResourceKind::Bram, f, 0.5 + alpha).value(), true);
+      add_block_uw(dev.dyn_power(ResourceKind::Bram, f, 0.5 + alpha).value());
     } else if (p.kind == netlist::PrimKind::Dsp) {
-      add_uw(pos, dev.dyn_power(ResourceKind::Dsp, f, 0.25 + 0.5 * alpha).value(), true);
+      add_block_uw(dev.dyn_power(ResourceKind::Dsp, f, 0.25 + 0.5 * alpha).value());
     }
   }
   for (std::size_t bn = 0; bn < impl.packed.block_nets.size(); ++bn) {
@@ -144,16 +159,27 @@ power::PowerBreakdown reference_power(const coffe::DeviceModel& dev,
       }
     }
   }
-  return r;
+  return ref;
 }
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_same_bits(const power::PowerBreakdown& got, const power::PowerBreakdown& want) {
+  ASSERT_EQ(got.tile_w.size(), want.tile_w.size());
+  for (std::size_t i = 0; i < want.tile_w.size(); ++i) {
+    ASSERT_EQ(bits(got.tile_w[i]), bits(want.tile_w[i])) << "tile " << i;
+  }
+  EXPECT_EQ(bits(got.dynamic_w.value()), bits(want.dynamic_w.value()));
+  EXPECT_EQ(bits(got.leakage_w.value()), bits(want.leakage_w.value()));
+}
 
 TEST(Power, MatchesPerTileReferenceBitForBit) {
   // compute_power reuses a tile kind's leakage while its temperature is
   // unchanged; that must be invisible in every output bit. The NaN tile
   // comes first in scan order, where a memo that matched NaN bit patterns
-  // would hand back its empty initial value instead of NaN.
+  // would hand back its empty initial value instead of NaN. The one-shot
+  // walk, the implementation's load table and the per-block bins must all
+  // reproduce the reference's sums.
   const auto& impl = sha_impl();
   const auto dev = characterizer().characterize(units::Celsius(25.0));
   const auto n = static_cast<std::size_t>(impl.grid.num_tiles());
@@ -169,16 +195,68 @@ TEST(Power, MatchesPerTileReferenceBitForBit) {
   for (const auto& [name, temps] : maps) {
     SCOPED_TRACE(name);
     const units::Megahertz f(180.0);
-    const auto got = power::compute_power(dev, impl.nl, impl.packed, impl.placement, impl.rr,
-                                          impl.routes, impl.activity, f, temps, impl.grid);
-    const auto want = reference_power(dev, impl, f, temps);
-    ASSERT_EQ(got.tile_w.size(), want.tile_w.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(bits(got.tile_w[i]), bits(want.tile_w[i])) << "tile " << i;
+    const ReferencePower want = reference_power(dev, impl, f, temps);
+    {
+      SCOPED_TRACE("one-shot");
+      expect_same_bits(power::compute_power(dev, impl.nl, impl.packed, impl.placement, impl.rr,
+                                            impl.routes, impl.activity, f, temps, impl.grid),
+                       want.map);
     }
-    EXPECT_EQ(bits(got.dynamic_w.value()), bits(want.dynamic_w.value()));
-    EXPECT_EQ(bits(got.leakage_w.value()), bits(want.leakage_w.value()));
+    {
+      SCOPED_TRACE("load table");
+      expect_same_bits(power::compute_power(dev, impl.loads, f, temps, impl.grid), want.map);
+    }
+    const std::vector<double> block_w =
+        power::block_dynamic_power(dev, impl.nl, impl.packed, impl.activity, f);
+    ASSERT_EQ(block_w.size(), want.block_w.size());
+    for (std::size_t b = 0; b < block_w.size(); ++b) {
+      ASSERT_EQ(bits(block_w[b]), bits(want.block_w[b])) << "block " << b;
+    }
   }
+}
+
+power::DynamicLoads loads_of_artifacts(const core::Implementation& impl) {
+  return power::dynamic_loads(impl.nl, impl.packed, impl.placement, impl.rr, impl.routes,
+                              impl.activity, impl.grid);
+}
+
+TEST(Power, LoadsMatchFinalArtifacts) {
+  // The table is built once per implementation, from the final placement
+  // and routes: after thermal_place moved blocks, and after the stages
+  // were reloaded from the artifact store instead of computed.
+  EXPECT_FALSE(sha_impl().loads.tile.empty());
+  EXPECT_TRUE(sha_impl().loads == loads_of_artifacts(sha_impl()));
+
+  const coffe::DeviceModel dev = coffe::Characterizer::paper_table2_reference();
+  core::ImplementOptions aware;
+  aware.thermal_place.enabled = true;
+  aware.thermal_place.device = &dev;
+  netlist::BenchmarkSpec spec;
+  for (const auto& s : netlist::vtr_suite()) {
+    if (s.name == "diffeq1") spec = s;
+  }
+  constexpr double kScale = 1.0 / 16;
+  const auto blind = core::implement(netlist::scaled(spec, kScale), test_arch());
+  const auto refined = core::implement(netlist::scaled(spec, kScale), test_arch(), aware);
+  ASSERT_NE(refined->placement.pos, blind->placement.pos) << "thermal_place moved nothing";
+  EXPECT_TRUE(refined->loads == loads_of_artifacts(*refined));
+  EXPECT_FALSE(refined->loads == blind->loads);
+
+  const testutil::TempDir dir;
+  {
+    runner::ArtifactStore store(dir.path);
+    runner::FlowCache cache;
+    cache.set_artifact_store(&store);
+    cache.implementation(spec, test_arch(), kScale, aware);
+    ASSERT_EQ(cache.stats().disk_writes, 5u);
+  }
+  runner::ArtifactStore store(dir.path);
+  runner::FlowCache cache;
+  cache.set_artifact_store(&store);
+  const core::Implementation& warm = cache.implementation(spec, test_arch(), kScale, aware);
+  ASSERT_EQ(cache.stats().disk_hits, 5u);
+  EXPECT_TRUE(warm.loads == loads_of_artifacts(warm));
+  EXPECT_TRUE(warm.loads == refined->loads);
 }
 
 TEST(Guardband, GainIsPositiveAtRoomAmbient) {

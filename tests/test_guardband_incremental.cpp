@@ -115,16 +115,26 @@ TEST_P(StaSessionDifferential, MatchesFullAnalyzerOnEveryFrontierShape) {
   const auto n_tiles = static_cast<std::size_t>(impl->grid.num_tiles());
   const std::uint64_t n_conns = sta.num_connections();
 
-  // Seeded map sequence: every tile moves, then a tenth of them, then
-  // none, then every tile again (and once more for each shape).
-  enum class Moved { All, Some, None };
+  // Seeded map sequence: a uniform map as the first call and again at a
+  // new temperature, then every tile moves, then a uniform map right
+  // after it, then a tenth of the tiles, then none, and so on. A uniform
+  // map moves every tile, so it takes the dense pass priced by hop count.
+  // Uniform temperatures come from their own stream, so the other shapes
+  // pick the same tiles as without them.
+  enum class Moved { All, Uniform, Some, None };
   util::Rng rng(0x5eed0017);
+  util::Rng uniform_rng(0x5eed0018);
   std::vector<double> temps(n_tiles, 0.0);
   timing::IncrementalSta session(sta, device());
-  for (const Moved moved : {Moved::All, Moved::Some, Moved::None, Moved::All, Moved::Some,
-                            Moved::None, Moved::All}) {
+  for (const Moved moved :
+       {Moved::Uniform, Moved::Uniform, Moved::All, Moved::Uniform, Moved::Some, Moved::None,
+        Moved::All, Moved::Some, Moved::None, Moved::All}) {
     if (moved == Moved::All) {
       for (double& t : temps) t = rng.uniform(25.0, 95.0);
+    } else if (moved == Moved::Uniform) {
+      const double t = uniform_rng.uniform(25.0, 95.0);
+      ASSERT_NE(t, temps.front());
+      temps.assign(n_tiles, t);
     } else if (moved == Moved::Some) {
       for (std::size_t i = 0; i < n_tiles / 10; ++i) {
         temps[rng.next_below(static_cast<std::uint32_t>(n_tiles))] += rng.uniform(0.1, 5.0);
@@ -140,8 +150,17 @@ TEST_P(StaSessionDifferential, MatchesFullAnalyzerOnEveryFrontierShape) {
     EXPECT_EQ(inc.critical_path_ps.value(), full.critical_path_ps.value());
     EXPECT_EQ(inc.cp_prims, full.cp_prims);
     EXPECT_EQ(inc.cp_breakdown, full.cp_breakdown);
+    if (moved == Moved::Uniform) {
+      const timing::TimingResult oracle =
+          sta.analyze_uniform(device(), units::Celsius(temps.front()));
+      EXPECT_EQ(inc.fmax_mhz.value(), oracle.fmax_mhz.value());
+      EXPECT_EQ(inc.critical_path_ps.value(), oracle.critical_path_ps.value());
+      EXPECT_EQ(inc.cp_prims, oracle.cp_prims);
+      EXPECT_EQ(inc.cp_breakdown, oracle.cp_breakdown);
+    }
     switch (moved) {
       case Moved::All:
+      case Moved::Uniform:
         EXPECT_EQ(edges, n_conns);
         EXPECT_EQ(hits, 0u);
         break;

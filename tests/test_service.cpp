@@ -20,8 +20,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -33,6 +31,7 @@
 #include "service/guardband_server.hpp"
 #include "service/protocol.hpp"
 #include "service/socket_transport.hpp"
+#include "temp_dir.hpp"
 
 namespace {
 
@@ -41,18 +40,7 @@ using service::GuardbandServer;
 using service::ServerConfig;
 namespace protocol = service::protocol;
 
-struct TempDir {
-  TempDir() {
-    std::string tmpl = "/tmp/taf-service-XXXXXX";
-    if (::mkdtemp(tmpl.data()) == nullptr) throw std::runtime_error("mkdtemp failed");
-    path = tmpl;
-  }
-  ~TempDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path, ec);
-  }
-  std::string path;
-};
+using testutil::TempDir;
 
 /// Small designs only: the suite runs under TSan in CI.
 ServerConfig small_config(int threads) {
