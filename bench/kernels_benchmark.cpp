@@ -143,13 +143,29 @@ void BM_StaSessionUniform(benchmark::State& state) {
 }
 BENCHMARK(BM_StaSessionUniform)->Unit(benchmark::kMicrosecond);
 
-/// A seeded non-uniform temperature map for power-map benchmarks.
-std::vector<double> random_map(const core::Implementation& impl) {
-  util::Rng rng(0x90e7);
+/// A seeded non-uniform temperature map.
+std::vector<double> random_map(const core::Implementation& impl,
+                               std::uint64_t seed = 0x90e7) {
+  util::Rng rng(seed);
   std::vector<double> temps(static_cast<std::size_t>(impl.grid.num_tiles()));
   for (double& t : temps) t = rng.uniform(45.0, 85.0);
   return temps;
 }
+
+/// One non-uniform session analysis of stereovision0, alternating
+/// between two seeded random maps so every call is a dense pass: the
+/// shape of Algorithm 1's in-loop and margin passes.
+void BM_StaSessionNonUniform(benchmark::State& state) {
+  const auto& impl = bench::implementation_of("stereovision0");
+  const auto& dev = bench::device_at(25.0);
+  const std::vector<double> maps[2] = {random_map(impl), random_map(impl, 0x90e8)};
+  timing::IncrementalSta session(*impl.sta, dev);
+  std::size_t k = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(session.analyze(maps[k++ % 2], /*with_critical_path=*/false));
+  }
+}
+BENCHMARK(BM_StaSessionNonUniform)->Unit(benchmark::kMicrosecond);
 
 /// stereovision0's power map priced from its prebuilt load table, the
 /// way Algorithm 1 prices it every iteration.

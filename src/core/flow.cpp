@@ -124,8 +124,8 @@ std::vector<GuardbandResult> guardband_lockstep(const Implementation& impl,
                       : impl.sta->analyze(dev, c.temps);
     c.fmax = sta.fmax_mhz.value();
     c.emit_phase(FlowPhase::Sta, watch.lap());
-    // The priming analysis evaluated every edge once; the loop stats
-    // report only the incremental work the iterations themselves cost.
+    // The priming analysis is iteration 1's STA and evaluated every edge
+    // once; the loop stats report only the work later iterations cost.
     if (c.session) c.session->reset_counters();
 
     c.result.converged = opt.max_iterations <= 0;  // vacuously, if no loop runs
@@ -219,18 +219,24 @@ std::vector<GuardbandResult> guardband_lockstep(const Implementation& impl,
         max_delta = std::max(max_delta, std::fabs(new_temps[k][i] - c.temps[i]));
       }
       c.temps = new_temps[k];
-      watch.lap();
-      const timing::TimingResult sta =
-          c.incremental ? c.session->analyze(c.temps, /*with_critical_path=*/false)
-                        : impl.sta->analyze(dev, c.temps);
-      c.fmax = sta.fmax_mhz.value();
-      c.emit_phase(FlowPhase::Sta, watch.lap());
-      util::log_debug("guardband iter %d: fmax %.1f MHz, max dT %.3f C", iter, c.fmax,
-                      max_delta);
+      const double priced_fmax = c.fmax;
+      const bool converged = max_delta < c.opt->delta_t_c.value();
+      // Only a next iteration reads this iteration's STA: a converged or
+      // exhausted corner is clocked by the margin pass below instead.
+      if (!converged && iter < c.opt->max_iterations) {
+        watch.lap();
+        const timing::TimingResult sta =
+            c.incremental ? c.session->analyze(c.temps, /*with_critical_path=*/false)
+                          : impl.sta->analyze(dev, c.temps);
+        c.fmax = sta.fmax_mhz.value();
+        c.emit_phase(FlowPhase::Sta, watch.lap());
+      }
+      util::log_debug("guardband iter %d: power at %.1f MHz, max dT %.3f C", iter,
+                      priced_fmax, max_delta);
       if (c.opt->observer != nullptr && c.opt->observer->on_iteration) {
         FlowObserver::IterationInfo info;
         info.iteration = iter;
-        info.fmax_mhz = units::Megahertz{c.fmax};
+        info.fmax_mhz = units::Megahertz{priced_fmax};
         info.max_delta_c = units::Kelvin{max_delta};
         if (c.session) {
           info.edges_reevaluated = c.session->counters().edges_reevaluated - c.last_edges;
@@ -243,7 +249,7 @@ std::vector<GuardbandResult> guardband_lockstep(const Implementation& impl,
         c.last_edges = c.session->counters().edges_reevaluated;
         c.last_hits = c.session->counters().delay_cache_hits;
       }
-      if (max_delta < c.opt->delta_t_c.value()) {
+      if (converged) {
         c.result.converged = true;
         c.active = false;
       }

@@ -88,7 +88,9 @@ enum class IncrementalMode {
 };
 
 /// Work performed by the Algorithm 1 loop of one guardband() call
-/// (priming/baseline/margin analyses excluded).
+/// (priming/baseline/margin analyses excluded). The loop re-times only a
+/// map another iteration will read, so a run that converges in one
+/// iteration reports no STA work.
 struct GuardbandStats {
   std::uint64_t edges_reevaluated = 0;  ///< connection delays re-derived
   std::uint64_t delay_cache_hits = 0;   ///< cached connection delays reused
@@ -130,12 +132,15 @@ FlowCounters& thread_flow_counters();
 /// safe under concurrent flows (the observer itself is only invoked from
 /// the calling thread).
 struct FlowObserver {
-  /// One Algorithm 1 iteration's outcome and work (counter fields are
-  /// per-iteration deltas; zero in IncrementalMode::Off where no
-  /// incremental session exists).
+  /// One Algorithm 1 iteration's outcome and work. An iteration prices
+  /// power at its clock, solves thermal, and re-times the new map only
+  /// when another iteration will read it; iteration 1's STA is the
+  /// priming pass at ambient. Counter fields are the STA work done in the
+  /// iteration (zero for the last one, and in IncrementalMode::Off where
+  /// no incremental session exists); they sum to GuardbandResult::stats.
   struct IterationInfo {
     int iteration = 0;
-    units::Megahertz fmax_mhz{0.0};
+    units::Megahertz fmax_mhz{0.0};  ///< clock the iteration priced power at
     units::Kelvin max_delta_c{0.0};
     std::uint64_t edges_reevaluated = 0;
     std::uint64_t delay_cache_hits = 0;

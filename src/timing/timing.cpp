@@ -293,122 +293,117 @@ void IncrementalTopology::build(const TimingAnalyzer& an) {
         an.grid_->index_of(an.pl_->pos[static_cast<std::size_t>(b)]);
   }
 
+  // Arcs, in one pass over the connections: an open-addressing table of
+  // arc ids, hashed by the arc's (same_block, source tile, destination
+  // tile, wire tiles) list. A probe hit is confirmed by comparing the
+  // lists, so only equal expressions share an arc, in expected time linear
+  // in the total wire-tile count.
   const auto& conns = an.connections_;
   const auto n_conns = conns.size();
   conn_src_.resize(n_conns);
   conn_dst_.resize(n_conns);
-  conn_same_block_.resize(n_conns);
-  conn_src_tile_.resize(n_conns);
-  conn_dst_tile_.resize(n_conns);
-  wire_tile_start_.resize(n_conns + 1, 0);
-  for (int ci = 0; ci < static_cast<int>(n_conns); ++ci) {
-    const auto& c = conns[static_cast<std::size_t>(ci)];
-    conn_src_[static_cast<std::size_t>(ci)] = c.src;
-    conn_dst_[static_cast<std::size_t>(ci)] = c.dst;
-    conn_same_block_[static_cast<std::size_t>(ci)] = c.same_block ? 1 : 0;
-    conn_src_tile_[static_cast<std::size_t>(ci)] =
-        prim_tile_[static_cast<std::size_t>(c.src)];
-    conn_dst_tile_[static_cast<std::size_t>(ci)] =
-        prim_tile_[static_cast<std::size_t>(c.dst)];
-    wire_tile_start_[static_cast<std::size_t>(ci)] =
-        static_cast<int>(wire_tile_flat_.size());
+  conn_arc_.resize(n_conns);
+  arc_wire_start_.assign(1, 0);
+  const std::size_t mask = std::bit_ceil(2 * n_conns + 1) - 1;
+  std::vector<int> arc_table(mask + 1, -1);
+  auto mix = [](std::uint64_t h, int v) {
+    return (h ^ static_cast<std::uint32_t>(v)) * 0x9e3779b97f4a7c15ull;
+  };
+  for (std::size_t ci = 0; ci < n_conns; ++ci) {
+    const auto& c = conns[ci];
+    conn_src_[ci] = c.src;
+    conn_dst_[ci] = c.dst;
+    const char same_block = c.same_block ? 1 : 0;
+    const int src_t = prim_tile_[static_cast<std::size_t>(c.src)];
+    const int dst_t = prim_tile_[static_cast<std::size_t>(c.dst)];
+    std::uint64_t h = mix(mix(mix(0, same_block), src_t), dst_t);
+    // The candidate's wire tiles go on the end of arc_wire_flat_ and stay
+    // only if they start a new arc.
+    const auto wires_begin = static_cast<std::ptrdiff_t>(arc_wire_flat_.size());
     if (!c.same_block) {
       for (const arch::TilePos& wt : c.wire_tiles) {
-        wire_tile_flat_.push_back(an.grid_->index_of(wt));
+        arc_wire_flat_.push_back(an.grid_->index_of(wt));
+        h = mix(h, arc_wire_flat_.back());
       }
-      max_hops_ = std::max(max_hops_, static_cast<int>(c.wire_tiles.size()));
     }
+    auto is_this_arc = [&](int arc) {
+      const auto a = static_cast<std::size_t>(arc);
+      return arc_same_block_[a] == same_block && arc_src_tile_[a] == src_t &&
+             arc_dst_tile_[a] == dst_t &&
+             std::equal(arc_wire_flat_.begin() + wires_begin, arc_wire_flat_.end(),
+                        arc_wire_flat_.begin() + arc_wire_start_[a],
+                        arc_wire_flat_.begin() + arc_wire_start_[a + 1]);
+    };
+    std::size_t slot = (h >> 32) & mask;
+    while (arc_table[slot] >= 0 && !is_this_arc(arc_table[slot])) slot = (slot + 1) & mask;
+    if (arc_table[slot] >= 0) {
+      arc_wire_flat_.resize(static_cast<std::size_t>(wires_begin));
+    } else {
+      arc_table[slot] = static_cast<int>(arc_src_tile_.size());
+      arc_same_block_.push_back(same_block);
+      arc_src_tile_.push_back(src_t);
+      arc_dst_tile_.push_back(dst_t);
+      arc_wire_start_.push_back(static_cast<int>(arc_wire_flat_.size()));
+      max_hops_ = std::max(max_hops_, static_cast<int>(arc_wire_flat_.size()) -
+                                          static_cast<int>(wires_begin));
+    }
+    conn_arc_[ci] = arc_table[slot];
   }
-  wire_tile_start_[n_conns] = static_cast<int>(wire_tile_flat_.size());
+  const auto n_arcs = arc_src_tile_.size();
 
-  // CSR fanin/fanout lists (count, prefix-sum, fill — the fill visits
-  // conns in ascending index, so each prim's list is index-sorted).
-  auto build_csr = [n_conns](std::vector<int>& flat, std::vector<int>& start,
-                             std::size_t n_rows, auto row_of) {
+  // CSR lists (count, prefix-sum, fill — the fill visits items in
+  // ascending index, so each row's list is index-sorted).
+  auto build_csr = [](std::vector<int>& flat, std::vector<int>& start, std::size_t n_rows,
+                      std::size_t n_items, auto for_each_row) {
     start.assign(n_rows + 1, 0);
-    for (std::size_t ci = 0; ci < n_conns; ++ci) {
-      ++start[static_cast<std::size_t>(row_of(static_cast<int>(ci))) + 1];
+    for (std::size_t i = 0; i < n_items; ++i) {
+      for_each_row(static_cast<int>(i),
+                   [&](int r) { ++start[static_cast<std::size_t>(r) + 1]; });
     }
     for (std::size_t r = 0; r < n_rows; ++r) start[r + 1] += start[r];
-    flat.resize(n_conns);
+    flat.resize(static_cast<std::size_t>(start.back()));
     std::vector<int> cursor(start.begin(), start.end() - 1);
-    for (std::size_t ci = 0; ci < n_conns; ++ci) {
-      flat[static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(row_of(static_cast<int>(ci)))]++)] =
-          static_cast<int>(ci);
-    }
-  };
-  build_csr(conn_in_flat_, conn_in_start_, n_prims,
-            [&](int ci) { return conns[static_cast<std::size_t>(ci)].dst; });
-  build_csr(conn_out_flat_, conn_out_start_, n_prims,
-            [&](int ci) { return conns[static_cast<std::size_t>(ci)].src; });
-
-  // Tile->conn incidence for frontier marking (deduped per connection;
-  // SB-hop estimates may repeat a tile). Same count/fill scheme, driven
-  // by a visitor over each connection's distinct touched tiles.
-  auto touched_tiles = [&](int ci, auto&& emit) {
-    const auto& c = conns[static_cast<std::size_t>(ci)];
-    const int src_t = conn_src_tile_[static_cast<std::size_t>(ci)];
-    const int dst_t = conn_dst_tile_[static_cast<std::size_t>(ci)];
-    emit(src_t);
-    if (!c.same_block) {
-      if (dst_t != src_t) emit(dst_t);
-      for (int w = wire_tile_start_[static_cast<std::size_t>(ci)];
-           w < wire_tile_start_[static_cast<std::size_t>(ci) + 1]; ++w) {
-        const int t = wire_tile_flat_[static_cast<std::size_t>(w)];
-        bool seen = t == src_t || t == dst_t;
-        for (int v = wire_tile_start_[static_cast<std::size_t>(ci)]; !seen && v < w;
-             ++v) {
-          seen = wire_tile_flat_[static_cast<std::size_t>(v)] == t;
-        }
-        if (!seen) emit(t);
-      }
-    }
-  };
-  tile_conn_start_.assign(static_cast<std::size_t>(n_tiles_) + 1, 0);
-  for (int ci = 0; ci < static_cast<int>(n_conns); ++ci) {
-    touched_tiles(ci, [&](int t) { ++tile_conn_start_[static_cast<std::size_t>(t) + 1]; });
-  }
-  for (int t = 0; t < n_tiles_; ++t) {
-    tile_conn_start_[static_cast<std::size_t>(t) + 1] +=
-        tile_conn_start_[static_cast<std::size_t>(t)];
-  }
-  tile_conn_flat_.resize(static_cast<std::size_t>(tile_conn_start_.back()));
-  {
-    std::vector<int> cursor(tile_conn_start_.begin(), tile_conn_start_.end() - 1);
-    for (int ci = 0; ci < static_cast<int>(n_conns); ++ci) {
-      touched_tiles(ci, [&](int t) {
-        tile_conn_flat_[static_cast<std::size_t>(cursor[static_cast<std::size_t>(t)]++)] =
-            ci;
+    for (std::size_t i = 0; i < n_items; ++i) {
+      for_each_row(static_cast<int>(i), [&](int r) {
+        flat[static_cast<std::size_t>(cursor[static_cast<std::size_t>(r)]++)] =
+            static_cast<int>(i);
       });
     }
-  }
+  };
+  build_csr(conn_in_flat_, conn_in_start_, n_prims, n_conns,
+            [&](int ci, auto&& emit) { emit(conn_dst_[static_cast<std::size_t>(ci)]); });
+  build_csr(conn_out_flat_, conn_out_start_, n_prims, n_conns,
+            [&](int ci, auto&& emit) { emit(conn_src_[static_cast<std::size_t>(ci)]); });
+  build_csr(arc_conn_flat_, arc_conn_start_, n_arcs, n_conns,
+            [&](int ci, auto&& emit) { emit(conn_arc_[static_cast<std::size_t>(ci)]); });
 
-  tile_prim_start_.assign(static_cast<std::size_t>(n_tiles_) + 1, 0);
-  for (PrimId id = 0; id < static_cast<PrimId>(n_prims); ++id) {
-    const PrimKind k = an.nl_->prim(id).kind;
-    if (k == PrimKind::Lut || k == PrimKind::Dsp || k == PrimKind::Bram) {
-      ++tile_prim_start_[static_cast<std::size_t>(
-                             prim_tile_[static_cast<std::size_t>(id)]) +
-                         1];
-    }
-  }
-  for (int t = 0; t < n_tiles_; ++t) {
-    tile_prim_start_[static_cast<std::size_t>(t) + 1] +=
-        tile_prim_start_[static_cast<std::size_t>(t)];
-  }
-  tile_prim_flat_.resize(static_cast<std::size_t>(tile_prim_start_.back()));
-  {
-    std::vector<int> cursor(tile_prim_start_.begin(), tile_prim_start_.end() - 1);
-    for (PrimId id = 0; id < static_cast<PrimId>(n_prims); ++id) {
-      const PrimKind k = an.nl_->prim(id).kind;
-      if (k == PrimKind::Lut || k == PrimKind::Dsp || k == PrimKind::Bram) {
-        const int t = prim_tile_[static_cast<std::size_t>(id)];
-        tile_prim_flat_[static_cast<std::size_t>(cursor[static_cast<std::size_t>(t)]++)] =
-            id;
-      }
-    }
-  }
+  // Tile->arc incidence for frontier marking, one entry per distinct
+  // tile an arc touches (SB-hop estimates may repeat a tile).
+  build_csr(tile_arc_flat_, tile_arc_start_, static_cast<std::size_t>(n_tiles_), n_arcs,
+            [&](int a, auto&& emit) {
+              const auto arc = static_cast<std::size_t>(a);
+              const int src_t = arc_src_tile_[arc];
+              const int dst_t = arc_dst_tile_[arc];
+              emit(src_t);
+              if (arc_same_block_[arc]) return;
+              if (dst_t != src_t) emit(dst_t);
+              for (int w = arc_wire_start_[arc]; w < arc_wire_start_[arc + 1]; ++w) {
+                const int t = arc_wire_flat_[static_cast<std::size_t>(w)];
+                bool seen = t == src_t || t == dst_t;
+                for (int v = arc_wire_start_[arc]; !seen && v < w; ++v) {
+                  seen = arc_wire_flat_[static_cast<std::size_t>(v)] == t;
+                }
+                if (!seen) emit(t);
+              }
+            });
+
+  build_csr(tile_prim_flat_, tile_prim_start_, static_cast<std::size_t>(n_tiles_), n_prims,
+            [&](PrimId id, auto&& emit) {
+              const PrimKind k = prim_kind_[static_cast<std::size_t>(id)];
+              if (k == PrimKind::Lut || k == PrimKind::Dsp || k == PrimKind::Bram) {
+                emit(prim_tile_[static_cast<std::size_t>(id)]);
+              }
+            });
 
   // Capture entries in exactly the order the full path scans them.
   capture_of_conn_.assign(n_conns, -1);
@@ -466,18 +461,21 @@ IncrementalSta::IncrementalSta(const TimingAnalyzer& analyzer,
       prim_tile_(analyzer.inc_topo_.prim_tile_),
       conn_src_(analyzer.inc_topo_.conn_src_),
       conn_dst_(analyzer.inc_topo_.conn_dst_),
-      conn_same_block_(analyzer.inc_topo_.conn_same_block_),
+      conn_arc_(analyzer.inc_topo_.conn_arc_),
       conn_in_flat_(analyzer.inc_topo_.conn_in_flat_),
       conn_in_start_(analyzer.inc_topo_.conn_in_start_),
       conn_out_flat_(analyzer.inc_topo_.conn_out_flat_),
       conn_out_start_(analyzer.inc_topo_.conn_out_start_),
-      conn_src_tile_(analyzer.inc_topo_.conn_src_tile_),
-      conn_dst_tile_(analyzer.inc_topo_.conn_dst_tile_),
       conn_src_frozen_(analyzer.inc_topo_.conn_src_frozen_),
-      wire_tile_flat_(analyzer.inc_topo_.wire_tile_flat_),
-      wire_tile_start_(analyzer.inc_topo_.wire_tile_start_),
-      tile_conn_flat_(analyzer.inc_topo_.tile_conn_flat_),
-      tile_conn_start_(analyzer.inc_topo_.tile_conn_start_),
+      arc_same_block_(analyzer.inc_topo_.arc_same_block_),
+      arc_src_tile_(analyzer.inc_topo_.arc_src_tile_),
+      arc_dst_tile_(analyzer.inc_topo_.arc_dst_tile_),
+      arc_wire_flat_(analyzer.inc_topo_.arc_wire_flat_),
+      arc_wire_start_(analyzer.inc_topo_.arc_wire_start_),
+      arc_conn_flat_(analyzer.inc_topo_.arc_conn_flat_),
+      arc_conn_start_(analyzer.inc_topo_.arc_conn_start_),
+      tile_arc_flat_(analyzer.inc_topo_.tile_arc_flat_),
+      tile_arc_start_(analyzer.inc_topo_.tile_arc_start_),
       tile_prim_flat_(analyzer.inc_topo_.tile_prim_flat_),
       tile_prim_start_(analyzer.inc_topo_.tile_prim_start_),
       captures_(analyzer.inc_topo_.captures_),
@@ -487,28 +485,31 @@ IncrementalSta::IncrementalSta(const TimingAnalyzer& analyzer,
         dev.at(static_cast<ResourceKind>(k)).delay_ps;
   }
 
-  const auto n_prims = an_->nl_->prims().size();
-  const auto n_conns = an_->connections_.size();
+  const auto n_prims = prim_kind_.size();
+  const auto n_arcs = arc_src_tile_.size();
   base_temp_.assign(static_cast<std::size_t>(n_tiles_),
                     std::numeric_limits<double>::quiet_NaN());
   tile_delay_.assign(static_cast<std::size_t>(coffe::kNumResourceKinds) *
                          static_cast<std::size_t>(n_tiles_),
                      0.0);
-  conn_total_.assign(n_conns, 0.0);
+  arc_total_.assign(n_arcs, 0.0);
   arrival_.assign(n_prims, 0.0);
   crit_conn_.assign(n_prims, -1);
   capture_val_.assign(captures_.size(), 0.0);
   // Temperature-independent launch times.
   for (PrimId id = 0; id < static_cast<PrimId>(n_prims); ++id) {
-    const PrimKind k = an_->nl_->prim(id).kind;
+    const PrimKind k = prim_kind_[static_cast<std::size_t>(id)];
     if (k == PrimKind::Input)
       arrival_[static_cast<std::size_t>(id)] = an_->opt_.io_delay_ps.value();
     if (k == PrimKind::Ff)
       arrival_[static_cast<std::size_t>(id)] = an_->opt_.ff_clk_to_q_ps.value();
   }
 
-  conn_dirty_.assign(n_conns, 0);
+  dirty_tiles_.reserve(static_cast<std::size_t>(n_tiles_));
+  dirty_arcs_.reserve(n_arcs);
+  arc_dirty_.assign(n_arcs, 0);
   node_pending_.assign(n_prims, 0);
+  capture_pending_.assign(captures_.size(), 0);
   hop_total_.assign(static_cast<std::size_t>(analyzer.inc_topo_.max_hops_) + 1, 0.0);
 }
 
@@ -520,21 +521,18 @@ void IncrementalSta::refresh_tile(int tile, double temp_c) {
   }
 }
 
-double IncrementalSta::conn_delay_total(int ci) const {
+double IncrementalSta::arc_delay_total(int arc) const {
   // Mirrors TimingAnalyzer's conn_delay() accumulation order exactly.
+  const auto a = static_cast<std::size_t>(arc);
   double total = 0.0;
-  if (conn_same_block_[static_cast<std::size_t>(ci)]) {
-    total += tile_delay(ResourceKind::FeedbackMux,
-                        conn_src_tile_[static_cast<std::size_t>(ci)]);
+  if (arc_same_block_[a]) {
+    total += tile_delay(ResourceKind::FeedbackMux, arc_src_tile_[a]);
   } else {
-    total += tile_delay(ResourceKind::OutputMux,
-                        conn_src_tile_[static_cast<std::size_t>(ci)]);
-    for (int w = wire_tile_start_[static_cast<std::size_t>(ci)];
-         w < wire_tile_start_[static_cast<std::size_t>(ci) + 1]; ++w) {
-      total += tile_delay(ResourceKind::SbMux, wire_tile_flat_[static_cast<std::size_t>(w)]);
+    total += tile_delay(ResourceKind::OutputMux, arc_src_tile_[a]);
+    for (int w = arc_wire_start_[a]; w < arc_wire_start_[a + 1]; ++w) {
+      total += tile_delay(ResourceKind::SbMux, arc_wire_flat_[static_cast<std::size_t>(w)]);
     }
-    total += tile_delay(ResourceKind::CbMux,
-                        conn_dst_tile_[static_cast<std::size_t>(ci)]);
+    total += tile_delay(ResourceKind::CbMux, arc_dst_tile_[a]);
   }
   return total;
 }
@@ -563,12 +561,11 @@ TimingResult IncrementalSta::analyze(const std::vector<double>& tile_temp_c,
   if (n_moved == n_tiles_) {
     recompute_all(tile_temp_c, uniform);
   } else if (n_moved > 0) {
-    std::vector<int> dirty_tiles;
-    dirty_tiles.reserve(static_cast<std::size_t>(n_moved));
+    dirty_tiles_.clear();
     for (int t = 0; t < n_tiles_; ++t) {
-      if (moved(t)) dirty_tiles.push_back(t);
+      if (moved(t)) dirty_tiles_.push_back(t);
     }
-    propagate_frontier(tile_temp_c, dirty_tiles);
+    propagate_frontier(tile_temp_c);
   }
   primed_ = true;
 
@@ -582,33 +579,33 @@ TimingResult IncrementalSta::analyze(const std::vector<double>& tile_temp_c,
 
 void IncrementalSta::recompute_all(const std::vector<double>& tile_temp_c, bool uniform) {
   // The full pass's computation over the session's cached tables: every
-  // tile, connection total, BRAM launch, combinational arrival and
-  // capture value is recomputed once, with the same arithmetic and
-  // order (frozen DSP feedback edges still contribute 0).
+  // tile, arc total, BRAM launch, combinational arrival and capture value
+  // is recomputed once, with the same arithmetic and order (frozen DSP
+  // feedback edges still contribute 0).
   for (int t = 0; t < n_tiles_; ++t) refresh_tile(t, tile_temp_c[static_cast<std::size_t>(t)]);
-  const auto n_conns = conn_total_.size();
+  const auto n_arcs = arc_total_.size();
   if (uniform) {
-    // Every tile holds the same delays, so a connection's total depends
-    // only on its hop count. Each count's total is accumulated in
-    // conn_delay_total's order: output mux, h SB hops, CB mux.
+    // Every tile holds the same delays, so an arc's total depends only
+    // on its hop count. Each count's total is accumulated in
+    // arc_delay_total's order: output mux, h SB hops, CB mux.
     double wires = 0.0 + tile_delay(ResourceKind::OutputMux, 0);
     for (double& total : hop_total_) {
       total = wires + tile_delay(ResourceKind::CbMux, 0);
       wires += tile_delay(ResourceKind::SbMux, 0);
     }
     const double feedback = 0.0 + tile_delay(ResourceKind::FeedbackMux, 0);
-    for (std::size_t ci = 0; ci < n_conns; ++ci) {
-      conn_total_[ci] = conn_same_block_[ci]
-                            ? feedback
-                            : hop_total_[static_cast<std::size_t>(wire_tile_start_[ci + 1] -
-                                                                  wire_tile_start_[ci])];
+    for (std::size_t a = 0; a < n_arcs; ++a) {
+      arc_total_[a] = arc_same_block_[a]
+                          ? feedback
+                          : hop_total_[static_cast<std::size_t>(arc_wire_start_[a + 1] -
+                                                                arc_wire_start_[a])];
     }
   } else {
-    for (std::size_t ci = 0; ci < n_conns; ++ci) {
-      conn_total_[ci] = conn_delay_total(static_cast<int>(ci));
+    for (std::size_t a = 0; a < n_arcs; ++a) {
+      arc_total_[a] = arc_delay_total(static_cast<int>(a));
     }
   }
-  counters_.edges_reevaluated += n_conns;
+  counters_.edges_reevaluated += conn_src_.size();
 
   const auto n_prims = static_cast<PrimId>(prim_kind_.size());
   for (PrimId p = 0; p < n_prims; ++p) {
@@ -627,7 +624,7 @@ void IncrementalSta::recompute_all(const std::vector<double>& tile_temp_c, bool 
     if (e.conn < 0) continue;
     capture_val_[i] =
         arrival_[static_cast<std::size_t>(conn_src_[static_cast<std::size_t>(e.conn)])] +
-        conn_total_[static_cast<std::size_t>(e.conn)] + e.setup_ps.value();
+        conn_total(e.conn) + e.setup_ps.value();
   }
   scan_captures();
 }
@@ -645,7 +642,7 @@ double IncrementalSta::arrival_through(PrimId id) {
         conn_src_frozen_[static_cast<std::size_t>(ci)]
             ? 0.0
             : arrival_[static_cast<std::size_t>(conn_src_[static_cast<std::size_t>(ci)])];
-    const double t = src_arr + conn_total_[static_cast<std::size_t>(ci)];
+    const double t = src_arr + conn_total(ci);
     if (t > worst) {
       worst = t;
       worst_conn = ci;
@@ -662,40 +659,45 @@ double IncrementalSta::arrival_through(PrimId id) {
   return worst;
 }
 
-void IncrementalSta::propagate_frontier(const std::vector<double>& tile_temp_c,
-                                        const std::vector<int>& dirty_tiles) {
+void IncrementalSta::propagate_frontier(const std::vector<double>& tile_temp_c) {
   std::fill(node_pending_.begin(), node_pending_.end(), 0);
-  std::fill(conn_dirty_.begin(), conn_dirty_.end(), 0);
-  std::vector<char> capture_pending(captures_.size(), 0);
+  std::fill(arc_dirty_.begin(), arc_dirty_.end(), 0);
+  std::fill(capture_pending_.begin(), capture_pending_.end(), 0);
+  dirty_arcs_.clear();
 
+  // A connection's delay was refreshed iff its arc's was.
+  auto conn_dirty = [&](int ci) {
+    return arc_dirty_[static_cast<std::size_t>(conn_arc_[static_cast<std::size_t>(ci)])] != 0;
+  };
+  // The consumer of connection ci must be re-evaluated.
+  auto mark_consumer = [&](int ci) {
+    const int cap = capture_of_conn_[static_cast<std::size_t>(ci)];
+    if (cap >= 0) {
+      capture_pending_[static_cast<std::size_t>(cap)] = 1;
+    } else {
+      node_pending_[static_cast<std::size_t>(conn_dst_[static_cast<std::size_t>(ci)])] = 1;
+    }
+  };
   auto mark_fanout = [&](PrimId p) {
     for (int i = conn_out_start_[static_cast<std::size_t>(p)];
          i < conn_out_start_[static_cast<std::size_t>(p) + 1]; ++i) {
       const int ci = conn_out_flat_[static_cast<std::size_t>(i)];
       // A frozen edge contributes 0 regardless of the source's arrival;
-      // only its connection delay matters, handled via dirty conns.
-      if (conn_src_frozen_[static_cast<std::size_t>(ci)]) continue;
-      const int cap = capture_of_conn_[static_cast<std::size_t>(ci)];
-      if (cap >= 0) {
-        capture_pending[static_cast<std::size_t>(cap)] = 1;
-      } else {
-        node_pending_[static_cast<std::size_t>(conn_dst_[static_cast<std::size_t>(ci)])] =
-            1;
-      }
+      // only its connection delay matters, handled via dirty arcs.
+      if (!conn_src_frozen_[static_cast<std::size_t>(ci)]) mark_consumer(ci);
     }
   };
 
-  // 1. Refresh the frontier's delay tables, then mark affected
-  // connections, tile-resident primitives, and BRAM launch times.
-  std::vector<int> dirty_conns;
-  for (int t : dirty_tiles) refresh_tile(t, tile_temp_c[static_cast<std::size_t>(t)]);
-  for (int t : dirty_tiles) {
-    for (int i = tile_conn_start_[static_cast<std::size_t>(t)];
-         i < tile_conn_start_[static_cast<std::size_t>(t) + 1]; ++i) {
-      const int ci = tile_conn_flat_[static_cast<std::size_t>(i)];
-      if (!conn_dirty_[static_cast<std::size_t>(ci)]) {
-        conn_dirty_[static_cast<std::size_t>(ci)] = 1;
-        dirty_conns.push_back(ci);
+  // 1. Refresh the frontier's delay tables, then mark affected arcs,
+  // tile-resident primitives, and BRAM launch times.
+  for (int t : dirty_tiles_) refresh_tile(t, tile_temp_c[static_cast<std::size_t>(t)]);
+  for (int t : dirty_tiles_) {
+    for (int i = tile_arc_start_[static_cast<std::size_t>(t)];
+         i < tile_arc_start_[static_cast<std::size_t>(t) + 1]; ++i) {
+      const int a = tile_arc_flat_[static_cast<std::size_t>(i)];
+      if (!arc_dirty_[static_cast<std::size_t>(a)]) {
+        arc_dirty_[static_cast<std::size_t>(a)] = 1;
+        dirty_arcs_.push_back(a);
       }
     }
     for (int i = tile_prim_start_[static_cast<std::size_t>(t)];
@@ -714,15 +716,12 @@ void IncrementalSta::propagate_frontier(const std::vector<double>& tile_temp_c,
       }
     }
   }
-  for (int ci : dirty_conns) {
-    conn_total_[static_cast<std::size_t>(ci)] = conn_delay_total(ci);
-    ++counters_.edges_reevaluated;
-    const int cap = capture_of_conn_[static_cast<std::size_t>(ci)];
-    if (cap >= 0) {
-      capture_pending[static_cast<std::size_t>(cap)] = 1;
-    } else {
-      node_pending_[static_cast<std::size_t>(conn_dst_[static_cast<std::size_t>(ci)])] =
-          1;
+  for (int a : dirty_arcs_) {
+    arc_total_[static_cast<std::size_t>(a)] = arc_delay_total(a);
+    for (int i = arc_conn_start_[static_cast<std::size_t>(a)];
+         i < arc_conn_start_[static_cast<std::size_t>(a) + 1]; ++i) {
+      ++counters_.edges_reevaluated;
+      mark_consumer(arc_conn_flat_[static_cast<std::size_t>(i)]);
     }
   }
 
@@ -732,7 +731,7 @@ void IncrementalSta::propagate_frontier(const std::vector<double>& tile_temp_c,
     if (!node_pending_[static_cast<std::size_t>(id)]) continue;
     for (int i = conn_in_start_[static_cast<std::size_t>(id)];
          i < conn_in_start_[static_cast<std::size_t>(id) + 1]; ++i) {
-      if (!conn_dirty_[static_cast<std::size_t>(conn_in_flat_[static_cast<std::size_t>(i)])]) {
+      if (!conn_dirty(conn_in_flat_[static_cast<std::size_t>(i)])) {
         ++counters_.delay_cache_hits;
       }
     }
@@ -746,11 +745,11 @@ void IncrementalSta::propagate_frontier(const std::vector<double>& tile_temp_c,
   // 3. Refresh pending capture arrivals, then rescan every capture.
   for (std::size_t i = 0; i < captures_.size(); ++i) {
     const CaptureEntry& e = captures_[i];
-    if (e.conn < 0 || !capture_pending[i]) continue;
-    if (!conn_dirty_[static_cast<std::size_t>(e.conn)]) ++counters_.delay_cache_hits;
+    if (e.conn < 0 || !capture_pending_[i]) continue;
+    if (!conn_dirty(e.conn)) ++counters_.delay_cache_hits;
     capture_val_[i] =
         arrival_[static_cast<std::size_t>(conn_src_[static_cast<std::size_t>(e.conn)])] +
-        conn_total_[static_cast<std::size_t>(e.conn)] + e.setup_ps.value();
+        conn_total(e.conn) + e.setup_ps.value();
   }
   scan_captures();
 }
@@ -777,34 +776,30 @@ void IncrementalSta::scan_captures() {
 
 void IncrementalSta::reconstruct_critical_path(TimingResult& result) const {
   if (cached_cp_end_ < 0) return;
-  const auto n_prims = an_->nl_->prims().size();
+  const auto n_prims = prim_kind_.size();
   PrimId cur = cached_cp_end_;
   int ci = cached_cp_end_conn_;
   result.cp_prims.push_back(cur);
   int guard = 0;
   while (ci >= 0 && guard++ < static_cast<int>(n_prims)) {
-    const auto& c = an_->connections_[static_cast<std::size_t>(ci)];
     // Per-kind decomposition of the arc first, then folded into the
     // path: the same association as the full pass's ArcDelay.
+    const auto a = static_cast<std::size_t>(conn_arc_[static_cast<std::size_t>(ci)]);
     ArcDelay d;
-    if (c.same_block) {
-      d.add(ResourceKind::FeedbackMux,
-            tile_delay(ResourceKind::FeedbackMux, conn_src_tile_[static_cast<std::size_t>(ci)]));
+    if (arc_same_block_[a]) {
+      d.add(ResourceKind::FeedbackMux, tile_delay(ResourceKind::FeedbackMux, arc_src_tile_[a]));
     } else {
-      d.add(ResourceKind::OutputMux,
-            tile_delay(ResourceKind::OutputMux, conn_src_tile_[static_cast<std::size_t>(ci)]));
-      for (int w = wire_tile_start_[static_cast<std::size_t>(ci)];
-           w < wire_tile_start_[static_cast<std::size_t>(ci) + 1]; ++w) {
+      d.add(ResourceKind::OutputMux, tile_delay(ResourceKind::OutputMux, arc_src_tile_[a]));
+      for (int w = arc_wire_start_[a]; w < arc_wire_start_[a + 1]; ++w) {
         d.add(ResourceKind::SbMux,
-              tile_delay(ResourceKind::SbMux, wire_tile_flat_[static_cast<std::size_t>(w)]));
+              tile_delay(ResourceKind::SbMux, arc_wire_flat_[static_cast<std::size_t>(w)]));
       }
-      d.add(ResourceKind::CbMux,
-            tile_delay(ResourceKind::CbMux, conn_dst_tile_[static_cast<std::size_t>(ci)]));
+      d.add(ResourceKind::CbMux, tile_delay(ResourceKind::CbMux, arc_dst_tile_[a]));
     }
     for (std::size_t k = 0; k < d.by_kind.size(); ++k) result.cp_breakdown[k] += d.by_kind[k];
-    cur = c.src;
+    cur = conn_src_[static_cast<std::size_t>(ci)];
     result.cp_prims.push_back(cur);
-    const PrimKind kind = an_->nl_->prim(cur).kind;
+    const PrimKind kind = prim_kind_[static_cast<std::size_t>(cur)];
     const int tile = prim_tile_[static_cast<std::size_t>(cur)];
     if (kind == PrimKind::Lut) {
       result.cp_breakdown[static_cast<std::size_t>(ResourceKind::Lut)] +=

@@ -58,8 +58,8 @@ struct StaCounters {
   /// Connection delays re-derived from the DeviceModel because a touched
   /// tile's temperature moved past the session's refresh predicate.
   std::uint64_t edges_reevaluated = 0;
-  /// Connection delays served from the per-connection cache while
-  /// recomputing an arrival or capture time.
+  /// Cached connection delays (arc totals) reused while recomputing an
+  /// arrival or capture time.
   std::uint64_t delay_cache_hits = 0;
 };
 
@@ -69,6 +69,15 @@ class TimingAnalyzer;
 /// over one analyzer. Built once in the TimingAnalyzer constructor —
 /// guardband() creates one session per call, so the session constructor
 /// must only allocate mutable state, not rebuild topology.
+///
+/// Connections whose delay is the same expression share one *arc*: a
+/// distinct (same_block, source tile, wire-tile sequence, destination
+/// tile) list. Every sink of a net in one destination tile walks the
+/// same route back from that tile's IPIN, every intra-block connection
+/// of a tile is one feedback mux, and short routes between two tiles
+/// often repeat across nets, so there are about 3x fewer arcs than
+/// connections. A session sums each arc once and connections read their
+/// total through conn_arc_.
 struct IncrementalTopology {
   /// One entry of the capture scan, mirroring the full path's order:
   /// prim-id ascending; FF/BRAM expand to one entry per incoming
@@ -80,33 +89,37 @@ struct IncrementalTopology {
   };
 
   int n_tiles_ = 0;
-  // Flat tile indices (not TilePos); all per-prim and per-tile lists are
-  // CSR to avoid one allocation per primitive. Connection endpoints and
-  // primitive kinds are copied into dense arrays — the propagation loop
-  // must not stride through Connection (embedded vector) or Primitive
-  // (embedded strings) records.
+  // Flat tile indices (not TilePos); all per-prim, per-arc and per-tile
+  // lists are CSR to avoid one allocation per primitive. Connection
+  // endpoints and primitive kinds are copied into dense arrays — the
+  // propagation loop must not stride through Connection (embedded
+  // vector) or Primitive (embedded strings) records.
   std::vector<netlist::PrimKind> prim_kind_;    ///< kind of each primitive
   std::vector<int> prim_tile_;                  ///< tile of each primitive's block
   std::vector<netlist::PrimId> conn_src_;       ///< source prim per conn
   std::vector<netlist::PrimId> conn_dst_;       ///< dest prim per conn
-  std::vector<char> conn_same_block_;           ///< intra-block (feedback) conn
+  std::vector<int> conn_arc_;                   ///< arc per conn
   std::vector<int> conn_in_flat_;               ///< incoming conns per prim, CSR
   std::vector<int> conn_in_start_;
   std::vector<int> conn_out_flat_;              ///< outgoing conns per prim, CSR
   std::vector<int> conn_out_start_;
-  std::vector<int> conn_src_tile_;              ///< source tile per conn
-  std::vector<int> conn_dst_tile_;              ///< dest tile per conn
   /// Propagation edges whose combinational source sits later in topo_
   /// than their destination (DSP feedback: topo_order() does not gate on
   /// DSP inputs). The full pass reads such a source's arrival before it
   /// is computed — i.e. its per-call initial value 0 — so a session
   /// must pin the contribution to 0 rather than use the cached arrival.
   std::vector<char> conn_src_frozen_;
-  std::vector<int> wire_tile_flat_;             ///< all conns' wire tiles, CSR
-  std::vector<int> wire_tile_start_;            ///< CSR offsets into wire_tile_flat_
-  int max_hops_ = 0;                            ///< most wire tiles on one conn
-  std::vector<int> tile_conn_flat_;             ///< conns touching a tile, CSR
-  std::vector<int> tile_conn_start_;
+  // Each arc's delay expression, taken from its first connection.
+  std::vector<char> arc_same_block_;            ///< intra-block (feedback) arc
+  std::vector<int> arc_src_tile_;               ///< source tile per arc
+  std::vector<int> arc_dst_tile_;               ///< dest tile per arc
+  std::vector<int> arc_wire_flat_;              ///< all arcs' wire tiles, CSR
+  std::vector<int> arc_wire_start_;             ///< CSR offsets into arc_wire_flat_
+  int max_hops_ = 0;                            ///< most wire tiles on one arc
+  std::vector<int> arc_conn_flat_;              ///< conns per arc, CSR
+  std::vector<int> arc_conn_start_;
+  std::vector<int> tile_arc_flat_;              ///< arcs touching a tile, CSR
+  std::vector<int> tile_arc_start_;
   std::vector<netlist::PrimId> tile_prim_flat_; ///< tile-delayed prims, CSR
   std::vector<int> tile_prim_start_;
   std::vector<CaptureEntry> captures_;
@@ -130,8 +143,11 @@ class TimingAnalyzer {
   /// STA with a uniform junction temperature (the conventional corner).
   TimingResult analyze_uniform(const coffe::DeviceModel& dev, units::Celsius temp) const;
 
-  /// Timing arcs between primitives: the edges one full pass evaluates.
+  /// Connections between primitives: the edges one full pass evaluates.
   std::size_t num_connections() const { return connections_.size(); }
+  /// Distinct delay expressions among them, which a session sums once
+  /// each (see IncrementalTopology).
+  std::size_t num_arcs() const { return inc_topo_.arc_src_tile_.size(); }
 
  private:
   struct Connection {
@@ -161,14 +177,16 @@ class TimingAnalyzer {
 /// Algorithm 1 re-times the same design at a sequence of nearby
 /// temperature maps. A session caches, between analyze() calls: the
 /// fanin/fanout adjacency (the full path rebuilds it per call), per-tile
-/// delay tables for every resource kind, per-connection delay totals, and
-/// the arrival/critical-arc state — then repropagates arrival times only
-/// downstream of the frontier of connections whose delay actually
-/// changed, or recomputes everything in one sweep when every tile moved
-/// (no frontier to prune; on a uniform map each connection total is then
-/// looked up by hop count). Evaluation order and arithmetic mirror
+/// delay tables for every resource kind, one delay total per arc (the
+/// connections that share a delay expression; see IncrementalTopology),
+/// and the arrival/critical-arc state — then repropagates arrival times
+/// only downstream of the frontier of arcs whose delay actually changed,
+/// or recomputes everything in one sweep when every tile moved (no
+/// frontier to prune; on a uniform map each arc total is then looked up
+/// by hop count). Evaluation order and arithmetic mirror
 /// TimingAnalyzer::analyze() expression for expression, so the results
-/// are bit-identical to a full recompute (DESIGN.md sec. 8).
+/// are bit-identical to a full recompute (DESIGN.md sec. 8). The work
+/// counters count connections, not arcs.
 ///
 /// Not thread-safe; sessions are cheap and task-local (one per
 /// guardband() call).
@@ -190,15 +208,19 @@ class IncrementalSta {
     return tile_delay_[static_cast<std::size_t>(k) * static_cast<std::size_t>(n_tiles_) +
                        static_cast<std::size_t>(tile)];
   }
+  /// Cached delay total of connection `ci`, i.e. of its arc.
+  double conn_total(int ci) const {
+    return arc_total_[static_cast<std::size_t>(conn_arc_[static_cast<std::size_t>(ci)])];
+  }
   void refresh_tile(int tile, double temp_c);
-  double conn_delay_total(int ci) const;
+  double arc_delay_total(int arc) const;
   /// Every tile moved: re-derive every delay and arrival in one
   /// topological sweep (no frontier bookkeeping). `uniform`: every tile
   /// holds the same temperature bit pattern.
   void recompute_all(const std::vector<double>& tile_temp_c, bool uniform);
-  /// Some tiles moved: repropagate downstream of their connections only.
-  void propagate_frontier(const std::vector<double>& tile_temp_c,
-                          const std::vector<int>& dirty_tiles);
+  /// Some tiles (dirty_tiles_) moved: repropagate downstream of their
+  /// arcs only.
+  void propagate_frontier(const std::vector<double>& tile_temp_c);
   /// Arrival at combinational prim `id` from the cached fanin state;
   /// records its critical incoming connection.
   double arrival_through(netlist::PrimId id);
@@ -222,18 +244,21 @@ class IncrementalSta {
   const std::vector<int>& prim_tile_;
   const std::vector<netlist::PrimId>& conn_src_;
   const std::vector<netlist::PrimId>& conn_dst_;
-  const std::vector<char>& conn_same_block_;
+  const std::vector<int>& conn_arc_;
   const std::vector<int>& conn_in_flat_;
   const std::vector<int>& conn_in_start_;
   const std::vector<int>& conn_out_flat_;
   const std::vector<int>& conn_out_start_;
-  const std::vector<int>& conn_src_tile_;
-  const std::vector<int>& conn_dst_tile_;
   const std::vector<char>& conn_src_frozen_;
-  const std::vector<int>& wire_tile_flat_;
-  const std::vector<int>& wire_tile_start_;
-  const std::vector<int>& tile_conn_flat_;
-  const std::vector<int>& tile_conn_start_;
+  const std::vector<char>& arc_same_block_;
+  const std::vector<int>& arc_src_tile_;
+  const std::vector<int>& arc_dst_tile_;
+  const std::vector<int>& arc_wire_flat_;
+  const std::vector<int>& arc_wire_start_;
+  const std::vector<int>& arc_conn_flat_;
+  const std::vector<int>& arc_conn_start_;
+  const std::vector<int>& tile_arc_flat_;
+  const std::vector<int>& tile_arc_start_;
   const std::vector<netlist::PrimId>& tile_prim_flat_;
   const std::vector<int>& tile_prim_start_;
   const std::vector<CaptureEntry>& captures_;
@@ -242,7 +267,7 @@ class IncrementalSta {
   // Cached analysis state (valid after the first analyze()).
   std::vector<double> base_temp_;     ///< temperature each tile's delays use
   std::vector<double> tile_delay_;    ///< [kind][tile] delay table [ps]
-  std::vector<double> conn_total_;    ///< cached connection delay totals [ps]
+  std::vector<double> arc_total_;     ///< cached arc delay totals [ps]
   std::vector<double> arrival_;
   std::vector<int> crit_conn_;
   std::vector<double> capture_val_;   ///< cached data-arrival per capture entry
@@ -251,9 +276,12 @@ class IncrementalSta {
   netlist::PrimId cached_cp_end_ = -1;
   int cached_cp_end_conn_ = -1;
 
-  // Per-call scratch.
-  std::vector<char> conn_dirty_;
+  // Per-call scratch, sized once so no analyze() call allocates.
+  std::vector<int> dirty_tiles_;
+  std::vector<int> dirty_arcs_;
+  std::vector<char> arc_dirty_;
   std::vector<char> node_pending_;
+  std::vector<char> capture_pending_;
   std::vector<double> hop_total_;     ///< uniform-map total per hop count [ps]
 
   StaCounters counters_;

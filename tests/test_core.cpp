@@ -327,8 +327,12 @@ TEST(Guardband, IncrementalStatsAreReportedAndOffModeDoesNoSessionWork) {
   const auto dev = characterizer().characterize(units::Celsius(25.0));
   core::GuardbandOptions inc;
   inc.t_amb_c = units::Celsius(25.0);
+  // sha self-heats 0.085 K in iteration 1: a tighter threshold makes the
+  // loop re-time that map and iterate again.
+  inc.delta_t_c = units::Kelvin(0.01);
   inc.incremental = core::IncrementalMode::Exact;
   const auto r = core::guardband(sha_impl(), dev, inc);
+  ASSERT_GE(r.iterations, 2);
   EXPECT_GT(r.stats.cg_iterations, 0u);
   EXPECT_GT(r.stats.edges_reevaluated, 0u);
 
@@ -338,6 +342,38 @@ TEST(Guardband, IncrementalStatsAreReportedAndOffModeDoesNoSessionWork) {
   EXPECT_EQ(legacy.stats.edges_reevaluated, 0u);
   EXPECT_EQ(legacy.stats.delay_cache_hits, 0u);
   EXPECT_GT(legacy.stats.cg_iterations, 0u);  // CG work is counted either way
+}
+
+TEST(Guardband, ConvergedMapIsNotRetimed) {
+  // Algorithm 1 re-times a map only when another iteration prices power
+  // at it: iteration 1 prices at the priming pass's clock, and the last
+  // iteration's map is timed by the margin pass alone.
+  const auto dev = characterizer().characterize(units::Celsius(25.0));
+  std::vector<core::FlowObserver::IterationInfo> seen;
+  core::FlowObserver obs;
+  obs.on_iteration = [&seen](const core::FlowObserver::IterationInfo& info) {
+    seen.push_back(info);
+  };
+  core::GuardbandOptions opt;
+  opt.t_amb_c = units::Celsius(25.0);
+  opt.delta_t_c = units::Kelvin(0.01);  // below sha's 0.085 K first step
+  opt.incremental = core::IncrementalMode::Exact;
+  opt.observer = &obs;
+  const auto r = core::guardband(sha_impl(), dev, opt);
+  ASSERT_GE(r.iterations, 2);
+  ASSERT_EQ(seen.size(), static_cast<std::size_t>(r.iterations));
+  std::uint64_t edges = 0;
+  std::uint64_t hits = 0;
+  for (const auto& info : seen) {
+    edges += info.edges_reevaluated;
+    hits += info.delay_cache_hits;
+  }
+  EXPECT_EQ(edges, r.stats.edges_reevaluated);
+  EXPECT_EQ(hits, r.stats.delay_cache_hits);
+  EXPECT_EQ(seen.back().edges_reevaluated, 0u);
+  EXPECT_EQ(seen.back().delay_cache_hits, 0u);
+  EXPECT_EQ(seen.front().fmax_mhz.value(),
+            sha_impl().sta->analyze_uniform(dev, opt.t_amb_c).fmax_mhz.value());
 }
 
 TEST(Guardband, TemperaturesStayAboveAmbientAndBelowWorst) {

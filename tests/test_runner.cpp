@@ -383,13 +383,18 @@ TEST(Metrics, FlowCounterScopeCapturesGuardbandWork) {
   const auto& dev = cache.device(tech::ptm22(), test_arch(), 25.0);
   runner::TaskMetrics m;
   core::GuardbandOptions opt;
+  // sha self-heats 0.085 K in iteration 1: a tighter threshold makes the
+  // loop re-time that map and iterate again.
+  opt.delta_t_c = units::Kelvin(0.01);
+  core::GuardbandResult r;
   {
     const runner::TaskCounterScope scope(m);
-    core::guardband(impl, dev, opt);
+    r = core::guardband(impl, dev, opt);
   }
   // The default (incremental) engine does thermal CG work every
   // iteration and re-evaluates at least the edges the first temperature
   // update dirtied; a converged run must not be flagged.
+  ASSERT_GE(r.iterations, 2);
   EXPECT_GT(m.thermal_cg_iters, 0u);
   EXPECT_GT(m.sta_edges_reevaluated, 0u);
   EXPECT_EQ(m.guardband_nonconverged, 0u);
