@@ -29,7 +29,6 @@
 #include "bench_common.hpp"
 #include "runner/artifact_store.hpp"
 #include "runner/metrics.hpp"
-#include "thermal/thermal_grid.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -207,13 +206,11 @@ int main(int argc, char** argv) {
     runner::TaskMetrics sum;
     for (const auto& m : cells) sum.add_counters(m);
     std::fprintf(stderr,
-                 "[bench_all] guardband (%s thermal): %zu sweep "
+                 "[bench_all] guardband: %zu sweep "
                  "cells, %" PRIu64 " edges re-evaluated, %" PRIu64 " delay-cache hits, "
-                 "%" PRIu64 " CG iters (%" PRIu64 " preconditioned), %" PRIu64
-                 " non-converged\n",
-                 thermal::thermal_backend_name(thermal::default_thermal_backend()),
+                 "%" PRIu64 " CG iters, %" PRIu64 " non-converged\n",
                  cells.size(), sum.sta_edges_reevaluated, sum.sta_delay_cache_hits,
-                 sum.thermal_cg_iters, sum.thermal_precond_iters, sum.guardband_nonconverged);
+                 sum.thermal_cg_iters, sum.guardband_nonconverged);
     if (sum.guardband_nonconverged > 0) {
       std::fprintf(stderr,
                    "[bench_all] WARNING: %" PRIu64 " guardband run(s) exhausted the "

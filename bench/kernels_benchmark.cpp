@@ -12,7 +12,6 @@
 #include "place/place.hpp"
 #include "power/power.hpp"
 #include "route/router.hpp"
-#include "spice/solver.hpp"
 #include "thermal/thermal_grid.hpp"
 #include "util/rng.hpp"
 
@@ -38,30 +37,6 @@ void BM_SpiceTransientLut(benchmark::State& state) {
 }
 BENCHMARK(BM_SpiceTransientLut)->Unit(benchmark::kMillisecond);
 
-/// Same workload with an explicitly pinned linear backend, for
-/// sparse-vs-dense A/B comparisons regardless of TAF_SPICE_BACKEND.
-void BM_SpiceTransientLutBackend(benchmark::State& state, spice::LinearBackend backend) {
-  const auto tech = tech::ptm22();
-  const auto spec = coffe::lut_spec(bench::bench_arch());
-  const auto probe = coffe::build_path_circuit(spec, tech, units::Celsius(45.0));
-  spice::SolverOptions opt;
-  opt.temp_c = units::Celsius(45.0);
-  opt.dt_ps = probe.dt_ps;
-  opt.backend = backend;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        spice::solve_transient(probe.circuit, tech, opt, probe.t_stop_ps));
-  }
-}
-void BM_SpiceTransientLutSparse(benchmark::State& state) {
-  BM_SpiceTransientLutBackend(state, spice::LinearBackend::Sparse);
-}
-void BM_SpiceTransientLutDense(benchmark::State& state) {
-  BM_SpiceTransientLutBackend(state, spice::LinearBackend::Dense);
-}
-BENCHMARK(BM_SpiceTransientLutSparse)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SpiceTransientLutDense)->Unit(benchmark::kMillisecond);
-
 void BM_ThermalSolve(benchmark::State& state) {
   const auto n = static_cast<int>(state.range(0));
   const arch::FpgaGrid grid(n, n);
@@ -74,19 +49,13 @@ void BM_ThermalSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_ThermalSolve)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
 
-/// Guardband-cell thermal workload with an explicitly pinned backend:
-/// one cold solve plus five warm-started re-solves under ~1% power
-/// perturbations — the solve sequence Algorithm 1 drives per sweep
-/// cell — for generic-vs-stencil A/B timing regardless of
-/// TAF_THERMAL_BACKEND. The stencil/generic ratio is the tracked
-/// speedup of the blocked stencil hot path (target >= 3x at 64x64).
-void BM_ThermalGuardbandCell(benchmark::State& state,
-                             thermal::ThermalBackend backend) {
+/// Guardband-cell thermal workload: one cold solve plus five
+/// warm-started re-solves under ~1% power perturbations — the solve
+/// sequence Algorithm 1 drives per sweep cell.
+void BM_ThermalGuardbandCell(benchmark::State& state) {
   const auto n = static_cast<int>(state.range(0));
   const arch::FpgaGrid grid(n, n);
-  thermal::ThermalConfig cfg;
-  cfg.backend = backend;
-  const thermal::ThermalGrid tg(grid, cfg);
+  const thermal::ThermalGrid tg(grid, {});
   std::vector<double> p(static_cast<std::size_t>(n) * n, 1e-4);
   p[static_cast<std::size_t>(n * n / 2)] = 0.05;
   std::vector<double> q(p.size());
@@ -101,20 +70,7 @@ void BM_ThermalGuardbandCell(benchmark::State& state,
     benchmark::DoNotOptimize(temps);
   }
 }
-void BM_ThermalGuardbandCellGeneric(benchmark::State& state) {
-  BM_ThermalGuardbandCell(state, thermal::ThermalBackend::Generic);
-}
-void BM_ThermalGuardbandCellStencil(benchmark::State& state) {
-  BM_ThermalGuardbandCell(state, thermal::ThermalBackend::Stencil);
-}
-BENCHMARK(BM_ThermalGuardbandCellGeneric)
-    ->Arg(32)
-    ->Arg(64)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ThermalGuardbandCellStencil)
-    ->Arg(32)
-    ->Arg(64)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ThermalGuardbandCell)->Arg(32)->Arg(64)->Unit(benchmark::kMillisecond);
 
 void BM_ThermalAwareSta(benchmark::State& state) {
   const auto& impl = bench::implementation_of("sha");

@@ -46,13 +46,11 @@ namespace {
 struct CornerState {
   const GuardbandOptions* opt = nullptr;
   GuardbandResult result;
-  std::optional<thermal::ThermalGrid> tgrid;
   std::optional<timing::IncrementalSta> session;
   std::vector<double> temps;
   double fmax = 0.0;
   std::uint64_t last_edges = 0;
   std::uint64_t last_hits = 0;
-  bool incremental = false;
   bool active = false;  ///< still inside the Algorithm 1 loop
 
   void emit_phase(FlowPhase phase, double seconds) const {
@@ -66,24 +64,24 @@ struct CornerState {
 /// advanced in lockstep. Every per-corner computation — baseline, priming,
 /// power, STA, margin — is the expression-for-expression body of the
 /// historical guardband() loop, so corner k's result is bit-identical to
-/// a standalone guardband(impl, dev, opts[k]) call. share_thermal routes
-/// the still-active corners' thermal solves through one batched stencil
-/// traversal per iteration (ThermalGrid::solve_batch, itself pinned
-/// bit-identical to per-corner solves); callers may only set it when every
-/// corner uses the stencil backend with an incremental mode.
+/// a standalone guardband(impl, dev, opts[k]) call. The still-active
+/// corners' thermal solves run as one batched stencil traversal per
+/// iteration (ThermalGrid::solve_batch, itself pinned bit-identical to
+/// per-corner solves).
 std::vector<GuardbandResult> guardband_lockstep(const Implementation& impl,
                                                 const coffe::DeviceModel& dev,
-                                                const std::vector<GuardbandOptions>& opts,
-                                                bool share_thermal) {
+                                                const std::vector<GuardbandOptions>& opts) {
   const auto n_tiles = static_cast<std::size_t>(impl.grid.num_tiles());
   std::vector<CornerState> corners(opts.size());
   util::Stopwatch watch;
   // Corners differ only in ambient and activity (with_corner), so the
-  // worst-case corner and the STA engine are common to all of them.
+  // worst-case corner and the thermal model are common to all of them:
+  // one grid serves every corner, its ambient overridden per map.
   for ([[maybe_unused]] const GuardbandOptions& opt : opts) {
     assert(opt.t_worst_c == opts.front().t_worst_c);
-    assert(opt.incremental == opts.front().incremental);
+    assert(opt.thermal == opts.front().thermal);
   }
+  std::optional<thermal::ThermalGrid> tgrid;
   std::optional<units::Megahertz> baseline;
 
   for (std::size_t k = 0; k < opts.size(); ++k) {
@@ -91,42 +89,35 @@ std::vector<GuardbandResult> guardband_lockstep(const Implementation& impl,
     const GuardbandOptions& opt = opts[k];
     c.opt = &opt;
 
-    thermal::ThermalConfig tcfg = opt.thermal;
-    tcfg.ambient_c = opt.t_amb_c;
-    tcfg.tile_edge_um = impl.arch.tile_edge_um;
-    c.tgrid.emplace(impl.grid, tcfg);
-
-    c.incremental = opt.incremental != IncrementalMode::Off;
-    if (c.incremental) {
-      c.session.emplace(*impl.sta, dev);
+    if (!tgrid) {
+      thermal::ThermalConfig tcfg = opt.thermal;
+      tcfg.ambient_c = opt.t_amb_c;
+      tcfg.tile_edge_um = impl.arch.tile_edge_um;
+      tgrid.emplace(impl.grid, tcfg);
     }
+    c.session.emplace(*impl.sta, dev);
 
     // Conventional baseline: clock for the worst-case corner, a pure
-    // function of (impl, dev, t_worst_c) and so timed once per call.
-    // Through the first session when incremental (bit-identical to
-    // analyze_uniform, the Off oracle); the priming pass below re-derives
-    // every tile, so the session's cache does not depend on it.
+    // function of (impl, dev, t_worst_c) and so timed once per call,
+    // through the first session (bit-identical to analyze_uniform). The
+    // priming pass below re-derives every tile, so the session's cache
+    // does not depend on it.
     if (!baseline) {
-      baseline = c.incremental
-                     ? c.session
-                           ->analyze(std::vector<double>(n_tiles, opt.t_worst_c.value()),
-                                     /*with_critical_path=*/false)
-                           .fmax_mhz
-                     : impl.sta->analyze_uniform(dev, opt.t_worst_c).fmax_mhz;
+      baseline = c.session
+                     ->analyze(std::vector<double>(n_tiles, opt.t_worst_c.value()),
+                               /*with_critical_path=*/false)
+                     .fmax_mhz;
     }
     c.result.baseline_fmax_mhz = *baseline;
 
     // Priming analysis at a uniform ambient field.
     c.temps.assign(n_tiles, opt.t_amb_c.value());
     watch.lap();
-    const timing::TimingResult sta =
-        c.incremental ? c.session->analyze(c.temps, /*with_critical_path=*/false)
-                      : impl.sta->analyze(dev, c.temps);
-    c.fmax = sta.fmax_mhz.value();
+    c.fmax = c.session->analyze(c.temps, /*with_critical_path=*/false).fmax_mhz.value();
     c.emit_phase(FlowPhase::Sta, watch.lap());
     // The priming analysis is iteration 1's STA and evaluated every edge
     // once; the loop stats report only the work later iterations cost.
-    if (c.session) c.session->reset_counters();
+    c.session->reset_counters();
 
     c.result.converged = opt.max_iterations <= 0;  // vacuously, if no loop runs
     c.active = opt.max_iterations > 0;
@@ -149,9 +140,9 @@ std::vector<GuardbandResult> guardband_lockstep(const Implementation& impl,
   // Algorithm 1, all corners in lockstep. Corners drop out as they reach
   // their own fixed point or exhaust their own iteration budget.
   std::vector<std::size_t> live;
-  std::vector<power::PowerBreakdown> powers(corners.size());
-  std::vector<std::vector<double>> new_temps(corners.size());
-  std::vector<thermal::CgStats> cg(corners.size());
+  std::vector<std::vector<double>> batch_power, batch_init;
+  std::vector<double> batch_amb;
+  std::vector<thermal::CgStats> batch_cg;
   for (int iter = 1;; ++iter) {
     live.clear();
     for (std::size_t k = 0; k < corners.size(); ++k) {
@@ -163,92 +154,64 @@ std::vector<GuardbandResult> guardband_lockstep(const Implementation& impl,
     }
     if (live.empty()) break;
 
+    batch_power.clear();
+    batch_init.clear();
+    batch_amb.clear();
     for (std::size_t k : live) {
       CornerState& c = corners[k];
       c.result.iterations = iter;
       watch.lap();
-      powers[k] = run_power(c, c.fmax, c.temps);
+      batch_power.push_back(run_power(c, c.fmax, c.temps).tile_w);
       c.emit_phase(FlowPhase::Power, watch.lap());
+      batch_init.push_back(std::move(c.temps));  // refilled from the solve below
+      batch_amb.push_back(c.opt->t_amb_c.value());
     }
 
-    // Warm-starting CG from the previous iterate is safe: the system is
-    // SPD, so CG converges to the same solution from any starting point.
-    if (share_thermal) {
-      // One blocked stencil traversal per CG iteration serves every live
-      // corner; the per-corner ambients only shift the solution.
-      std::vector<std::vector<double>> batch_power, batch_init;
-      std::vector<double> batch_amb;
-      for (std::size_t k : live) {
-        batch_power.push_back(powers[k].tile_w);
-        batch_init.push_back(corners[k].temps);
-        batch_amb.push_back(corners[k].opt->t_amb_c.value());
-      }
-      std::vector<thermal::CgStats> batch_cg;
-      watch.lap();
-      std::vector<std::vector<double>> batch_temps =
-          corners[live.front()].tgrid->solve_batch(batch_power, batch_init, batch_amb,
-                                                   &batch_cg);
-      // Each live corner is charged its share of the one traversal, so
-      // the phases a batch reports never exceed its wall time.
-      const double share_s = watch.lap() / static_cast<double>(live.size());
-      for (std::size_t a = 0; a < live.size(); ++a) {
-        const std::size_t k = live[a];
-        new_temps[k] = std::move(batch_temps[a]);
-        cg[k] = batch_cg[a];
-        corners[k].emit_phase(FlowPhase::Thermal, share_s);
-      }
-    } else {
-      for (std::size_t k : live) {
-        CornerState& c = corners[k];
-        watch.lap();
-        new_temps[k] = c.incremental ? c.tgrid->solve(powers[k].tile_w, c.temps, &cg[k])
-                                     : c.tgrid->solve(powers[k].tile_w, &cg[k]);
-        c.emit_phase(FlowPhase::Thermal, watch.lap());
-      }
-    }
+    // One blocked stencil traversal per CG iteration serves every live
+    // corner; the per-corner ambients only shift the solution. Warm-
+    // starting CG from the previous iterate is safe: the system is SPD,
+    // so CG converges to the same solution from any starting point.
+    watch.lap();
+    std::vector<std::vector<double>> batch_temps =
+        tgrid->solve_batch(batch_power, batch_init, batch_amb, &batch_cg);
+    // Each live corner is charged its share of the one traversal, so
+    // the phases a batch reports never exceed its wall time.
+    const double share_s = watch.lap() / static_cast<double>(live.size());
+    for (std::size_t k : live) corners[k].emit_phase(FlowPhase::Thermal, share_s);
 
-    for (std::size_t k : live) {
-      CornerState& c = corners[k];
-      c.result.stats.cg_iterations += static_cast<std::uint64_t>(cg[k].iterations);
-      if (cg[k].preconditioned) {
-        c.result.stats.precond_cg_iterations +=
-            static_cast<std::uint64_t>(cg[k].iterations);
-      }
+    for (std::size_t a = 0; a < live.size(); ++a) {
+      CornerState& c = corners[live[a]];
+      const auto cg_iters = static_cast<std::uint64_t>(batch_cg[a].iterations);
+      c.result.stats.cg_iterations += cg_iters;
       double max_delta = 0.0;
       for (std::size_t i = 0; i < n_tiles; ++i) {
-        max_delta = std::max(max_delta, std::fabs(new_temps[k][i] - c.temps[i]));
+        max_delta = std::max(max_delta, std::fabs(batch_temps[a][i] - batch_init[a][i]));
       }
-      c.temps = new_temps[k];
+      c.temps = std::move(batch_temps[a]);
       const double priced_fmax = c.fmax;
       const bool converged = max_delta < c.opt->delta_t_c.value();
       // Only a next iteration reads this iteration's STA: a converged or
       // exhausted corner is clocked by the margin pass below instead.
       if (!converged && iter < c.opt->max_iterations) {
         watch.lap();
-        const timing::TimingResult sta =
-            c.incremental ? c.session->analyze(c.temps, /*with_critical_path=*/false)
-                          : impl.sta->analyze(dev, c.temps);
-        c.fmax = sta.fmax_mhz.value();
+        c.fmax = c.session->analyze(c.temps, /*with_critical_path=*/false).fmax_mhz.value();
         c.emit_phase(FlowPhase::Sta, watch.lap());
       }
       util::log_debug("guardband iter %d: power at %.1f MHz, max dT %.3f C", iter,
                       priced_fmax, max_delta);
+      const timing::StaCounters& sc = c.session->counters();
       if (c.opt->observer != nullptr && c.opt->observer->on_iteration) {
         FlowObserver::IterationInfo info;
         info.iteration = iter;
         info.fmax_mhz = units::Megahertz{priced_fmax};
         info.max_delta_c = units::Kelvin{max_delta};
-        if (c.session) {
-          info.edges_reevaluated = c.session->counters().edges_reevaluated - c.last_edges;
-          info.delay_cache_hits = c.session->counters().delay_cache_hits - c.last_hits;
-        }
-        info.cg_iterations = static_cast<std::uint64_t>(cg[k].iterations);
+        info.edges_reevaluated = sc.edges_reevaluated - c.last_edges;
+        info.delay_cache_hits = sc.delay_cache_hits - c.last_hits;
+        info.cg_iterations = cg_iters;
         c.opt->observer->on_iteration(info);
       }
-      if (c.session) {
-        c.last_edges = c.session->counters().edges_reevaluated;
-        c.last_hits = c.session->counters().delay_cache_hits;
-      }
+      c.last_edges = sc.edges_reevaluated;
+      c.last_hits = sc.delay_cache_hits;
       if (converged) {
         c.result.converged = true;
         c.active = false;
@@ -258,13 +221,10 @@ std::vector<GuardbandResult> guardband_lockstep(const Implementation& impl,
 
   std::vector<GuardbandResult> results;
   results.reserve(corners.size());
-  for (std::size_t k = 0; k < corners.size(); ++k) {
-    CornerState& c = corners[k];
+  for (CornerState& c : corners) {
     const GuardbandOptions& opt = *c.opt;
-    if (c.session) {
-      c.result.stats.edges_reevaluated = c.session->counters().edges_reevaluated;
-      c.result.stats.delay_cache_hits = c.session->counters().delay_cache_hits;
-    }
+    c.result.stats.edges_reevaluated = c.session->counters().edges_reevaluated;
+    c.result.stats.delay_cache_hits = c.session->counters().delay_cache_hits;
     if (!c.result.converged) {
       util::log_warn(
           "guardband(%s): not converged after %d iterations (max dT still >= %g C); "
@@ -276,9 +236,7 @@ std::vector<GuardbandResult> guardband_lockstep(const Implementation& impl,
     std::vector<double> margin_temps = c.temps;
     for (double& t : margin_temps) t += opt.delta_t_c.value();
     watch.lap();
-    c.result.timing = c.incremental
-                          ? c.session->analyze(margin_temps, /*with_critical_path=*/true)
-                          : impl.sta->analyze(dev, margin_temps);
+    c.result.timing = c.session->analyze(margin_temps, /*with_critical_path=*/true);
     c.result.fmax_mhz = c.result.timing.fmax_mhz;
     c.emit_phase(FlowPhase::Sta, watch.lap());
 
@@ -297,7 +255,6 @@ std::vector<GuardbandResult> guardband_lockstep(const Implementation& impl,
     fc.sta_edges_reevaluated += c.result.stats.edges_reevaluated;
     fc.sta_delay_cache_hits += c.result.stats.delay_cache_hits;
     fc.thermal_cg_iterations += c.result.stats.cg_iterations;
-    fc.thermal_precond_iterations += c.result.stats.precond_cg_iterations;
 
     util::Accumulator acc;
     for (double t : c.result.tile_temp_c) acc.add(t);
@@ -312,7 +269,7 @@ std::vector<GuardbandResult> guardband_lockstep(const Implementation& impl,
 
 GuardbandResult guardband(const Implementation& impl, const coffe::DeviceModel& dev,
                           const GuardbandOptions& opt) {
-  return std::move(guardband_lockstep(impl, dev, {opt}, /*share_thermal=*/false)[0]);
+  return std::move(guardband_lockstep(impl, dev, {opt})[0]);
 }
 
 GuardbandOptions with_corner(const GuardbandOptions& base, const GuardbandCorner& c) {
@@ -329,13 +286,7 @@ std::vector<GuardbandResult> guardband_batch(const Implementation& impl,
   std::vector<GuardbandOptions> opts;
   opts.reserve(corners.size());
   for (const GuardbandCorner& c : corners) opts.push_back(with_corner(base, c));
-  // The batched thermal path needs the stencil backend (the generic
-  // oracle has no shared traversal) and warm starts (an incremental
-  // mode); anything else runs the same lockstep loop with per-corner
-  // solves, which is the sequential corner loop in every detail.
-  const bool share = base.thermal.backend == thermal::ThermalBackend::Stencil &&
-                     base.incremental != IncrementalMode::Off && opts.size() > 1;
-  return guardband_lockstep(impl, dev, opts, share);
+  return guardband_lockstep(impl, dev, opts);
 }
 
 int select_grade(const std::vector<coffe::DeviceModel>& devices, units::Celsius t_min,

@@ -75,18 +75,6 @@ inline constexpr const char* kFlowPhaseNames[] = {TAF_FLOW_PHASES(TAF_FLOW_PHASE
 inline constexpr int kNumFlowPhases = static_cast<int>(std::size(kFlowPhaseNames));
 const char* flow_phase_name(FlowPhase phase);
 
-/// How guardband() evaluates timing and thermal state inside the
-/// Algorithm 1 loop.
-enum class IncrementalMode {
-  /// Full recompute every iteration — the original path, kept alive as
-  /// the differential-testing oracle.
-  Off,
-  /// Incremental STA session + warm-started CG — the production engine.
-  /// Bit-identical timing to Off (DESIGN.md section 8); temperatures
-  /// agree within the CG termination tolerance.
-  Exact,
-};
-
 /// Work performed by the Algorithm 1 loop of one guardband() call
 /// (priming/baseline/margin analyses excluded). The loop re-times only a
 /// map another iteration will read, so a run that converges in one
@@ -95,10 +83,6 @@ struct GuardbandStats {
   std::uint64_t edges_reevaluated = 0;  ///< connection delays re-derived
   std::uint64_t delay_cache_hits = 0;   ///< cached connection delays reused
   std::uint64_t cg_iterations = 0;      ///< thermal CG iterations (all solves)
-  /// Subset of cg_iterations performed by a preconditioned solver (the
-  /// stencil backend's SSOR-PCG). Kept separate so backend comparisons
-  /// never conflate preconditioned with plain-CG iteration counts.
-  std::uint64_t precond_cg_iterations = 0;
 };
 
 /// Per-thread accumulation of flow work counters, as X(name, doc), in the
@@ -108,16 +92,15 @@ struct GuardbandStats {
 /// Algorithm 1 and trace-replay work never conflate. The place->thermal
 /// feedback counters stay zero whenever that stage is off or its refined
 /// placement was served from the artifact store.
-#define TAF_FLOW_COUNTERS(X)                                                     \
-  X(guardband_runs, "guardband() calls")                                         \
-  X(guardband_nonconverged, "runs that exhausted max_iterations unconverged")    \
-  X(sta_edges_reevaluated, "connection delays re-derived by incremental STA")    \
-  X(sta_delay_cache_hits, "cached connection delays reused")                     \
-  X(thermal_cg_iterations, "steady-state thermal CG iterations (all solves)")    \
-  X(thermal_precond_iterations, "subset of those run preconditioned (SSOR-PCG)") \
-  X(transient_steps, "backward-Euler steps of trace replays")                    \
-  X(transient_cg_iterations, "CG iterations those steps cost")                   \
-  X(thermal_adjoint_solves, "thermal_place adjoint gradient solves")             \
+#define TAF_FLOW_COUNTERS(X)                                                  \
+  X(guardband_runs, "guardband() calls")                                      \
+  X(guardband_nonconverged, "runs that exhausted max_iterations unconverged") \
+  X(sta_edges_reevaluated, "connection delays re-derived by incremental STA") \
+  X(sta_delay_cache_hits, "cached connection delays reused")                  \
+  X(thermal_cg_iterations, "steady-state thermal CG iterations (all solves)") \
+  X(transient_steps, "backward-Euler steps of trace replays")                 \
+  X(transient_cg_iterations, "CG iterations those steps cost")                \
+  X(thermal_adjoint_solves, "thermal_place adjoint gradient solves")          \
   X(replace_moves, "re-place moves proposed by thermal_place refinement")
 
 struct FlowCounters {
@@ -136,8 +119,7 @@ struct FlowObserver {
   /// power at its clock, solves thermal, and re-times the new map only
   /// when another iteration will read it; iteration 1's STA is the
   /// priming pass at ambient. Counter fields are the STA work done in the
-  /// iteration (zero for the last one, and in IncrementalMode::Off where
-  /// no incremental session exists); they sum to GuardbandResult::stats.
+  /// iteration (zero for the last one); they sum to GuardbandResult::stats.
   struct IterationInfo {
     int iteration = 0;
     units::Megahertz fmax_mhz{0.0};  ///< clock the iteration priced power at
@@ -195,7 +177,7 @@ struct ThermalPlaceOptions {
   /// per Algorithm 1 iteration, so a representative point suffices).
   units::Megahertz pricing_f_mhz{100.0};
   units::Celsius pricing_temp_c{60.0};
-  /// Thermal model for the adjoint solves (backend, conductances).
+  /// Thermal model for the adjoint solves (conductances, tolerance).
   thermal::ThermalConfig thermal;
 };
 
@@ -219,8 +201,6 @@ struct GuardbandOptions {
   int max_iterations = 10;         ///< the paper observes < 10 iterations
   units::Celsius t_worst_c{100.0}; ///< conventional worst-case corner
   thermal::ThermalConfig thermal;  ///< ambient_c is overridden by t_amb_c
-  /// Loop evaluation strategy (see IncrementalMode).
-  IncrementalMode incremental = IncrementalMode::Exact;
   /// Multiplier on every computed power map (1.0 = physical). The zero
   /// setting is the metamorphic test seam: P = 0 must converge in one
   /// iteration with zero re-evaluated edges.
@@ -263,7 +243,11 @@ struct GuardbandResult {
 };
 
 /// Algorithm 1: iterate STA / power / thermal to convergence, then apply
-/// the delta-T safety margin. Also runs the T_worst baseline STA.
+/// the delta-T safety margin. Also runs the T_worst baseline STA. One
+/// incremental STA session re-times only the tiles whose temperature
+/// moved, and each thermal solve warm-starts from the previous iterate
+/// (DESIGN.md section 8). tests/reference_guardband.hpp holds the
+/// full-recompute reference this is checked against.
 GuardbandResult guardband(const Implementation& impl, const coffe::DeviceModel& dev,
                           const GuardbandOptions& opt = {});
 
@@ -284,13 +268,10 @@ GuardbandOptions with_corner(const GuardbandOptions& base, const GuardbandCorner
 /// corners[k])) — same fmax, temperatures, iteration and work counts —
 /// but all corners still iterating share one blocked stencil traversal
 /// per thermal solve through ThermalGrid::solve_batch (the ambient only
-/// enters the T = Tamb + dT shift, never the conductance operator). The
-/// sharing engages under the stencil backend with an incremental mode;
-/// the generic backend and IncrementalMode::Off solve corner by corner
-/// (still through one lockstep loop, so results cannot diverge from the
-/// sequential path either way). base.observer fires for every corner; in
-/// a batch its callbacks interleave across corners by iteration rather
-/// than corner by corner.
+/// enters the T = Tamb + dT shift, never the conductance operator).
+/// guardband() is the one-corner batch. base.observer fires for every
+/// corner; in a batch its callbacks interleave across corners by
+/// iteration rather than corner by corner.
 std::vector<GuardbandResult> guardband_batch(const Implementation& impl,
                                              const coffe::DeviceModel& dev,
                                              const GuardbandOptions& base,

@@ -214,11 +214,12 @@ void load_activity(FlowBuild& b, std::string_view payload) {
 
 // --- ThermalPlace (place -> thermal feedback edge) -------------------------
 
-/// Quantize adjoint prices to 1e-3 K/W before they reach the placer:
-/// the two thermal backends agree only to solver tolerance (~1e-10 K/W),
-/// so pricing at a granularity orders of magnitude above that makes
-/// every accept decision — and hence the refined placement artifact —
-/// backend-independent (same pattern as FlowCache::quantize_t_opt).
+/// Quantize adjoint prices to 1e-3 K/W before they reach the placer: a
+/// change of solver tolerance or of the stencil kernels moves a price
+/// only at solver-tolerance scale (~1e-10 K/W), so pricing at a
+/// granularity orders of magnitude above that keeps every accept
+/// decision — and hence the refined placement artifact — independent of
+/// them (same pattern as FlowCache::quantize_t_opt).
 double quantize_price(double k_per_w) {
   return std::round(k_per_w * 1000.0) / 1000.0;
 }
@@ -440,9 +441,10 @@ FlowGraph FlowGraph::standard(const netlist::BenchmarkSpec& spec,
     h.add(tp.pricing_temp_c.value());
     h.add(std::string_view(tp.device->name));
     h.add(tp.device->t_opt_c.value());
-    // Thermal-model knobs that shape the gradient field. The backend is
-    // deliberately NOT hashed: prices are quantized far above solver
-    // tolerance, so both backends produce the same refined placement.
+    // Thermal-model knobs that shape the gradient field. The solver
+    // (solve_tol_k, kernels) is deliberately NOT hashed: prices are
+    // quantized far above solver tolerance, so it cannot change the
+    // refined placement.
     h.add(tp.thermal.silicon_k_w_mk);
     h.add(tp.thermal.die_thickness_um);
     h.add(tp.thermal.tile_edge_um);

@@ -38,21 +38,20 @@ struct PhaseTimes {
 /// counter fields, TaskCounterScope's capture and the counter columns of
 /// RunReport::to_json()/to_csv() (EXPERIMENTS.md documents each column).
 /// guardband_runs and symbolic_analyses are collected but not reported.
-#define TAF_TASK_COUNTERS(X)                                 \
-  X(spice_factorizations, solver, factorizations)            \
-  X(spice_pattern_reuses, solver, pattern_reuses)            \
-  X(spice_newton_iters, solver, newton_iterations)           \
-  X(sta_edges_reevaluated, flow, sta_edges_reevaluated)      \
-  X(sta_delay_cache_hits, flow, sta_delay_cache_hits)        \
-  X(thermal_cg_iters, flow, thermal_cg_iterations)           \
-  X(thermal_precond_iters, flow, thermal_precond_iterations) \
-  X(transient_steps, flow, transient_steps)                  \
-  X(transient_cg_iters, flow, transient_cg_iterations)       \
-  X(thermal_adjoint_solves, flow, thermal_adjoint_solves)    \
-  X(replace_moves, flow, replace_moves)                      \
-  X(guardband_nonconverged, flow, guardband_nonconverged)    \
-  X(disk_hits, artifact, disk_hits)                          \
-  X(disk_misses, artifact, disk_misses)                      \
+#define TAF_TASK_COUNTERS(X)                              \
+  X(spice_factorizations, solver, factorizations)         \
+  X(spice_pattern_reuses, solver, pattern_reuses)         \
+  X(spice_newton_iters, solver, newton_iterations)        \
+  X(sta_edges_reevaluated, flow, sta_edges_reevaluated)   \
+  X(sta_delay_cache_hits, flow, sta_delay_cache_hits)     \
+  X(thermal_cg_iters, flow, thermal_cg_iterations)        \
+  X(transient_steps, flow, transient_steps)               \
+  X(transient_cg_iters, flow, transient_cg_iterations)    \
+  X(thermal_adjoint_solves, flow, thermal_adjoint_solves) \
+  X(replace_moves, flow, replace_moves)                   \
+  X(guardband_nonconverged, flow, guardband_nonconverged) \
+  X(disk_hits, artifact, disk_hits)                       \
+  X(disk_misses, artifact, disk_misses)                   \
   X(disk_writes, artifact, disk_writes)
 
 /// One unit of runner work: an implement/characterize warm-up task, a

@@ -222,7 +222,7 @@ void GuardbandServer::evaluate_group(
       base.observer = &obs;
 
       // Chunk the group's corners by max_batch; within a chunk the
-      // stencil backend shares one blocked traversal per thermal solve.
+      // corners share one blocked stencil traversal per thermal solve.
       const std::size_t chunk_max = std::max<std::size_t>(1, config_.max_batch);
       for (std::size_t begin = 0; begin < tuples.size(); begin += chunk_max) {
         const std::size_t end = std::min(tuples.size(), begin + chunk_max);
@@ -292,7 +292,7 @@ void GuardbandServer::evaluate_trace_group(const std::string& design,
 
       for (const TraceWork& item : items) {
         // Same option mapping as the scalar path: the server's configured
-        // margin/backend/power model, the request's quantized ambient.
+        // margin/thermal/power model, the request's quantized ambient.
         core::DynamicGuardbandOptions dopt;
         dopt.t_amb_c =
             units::Celsius{static_cast<double>(item.tuple.ambient_mdeg) / 1000.0};

@@ -12,9 +12,8 @@
 //   --> uncached tuples grouped by (design, grade) --> groups fan out on
 //   the ThreadPool --> each group evaluates its ambient/activity corners
 //   through core::guardband_batch() on one warm implementation (the
-//   stencil backend shares one blocked traversal per thermal solve
-//   across the corners of a chunk) --> responses assembled in request
-//   order.
+//   corners of a chunk share one blocked stencil traversal per thermal
+//   solve) --> responses assembled in request order.
 //
 // Determinism: a response's bytes (minus the echoed request_id) are a
 // pure function of the quantized request tuple. Tuples are canonicalized

@@ -1,31 +1,9 @@
 #include "spice/linear.hpp"
 
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
-
-#include "spice/sparse.hpp"
-#include "util/env.hpp"
-#include "util/log.hpp"
+#include <utility>
 
 namespace taf::spice {
-
-LinearBackend default_backend() {
-  static const LinearBackend b = [] {
-    if (const char* env = util::env_cstr("TAF_SPICE_BACKEND")) {
-      if (std::strcmp(env, "dense") == 0) return LinearBackend::Dense;
-      if (std::strcmp(env, "sparse") == 0) return LinearBackend::Sparse;
-      util::log_warn("TAF_SPICE_BACKEND='%s' is not 'dense' or 'sparse'; using sparse",
-                     env);
-    }
-    return LinearBackend::Sparse;
-  }();
-  return b;
-}
-
-const char* backend_name(LinearBackend b) {
-  return b == LinearBackend::Dense ? "dense" : "sparse";
-}
 
 void dense_lu_solve(std::vector<double>& a, std::vector<double>& b, int n) {
   for (int col = 0; col < n; ++col) {
@@ -68,37 +46,6 @@ void dense_lu_solve(std::vector<double>& a, std::vector<double>& b, int n) {
 SolverCounters& thread_counters() {
   thread_local SolverCounters counters;
   return counters;
-}
-
-namespace {
-
-class DenseSystem final : public LinearSystem {
- public:
-  explicit DenseSystem(int n) : n_(n), a_(static_cast<size_t>(n) * n) {}
-
-  void begin() override { std::fill(a_.begin(), a_.end(), 0.0); }
-  void add(int i, int j, double v) override {
-    a_[static_cast<size_t>(i) * n_ + j] += v;
-  }
-  void factor_solve(std::vector<double>& rhs) override {
-    work_ = a_;
-    dense_lu_solve(work_, rhs, n_);
-    ++thread_counters().factorizations;
-  }
-  LinearBackend backend() const override { return LinearBackend::Dense; }
-
- private:
-  int n_;
-  std::vector<double> a_;
-  std::vector<double> work_;
-};
-
-}  // namespace
-
-std::unique_ptr<LinearSystem> make_linear_system(LinearBackend backend, int n,
-                                                 const SparsityPattern& pattern) {
-  if (backend == LinearBackend::Dense) return std::make_unique<DenseSystem>(n);
-  return std::make_unique<SparseSystem>(n, pattern);
 }
 
 }  // namespace taf::spice

@@ -1,5 +1,6 @@
 #include "spice/solver.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
@@ -32,8 +33,8 @@ struct NodeMap {
 
 /// Jacobian sparsity of the MNA system: fixed by the netlist, independent
 /// of voltages, so it is collected once per solve and handed to the
-/// linear backend (the sparse backend computes its symbolic factorization
-/// from it exactly once). The capacitor entries are always included: the
+/// linear system (SparseSystem computes its symbolic factorization from
+/// it exactly once). The capacitor entries are always included: the
 /// DC pattern is a subset and extra structural zeros are harmless.
 SparsityPattern mna_pattern(const Circuit& c, const NodeMap& map) {
   SparsityPattern p;
@@ -62,20 +63,44 @@ SparsityPattern mna_pattern(const Circuit& c, const NodeMap& map) {
   return p;
 }
 
+/// Row-major dense MNA system with the SparseSystem interface: the
+/// second instantiation of the solver internals below, reached only
+/// through solve_transient_dense_oracle().
+class DenseSystem {
+ public:
+  DenseSystem(int n, const SparsityPattern& /*pattern*/)
+      : n_(n), a_(static_cast<size_t>(n) * static_cast<size_t>(n)) {}
+
+  void begin() { std::fill(a_.begin(), a_.end(), 0.0); }
+  void add(int i, int j, double v) { a_[static_cast<size_t>(i) * n_ + j] += v; }
+  void factor_solve(std::vector<double>& rhs) {
+    work_ = a_;
+    dense_lu_solve(work_, rhs, n_);
+    ++thread_counters().factorizations;
+  }
+
+ private:
+  int n_;
+  std::vector<double> a_;
+  std::vector<double> work_;
+};
+
 /// Everything reusable across the Newton iterations and timesteps of one
 /// solve: the node map, the per-device temperature-dependent model terms,
-/// the companion capacitances, and the factorization backend with its
-/// symbolic analysis.
+/// the companion capacitances, and the linear system with its symbolic
+/// analysis. Sys is SparseSystem in production, DenseSystem for the
+/// dense reference.
+template <class Sys>
 struct SolveContext {
   NodeMap map;
   std::vector<MosfetTherm> therms;  ///< per mosfet, at opt.temp_c
   std::vector<double> cg_ff;        ///< per mosfet intrinsic gate cap
   std::vector<double> cd_ff;        ///< per mosfet junction cap
-  std::unique_ptr<LinearSystem> sys;
+  Sys sys;
   std::vector<double> rhs;
 
   SolveContext(const Circuit& c, const tech::Technology& tech, const SolverOptions& opt)
-      : map(c) {
+      : map(c), sys(map.count(), mna_pattern(c, map)) {
     therms.reserve(c.mosfets().size());
     cg_ff.reserve(c.mosfets().size());
     cd_ff.reserve(c.mosfets().size());
@@ -84,7 +109,6 @@ struct SolveContext {
       cg_ff.push_back(mosfet_cgate_ff(m, tech));
       cd_ff.push_back(mosfet_cdrain_ff(m, tech));
     }
-    sys = make_linear_system(opt.backend, map.count(), mna_pattern(c, map));
     rhs.assign(static_cast<size_t>(map.count()), 0.0);
   }
 };
@@ -95,15 +119,13 @@ struct SolveContext {
 ///
 /// cap_g_scale: backward-Euler companion conductance scale 1/dt [1/ps];
 /// with_caps=false means a pure DC solve (capacitors open).
-/// Templated on the concrete system type: SparseSystem is final with
-/// inline begin()/add(), so the default backend's assembly — the hottest
-/// loop in a transient solve — compiles down to direct array updates
-/// instead of ~200 virtual calls per Newton iteration.
 template <class Sys>
-void newton_loop(SolveContext& ctx, Sys& sys, const Circuit& c, const SolverOptions& opt,
-                 std::vector<double>& v, bool with_caps, double cap_g_scale,
-                 const std::vector<double>& v_prev) {
+void newton_solve(SolveContext<Sys>& ctx, const Circuit& c, const SolverOptions& opt,
+                  std::vector<double>& v, bool with_caps, double cap_g_scale,
+                  const std::vector<double>& v_prev) {
   const int n = ctx.map.count();
+  if (n == 0) return;
+  Sys& sys = ctx.sys;
   std::vector<double>& rhs = ctx.rhs;
 
   for (int iter = 0; iter < opt.max_newton_iters; ++iter) {
@@ -203,24 +225,12 @@ void newton_loop(SolveContext& ctx, Sys& sys, const Circuit& c, const SolverOpti
   throw std::runtime_error("spice: Newton iteration did not converge");
 }
 
-/// One Newton solve; dispatches to the statically-typed loop for the
-/// sparse backend and to the virtual interface otherwise.
-void newton_solve(SolveContext& ctx, const Circuit& c, const SolverOptions& opt,
-                  std::vector<double>& v, bool with_caps, double cap_g_scale,
-                  const std::vector<double>& v_prev) {
-  if (ctx.map.count() == 0) return;
-  if (auto* sp = dynamic_cast<SparseSystem*>(ctx.sys.get())) {
-    newton_loop(ctx, *sp, c, opt, v, with_caps, cap_g_scale, v_prev);
-  } else {
-    newton_loop(ctx, *ctx.sys, c, opt, v, with_caps, cap_g_scale, v_prev);
-  }
-}
-
 /// Nonlinear Gauss-Seidel relaxation: solve each node's KCL alone by
 /// bisection with the other nodes frozen. Logic levels propagate down
 /// gate chains in one pass per stage, giving Newton an initial point near
 /// the operating point instead of the degenerate all-mid-rail bias.
-void gauss_seidel_init(const Circuit& c, const SolveContext& ctx,
+template <class Sys>
+void gauss_seidel_init(const Circuit& c, const SolveContext<Sys>& ctx,
                        const SolverOptions& opt, double vdd, std::vector<double>& v) {
   const double v_lo = -0.2;
   const double v_hi = vdd + 0.4;
@@ -269,7 +279,8 @@ void gauss_seidel_init(const Circuit& c, const SolveContext& ctx,
 
 /// DC operating point into an existing context (shared with the transient
 /// entry so the symbolic factorization is computed once per circuit).
-std::vector<double> solve_dc_with(SolveContext& ctx, const Circuit& c,
+template <class Sys>
+std::vector<double> solve_dc_with(SolveContext<Sys>& ctx, const Circuit& c,
                                   const tech::Technology& tech,
                                   const SolverOptions& opt) {
   std::vector<double> v(static_cast<size_t>(c.num_nodes()), 0.0);
@@ -285,18 +296,11 @@ std::vector<double> solve_dc_with(SolveContext& ctx, const Circuit& c,
   return v;
 }
 
-}  // namespace
-
-std::vector<double> solve_dc(const Circuit& c, const tech::Technology& tech,
-                             const SolverOptions& opt) {
-  SolveContext ctx(c, tech, opt);
-  return solve_dc_with(ctx, c, tech, opt);
-}
-
-TransientResult solve_transient(const Circuit& c, const tech::Technology& tech,
-                                const SolverOptions& opt, double t_stop_ps) {
+template <class Sys>
+TransientResult solve_transient_with(const Circuit& c, const tech::Technology& tech,
+                                     const SolverOptions& opt, double t_stop_ps) {
   assert(opt.dt_ps > 0.0);
-  SolveContext ctx(c, tech, opt);
+  SolveContext<Sys> ctx(c, tech, opt);
   std::vector<double> v = solve_dc_with(ctx, c, tech, opt);
 
   TransientResult result;
@@ -320,6 +324,25 @@ TransientResult solve_transient(const Circuit& c, const tech::Technology& tech,
     t = t_next;
   }
   return result;
+}
+
+}  // namespace
+
+std::vector<double> solve_dc(const Circuit& c, const tech::Technology& tech,
+                             const SolverOptions& opt) {
+  SolveContext<SparseSystem> ctx(c, tech, opt);
+  return solve_dc_with(ctx, c, tech, opt);
+}
+
+TransientResult solve_transient(const Circuit& c, const tech::Technology& tech,
+                                const SolverOptions& opt, double t_stop_ps) {
+  return solve_transient_with<SparseSystem>(c, tech, opt, t_stop_ps);
+}
+
+TransientResult solve_transient_dense_oracle(const Circuit& c,
+                                             const tech::Technology& tech,
+                                             const SolverOptions& opt, double t_stop_ps) {
+  return solve_transient_with<DenseSystem>(c, tech, opt, t_stop_ps);
 }
 
 double crossing_time_ps(const TransientResult& r, NodeId node, double threshold,

@@ -5,7 +5,6 @@
 
 #include "spice/circuit.hpp"
 #include "util/units.hpp"
-#include "spice/linear.hpp"
 #include "tech/technology.hpp"
 
 namespace taf::spice {
@@ -16,9 +15,6 @@ struct SolverOptions {
   int max_newton_iters = 120;
   double v_tol = 1e-5;           ///< Newton convergence tolerance [V]
   double dt_ps = 2.0;            ///< transient timestep
-  /// Linear solver backend; defaults from TAF_SPICE_BACKEND (sparse
-  /// when unset). See linear.hpp.
-  LinearBackend backend = default_backend();
 };
 
 struct TransientResult {
@@ -39,6 +35,15 @@ std::vector<double> solve_dc(const Circuit& c, const tech::Technology& tech,
 /// Backward-Euler transient from the DC operating point.
 TransientResult solve_transient(const Circuit& c, const tech::Technology& tech,
                                 const SolverOptions& opt, double t_stop_ps);
+
+/// solve_transient() with every Newton step's linear solve done by the
+/// row-major dense LU (linear.hpp) instead of the sparse LU: same
+/// assembly, initialization and timestepping. The reference the
+/// differential tests compare against (tests/diff_harness.hpp); nothing
+/// in production calls it.
+TransientResult solve_transient_dense_oracle(const Circuit& c,
+                                             const tech::Technology& tech,
+                                             const SolverOptions& opt, double t_stop_ps);
 
 /// Time at which the node waveform crosses `threshold` in the given
 /// direction (first crossing after t_from). Returns a negative value if no

@@ -1,5 +1,5 @@
 #pragma once
-// Sparse MNA backend: CSR storage and a static-pattern LU factorization.
+// Sparse MNA solver: CSR storage and a static-pattern LU factorization.
 //
 // The MNA Jacobian's sparsity pattern is fixed by the netlist, so the
 // expensive work — a fill-reducing elimination order (greedy minimum
@@ -13,7 +13,7 @@
 // There is no numeric pivoting: MNA matrices carry gmin on every
 // diagonal, and the elimination order is fixed by the symbolic phase.
 // Pivots below kPivotFloor are regularized by +/-kPivotNudge — the same
-// contract as the dense path (see linear.hpp).
+// contract as the dense reference LU (see linear.hpp).
 
 #include <algorithm>
 #include <cassert>
@@ -72,23 +72,27 @@ class SparseLu {
   std::vector<double> work_;       ///< dense scatter row for factor()
 };
 
-/// LinearSystem implementation backed by CsrMatrix + SparseLu, with an
-/// O(1) stamp map from (i, j) to the CSR value slot.
-class SparseSystem final : public LinearSystem {
+/// One MNA system A x = b of fixed dimension and sparsity pattern, backed
+/// by CsrMatrix + SparseLu with an O(1) stamp map from (i, j) to the CSR
+/// value slot. Assembly stamps entries with add(); factor_solve()
+/// factorizes the current values and overwrites rhs with the solution;
+/// begin() resets the values for the next assembly.
+class SparseSystem {
  public:
   SparseSystem(int n, const SparsityPattern& pattern);
 
-  // begin()/add() are inline: the class is final, so the solver's
-  // assembly loop (templated on the concrete backend) devirtualizes and
-  // inlines them — they are the hottest calls in a transient solve.
-  void begin() override { std::fill(a_.val.begin(), a_.val.end(), 0.0); }
-  void add(int i, int j, double v) override {
+  // begin()/add() are inline: they are the hottest calls in a transient
+  // solve, and the solver's assembly loop compiles down to direct array
+  // updates.
+  void begin() { std::fill(a_.val.begin(), a_.val.end(), 0.0); }
+  /// A(i, j) += v. (i, j) must belong to the pattern the system was
+  /// created with.
+  void add(int i, int j, double v) {
     const int s = slot_[static_cast<std::size_t>(i) * a_.n + j];
     assert(s >= 0 && "stamp outside the analyzed sparsity pattern");
     a_.val[static_cast<std::size_t>(s)] += v;
   }
-  void factor_solve(std::vector<double>& rhs) override;
-  LinearBackend backend() const override { return LinearBackend::Sparse; }
+  void factor_solve(std::vector<double>& rhs);
 
   const CsrMatrix& matrix() const { return a_; }
   const SparseLu& lu() const { return lu_; }

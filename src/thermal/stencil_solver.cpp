@@ -160,8 +160,7 @@ void StencilOp::apply_naive(const double* x, double* y) const {
   }
 }
 
-StencilSolver::StencilSolver(StencilOp op, StencilPreconditioner pc)
-    : op_(op), pc_(pc), omega_(pc == StencilPreconditioner::Ssor ? tuned_omega(op) : 1.0) {
+StencilSolver::StencilSolver(StencilOp op) : op_(op), omega_(tuned_omega(op)) {
   // Reciprocal diagonals per neighbour count: the sweeps multiply instead
   // of divide, which matters twice over — division is slow, and inside
   // the Gauss-Seidel recurrence its latency would sit on the loop-carried
@@ -180,12 +179,7 @@ double StencilSolver::tuned_omega(const StencilOp& op) {
 
 void StencilSolver::precondition(const double* r, double* z) const {
   const int w = op_.width(), h = op_.height();
-  const int n = op_.size();
   const double og = omega_ * op_.lateral_g();
-  if (pc_ == StencilPreconditioner::None) {
-    for (int i = 0; i < n; ++i) z[static_cast<std::size_t>(i)] = r[static_cast<std::size_t>(i)];
-    return;
-  }
   // SSOR(omega): M = (D + omega L) D^{-1} (D + omega U) up to a positive
   // scalar that PCG is invariant to. Forward sweep y = (D + omega L)^{-1} r,
   // then in-place backward sweep z = (D + omega U)^{-1} D y; the stencil

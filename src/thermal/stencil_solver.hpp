@@ -1,5 +1,5 @@
 #pragma once
-// Matrix-free blocked stencil backend of the thermal solver.
+// Matrix-free blocked stencil solver behind ThermalGrid.
 //
 // The thermal conductance matrix is a 5-point stencil with constant
 // coefficients: every tile couples to its four lateral neighbours with
@@ -14,9 +14,8 @@
 // branch-free traversal whose working set is sized to stay cache-resident.
 //
 // This header is an implementation detail of ThermalGrid: everything
-// outside src/thermal selects the backend through
-// ThermalConfig::backend / TAF_THERMAL_BACKEND and calls the ThermalGrid
-// API (taf-analyze rule thermal-backend-seam keeps it that way).
+// outside src/thermal calls the ThermalGrid API (taf-analyze rule
+// thermal-backend-seam keeps it that way).
 
 #include <vector>
 
@@ -80,31 +79,22 @@ class StencilOp {
   double g_base_;  ///< g_vert + g_c
 };
 
-/// Preconditioner of the stencil CG. Ssor is the default; None degrades
-/// to plain CG and exists so the property tests can assert the
-/// preconditioner actually cuts iterations.
-enum class StencilPreconditioner { None, Ssor };
-
 /// Outcome of one stencil PCG solve (per right-hand side).
 struct StencilSolveInfo {
   int iterations = 0;
   double rr = 0.0;  ///< squared residual 2-norm at termination [W^2]
 };
 
-/// Preconditioned conjugate gradients over a StencilOp. Termination uses
-/// the same criterion as the generic CG oracle — squared TRUE residual
-/// against max(rr0 * rel_eps, abs_floor_rr) — so both backends honour one
-/// accuracy contract and the differential harness can compare them
-/// per-tile.
+/// SSOR-preconditioned conjugate gradients over a StencilOp. Termination
+/// uses the criterion of the plain-CG test oracle (tests/thermal_oracle.hpp)
+/// — squared TRUE residual against max(rr0 * rel_eps, abs_floor_rr) — so
+/// the differential suites can compare the two per tile.
 class StencilSolver {
  public:
-  explicit StencilSolver(StencilOp op,
-                         StencilPreconditioner pc = StencilPreconditioner::Ssor);
+  explicit StencilSolver(StencilOp op);
 
   const StencilOp& op() const { return op_; }
-  StencilPreconditioner preconditioner() const { return pc_; }
-  /// SSOR relaxation factor in use (1 for None).
-  /// Chosen per operator by tuned_omega().
+  /// SSOR relaxation factor in use, chosen per operator by tuned_omega().
   double omega() const { return omega_; }
 
   /// Relaxation factor heuristic: the model-problem SOR optimum walks
@@ -118,7 +108,7 @@ class StencilSolver {
 
   /// Solve (A + g_c I) x = b from the given iterate x (pass zeros for a
   /// cold start; x = 0 reproduces r = b bitwise). Iterations are capped
-  /// at 4n, matching the generic oracle. Throws std::runtime_error when
+  /// at 4n, matching the CG oracle. Throws std::runtime_error when
   /// the operator is singular (ground_g() not positive — no path to
   /// ambient) or on a CG breakdown (dot(p, Ap) not strictly positive:
   /// the search direction carries no energy, so alpha would be a silent
@@ -143,8 +133,7 @@ class StencilSolver {
 
  private:
   StencilOp op_;
-  StencilPreconditioner pc_;
-  double omega_;        ///< SSOR relaxation factor (1 otherwise)
+  double omega_;        ///< SSOR relaxation factor
   double inv_diag_[5];  ///< 1 / diag(degree) for degree 0..4
 };
 

@@ -3,33 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
 #include "thermal/stencil_solver.hpp"
-#include "util/env.hpp"
-#include "util/log.hpp"
 
 namespace taf::thermal {
-
-ThermalBackend default_thermal_backend() {
-  static const ThermalBackend b = [] {
-    if (const char* env = util::env_cstr("TAF_THERMAL_BACKEND")) {
-      if (std::strcmp(env, "generic") == 0) return ThermalBackend::Generic;
-      if (std::strcmp(env, "stencil") == 0) return ThermalBackend::Stencil;
-      util::log_warn(
-          "TAF_THERMAL_BACKEND='%s' is not 'generic' or 'stencil'; using stencil",
-          env);
-    }
-    return ThermalBackend::Stencil;
-  }();
-  return b;
-}
-
-const char* thermal_backend_name(ThermalBackend b) {
-  return b == ThermalBackend::Generic ? "generic" : "stencil";
-}
 
 ThermalGrid::ThermalGrid(const arch::FpgaGrid& grid, ThermalConfig config)
     : width_(grid.width()), height_(grid.height()), config_(config) {
@@ -43,22 +22,7 @@ ThermalGrid::ThermalGrid(const arch::FpgaGrid& grid, ThermalConfig config)
   c_tile_ = config_.volumetric_c_j_m3k * tile_vol_m3;
 }
 
-void ThermalGrid::apply(const std::vector<double>& x, std::vector<double>& y) const {
-  for (int j = 0; j < height_; ++j) {
-    for (int i = 0; i < width_; ++i) {
-      const int idx = j * width_ + i;
-      double acc = g_vert_ * x[static_cast<size_t>(idx)];
-      const double xi = x[static_cast<size_t>(idx)];
-      if (i > 0) acc += g_lat_ * (xi - x[static_cast<size_t>(idx - 1)]);
-      if (i < width_ - 1) acc += g_lat_ * (xi - x[static_cast<size_t>(idx + 1)]);
-      if (j > 0) acc += g_lat_ * (xi - x[static_cast<size_t>(idx - width_)]);
-      if (j < height_ - 1) acc += g_lat_ * (xi - x[static_cast<size_t>(idx + width_)]);
-      y[static_cast<size_t>(idx)] = acc;
-    }
-  }
-}
-
-double ThermalGrid::cg_tolerance(double rr0, double g_diag) const {
+double ThermalGrid::cg_tolerance(double g_diag) const {
   // A per-tile residual of g_diag * solve_tol_k watts maps to a
   // temperature error of solve_tol_k kelvin through the weakest per-tile
   // conductance of the operator being solved (g_vert_ steady-state,
@@ -67,72 +31,17 @@ double ThermalGrid::cg_tolerance(double rr0, double g_diag) const {
   // conductance matter.
   const int n = width_ * height_;
   const double floor_per_tile = g_diag * config_.solve_tol_k.value();
-  return std::max(rr0 * 1e-20, n * floor_per_tile * floor_per_tile);
-}
-
-void ThermalGrid::cg_core(std::vector<double>& x, std::vector<double>& r, double g_c,
-                          CgStats* stats) const {
-  const int n = width_ * height_;
-  std::vector<double> p = r;
-  std::vector<double> ap(static_cast<size_t>(n));
-
-  auto dot = [](const std::vector<double>& a, const std::vector<double>& b) {
-    double s = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
-    return s;
-  };
-  auto apply_sys = [&](const std::vector<double>& v, std::vector<double>& out) {
-    apply(v, out);
-    if (g_c != 0.0) {
-      for (std::size_t i = 0; i < out.size(); ++i) out[i] += g_c * v[i];
-    }
-  };
-
-  double rr = dot(r, r);
-  if (!std::isfinite(rr)) {
-    throw std::invalid_argument(
-        "thermal solve: non-finite right-hand side (power map)");
-  }
-  const double tol = cg_tolerance(rr, g_vert_ + g_c);
-  int iters = 0;
-  for (; iters < 4 * n && rr > tol; ++iters) {
-    apply_sys(p, ap);
-    const double pap = dot(p, ap);
-    if (!(pap > 0.0)) {
-      // alpha = rr / pap would be a silent NaN/inf spreading through the
-      // temperature field; fail loudly in release builds too (same
-      // contract as util::fit_exponential).
-      throw std::runtime_error(
-          "thermal CG breakdown: dot(p, Ap) = " + std::to_string(pap) +
-          " is not positive (singular or non-SPD operator configuration)");
-    }
-    const double alpha = rr / pap;
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      x[i] += alpha * p[i];
-      r[i] -= alpha * ap[i];
-    }
-    const double rr_new = dot(r, r);
-    const double beta = rr_new / rr;
-    rr = rr_new;
-    for (std::size_t i = 0; i < p.size(); ++i) p[i] = r[i] + beta * p[i];
-  }
-  if (stats != nullptr) {
-    stats->iterations = iters;
-    stats->residual_norm_w = units::Watts{std::sqrt(rr)};
-    stats->preconditioned = false;
-  }
+  return n * floor_per_tile * floor_per_tile;
 }
 
 void ThermalGrid::stencil_solve(const std::vector<double>& rhs, std::vector<double>& x,
                                 double g_c, CgStats* stats) const {
   const StencilOp op(width_, height_, g_lat_, g_vert_, g_c);
-  const StencilSolver solver(op, StencilPreconditioner::Ssor);
-  const StencilSolveInfo info =
-      solver.solve(rhs.data(), x.data(), 1e-20, cg_tolerance(0.0, g_vert_ + g_c));
+  const StencilSolveInfo info = StencilSolver(op).solve(
+      rhs.data(), x.data(), 1e-20, cg_tolerance(g_vert_ + g_c));
   if (stats != nullptr) {
     stats->iterations = info.iterations;
     stats->residual_norm_w = units::Watts{std::sqrt(info.rr)};
-    stats->preconditioned = true;
   }
 }
 
@@ -143,12 +52,7 @@ std::vector<double> ThermalGrid::solve(const std::vector<double>& power_w,
 
   // Cold start: x = 0, so r = P exactly (no operator application needed).
   std::vector<double> x(static_cast<size_t>(n), 0.0);
-  if (config_.backend == ThermalBackend::Stencil) {
-    stencil_solve(power_w, x, 0.0, stats);
-  } else {
-    std::vector<double> r = power_w;
-    cg_core(x, r, 0.0, stats);
-  }
+  stencil_solve(power_w, x, 0.0, stats);
 
   for (double& t : x) t += config_.ambient_c.value();
   return x;
@@ -166,55 +70,10 @@ std::vector<double> ThermalGrid::solve(const std::vector<double>& power_w,
   for (int i = 0; i < n; ++i)
     x[static_cast<size_t>(i)] =
         initial_temp_c[static_cast<size_t>(i)] - config_.ambient_c.value();
-  if (config_.backend == ThermalBackend::Stencil) {
-    stencil_solve(power_w, x, 0.0, stats);
-  } else {
-    std::vector<double> r(static_cast<size_t>(n));
-    apply(x, r);
-    for (int i = 0; i < n; ++i)
-      r[static_cast<size_t>(i)] =
-          power_w[static_cast<size_t>(i)] - r[static_cast<size_t>(i)];
-    cg_core(x, r, 0.0, stats);
-  }
+  stencil_solve(power_w, x, 0.0, stats);
 
   for (double& t : x) t += config_.ambient_c.value();
   return x;
-}
-
-std::vector<std::vector<double>> ThermalGrid::solve_batch(
-    const std::vector<std::vector<double>>& power_w, std::vector<CgStats>* stats) const {
-  const int n = width_ * height_;
-  const auto nrhs = power_w.size();
-  if (stats != nullptr) stats->assign(nrhs, CgStats{});
-  std::vector<std::vector<double>> temps(nrhs);
-  if (config_.backend != ThermalBackend::Stencil) {
-    for (std::size_t k = 0; k < nrhs; ++k) {
-      temps[k] = solve(power_w[k], stats != nullptr ? &(*stats)[k] : nullptr);
-    }
-    return temps;
-  }
-  std::vector<double> b(static_cast<std::size_t>(n) * nrhs);
-  std::vector<double> x(static_cast<std::size_t>(n) * nrhs, 0.0);
-  for (std::size_t k = 0; k < nrhs; ++k) {
-    assert(static_cast<int>(power_w[k].size()) == n);
-    std::copy(power_w[k].begin(), power_w[k].end(),
-              b.begin() + static_cast<std::ptrdiff_t>(k) * n);
-  }
-  const StencilOp op(width_, height_, g_lat_, g_vert_, 0.0);
-  const StencilSolver solver(op, StencilPreconditioner::Ssor);
-  const std::vector<StencilSolveInfo> info = solver.solve_batch(
-      static_cast<int>(nrhs), b.data(), x.data(), 1e-20, cg_tolerance(0.0, g_vert_));
-  for (std::size_t k = 0; k < nrhs; ++k) {
-    temps[k].assign(x.begin() + static_cast<std::ptrdiff_t>(k) * n,
-                    x.begin() + static_cast<std::ptrdiff_t>(k + 1) * n);
-    for (double& t : temps[k]) t += config_.ambient_c.value();
-    if (stats != nullptr) {
-      (*stats)[k].iterations = info[k].iterations;
-      (*stats)[k].residual_norm_w = units::Watts{std::sqrt(info[k].rr)};
-      (*stats)[k].preconditioned = true;
-    }
-  }
-  return temps;
 }
 
 std::vector<std::vector<double>> ThermalGrid::solve_batch(
@@ -228,23 +87,6 @@ std::vector<std::vector<double>> ThermalGrid::solve_batch(
   assert(ambient_c.size() == nrhs);
   if (stats != nullptr) stats->assign(nrhs, CgStats{});
   std::vector<std::vector<double>> temps(nrhs);
-  if (config_.backend != ThermalBackend::Stencil) {
-    // Sequential oracle path: the warm-started solve() arithmetic with
-    // the per-map ambient substituted for config_.ambient_c.
-    for (std::size_t k = 0; k < nrhs; ++k) {
-      assert(power_w[k].size() == un);
-      assert(initial_temp_c[k].size() == un);
-      std::vector<double> x(un);
-      for (std::size_t i = 0; i < un; ++i) x[i] = initial_temp_c[k][i] - ambient_c[k];
-      std::vector<double> r(un);
-      apply(x, r);
-      for (std::size_t i = 0; i < un; ++i) r[i] = power_w[k][i] - r[i];
-      cg_core(x, r, 0.0, stats != nullptr ? &(*stats)[k] : nullptr);
-      for (double& t : x) t += ambient_c[k];
-      temps[k] = std::move(x);
-    }
-    return temps;
-  }
   std::vector<double> b(un * nrhs);
   std::vector<double> x(un * nrhs);
   for (std::size_t k = 0; k < nrhs; ++k) {
@@ -257,9 +99,8 @@ std::vector<std::vector<double>> ThermalGrid::solve_batch(
     }
   }
   const StencilOp op(width_, height_, g_lat_, g_vert_, 0.0);
-  const StencilSolver solver(op, StencilPreconditioner::Ssor);
-  const std::vector<StencilSolveInfo> info = solver.solve_batch(
-      static_cast<int>(nrhs), b.data(), x.data(), 1e-20, cg_tolerance(0.0, g_vert_));
+  const std::vector<StencilSolveInfo> info = StencilSolver(op).solve_batch(
+      static_cast<int>(nrhs), b.data(), x.data(), 1e-20, cg_tolerance(g_vert_));
   for (std::size_t k = 0; k < nrhs; ++k) {
     temps[k].assign(x.begin() + static_cast<std::ptrdiff_t>(k * un),
                     x.begin() + static_cast<std::ptrdiff_t>((k + 1) * un));
@@ -267,7 +108,6 @@ std::vector<std::vector<double>> ThermalGrid::solve_batch(
     if (stats != nullptr) {
       (*stats)[k].iterations = info[k].iterations;
       (*stats)[k].residual_norm_w = units::Watts{std::sqrt(info[k].rr)};
-      (*stats)[k].preconditioned = true;
     }
   }
   return temps;
@@ -305,12 +145,7 @@ AdjointResult ThermalGrid::solve_adjoint(const std::vector<double>& power_w,
   // Adjoint solve: A lambda = w against the same steady-state operator.
   // lambda_j = d(smooth peak)/d(P_j) in K/W, by symmetry of A.
   out.dpeak_dp_k_per_w.assign(un, 0.0);
-  if (config_.backend == ThermalBackend::Stencil) {
-    stencil_solve(w, out.dpeak_dp_k_per_w, 0.0, &out.adjoint);
-  } else {
-    std::vector<double> r = w;
-    cg_core(out.dpeak_dp_k_per_w, r, 0.0, &out.adjoint);
-  }
+  stencil_solve(w, out.dpeak_dp_k_per_w, 0.0, &out.adjoint);
   return out;
 }
 
@@ -321,7 +156,7 @@ void ThermalGrid::step(const std::vector<double>& power_w, units::Seconds dt,
   assert(static_cast<int>(temps.size()) == n);
   // Backward Euler: (C/dt + A) dT_next = P + (C/dt) dT_now. The system
   // stays SPD, so the same CG machinery applies with an extra diagonal —
-  // cg_core/stencil_solve parameterized by g_c, including the
+  // stencil_solve parameterized by g_c, including the
   // termination floor, which must be derived from the augmented
   // diagonal g_vert_ + C/dt (see cg_tolerance).
   if (!(dt.value() > 0.0) || !std::isfinite(dt.value())) {
@@ -343,17 +178,7 @@ void ThermalGrid::step(const std::vector<double>& power_w, units::Seconds dt,
     rhs[static_cast<std::size_t>(i)] =
         power_w[static_cast<std::size_t>(i)] + g_c * x[static_cast<std::size_t>(i)];
 
-  if (config_.backend == ThermalBackend::Stencil) {
-    stencil_solve(rhs, x, g_c, stats);
-  } else {
-    std::vector<double> r(static_cast<std::size_t>(n));
-    apply(x, r);
-    for (int i = 0; i < n; ++i)
-      r[static_cast<std::size_t>(i)] =
-          rhs[static_cast<std::size_t>(i)] -
-          (r[static_cast<std::size_t>(i)] + g_c * x[static_cast<std::size_t>(i)]);
-    cg_core(x, r, g_c, stats);
-  }
+  stencil_solve(rhs, x, g_c, stats);
   for (int i = 0; i < n; ++i)
     temps[static_cast<std::size_t>(i)] =
         x[static_cast<std::size_t>(i)] + config_.ambient_c.value();

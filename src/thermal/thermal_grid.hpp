@@ -6,14 +6,10 @@
 // spreader + sink) connects every tile to ambient. Solving
 //   (G_lateral + G_vertical) * (T - Tamb) = P
 // gives the per-tile temperature map Algorithm 1 iterates on. The system
-// is symmetric positive definite, solved matrix-free with conjugate
-// gradients by one of two interchangeable backends:
-//   * Stencil — matrix-free blocked stencil PCG with an SSOR
-//     preconditioner and batched multi-RHS solves (the hot path; see
-//     thermal/stencil_solver.hpp and DESIGN.md section 11);
-//   * Generic — the original unpreconditioned CG, kept alive as the
-//     differential-testing oracle (same role as the dense MNA backend
-//     in src/spice).
+// is symmetric positive definite, solved matrix-free by blocked stencil
+// conjugate gradients with an SSOR preconditioner and batched multi-RHS
+// solves (thermal/stencil_solver.hpp, DESIGN.md section 11). A plain-CG
+// reference lives in tests/thermal_oracle.hpp.
 
 #include <string>
 #include <vector>
@@ -22,15 +18,6 @@
 #include "util/units.hpp"
 
 namespace taf::thermal {
-
-enum class ThermalBackend { Generic, Stencil };
-
-/// Backend used when ThermalConfig does not name one: Stencil, unless
-/// the TAF_THERMAL_BACKEND environment variable ("generic" | "stencil")
-/// overrides it. Read once per process. Mirrors spice::default_backend().
-ThermalBackend default_thermal_backend();
-
-const char* thermal_backend_name(ThermalBackend b);
 
 struct ThermalConfig {
   units::Celsius ambient_c{25.0};
@@ -58,9 +45,8 @@ struct ThermalConfig {
   /// 1e-9 degC the incremental-vs-full guardband differential contract
   /// asserts (DESIGN.md section 8).
   units::Kelvin solve_tol_k{1e-11};
-  /// Which solver serves solve()/step(); both honour the same
-  /// termination contract (DESIGN.md section 11).
-  ThermalBackend backend = default_thermal_backend();
+
+  bool operator==(const ThermalConfig&) const = default;
 
   double lateral_g_w_per_k() const {
     return silicon_k_w_mk * die_thickness_um * 1e-6;
@@ -71,10 +57,6 @@ struct ThermalConfig {
 struct CgStats {
   int iterations = 0;
   units::Watts residual_norm_w;  ///< ||P - A dT||_2 at termination
-  /// True when the iterations were preconditioned (stencil backend):
-  /// surfaced through GuardbandStats/TaskMetrics so iteration counts of
-  /// the two backends are never conflated in reports.
-  bool preconditioned = false;
 };
 
 /// Result of ThermalGrid::solve_adjoint(): the primal temperature field
@@ -111,24 +93,18 @@ class ThermalGrid {
                             const std::vector<double>& initial_temp_c,
                             CgStats* stats = nullptr) const;
 
-  /// Batched steady-state solve: one temperature map per power map, all
-  /// corners sharing a single blocked operator traversal per CG
-  /// iteration (stencil backend; the generic oracle solves sequentially).
-  /// Results are bit-identical to calling solve() per map. stats, when
-  /// given, is resized to one entry per map.
-  std::vector<std::vector<double>> solve_batch(
-      const std::vector<std::vector<double>>& power_w,
-      std::vector<CgStats>* stats = nullptr) const;
-
   /// Warm-started batched solve for independent ambient corners that
   /// share this grid's conductance operator (the ambient never enters the
   /// operator, only the T = Tamb + dT shift): map k starts from
   /// initial_temp_c[k] and is solved against ambient_c[k], overriding
-  /// config().ambient_c. Result k is bit-identical to calling
+  /// config().ambient_c. All maps share one blocked operator traversal
+  /// per CG iteration, yet result k is bit-identical to calling
   /// solve(power_w[k], initial_temp_c[k]) on a grid configured with
   /// ambient ambient_c[k] — the guardband corner-batching contract
-  /// (DESIGN.md section 12). All three vectors must have one entry per
-  /// map; every map must match the grid tile count.
+  /// (DESIGN.md section 12). A start map filled with the ambient is a
+  /// cold start. All three vectors must have one entry per map; every
+  /// map must match the grid tile count. stats, when given, is resized
+  /// to one entry per map.
   std::vector<std::vector<double>> solve_batch(
       const std::vector<std::vector<double>>& power_w,
       const std::vector<std::vector<double>>& initial_temp_c,
@@ -140,12 +116,10 @@ class ThermalGrid {
   /// log-sum-exp smooth max S(T) (temperature scale smooth_tau_k), the
   /// chain rule gives dS/dP = A^-T w = A^-1 w (A is symmetric), where
   /// w = softmax((T - Tmax)/tau) is the smooth-max selection vector. One
-  /// extra CG solve against the same SPD operator, served by whichever
-  /// backend config() names — both honour the solve() termination
-  /// contract, so the two backends agree to solver tolerance (the
-  /// gradient-check CI job cross-checks both against central finite
-  /// differences). Throws std::invalid_argument unless smooth_tau_k is
-  /// positive and finite.
+  /// extra CG solve against the same SPD operator, under the solve()
+  /// termination contract (the gradient-check CI job checks it against
+  /// central finite differences). Throws std::invalid_argument unless
+  /// smooth_tau_k is positive and finite.
   AdjointResult solve_adjoint(const std::vector<double>& power_w,
                               units::Kelvin smooth_tau_k) const;
 
@@ -175,18 +149,13 @@ class ThermalGrid {
   static std::string ascii_heatmap(const std::vector<double>& temps, int width,
                                    int height);
 
-  /// y = A x where A is the conductance matrix. Public so tests can
-  /// cross-check the matrix-free operator against an explicitly
-  /// assembled sparse matrix.
-  void apply(const std::vector<double>& x, std::vector<double>& y) const;
-
   double lateral_g() const { return g_lat_; }
   double vertical_g() const { return g_vert_; }
 
  private:
-  /// Squared-residual CG termination threshold: relative to the initial
-  /// residual, with an absolute floor at the residual a per-tile
-  /// temperature error of config_.solve_tol_k would produce through the
+  /// Absolute floor of the squared-residual CG termination threshold
+  /// (the stencil solver takes the max with rr0 * 1e-20): the residual a
+  /// per-tile temperature error of config_.solve_tol_k would produce through the
   /// weakest per-tile conductance of the system being solved — g_vert_
   /// for the steady-state operator, g_vert_ + C/dt (`g_diag`) for the
   /// backward-Euler one. Deriving the transient floor from the
@@ -198,17 +167,12 @@ class ThermalGrid {
   /// criterion (rr0 * 1e-20) made CG chase rounding noise for the full
   /// 4n iterations whenever the initial residual was already near zero
   /// (tiny power maps, warm starts at the solution).
-  double cg_tolerance(double rr0, double g_diag) const;
+  double cg_tolerance(double g_diag) const;
 
-  /// Shared generic-CG core: solves (A + g_c I) x = rhs for x = T - Tamb,
-  /// starting from x (callers supply the matching residual
-  /// r = rhs - (A + g_c I) x; pass g_c = 0 for the steady-state system).
-  /// One parameterized loop serves solve() and step() so tolerance and
-  /// stats fixes cannot diverge between the two paths again.
-  void cg_core(std::vector<double>& x, std::vector<double>& r, double g_c,
-               CgStats* stats) const;
-
-  /// Stencil-backend equivalent of cg_core (thermal/stencil_solver.hpp).
+  /// Solves (A + g_c I) x = rhs for x = T - Tamb, starting from x (pass
+  /// g_c = 0 for the steady-state system). One parameterized PCG serves
+  /// solve(), solve_adjoint() and step() so tolerance and stats fixes
+  /// cannot diverge between the paths (thermal/stencil_solver.hpp).
   void stencil_solve(const std::vector<double>& rhs, std::vector<double>& x,
                      double g_c, CgStats* stats) const;
 

@@ -90,9 +90,6 @@ void TransientEngine::advance(const std::vector<double>& power_w,
     if (stats != nullptr) {
       ++stats->steps;
       stats->cg_iterations += static_cast<std::uint64_t>(cg.iterations);
-      if (cg.preconditioned) {
-        stats->precond_cg_iterations += static_cast<std::uint64_t>(cg.iterations);
-      }
     }
     remaining = dt_eff < remaining ? remaining - dt_eff : 0.0;
     if (remaining <= 0.0) break;

@@ -15,8 +15,9 @@
 // A x = P, so holding any constant power long enough converges to
 // ThermalGrid::solve(P) to within the shared CG termination contract
 // (DESIGN.md section 11). tests/test_transient.cpp pins per-tile
-// agreement within kTransientSteadyContractC on every benchmark, under
-// both thermal backends — the differential gate of this engine.
+// agreement within kTransientSteadyContractC on every benchmark, against
+// both solve() and the plain-CG test oracle — the differential gate of
+// this engine.
 
 #include <cstdint>
 #include <vector>
@@ -67,10 +68,6 @@ struct TransientStats {
   std::uint64_t steps = 0;  ///< backward-Euler solves performed
   std::uint64_t holds = 0;  ///< dwells fast-forwarded at the fixed point
   std::uint64_t cg_iterations = 0;
-  /// Subset of cg_iterations run preconditioned (stencil backend); kept
-  /// separate like CgStats::preconditioned so backend iteration counts
-  /// are never conflated.
-  std::uint64_t precond_cg_iterations = 0;
 };
 
 /// Adaptive backward-Euler integrator over one ThermalGrid. The grid

@@ -1,7 +1,7 @@
 #pragma once
 // Single sanctioned doorway to process environment variables.
 //
-// Every TAF_* knob (TAF_SPICE_BACKEND, TAF_THERMAL_BACKEND, ...) is read
+// Every TAF_* knob (TAF_ARTIFACT_DIR, TAF_BENCH_THREADS, ...) is read
 // through these helpers so that a grep for util::env_cstr enumerates the
 // complete environment surface of the library. taf-analyze enforces
 // this: std::getenv anywhere outside src/util/env.cpp is a finding

@@ -1,9 +1,10 @@
 #pragma once
-// Differential harness for the SPICE linear backends: run the same
-// circuit through the dense and sparse solvers and compare the full
-// node-voltage trajectories and the measured delay. Both backends see
-// the identical Newton assembly, so agreement to rounding (far below
-// the asserted tolerances) is the expected behaviour; any structured
+// Differential harness for the SPICE linear solve: run the same circuit
+// through production solve_transient() (sparse LU) and the dense-LU
+// reference solve_transient_dense_oracle(), and compare the full
+// node-voltage trajectories and the measured delay. Both see the
+// identical Newton assembly, so agreement to rounding (far below the
+// asserted tolerances) is the expected behaviour; any structured
 // divergence means a factorization bug.
 
 #include <gtest/gtest.h>
@@ -13,7 +14,6 @@
 #include <vector>
 
 #include "spice/circuit.hpp"
-#include "spice/linear.hpp"
 #include "spice/solver.hpp"
 #include "tech/technology.hpp"
 
@@ -30,16 +30,14 @@ struct DiffResult {
   double max_dv = 0.0;  ///< worst node-voltage divergence over all samples
 };
 
-/// Simulate `c` with both backends and compare every node's trajectory.
+/// Simulate `c` with both LU solvers and compare every node's trajectory.
 /// `label` tags gtest failure messages (circuit + temperature). Void
 /// because gtest ASSERTs return from the enclosing function; callers
 /// check HasFatalFailure() before using `r`.
 inline void run_differential(const spice::Circuit& c, const tech::Technology& tech,
-                             spice::SolverOptions opt, double t_stop_ps,
+                             const spice::SolverOptions& opt, double t_stop_ps,
                              const std::string& label, DiffResult& r) {
-  opt.backend = spice::LinearBackend::Dense;
-  r.dense = spice::solve_transient(c, tech, opt, t_stop_ps);
-  opt.backend = spice::LinearBackend::Sparse;
+  r.dense = spice::solve_transient_dense_oracle(c, tech, opt, t_stop_ps);
   r.sparse = spice::solve_transient(c, tech, opt, t_stop_ps);
 
   ASSERT_EQ(r.dense.time_ps.size(), r.sparse.time_ps.size()) << label;
@@ -69,7 +67,7 @@ inline void expect_delay_match(const DiffResult& r, spice::NodeId in, spice::Nod
                                                 out_rising, t_from_ps);
   ASSERT_GT(dd, 0.0) << label << ": dense run output did not switch";
   ASSERT_GT(ds, 0.0) << label << ": sparse run output did not switch";
-  EXPECT_NEAR(dd, ds, kDelayTolPs) << label << ": backend delays diverge";
+  EXPECT_NEAR(dd, ds, kDelayTolPs) << label << ": dense and sparse delays diverge";
 }
 
 }  // namespace taf::difftest

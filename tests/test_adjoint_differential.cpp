@@ -1,8 +1,9 @@
 // Differential test for ThermalGrid::solve_adjoint (DESIGN.md section
 // 15): the adjoint gradient d(smooth peak T)/d(tile power) must match a
 // central finite difference of the smooth-max peak on every VTR suite
-// benchmark's real routed power map, under both thermal backends. The
-// smooth peak S(P) = Tmax + tau * log sum exp((Ti - Tmax)/tau) over
+// benchmark's real routed power map, and the adjoint solve must agree
+// with the plain-CG oracle of tests/thermal_oracle.hpp. The smooth peak
+// S(P) = Tmax + tau * log sum exp((Ti - Tmax)/tau) over
 // T = Tamb + A^-1 P is nearly linear in P, so central differences at a
 // small step agree with the exact gradient to the curvature term
 // O((eps * lambda / tau)^2) plus solver noise O(tol / eps) — both far
@@ -21,11 +22,11 @@
 #include "power/power.hpp"
 #include "runner/flow_cache.hpp"
 #include "thermal/thermal_grid.hpp"
+#include "thermal_oracle.hpp"
 
 namespace {
 
 using namespace taf;
-using thermal::ThermalBackend;
 using thermal::ThermalConfig;
 using thermal::ThermalGrid;
 
@@ -69,38 +70,52 @@ TEST_P(AdjointSuiteDifferential, MatchesCentralFiniteDifference) {
       power::compute_power(dev, impl.nl, impl.packed, impl.placement, impl.rr, impl.routes,
                            impl.activity, units::Megahertz(100.0), temps, impl.grid);
 
-  for (ThermalBackend backend : {ThermalBackend::Generic, ThermalBackend::Stencil}) {
-    SCOPED_TRACE(std::string(spec.name) + " / " +
-                 (backend == ThermalBackend::Generic ? "generic" : "stencil"));
-    ThermalConfig cfg;
-    cfg.backend = backend;
-    const ThermalGrid grid(impl.grid, cfg);
+  SCOPED_TRACE(spec.name);
+  const ThermalGrid grid(impl.grid, ThermalConfig{});
 
-    const thermal::AdjointResult adj = grid.solve_adjoint(power.tile_w, units::Kelvin(kTauK));
-    ASSERT_EQ(adj.dpeak_dp_k_per_w.size(), power.tile_w.size());
+  const thermal::AdjointResult adj = grid.solve_adjoint(power.tile_w, units::Kelvin(kTauK));
+  ASSERT_EQ(adj.dpeak_dp_k_per_w.size(), power.tile_w.size());
 
-    // Softmax weights sum to one, so the gradient's total mass through
-    // the (diagonally dominant SPD) operator is bounded by the package
-    // path: 0 < dS/dP_i, and sum_i g_vert * dS/dP_i >= ... — assert the
-    // cheap invariants before the expensive FD probes.
-    for (double g : adj.dpeak_dp_k_per_w) {
-      ASSERT_GT(g, 0.0);
-      ASSERT_TRUE(std::isfinite(g));
-    }
+  // Softmax weights sum to one, so the gradient's total mass through
+  // the (diagonally dominant SPD) operator is bounded by the package
+  // path: 0 < dS/dP_i, and sum_i g_vert * dS/dP_i >= ... — assert the
+  // cheap invariants before the expensive FD probes.
+  for (double g : adj.dpeak_dp_k_per_w) {
+    ASSERT_GT(g, 0.0);
+    ASSERT_TRUE(std::isfinite(g));
+  }
 
-    const double eps = 1e-4;  // watts
-    for (int tile : probe_tiles(power.tile_w)) {
-      std::vector<double> plus = power.tile_w, minus = power.tile_w;
-      plus[static_cast<std::size_t>(tile)] += eps;
-      minus[static_cast<std::size_t>(tile)] -= eps;
-      const double s_plus =
-          grid.solve_adjoint(plus, units::Kelvin(kTauK)).smooth_peak_c.value();
-      const double s_minus =
-          grid.solve_adjoint(minus, units::Kelvin(kTauK)).smooth_peak_c.value();
-      const double fd = (s_plus - s_minus) / (2.0 * eps);
-      const double exact = adj.dpeak_dp_k_per_w[static_cast<std::size_t>(tile)];
-      EXPECT_NEAR(exact, fd, 1e-4 + 1e-3 * std::abs(fd)) << "tile " << tile;
-    }
+  // The adjoint solve A lambda = w against the CG oracle, within the
+  // shared termination contract.
+  const double t_max = *std::max_element(adj.temp_c.begin(), adj.temp_c.end());
+  std::vector<double> w(adj.temp_c.size());
+  double sum = 0.0;
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    w[i] = std::exp((adj.temp_c[i] - t_max) / kTauK);
+    sum += w[i];
+  }
+  for (double& wi : w) wi /= sum;
+  std::vector<double> lambda(w.size(), 0.0);
+  thermal::CgStats oracle_stats;
+  thermal_oracle::cg(grid, lambda, w, 0.0, &oracle_stats);
+  const double bound = (adj.adjoint.residual_norm_w.value() +
+                        oracle_stats.residual_norm_w.value()) / grid.vertical_g() + 1e-12;
+  for (std::size_t i = 0; i < lambda.size(); ++i) {
+    ASSERT_NEAR(adj.dpeak_dp_k_per_w[i], lambda[i], bound) << "tile " << i;
+  }
+
+  const double eps = 1e-4;  // watts
+  for (int tile : probe_tiles(power.tile_w)) {
+    std::vector<double> plus = power.tile_w, minus = power.tile_w;
+    plus[static_cast<std::size_t>(tile)] += eps;
+    minus[static_cast<std::size_t>(tile)] -= eps;
+    const double s_plus =
+        grid.solve_adjoint(plus, units::Kelvin(kTauK)).smooth_peak_c.value();
+    const double s_minus =
+        grid.solve_adjoint(minus, units::Kelvin(kTauK)).smooth_peak_c.value();
+    const double fd = (s_plus - s_minus) / (2.0 * eps);
+    const double exact = adj.dpeak_dp_k_per_w[static_cast<std::size_t>(tile)];
+    EXPECT_NEAR(exact, fd, 1e-4 + 1e-3 * std::abs(fd)) << "tile " << tile;
   }
 }
 

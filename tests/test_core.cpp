@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/flow.hpp"
+#include "reference_guardband.hpp"
 #include "runner/artifact_store.hpp"
 #include "runner/flow_cache.hpp"
 #include "temp_dir.hpp"
@@ -323,25 +324,24 @@ TEST(Guardband, PowerScaleScalesTheOperatingPoint) {
   EXPECT_LT(dimmed.power.total_w().value(), full.power.total_w().value());
 }
 
-TEST(Guardband, IncrementalStatsAreReportedAndOffModeDoesNoSessionWork) {
+TEST(Guardband, IncrementalStatsAreReportedAndReferenceDoesNoSessionWork) {
   const auto dev = characterizer().characterize(units::Celsius(25.0));
   core::GuardbandOptions inc;
   inc.t_amb_c = units::Celsius(25.0);
   // sha self-heats 0.085 K in iteration 1: a tighter threshold makes the
   // loop re-time that map and iterate again.
   inc.delta_t_c = units::Kelvin(0.01);
-  inc.incremental = core::IncrementalMode::Exact;
   const auto r = core::guardband(sha_impl(), dev, inc);
   ASSERT_GE(r.iterations, 2);
   EXPECT_GT(r.stats.cg_iterations, 0u);
   EXPECT_GT(r.stats.edges_reevaluated, 0u);
 
-  core::GuardbandOptions off = inc;
-  off.incremental = core::IncrementalMode::Off;
-  const auto legacy = core::guardband(sha_impl(), dev, off);
-  EXPECT_EQ(legacy.stats.edges_reevaluated, 0u);
-  EXPECT_EQ(legacy.stats.delay_cache_hits, 0u);
-  EXPECT_GT(legacy.stats.cg_iterations, 0u);  // CG work is counted either way
+  // The full-recompute reference has no session; it counts only CG work.
+  const auto full = reference::guardband(sha_impl(), dev, inc, reference::stencil_cold);
+  EXPECT_EQ(full.iterations, r.iterations);
+  EXPECT_EQ(full.stats.edges_reevaluated, 0u);
+  EXPECT_EQ(full.stats.delay_cache_hits, 0u);
+  EXPECT_GT(full.stats.cg_iterations, 0u);
 }
 
 TEST(Guardband, ConvergedMapIsNotRetimed) {
@@ -357,7 +357,6 @@ TEST(Guardband, ConvergedMapIsNotRetimed) {
   core::GuardbandOptions opt;
   opt.t_amb_c = units::Celsius(25.0);
   opt.delta_t_c = units::Kelvin(0.01);  // below sha's 0.085 K first step
-  opt.incremental = core::IncrementalMode::Exact;
   opt.observer = &obs;
   const auto r = core::guardband(sha_impl(), dev, opt);
   ASSERT_GE(r.iterations, 2);
@@ -524,7 +523,6 @@ void expect_bit_identical(const core::GuardbandResult& solo,
   EXPECT_EQ(solo.stats.edges_reevaluated, batch.stats.edges_reevaluated);
   EXPECT_EQ(solo.stats.delay_cache_hits, batch.stats.delay_cache_hits);
   EXPECT_EQ(solo.stats.cg_iterations, batch.stats.cg_iterations);
-  EXPECT_EQ(solo.stats.precond_cg_iterations, batch.stats.precond_cg_iterations);
   ASSERT_EQ(solo.tile_temp_c.size(), batch.tile_temp_c.size());
   for (std::size_t i = 0; i < solo.tile_temp_c.size(); ++i) {
     ASSERT_EQ(solo.tile_temp_c[i], batch.tile_temp_c[i]) << "tile " << i;
@@ -547,7 +545,7 @@ TEST(GuardbandBatch, WithCornerSubstitutesOnlyAmbientAndPowerScale) {
   EXPECT_EQ(opt.power_scale, 0.5);
   EXPECT_EQ(opt.delta_t_c.value(), base.delta_t_c.value());
   EXPECT_EQ(opt.max_iterations, base.max_iterations);
-  EXPECT_EQ(opt.incremental, base.incremental);
+  EXPECT_EQ(opt.thermal, base.thermal);
 }
 
 TEST(GuardbandBatch, BitIdenticalToSequentialCornerLoop) {
@@ -558,8 +556,6 @@ TEST(GuardbandBatch, BitIdenticalToSequentialCornerLoop) {
   const auto dev = characterizer().characterize(units::Celsius(25.0));
   core::GuardbandOptions base;
   base.delta_t_c = units::Kelvin(0.2);  // make the loop iterate
-  base.incremental = core::IncrementalMode::Exact;
-  base.thermal.backend = thermal::ThermalBackend::Stencil;
   const std::vector<core::GuardbandCorner> corners = {
       {units::Celsius(25.0), 1.0},
       {units::Celsius(55.0), 0.75},
@@ -572,36 +568,6 @@ TEST(GuardbandBatch, BitIdenticalToSequentialCornerLoop) {
     SCOPED_TRACE("corner " + std::to_string(k));
     const auto solo = core::guardband(sha_impl(), dev, core::with_corner(base, corners[k]));
     expect_bit_identical(solo, batch[k]);
-  }
-}
-
-TEST(GuardbandBatch, FallbackPathsStayBitIdentical) {
-  // Off mode (cold per-corner solves) and the generic oracle backend
-  // never engage the shared traversal but run the same lockstep loop —
-  // still pinned bit-identical to the sequential corner loop.
-  const auto dev = characterizer().characterize(units::Celsius(25.0));
-  const std::vector<core::GuardbandCorner> corners = {
-      {units::Celsius(25.0), 1.0},
-      {units::Celsius(70.0), 0.75},
-  };
-  for (const bool generic : {false, true}) {
-    for (const auto mode : {core::IncrementalMode::Off, core::IncrementalMode::Exact}) {
-      core::GuardbandOptions base;
-      base.delta_t_c = units::Kelvin(0.2);
-      base.incremental = mode;
-      base.thermal.backend =
-          generic ? thermal::ThermalBackend::Generic : thermal::ThermalBackend::Stencil;
-      SCOPED_TRACE(std::string(generic ? "generic" : "stencil") + "/" +
-                   (mode == core::IncrementalMode::Off ? "off" : "exact"));
-      const auto batch = core::guardband_batch(sha_impl(), dev, base, corners);
-      ASSERT_EQ(batch.size(), corners.size());
-      for (std::size_t k = 0; k < corners.size(); ++k) {
-        SCOPED_TRACE("corner " + std::to_string(k));
-        const auto solo =
-            core::guardband(sha_impl(), dev, core::with_corner(base, corners[k]));
-        expect_bit_identical(solo, batch[k]);
-      }
-    }
   }
 }
 

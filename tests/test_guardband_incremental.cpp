@@ -1,13 +1,16 @@
 // Differential tests for the incremental Algorithm 1 engine: for every
 // registered benchmark and both ambient corners the paper sweeps,
-// IncrementalMode::Exact (incremental STA session + warm-started thermal
-// CG) must reproduce the IncrementalMode::Off full-recompute oracle —
-// identical iteration counts, bitwise-equal baseline, fmax within
-// 1e-9 MHz and tile temperatures within 1e-9 degC. Plus the metamorphic
-// zero-power check (one iteration, zero incremental work) and the
-// non-convergence flag/counter satellite. The STA-level differential
-// drives one IncrementalSta session through every frontier shape (all,
-// some and no tiles moved) against TimingAnalyzer::analyze.
+// core::guardband() (incremental STA session + warm-started thermal PCG)
+// must reproduce the full-recompute reference of
+// tests/reference_guardband.hpp — identical iteration counts,
+// bitwise-equal baseline, fmax within 1e-9 MHz and tile temperatures
+// within 1e-9 degC against the reference with cold stencil solves (the
+// reference with cold plain-CG solves is checked in
+// test_thermal_differential.cpp). Plus the metamorphic zero-power check (one
+// iteration, zero incremental work) and the non-convergence
+// flag/counter satellite. The STA-level differential drives one
+// IncrementalSta session through every frontier shape (all, some and no
+// tiles moved) against TimingAnalyzer::analyze.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +21,7 @@
 #include <vector>
 
 #include "core/flow.hpp"
+#include "reference_guardband.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -40,11 +44,10 @@ const std::vector<netlist::BenchmarkSpec>& suite() {
   return s;
 }
 
-core::GuardbandOptions base_options(double t_amb_c, core::IncrementalMode mode) {
+core::GuardbandOptions base_options(double t_amb_c) {
   core::GuardbandOptions opt;
   opt.t_amb_c = units::Celsius(t_amb_c);
   opt.delta_t_c = units::Kelvin(0.2);  // stricter than default so the loop actually iterates
-  opt.incremental = mode;
   return opt;
 }
 
@@ -53,8 +56,8 @@ void expect_equivalent(const core::GuardbandResult& full,
   SCOPED_TRACE(label);
   EXPECT_EQ(full.iterations, inc.iterations);
   EXPECT_EQ(full.converged, inc.converged);
-  // Exact times the baseline through its session, which must equal the
-  // oracle's analyze_uniform bit for bit.
+  // guardband() times the baseline through its session, which must equal
+  // the reference's analyze_uniform bit for bit.
   EXPECT_DOUBLE_EQ(full.baseline_fmax_mhz.value(), inc.baseline_fmax_mhz.value());
   EXPECT_NEAR(full.fmax_mhz.value(), inc.fmax_mhz.value(), 1e-9);
   EXPECT_NEAR(full.timing.critical_path_ps.value(), inc.timing.critical_path_ps.value(), 1e-9);
@@ -80,16 +83,14 @@ TEST_P(IncrementalDifferential, ExactMatchesFullRecomputeAtBothAmbients) {
       netlist::scaled(suite()[static_cast<std::size_t>(GetParam())], 1.0 / 16);
   const auto impl = core::implement(spec, test_arch());
   for (double t_amb : {25.0, 70.0}) {
-    const auto full =
-        core::guardband(*impl, device(), base_options(t_amb, core::IncrementalMode::Off));
-    const auto inc = core::guardband(*impl, device(),
-                                     base_options(t_amb, core::IncrementalMode::Exact));
+    const core::GuardbandOptions opt = base_options(t_amb);
+    const auto inc = core::guardband(*impl, device(), opt);
+    const auto full = reference::guardband(*impl, device(), opt, reference::stencil_cold);
     const std::string label = spec.name + " @ " + std::to_string(t_amb) + "C";
     expect_equivalent(full, inc, label.c_str());
-    // The oracle itself performs no incremental work. The session
-    // records the loop's, and the loop re-times a map only when another
-    // iteration reads it: STA work happens iff the run iterated again.
-    EXPECT_EQ(full.stats.edges_reevaluated, 0u);
+    // The session records the loop's STA work, and the loop re-times a
+    // map only when another iteration reads it: STA work happens iff the
+    // run iterated again.
     EXPECT_EQ(inc.stats.delay_cache_hits + inc.stats.edges_reevaluated > 0u,
               inc.iterations >= 2);
     if (inc.iterations > 0) {
@@ -221,10 +222,9 @@ const core::Implementation& sha_impl() {
 }
 
 TEST(IncrementalDifferentialDetail, CriticalPathStructureIsIdentical) {
-  const auto full = core::guardband(sha_impl(), device(),
-                                    base_options(25.0, core::IncrementalMode::Off));
-  const auto inc = core::guardband(sha_impl(), device(),
-                                   base_options(25.0, core::IncrementalMode::Exact));
+  const auto full = reference::guardband(sha_impl(), device(), base_options(25.0),
+                                         reference::stencil_cold);
+  const auto inc = core::guardband(sha_impl(), device(), base_options(25.0));
   ASSERT_EQ(full.timing.cp_prims.size(), inc.timing.cp_prims.size());
   for (std::size_t i = 0; i < full.timing.cp_prims.size(); ++i) {
     EXPECT_EQ(full.timing.cp_prims[i], inc.timing.cp_prims[i]) << "hop " << i;
@@ -240,7 +240,7 @@ TEST(IncrementalMetamorphic, ZeroPowerConvergesInOneIterationWithZeroWork) {
   // field itself: the first iteration must leave every temperature
   // bitwise unchanged, so the incremental STA sees an empty frontier and
   // the warm-started CG terminates without a single iteration.
-  auto opt = base_options(25.0, core::IncrementalMode::Exact);
+  auto opt = base_options(25.0);
   opt.power_scale = 0.0;
   const auto r = core::guardband(sha_impl(), device(), opt);
   EXPECT_TRUE(r.converged);
@@ -255,7 +255,7 @@ TEST(IncrementalMetamorphic, ZeroPowerConvergesInOneIterationWithZeroWork) {
 
 TEST(IncrementalNonConvergence, ExhaustedLoopIsFlaggedAndCounted) {
   const core::FlowCounters before = core::thread_flow_counters();
-  auto opt = base_options(25.0, core::IncrementalMode::Exact);
+  auto opt = base_options(25.0);
   opt.max_iterations = 1;
   opt.delta_t_c = units::Kelvin(1e-6);  // unreachable in one iteration from ambient
   const auto r = core::guardband(sha_impl(), device(), opt);
@@ -269,7 +269,7 @@ TEST(IncrementalNonConvergence, ExhaustedLoopIsFlaggedAndCounted) {
 TEST(IncrementalNonConvergence, ConvergedRunIsNotCounted) {
   const core::FlowCounters before = core::thread_flow_counters();
   const auto r = core::guardband(sha_impl(), device(),
-                                 base_options(25.0, core::IncrementalMode::Exact));
+                                 base_options(25.0));
   EXPECT_TRUE(r.converged);
   const core::FlowCounters d = core::thread_flow_counters() - before;
   EXPECT_EQ(d.guardband_runs, 1u);
@@ -279,7 +279,7 @@ TEST(IncrementalNonConvergence, ConvergedRunIsNotCounted) {
 }
 
 TEST(IncrementalNonConvergence, ZeroIterationBudgetIsVacuouslyConverged) {
-  auto opt = base_options(25.0, core::IncrementalMode::Exact);
+  auto opt = base_options(25.0);
   opt.max_iterations = 0;
   const auto r = core::guardband(sha_impl(), device(), opt);
   EXPECT_TRUE(r.converged);

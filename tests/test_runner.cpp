@@ -170,13 +170,9 @@ TEST(FlowCache, FeedbackEdgeKeyFollowsTheStageGraph) {
   // What the stage deliberately leaves out of its hash shares the entry.
   const core::FlowObserver obs;
   const core::StageHooks hooks;
-  EXPECT_EQ(variant([](auto& o) {
-              o.thermal_place.thermal.backend =
-                  o.thermal_place.thermal.backend == thermal::ThermalBackend::Stencil
-                      ? thermal::ThermalBackend::Generic
-                      : thermal::ThermalBackend::Stencil;
-            }),
-            base);
+  EXPECT_EQ(
+      variant([](auto& o) { o.thermal_place.thermal.solve_tol_k = units::Kelvin(1e-10); }),
+      base);
   EXPECT_EQ(variant([&](auto& o) { o.observer = &obs; }), base);
   EXPECT_EQ(variant([&](auto& o) { o.stage_hooks = &hooks; }), base);
   EXPECT_EQ(cache.stats().impl_misses, 6u);
@@ -330,7 +326,6 @@ TEST(Metrics, ReportSerializesJsonAndCsv) {
   m.sta_edges_reevaluated = 450;
   m.sta_delay_cache_hits = 9000;
   m.thermal_cg_iters = 37;
-  m.thermal_precond_iters = 21;
   m.transient_steps = 64;
   m.transient_cg_iters = 512;
   m.thermal_adjoint_solves = 2;
@@ -349,7 +344,6 @@ TEST(Metrics, ReportSerializesJsonAndCsv) {
   EXPECT_NE(json.find("\"sta_edges_reevaluated\": 450"), std::string::npos);
   EXPECT_NE(json.find("\"sta_delay_cache_hits\": 9000"), std::string::npos);
   EXPECT_NE(json.find("\"thermal_cg_iters\": 37"), std::string::npos);
-  EXPECT_NE(json.find("\"thermal_precond_iters\": 21"), std::string::npos);
   EXPECT_NE(json.find("\"transient_steps\": 64"), std::string::npos);
   EXPECT_NE(json.find("\"transient_cg_iters\": 512"), std::string::npos);
   EXPECT_NE(json.find("\"thermal_adjoint_solves\": 2"), std::string::npos);
@@ -364,13 +358,13 @@ TEST(Metrics, ReportSerializesJsonAndCsv) {
   EXPECT_NE(csv.find("name,kind,wall_s,iterations,spice_factorizations,"
                      "spice_pattern_reuses,spice_newton_iters,"
                      "sta_edges_reevaluated,sta_delay_cache_hits,"
-                     "thermal_cg_iters,thermal_precond_iters,"
+                     "thermal_cg_iters,"
                      "transient_steps,transient_cg_iters,"
                      "thermal_adjoint_solves,replace_moves,"
                      "guardband_nonconverged,"
                      "disk_hits,disk_misses,disk_writes,pack_s"),
             std::string::npos);
-  EXPECT_NE(csv.find("sha@D25/amb70,guardband,0.250000,3,120,118,120,450,9000,37,21,"
+  EXPECT_NE(csv.find("sha@D25/amb70,guardband,0.250000,3,120,118,120,450,9000,37,"
                      "64,512,2,4096,1,0,0,0"),
             std::string::npos);
   EXPECT_NE(csv.find("scalar,throughput_qps,1234.500000"), std::string::npos);

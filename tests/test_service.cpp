@@ -28,6 +28,7 @@
 
 #include "core/dynamic.hpp"
 #include "core/flow.hpp"
+#include "reference_guardband.hpp"
 #include "service/guardband_server.hpp"
 #include "service/protocol.hpp"
 #include "service/socket_transport.hpp"
@@ -137,9 +138,9 @@ TEST(ServiceDeterminism, HandleBatchMatchesPerRequestHandle) {
 }
 
 TEST(ServiceDifferential, ServedTuplesMatchColdBatchOracle) {
-  // Every served tuple, re-run through the cold implement()/guardband()
-  // path with the full-recompute oracle, must agree to the PR 3
-  // incremental-vs-full contract bounds.
+  // Every served tuple, re-run cold through implement() and the
+  // full-recompute reference loop (tests/reference_guardband.hpp), must
+  // agree to the incremental-vs-full contract bounds.
   GuardbandServer server(small_config(2));
   const auto stream = request_stream(12);
   const std::vector<protocol::GuardbandResponse> responses = server.handle_batch(stream);
@@ -173,8 +174,8 @@ TEST(ServiceDifferential, ServedTuplesMatchColdBatchOracle) {
     core::GuardbandOptions opt = server.config().guardband;
     opt.t_amb_c = units::Celsius(static_cast<double>(resp.ambient_mdeg) / 1000.0);
     opt.power_scale = static_cast<double>(resp.activity_permille) / 1000.0;
-    opt.incremental = core::IncrementalMode::Off;  // the full-recompute oracle
-    const core::GuardbandResult cold = core::guardband(*impl, dev, opt);
+    const core::GuardbandResult cold =
+        reference::guardband(*impl, dev, opt, reference::stencil_cold);
 
     EXPECT_EQ(resp.iterations, cold.iterations);
     EXPECT_EQ(resp.converged != 0, cold.converged);

@@ -10,6 +10,7 @@
 
 #include "spice/sparse.hpp"
 #include "thermal/thermal_grid.hpp"
+#include "thermal_oracle.hpp"
 
 namespace {
 
@@ -94,48 +95,48 @@ TEST(Thermal, WarmStartFromAmbientMatchesColdStartBitwise) {
 TEST(Thermal, AmbientCornerBatchMatchesPerCornerWarmSolvesBitwise) {
   // The guardband corner-batching contract: independent ambient corners
   // share one conductance operator (ambient only shifts T = Tamb + dT),
-  // so the per-map-ambient solve_batch overload must reproduce, bit for
-  // bit, a warm solve() on a grid configured at each corner's ambient.
-  // Pinned for both backends.
-  for (const auto backend : {thermal::ThermalBackend::Generic,
-                             thermal::ThermalBackend::Stencil}) {
-    SCOPED_TRACE(thermal::thermal_backend_name(backend));
-    const std::vector<double> ambients = {25.0, 45.0, 70.0};
-    const int w = 12, h = 10;
-    const std::size_t n = static_cast<std::size_t>(w * h);
-    std::vector<std::vector<double>> powers, initials;
-    for (std::size_t k = 0; k < ambients.size(); ++k) {
-      std::vector<double> p(n, 0.0), x0(n, ambients[k]);
-      for (std::size_t i = 0; i < n; ++i) {
-        p[i] = 0.01 * static_cast<double>((i * (k + 3)) % 17);
-        x0[i] += 0.1 * static_cast<double>((i + k) % 5);  // off-solution warm start
-      }
-      powers.push_back(std::move(p));
-      initials.push_back(std::move(x0));
+  // so the per-map-ambient solve_batch must reproduce, bit for bit, a
+  // warm solve() on a grid configured at each corner's ambient — and,
+  // from a start map at the ambient, a cold solve().
+  const std::vector<double> ambients = {25.0, 45.0, 70.0};
+  const int w = 12, h = 10;
+  const std::size_t n = static_cast<std::size_t>(w * h);
+  std::vector<std::vector<double>> powers, initials, cold_starts;
+  for (std::size_t k = 0; k < ambients.size(); ++k) {
+    std::vector<double> p(n, 0.0), x0(n, ambients[k]);
+    cold_starts.push_back(x0);
+    for (std::size_t i = 0; i < n; ++i) {
+      p[i] = 0.01 * static_cast<double>((i * (k + 3)) % 17);
+      x0[i] += 0.1 * static_cast<double>((i + k) % 5);  // off-solution warm start
     }
+    powers.push_back(std::move(p));
+    initials.push_back(std::move(x0));
+  }
 
-    ThermalConfig shared_cfg;
-    shared_cfg.backend = backend;
-    const ThermalGrid shared(arch::FpgaGrid(w, h), shared_cfg);
-    std::vector<thermal::CgStats> batch_stats;
-    const auto batch = shared.solve_batch(powers, initials, ambients, &batch_stats);
-    ASSERT_EQ(batch.size(), ambients.size());
-    ASSERT_EQ(batch_stats.size(), ambients.size());
+  const ThermalConfig shared_cfg;
+  const ThermalGrid shared(arch::FpgaGrid(w, h), shared_cfg);
+  std::vector<thermal::CgStats> batch_stats, cold_stats;
+  const auto batch = shared.solve_batch(powers, initials, ambients, &batch_stats);
+  const auto cold = shared.solve_batch(powers, cold_starts, ambients, &cold_stats);
+  ASSERT_EQ(batch.size(), ambients.size());
+  ASSERT_EQ(batch_stats.size(), ambients.size());
+  ASSERT_EQ(cold_stats.size(), ambients.size());
 
-    for (std::size_t k = 0; k < ambients.size(); ++k) {
-      SCOPED_TRACE("corner " + std::to_string(k));
-      ThermalConfig corner_cfg = shared_cfg;
-      corner_cfg.ambient_c = units::Celsius(ambients[k]);
-      const ThermalGrid solo_grid(arch::FpgaGrid(w, h), corner_cfg);
-      thermal::CgStats solo_stats;
-      const auto solo = solo_grid.solve(powers[k], initials[k], &solo_stats);
-      ASSERT_EQ(batch[k].size(), solo.size());
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(batch[k][i], solo[i]) << "tile " << i;
-      }
-      EXPECT_EQ(batch_stats[k].iterations, solo_stats.iterations);
-      EXPECT_EQ(batch_stats[k].preconditioned, solo_stats.preconditioned);
+  for (std::size_t k = 0; k < ambients.size(); ++k) {
+    SCOPED_TRACE("corner " + std::to_string(k));
+    ThermalConfig corner_cfg = shared_cfg;
+    corner_cfg.ambient_c = units::Celsius(ambients[k]);
+    const ThermalGrid solo_grid(arch::FpgaGrid(w, h), corner_cfg);
+    thermal::CgStats solo_stats, solo_cold_stats;
+    const auto solo = solo_grid.solve(powers[k], initials[k], &solo_stats);
+    const auto solo_cold = solo_grid.solve(powers[k], &solo_cold_stats);
+    ASSERT_EQ(batch[k].size(), solo.size());
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(batch[k][i], solo[i]) << "tile " << i;
+      ASSERT_EQ(cold[k][i], solo_cold[i]) << "tile " << i;
     }
+    EXPECT_EQ(batch_stats[k].iterations, solo_stats.iterations);
+    EXPECT_EQ(cold_stats[k].iterations, solo_cold_stats.iterations);
   }
 }
 
@@ -395,15 +396,15 @@ spice::CsrMatrix assemble_thermal_csr(const ThermalGrid& g) {
 }
 
 TEST(Thermal, ApplyMatchesAssembledSparseOperator) {
-  // The matrix-free apply() and an independently assembled CSR stencil
-  // must agree on arbitrary vectors.
+  // The CG oracle's matrix-free apply() and an independently assembled
+  // CSR stencil must agree on arbitrary vectors.
   const ThermalGrid g = make_grid(9, 7);
   const spice::CsrMatrix m = assemble_thermal_csr(g);
   const int n = 9 * 7;
   std::vector<double> x(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) x[static_cast<size_t>(i)] = std::sin(0.7 * i) + 0.3 * i;
   std::vector<double> y_apply(static_cast<size_t>(n)), y_csr;
-  g.apply(x, y_apply);
+  thermal_oracle::apply(g, x, y_apply);
   m.multiply(x, y_csr);
   for (int i = 0; i < n; ++i)
     EXPECT_NEAR(y_apply[static_cast<size_t>(i)], y_csr[static_cast<size_t>(i)], 1e-15)
@@ -475,29 +476,23 @@ TEST(Thermal, SolveThrowsOnCgBreakdownInsteadOfSilentNan) {
   // An infinite package resistance zeroes the vertical conductance; with
   // uniform power the first CG direction is the lateral operator's
   // nullspace (the constant vector), dot(p, Ap) == 0, and alpha would be
-  // a silent NaN poisoning every temperature downstream. Both backends
-  // must refuse loudly instead — in release builds too (same contract as
-  // util::fit_exponential).
-  for (const auto backend : {thermal::ThermalBackend::Generic, thermal::ThermalBackend::Stencil}) {
-    ThermalConfig cfg;
-    cfg.package_r_k_per_w = std::numeric_limits<double>::infinity();
-    cfg.backend = backend;
-    const ThermalGrid g(arch::FpgaGrid(6, 6), cfg);
-    EXPECT_THROW(g.solve(std::vector<double>(36, 1e-3)), std::runtime_error)
-        << thermal::thermal_backend_name(backend);
-  }
+  // a silent NaN poisoning every temperature downstream. The solver and
+  // the CG oracle must refuse loudly instead — in release builds too
+  // (same contract as util::fit_exponential).
+  ThermalConfig cfg;
+  cfg.package_r_k_per_w = std::numeric_limits<double>::infinity();
+  const ThermalGrid g(arch::FpgaGrid(6, 6), cfg);
+  const std::vector<double> p(36, 1e-3);
+  EXPECT_THROW(g.solve(p), std::runtime_error);
+  EXPECT_THROW(thermal_oracle::solve(g, p), std::runtime_error);
 }
 
 TEST(Thermal, SolveRejectsNonFinitePower) {
-  for (const auto backend : {thermal::ThermalBackend::Generic, thermal::ThermalBackend::Stencil}) {
-    ThermalConfig cfg;
-    cfg.backend = backend;
-    const ThermalGrid g(arch::FpgaGrid(4, 4), cfg);
-    std::vector<double> p(16, 1e-3);
-    p[5] = std::numeric_limits<double>::quiet_NaN();
-    EXPECT_THROW(g.solve(p), std::invalid_argument)
-        << thermal::thermal_backend_name(backend);
-  }
+  const ThermalGrid g = make_grid(4, 4);
+  std::vector<double> p(16, 1e-3);
+  p[5] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(g.solve(p), std::invalid_argument);
+  EXPECT_THROW(thermal_oracle::solve(g, p), std::invalid_argument);
 }
 
 TEST(ThermalTransient, StepWithHugeDtMatchesSolve) {
@@ -506,19 +501,14 @@ TEST(ThermalTransient, StepWithHugeDtMatchesSolve) {
   // steady-state one, so a huge-dt step from ambient must land on the
   // solve() result to within the termination tolerance. This is the
   // regression test for the hand-copied CG loop step() used to carry.
-  for (const auto backend : {thermal::ThermalBackend::Generic, thermal::ThermalBackend::Stencil}) {
-    ThermalConfig cfg;
-    cfg.backend = backend;
-    const ThermalGrid g(arch::FpgaGrid(12, 12), cfg);
-    std::vector<double> p(144, 1e-4);
-    p[70] = 0.2;
-    const auto steady = g.solve(p);
-    std::vector<double> stepped(144, cfg.ambient_c.value());
-    g.step(p, units::Seconds(1e12 * g.tile_time_constant().value()), stepped);
-    for (std::size_t i = 0; i < stepped.size(); ++i) {
-      ASSERT_NEAR(stepped[i], steady[i], 1e-6)
-          << thermal::thermal_backend_name(backend) << " tile " << i;
-    }
+  const ThermalGrid g = make_grid(12, 12);
+  std::vector<double> p(144, 1e-4);
+  p[70] = 0.2;
+  const auto steady = g.solve(p);
+  std::vector<double> stepped(144, g.config().ambient_c.value());
+  g.step(p, units::Seconds(1e12 * g.tile_time_constant().value()), stepped);
+  for (std::size_t i = 0; i < stepped.size(); ++i) {
+    ASSERT_NEAR(stepped[i], steady[i], 1e-6) << "tile " << i;
   }
 }
 
@@ -536,33 +526,35 @@ TEST(ThermalTransient, SmallDtWarmTraceStopsOnAugmentedFloor) {
   // chasing floating-point noise, and still exited with a true residual
   // above what the floor claimed to guarantee. With the augmented floor
   // the criterion recognizes the warm start instantly: zero iterations.
-  for (const auto backend : {thermal::ThermalBackend::Generic, thermal::ThermalBackend::Stencil}) {
-    ThermalConfig cfg;
-    cfg.backend = backend;
-    const ThermalGrid g(arch::FpgaGrid(16, 16), cfg);
-    std::vector<double> p(256, 1e-4);
-    p[120] = 0.3;
+  // The CG oracle shares the criterion, so it is held to the same bar.
+  const ThermalGrid g = make_grid(16, 16);
+  std::vector<double> p(256, 1e-4);
+  p[120] = 0.3;
+  const units::Seconds dt(g.tile_time_constant().value() / 10000.0);
+  // The augmented per-tile conductance: g_vert + C/dt = g_vert (1 + tau/dt).
+  const double g_aug = g.vertical_g() * (1.0 + g.tile_time_constant().value() / dt.value());
+  const double floor_w = std::sqrt(256.0) * g_aug * g.config().solve_tol_k.value();
+  for (const bool oracle : {false, true}) {
+    SCOPED_TRACE(oracle ? "CG oracle" : "stencil PCG");
     thermal::CgStats stats;
     auto temps = g.solve(p, &stats);
-    const units::Seconds dt(g.tile_time_constant().value() / 10000.0);
-    // The augmented per-tile conductance: g_vert + C/dt = g_vert (1 + tau/dt).
-    const double g_aug =
-        g.vertical_g() * (1.0 + g.tile_time_constant().value() / dt.value());
-    const double floor_w = std::sqrt(256.0) * g_aug * cfg.solve_tol_k.value();
     int trace_iterations = 0;
     for (int step = 0; step < 5; ++step) {
-      g.step(p, dt, temps, &stats);
+      if (oracle) {
+        thermal_oracle::step(g, p, dt, temps, &stats);
+      } else {
+        g.step(p, dt, temps, &stats);
+      }
       trace_iterations += stats.iterations;
       // Each step's termination must honour the augmented-diagonal
       // accuracy contract, not merely stop.
-      EXPECT_LE(stats.residual_norm_w.value(), 2.0 * floor_w)
-          << thermal::thermal_backend_name(backend) << " step " << step;
+      EXPECT_LE(stats.residual_norm_w.value(), 2.0 * floor_w) << "step " << step;
     }
     // Under the old g_vert-only floor every one of these steps ground
     // through several iterations (the floor sat orders of magnitude below
     // anything the criterion needed); the augmented floor sees the warm
     // start is already converged.
-    EXPECT_LE(trace_iterations, 2) << thermal::thermal_backend_name(backend);
+    EXPECT_LE(trace_iterations, 2);
   }
 }
 

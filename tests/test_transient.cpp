@@ -2,9 +2,9 @@
 // decay to ambient is monotone), numerical order (backward Euler's
 // global error halves with the step), determinism (identical advances
 // are bitwise identical), and the differential anchor — a long
-// constant-power dwell must land on the steady-state solve() oracle
-// within kTransientSteadyContractC, per tile, on every suite benchmark's
-// fabric under BOTH thermal backends.
+// constant-power dwell must land on the steady state within
+// kTransientSteadyContractC, per tile, on every suite benchmark's fabric,
+// as solved by both ThermalGrid::solve() and the plain-CG oracle.
 
 #include <gtest/gtest.h>
 
@@ -15,28 +15,27 @@
 
 #include "core/flow.hpp"
 #include "thermal/transient.hpp"
+#include "thermal_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace taf;
-using thermal::ThermalBackend;
 using thermal::ThermalConfig;
 using thermal::ThermalGrid;
 using thermal::TransientEngine;
 using thermal::TransientOptions;
 using thermal::TransientStats;
 
-ThermalConfig config_for(ThermalBackend backend, double t_amb_c = 25.0) {
+ThermalConfig config_at(double t_amb_c = 25.0) {
   ThermalConfig cfg;
   cfg.ambient_c = units::Celsius(t_amb_c);
-  cfg.backend = backend;
   return cfg;
 }
 
 TEST(TransientEngine, RejectsMalformedOptionsAndInputs) {
   const arch::FpgaGrid fg(4, 4);
-  const ThermalGrid grid(fg, config_for(ThermalBackend::Generic));
+  const ThermalGrid grid(fg, config_at());
 
   TransientOptions bad = {};
   bad.dt_init_frac = 0.0;
@@ -78,35 +77,32 @@ TEST(TransientEngine, RejectsMalformedOptionsAndInputs) {
 TEST(TransientEngine, ZeroPowerDecaysMonotonicallyToAmbient) {
   util::Rng rng(13);
   const double ambient = 25.0;
-  for (const auto backend : {ThermalBackend::Generic, ThermalBackend::Stencil}) {
-    SCOPED_TRACE(thermal::thermal_backend_name(backend));
-    const arch::FpgaGrid fg(9, 4);
-    const ThermalGrid grid(fg, config_for(backend, ambient));
-    const TransientEngine engine(grid);
-    const double tau = grid.tile_time_constant().value();
+  const arch::FpgaGrid fg(9, 4);
+  const ThermalGrid grid(fg, config_at(ambient));
+  const TransientEngine engine(grid);
+  const double tau = grid.tile_time_constant().value();
 
-    // Heat the fabric with a hotspot map, then cut the power.
-    std::vector<double> power(9 * 4, 1e-4);
-    power[13] = 0.4;
-    power[27] = 0.2 * rng.next_double() + 0.1;
-    std::vector<double> temps = grid.solve(power);
-    const double excursion = ThermalGrid::peak(temps).value() - ambient;
-    ASSERT_GT(excursion, 0.0);
+  // Heat the fabric with a hotspot map, then cut the power.
+  std::vector<double> power(9 * 4, 1e-4);
+  power[13] = 0.4;
+  power[27] = 0.2 * rng.next_double() + 0.1;
+  std::vector<double> temps = grid.solve(power);
+  const double excursion = ThermalGrid::peak(temps).value() - ambient;
+  ASSERT_GT(excursion, 0.0);
 
-    const std::vector<double> zero(9 * 4, 0.0);
-    double prev_peak = ThermalGrid::peak(temps).value();
-    for (int k = 0; k < 20; ++k) {
-      engine.advance(zero, units::Seconds{0.5 * tau}, temps);
-      const double peak = ThermalGrid::peak(temps).value();
-      // Backward Euler is unconditionally stable and the operator is an
-      // M-matrix: the peak can never rise without power.
-      EXPECT_LE(peak, prev_peak + 1e-9) << "sub-advance " << k;
-      EXPECT_GE(peak, ambient - 1e-9) << "sub-advance " << k;
-      prev_peak = peak;
-    }
-    // After 10 time constants the excursion has decayed by ~e^-10.
-    EXPECT_NEAR(prev_peak, ambient, excursion * 1e-3 + 1e-9);
+  const std::vector<double> zero(9 * 4, 0.0);
+  double prev_peak = ThermalGrid::peak(temps).value();
+  for (int k = 0; k < 20; ++k) {
+    engine.advance(zero, units::Seconds{0.5 * tau}, temps);
+    const double peak = ThermalGrid::peak(temps).value();
+    // Backward Euler is unconditionally stable and the operator is an
+    // M-matrix: the peak can never rise without power.
+    EXPECT_LE(peak, prev_peak + 1e-9) << "sub-advance " << k;
+    EXPECT_GE(peak, ambient - 1e-9) << "sub-advance " << k;
+    prev_peak = peak;
   }
+  // After 10 time constants the excursion has decayed by ~e^-10.
+  EXPECT_NEAR(prev_peak, ambient, excursion * 1e-3 + 1e-9);
 }
 
 TEST(TransientEngine, FixedStepConvergesAtFirstOrder) {
@@ -115,7 +111,7 @@ TEST(TransientEngine, FixedStepConvergesAtFirstOrder) {
   // is order 1: pinning dt via dt_min_frac == dt_max_frac, the error at
   // t = tau must halve (within slack) each time the step halves.
   const arch::FpgaGrid fg(1, 1);
-  const ThermalGrid grid(fg, config_for(ThermalBackend::Generic));
+  const ThermalGrid grid(fg, config_at());
   const double g = grid.vertical_g();
   const double tau = grid.tile_time_constant().value();
   const double ambient = 25.0;
@@ -150,34 +146,24 @@ TEST(TransientEngine, FixedStepConvergesAtFirstOrder) {
 
 TEST(TransientEngine, IdenticalAdvancesAreBitwiseIdentical) {
   util::Rng rng(71);
-  for (const auto backend : {ThermalBackend::Generic, ThermalBackend::Stencil}) {
-    SCOPED_TRACE(thermal::thermal_backend_name(backend));
-    const arch::FpgaGrid fg(17, 9);
-    const ThermalGrid grid(fg, config_for(backend));
-    const TransientEngine engine(grid);
-    const double tau = grid.tile_time_constant().value();
-    std::vector<double> power(17 * 9);
-    for (double& w : power) w = 2e-3 * rng.next_double();
+  const arch::FpgaGrid fg(17, 9);
+  const ThermalGrid grid(fg, config_at());
+  const TransientEngine engine(grid);
+  const double tau = grid.tile_time_constant().value();
+  std::vector<double> power(17 * 9);
+  for (double& w : power) w = 2e-3 * rng.next_double();
 
-    std::vector<double> a(17 * 9, 25.0), b(17 * 9, 25.0);
-    TransientStats sa, sb;
-    engine.advance(power, units::Seconds{3.0 * tau}, a, &sa);
-    engine.advance(power, units::Seconds{3.0 * tau}, b, &sb);
-    EXPECT_EQ(sa.steps, sb.steps);
-    EXPECT_EQ(sa.holds, sb.holds);
-    EXPECT_EQ(sa.cg_iterations, sb.cg_iterations);
-    EXPECT_EQ(sa.precond_cg_iterations, sb.precond_cg_iterations);
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      ASSERT_EQ(a[i], b[i]) << "tile " << i;  // bitwise, not approximate
-    }
-    // Only the stencil backend runs preconditioned.
-    if (backend == ThermalBackend::Stencil) {
-      EXPECT_EQ(sa.precond_cg_iterations, sa.cg_iterations);
-    } else {
-      EXPECT_EQ(sa.precond_cg_iterations, 0u);
-    }
-    EXPECT_GT(sa.steps, 0u);
+  std::vector<double> a(17 * 9, 25.0), b(17 * 9, 25.0);
+  TransientStats sa, sb;
+  engine.advance(power, units::Seconds{3.0 * tau}, a, &sa);
+  engine.advance(power, units::Seconds{3.0 * tau}, b, &sb);
+  EXPECT_EQ(sa.steps, sb.steps);
+  EXPECT_EQ(sa.holds, sb.holds);
+  EXPECT_EQ(sa.cg_iterations, sb.cg_iterations);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i], b[i]) << "tile " << i;  // bitwise, not approximate
   }
+  EXPECT_GT(sa.steps, 0u);
 }
 
 TEST(TransientEngine, DwellHoldFreezesAtTheFixedPoint) {
@@ -185,7 +171,7 @@ TEST(TransientEngine, DwellHoldFreezesAtTheFixedPoint) {
   // under steady_tol_k, the remaining dwell is fast-forwarded: steps stop
   // growing with the dwell length and holds is reported.
   const arch::FpgaGrid fg(9, 4);
-  const ThermalGrid grid(fg, config_for(ThermalBackend::Generic));
+  const ThermalGrid grid(fg, config_at());
   const TransientEngine engine(grid);
   const double tau = grid.tile_time_constant().value();
   std::vector<double> power(9 * 4, 1e-4);
@@ -208,12 +194,13 @@ TEST(TransientEngine, DwellHoldFreezesAtTheFixedPoint) {
 class TransientSteadyDifferential : public ::testing::TestWithParam<int> {};
 
 TEST_P(TransientSteadyDifferential, LongDwellMatchesSteadySolveOnBothBackends) {
-  // On every suite benchmark's implemented fabric, under both thermal
-  // backends: advancing 60 time constants at constant power must agree
-  // with the steady-state solve() oracle tile by tile within the
-  // transient/steady contract bound. This is the anchor that keeps the
-  // adaptive integrator honest — any step-control or augmented-operator
-  // bug shows up as a fixed point displaced from the oracle.
+  // On every suite benchmark's implemented fabric: advancing 60 time
+  // constants at constant power must agree tile by tile, within the
+  // transient/steady contract bound, with the steady state as both
+  // ThermalGrid::solve() and the plain-CG oracle compute it. This is the
+  // anchor that keeps the adaptive integrator honest — any step-control
+  // or augmented-operator bug shows up as a fixed point displaced from
+  // the steady solves.
   const netlist::BenchmarkSpec spec =
       netlist::scaled(netlist::vtr_suite()[static_cast<std::size_t>(GetParam())], 1.0 / 16);
   const auto impl = core::implement(spec, arch::scaled_arch());
@@ -224,27 +211,23 @@ TEST_P(TransientSteadyDifferential, LongDwellMatchesSteadySolveOnBothBackends) {
   for (double& w : power) w = 3e-3 * rng.next_double();
   power[static_cast<std::size_t>(n / 2)] = 0.25;
 
-  for (const auto backend : {ThermalBackend::Generic, ThermalBackend::Stencil}) {
-    SCOPED_TRACE(spec.name + std::string(" / ") +
-                 thermal::thermal_backend_name(backend));
-    ThermalConfig cfg = config_for(backend, 45.0);
-    cfg.tile_edge_um = impl->arch.tile_edge_um;
-    const ThermalGrid grid(impl->grid, cfg);
-    const TransientEngine engine(grid);
-    const double tau = grid.tile_time_constant().value();
+  ThermalConfig cfg = config_at(45.0);
+  cfg.tile_edge_um = impl->arch.tile_edge_um;
+  const ThermalGrid grid(impl->grid, cfg);
+  const TransientEngine engine(grid);
+  const double tau = grid.tile_time_constant().value();
 
-    std::vector<double> temps(static_cast<std::size_t>(n), 45.0);
-    TransientStats stats;
-    engine.advance(power, units::Seconds{60.0 * tau}, temps, &stats);
-    EXPECT_GT(stats.steps, 0u);
+  std::vector<double> temps(static_cast<std::size_t>(n), 45.0);
+  TransientStats stats;
+  engine.advance(power, units::Seconds{60.0 * tau}, temps, &stats);
+  EXPECT_GT(stats.steps, 0u);
 
-    const std::vector<double> steady = grid.solve(power);
-    for (int i = 0; i < n; ++i) {
-      ASSERT_NEAR(temps[static_cast<std::size_t>(i)],
-                  steady[static_cast<std::size_t>(i)],
-                  thermal::kTransientSteadyContractC)
-          << "tile " << i;
-    }
+  const std::vector<double> steady = grid.solve(power);
+  const std::vector<double> oracle = thermal_oracle::solve(grid, power);
+  for (int i = 0; i < n; ++i) {
+    const auto u = static_cast<std::size_t>(i);
+    ASSERT_NEAR(temps[u], steady[u], thermal::kTransientSteadyContractC) << "tile " << i;
+    ASSERT_NEAR(temps[u], oracle[u], thermal::kTransientSteadyContractC) << "tile " << i;
   }
 }
 

@@ -496,9 +496,8 @@ void check_raw_serialization(const LexedFile& f, std::vector<Finding>& out) {
 // ------------------------------------------------- thermal-backend-seam
 
 const char* kThermalSeamMsg =
-    "stencil backend internals reached around the ThermalGrid seam; "
-    "select the backend via ThermalConfig::backend / "
-    "TAF_THERMAL_BACKEND and use the ThermalGrid API";
+    "stencil solver internals reached around the ThermalGrid seam; "
+    "use the ThermalGrid API";
 
 // `#\s*include\s*` directly before offset `p`; sets the match start.
 bool include_directive_before(const std::string& t, std::size_t p, std::size_t* start) {
@@ -523,8 +522,7 @@ void check_thermal_backend_seam(const LexedFile& f, std::vector<Finding>& out) {
     out.push_back({f.path, line_of(text, start), "thermal-backend-seam", kThermalSeamMsg});
   }
   const std::string& clean = f.stripped;
-  static const std::array<const char*, 4> kSuffixes = {"Op", "Solver", "SolveInfo",
-                                                       "Preconditioner"};
+  static const std::array<const char*, 3> kSuffixes = {"Op", "Solver", "SolveInfo"};
   for (std::size_t p = clean.find("Stencil"); p != std::string::npos;
        p = clean.find("Stencil", p + 1)) {
     if (p > 0 && word_char(clean[p - 1])) continue;
