@@ -178,16 +178,21 @@ void BM_GuardbandBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_GuardbandBatch)->Unit(benchmark::kMillisecond);
 
-/// One full PathFinder route of stereovision0 at 1/16 scale. Packing,
+/// One full PathFinder route of a suite design at 1/16 scale. Packing,
 /// placement and the RR graph come from the shared implementation, built
-/// outside the timed loop.
-void BM_RouteDesign(benchmark::State& state) {
-  const auto& impl = bench::implementation_of("stereovision0");
+/// outside the timed loop. diffeq1 is small enough that per-call setup
+/// shows; in the stereovision pair the search itself dominates.
+void BM_RouteDesign(benchmark::State& state, const char* design) {
+  const auto& impl = bench::implementation_of(design);
   for (auto _ : state) {
     benchmark::DoNotOptimize(route::route(impl.rr, impl.packed, impl.placement));
   }
 }
-BENCHMARK(BM_RouteDesign)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_RouteDesign, diffeq1, "diffeq1")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_RouteDesign, stereovision0, "stereovision0")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_RouteDesign, stereovision2, "stereovision2")
+    ->Unit(benchmark::kMillisecond);
 
 /// The first thermal_place candidate reroute of stereovision0 at 1/16
 /// scale: the blind routes seed an incremental reroute of the candidate

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -14,13 +13,6 @@
 namespace taf::route {
 
 namespace {
-
-struct HeapEntry {
-  double priority;  // cost + heuristic
-  double cost;      // accumulated path cost
-  RrNodeId node;
-  bool operator>(const HeapEntry& o) const { return priority > o.priority; }
-};
 
 double base_cost(const RrNode& n) {
   switch (n.kind) {
@@ -34,54 +26,148 @@ double base_cost(const RrNode& n) {
 
 /// Everything one relaxation reads or writes about a node, packed into
 /// one 32-byte record so it costs one cache line (DESIGN.md section 16).
+/// Indexed by search index, as is every per-node array of the router.
 struct alignas(32) SearchNode {
-  double hist_cost = 0.0;  ///< base_cost * (1 + hist), refreshed where hist changes
+  /// Cost of entering the node with one more net on it:
+  /// hist_cost * (1 + pres_fac * max(0, over + 1)), refreshed wherever
+  /// occupancy changes and once per iteration.
+  double entry_cost = 0.0;
   double best_cost = 0.0;  ///< valid when visit_epoch == the current epoch
   int visit_epoch = -1;
-  RrNodeId prev = -1;
+  RrSearchIndex prev = -1;
   int over = 0;            ///< occupancy - capacity
   std::int16_t x = 0;      ///< anchor tile, for the A* heuristic
   std::int16_t y = 0;
 };
 static_assert(sizeof(SearchNode) == 32);
 
+/// The A* open set: a binary min-heap over reused arrays, priorities and
+/// nodes kept apart so a sift reads only priorities. The sift rules are
+/// libstdc++'s std::push_heap/std::pop_heap under std::greater<>, so
+/// equal priorities pop in the order they always have (DESIGN.md
+/// section 16): push sifts up while the parent is greater; pop moves
+/// the hole to the bottom along the smaller child, taking the right
+/// child on a tie, then sifts the last entry up from there.
+class OpenSet {
+ public:
+  bool empty() const { return prio_.empty(); }
+  void clear() {
+    prio_.clear();
+    node_.clear();
+  }
+
+  void push(double priority, RrSearchIndex node) {
+    prio_.push_back(priority);
+    node_.push_back(node);
+    sift_up(static_cast<std::ptrdiff_t>(prio_.size()) - 1, priority, node);
+  }
+
+  /// Removes the least entry and returns it as (priority, node).
+  std::pair<double, RrSearchIndex> pop() {
+    const std::pair<double, RrSearchIndex> top{prio_.front(), node_.front()};
+    const double last_prio = prio_.back();
+    const RrSearchIndex last_node = node_.back();
+    const auto len = static_cast<std::ptrdiff_t>(prio_.size()) - 1;
+    std::ptrdiff_t hole = 0;
+    std::ptrdiff_t child = 0;
+    while (child < (len - 1) / 2) {
+      child = 2 * (child + 1);
+      if (at(prio_, child) > at(prio_, child - 1)) --child;
+      move_entry(child, hole);
+      hole = child;
+    }
+    if ((len & 1) == 0 && child == (len - 2) / 2) {
+      child = 2 * (child + 1);
+      move_entry(child - 1, hole);
+      hole = child - 1;
+    }
+    sift_up(hole, last_prio, last_node);
+    prio_.pop_back();
+    node_.pop_back();
+    return top;
+  }
+
+ private:
+  template <typename T>
+  static T& at(std::vector<T>& v, std::ptrdiff_t i) {
+    return v[static_cast<std::size_t>(i)];
+  }
+  void move_entry(std::ptrdiff_t from, std::ptrdiff_t to) {
+    at(prio_, to) = at(prio_, from);
+    at(node_, to) = at(node_, from);
+  }
+  void sift_up(std::ptrdiff_t hole, double priority, RrSearchIndex node) {
+    std::ptrdiff_t parent = (hole - 1) / 2;
+    while (hole > 0 && at(prio_, parent) > priority) {
+      move_entry(parent, hole);
+      hole = parent;
+      parent = (hole - 1) / 2;
+    }
+    at(prio_, hole) = priority;
+    at(node_, hole) = node;
+  }
+
+  std::vector<double> prio_;
+  std::vector<RrSearchIndex> node_;
+};
+
+void check_options(const RouteOptions& opt) {
+  if (opt.max_iterations < 1)
+    throw std::invalid_argument("route: max_iterations must be at least 1");
+  for (const double f :
+       {opt.first_iter_pres_fac, opt.pres_fac_mult, opt.hist_fac, opt.astar_fac}) {
+    if (!std::isfinite(f) || f <= 0.0)
+      throw std::invalid_argument("route: cost factors must be finite and positive");
+  }
+}
+
 /// The one PathFinder loop behind route() and reroute(). `result.routes`
 /// holds the kept tree of every clean net and an empty route for every
 /// net flagged in `dirty`. Kept trees are charged to occupancy up front;
 /// iteration 1 routes only the dirty nets, and later iterations rip up
 /// every congested net, kept or not. History always starts at zero.
+/// The search runs on search indices; routes hold public ids.
 RouteResult negotiate(const RrGraph& rr, const pack::PackedNetlist& packed,
                       const place::Placement& pl, RouteResult result,
                       std::vector<char> dirty, const RouteOptions& opt) {
+  check_options(opt);
   const int n_nodes = rr.num_nodes();
   const auto n_nets = static_cast<int>(packed.block_nets.size());
   const int seg = std::max(1, rr.arch().wire_segment_length);
-  const RrNodeId first_wire = rr.first_wire();
+  const RrSearchIndex first_wire = rr.first_wire();
   if (rr.grid().width() > INT16_MAX || rr.grid().height() > INT16_MAX)
     throw std::length_error("route: grid dimensions exceed the int16 tile coordinates");
 
-  // Search state, packed per node; hist and in_tree are off the hot path.
+  // Search state, packed per node; hist, hist_cost and in_tree are off
+  // the hot path.
   std::vector<SearchNode> state(static_cast<std::size_t>(n_nodes));
   std::vector<double> hist(static_cast<std::size_t>(n_nodes), 0.0);
+  std::vector<double> hist_cost(static_cast<std::size_t>(n_nodes));
   std::vector<char> in_tree(static_cast<std::size_t>(n_nodes), 0);
-  for (RrNodeId n = 0; n < n_nodes; ++n) {
-    const RrNode& node = rr.node(n);
-    SearchNode& s = state[static_cast<std::size_t>(n)];
-    s.hist_cost = base_cost(node);  // hist starts at 0
+  for (RrSearchIndex i = 0; i < n_nodes; ++i) {
+    const RrNode& node = rr.node(rr.node_id(i));
+    SearchNode& s = state[static_cast<std::size_t>(i)];
+    hist_cost[static_cast<std::size_t>(i)] = base_cost(node);  // hist starts at 0
     s.over = -node.capacity;
     s.x = static_cast<std::int16_t>(node.tile.x);
     s.y = static_cast<std::int16_t>(node.tile.y);
   }
-  auto at = [&](RrNodeId n) -> SearchNode& { return state[static_cast<std::size_t>(n)]; };
+  auto at = [&](RrSearchIndex i) -> SearchNode& { return state[static_cast<std::size_t>(i)]; };
+  auto of = [&](RrNodeId id) -> SearchNode& { return at(rr.search_index(id)); };
   for (const NetRoute& nr : result.routes) {
-    for (RrNodeId n : nr.nodes) ++at(n).over;
+    for (RrNodeId n : nr.nodes) ++of(n).over;
   }
 
   double pres_fac = opt.first_iter_pres_fac;
-  // Cost of entering `s` with one more net on it.
-  auto node_cost = [&](const SearchNode& s) {
-    return s.hist_cost * (1.0 + pres_fac * std::max(0, s.over + 1));
+  auto refresh = [&](RrSearchIndex i) {
+    SearchNode& s = at(i);
+    s.entry_cost =
+        hist_cost[static_cast<std::size_t>(i)] * (1.0 + pres_fac * std::max(0, s.over + 1));
   };
+  auto refresh_all = [&] {
+    for (RrSearchIndex i = 0; i < n_nodes; ++i) refresh(i);
+  };
+  refresh_all();
 
   // A* heuristic, tabulated by Manhattan distance (same expression, so
   // the same doubles).
@@ -93,17 +179,12 @@ RouteResult negotiate(const RrGraph& rr, const pack::PackedNetlist& packed,
   };
 
   // A* bookkeeping with epoch-tagged visitation to avoid clearing. The
-  // heap is a binary heap over a reused vector: the same push/pop
-  // sequence as std::priority_queue, so ties break identically.
+  // open set, sink order, tree and path buffers are reused.
   int epoch = 0;
-  std::vector<HeapEntry> heap;
+  OpenSet heap;
   std::vector<int> order;
-  std::vector<RrNodeId> tree;
-  std::vector<RrNodeId> path;
-  auto push = [&](const HeapEntry& e) {
-    heap.push_back(e);
-    std::push_heap(heap.begin(), heap.end(), std::greater<>{});
-  };
+  std::vector<RrSearchIndex> tree;
+  std::vector<RrSearchIndex> path;
 
   // Route one net; returns false if any sink is unreachable.
   auto route_net = [&](int net_idx) -> bool {
@@ -111,14 +192,18 @@ RouteResult negotiate(const RrGraph& rr, const pack::PackedNetlist& packed,
     NetRoute& nr = result.routes[static_cast<std::size_t>(net_idx)];
 
     // Rip up previous occupancy.
-    for (RrNodeId n : nr.nodes) --at(n).over;
+    for (RrNodeId n : nr.nodes) {
+      const RrSearchIndex i = rr.search_index(n);
+      --at(i).over;
+      refresh(i);
+    }
     nr.paths.resize(bn.sink_blocks.size());
     for (auto& p : nr.paths) p.clear();
     nr.nodes.clear();
     nr.parents.clear();
 
     const arch::TilePos src_pos = pl.pos[static_cast<std::size_t>(bn.driver_block)];
-    const RrNodeId source = rr.opin_at(src_pos.x, src_pos.y);
+    const RrSearchIndex source = rr.search_index(rr.opin_at(src_pos.x, src_pos.y));
 
     // Route sinks nearest-first (cheap heuristic for better trees).
     order.resize(bn.sink_blocks.size());
@@ -138,48 +223,51 @@ RouteResult negotiate(const RrGraph& rr, const pack::PackedNetlist& packed,
     for (int sink_i : order) {
       const int sink_block = bn.sink_blocks[static_cast<std::size_t>(sink_i)];
       const arch::TilePos dst = pl.pos[static_cast<std::size_t>(sink_block)];
-      const RrNodeId target = rr.ipin_at(dst.x, dst.y);
+      const RrSearchIndex target = rr.search_index(rr.ipin_at(dst.x, dst.y));
 
       ++epoch;
       heap.clear();
-      for (RrNodeId n : tree) {
+      for (RrSearchIndex n : tree) {
         // Tree nodes re-usable at zero cost.
         SearchNode& s = at(n);
         s.best_cost = 0.0;
         s.prev = -1;
         s.visit_epoch = epoch;
-        push({heuristic(s, dst), 0.0, n});
+        heap.push(heuristic(s, dst), n);
       }
 
-      auto relax = [&](RrNodeId from, double cost, RrNodeId to) {
+      auto relax = [&](RrSearchIndex from, double cost, RrSearchIndex to) {
         SearchNode& s = at(to);
-        const double c = cost + node_cost(s);
+        const double c = cost + s.entry_cost;
         if (s.visit_epoch == epoch && c >= s.best_cost - 1e-12) return;
         s.visit_epoch = epoch;
         s.best_cost = c;
         s.prev = from;
-        push({c + heuristic(s, dst), c, to});
+        heap.push(c + heuristic(s, dst), to);
       };
 
       bool found = false;
       while (!heap.empty()) {
-        std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-        const HeapEntry e = heap.back();
-        heap.pop_back();
-        if (e.cost > at(e.node).best_cost + 1e-12) continue;
-        if (e.node == target) {
+        const auto [priority, node] = heap.pop();
+        // An entry is current only while its node's best cost still
+        // yields its priority; an improved node left it behind.
+        const SearchNode& s = at(node);
+        if (s.best_cost + heuristic(s, dst) != priority) continue;
+        if (node == target) {
           found = true;
           break;
         }
-        // Rows are ascending and pins precede wires. No edge enters an
-        // OPIN, and IPINs other than the target are dead ends, so the pin
-        // prefix only matters if it holds the target.
-        const std::span<const RrNodeId> fan = rr.fanout(e.node);
+        // Rows are in ascending id order and pins keep their ids, so pins
+        // precede wires. No edge enters an OPIN, and IPINs other than the
+        // target are dead ends, so the pin prefix only matters if it
+        // holds the target.
+        const double cost = s.best_cost;
+        const std::span<const RrSearchIndex> fan = rr.fanout(node);
         auto it = fan.begin();
         for (; it != fan.end() && *it < first_wire; ++it) {
-          if (*it == target) relax(e.node, e.cost, target);
+          if (*it == target) relax(node, cost, target);
         }
-        for (; it != fan.end(); ++it) relax(e.node, e.cost, *it);
+        for (; it != fan.end(); ++it) relax(node, cost, *it);
       }
       if (!found) {
         ok = false;
@@ -187,24 +275,29 @@ RouteResult negotiate(const RrGraph& rr, const pack::PackedNetlist& packed,
       }
       // Trace back to the tree and commit the path.
       path.clear();
-      for (RrNodeId n = target; n != -1 && !in_tree[static_cast<std::size_t>(n)]; n = at(n).prev) {
+      for (RrSearchIndex n = target; n != -1 && !in_tree[static_cast<std::size_t>(n)];
+           n = at(n).prev) {
         path.push_back(n);
       }
       std::reverse(path.begin(), path.end());
-      for (RrNodeId n : path) {
+      std::vector<RrNodeId>& sink_path = nr.paths[static_cast<std::size_t>(sink_i)];
+      for (RrSearchIndex n : path) {
         tree.push_back(n);
         in_tree[static_cast<std::size_t>(n)] = 1;
-        nr.parents.emplace_back(n, at(n).prev);
+        nr.parents.emplace_back(rr.node_id(n), rr.node_id(at(n).prev));
+        sink_path.push_back(rr.node_id(n));
       }
-      nr.paths[static_cast<std::size_t>(sink_i)].assign(path.begin(), path.end());
     }
 
-    for (RrNodeId n : tree) in_tree[static_cast<std::size_t>(n)] = 0;
+    for (RrSearchIndex n : tree) in_tree[static_cast<std::size_t>(n)] = 0;
     if (ok) {
-      nr.nodes.assign(tree.begin(), tree.end());
+      // The tree holds each node once.
+      for (RrSearchIndex n : tree) {
+        nr.nodes.push_back(rr.node_id(n));
+        ++at(n).over;
+        refresh(n);
+      }
       std::sort(nr.nodes.begin(), nr.nodes.end());
-      nr.nodes.erase(std::unique(nr.nodes.begin(), nr.nodes.end()), nr.nodes.end());
-      for (RrNodeId n : nr.nodes) ++at(n).over;
     }
     return ok;
   };
@@ -223,13 +316,13 @@ RouteResult negotiate(const RrGraph& rr, const pack::PackedNetlist& packed,
 
     // Accumulate history and find congested nets.
     int overused = 0;
-    for (RrNodeId n = 0; n < n_nodes; ++n) {
-      SearchNode& s = at(n);
+    for (RrSearchIndex i = 0; i < n_nodes; ++i) {
+      const SearchNode& s = at(i);
       if (s.over > 0) {
         ++overused;
-        double& h = hist[static_cast<std::size_t>(n)];
+        double& h = hist[static_cast<std::size_t>(i)];
         h += opt.hist_fac * s.over;
-        s.hist_cost = base_cost(rr.node(n)) * (1.0 + h);
+        hist_cost[static_cast<std::size_t>(i)] = base_cost(rr.node(rr.node_id(i))) * (1.0 + h);
       }
     }
     result.overused_nodes = overused;
@@ -247,19 +340,20 @@ RouteResult negotiate(const RrGraph& rr, const pack::PackedNetlist& packed,
         continue;
       }
       for (RrNodeId node : nr.nodes) {
-        if (at(node).over > 0) {
+        if (of(node).over > 0) {
           dirty[static_cast<std::size_t>(n)] = 1;
           break;
         }
       }
     }
     pres_fac = std::min(pres_fac * opt.pres_fac_mult, 1e6);
+    refresh_all();
     util::log_debug("route: iter %d, %d overused nodes", iter, overused);
   }
 
   int used_wires = 0;
   for (RrNodeId n = first_wire; n < n_nodes; ++n) {
-    if (at(n).over + rr.node(n).capacity > 0) ++used_wires;
+    if (of(n).over + rr.node(n).capacity > 0) ++used_wires;
   }
   result.wire_utilization =
       rr.num_wires() > 0 ? static_cast<double>(used_wires) / rr.num_wires() : 0.0;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <stdexcept>
 
 namespace taf::route {
 
@@ -172,25 +174,58 @@ RrGraph::RrGraph(const arch::FpgaGrid& grid, const arch::ArchParams& arch)
     }
   };
 
-  // --- CSR in place: one pass counts each row, a second fills it; then
-  // each row is sorted and deduped, compacting the target array leftward.
+  // --- Search index: pins keep their ids; wires are bucketed by anchor
+  // tile in tile-major order by a counting sort, stable in id.
   const std::size_t n_nodes = nodes_.size();
+  const auto n_pins = static_cast<std::size_t>(first_wire_);
+  search_of_.resize(n_nodes);
+  id_of_.resize(n_nodes);
+  for (std::size_t id = 0; id < n_pins; ++id) {
+    search_of_[id] = static_cast<RrSearchIndex>(id);
+    id_of_[id] = static_cast<RrNodeId>(id);
+  }
+  std::vector<std::size_t> tile_slot(tile_count + 1, 0);
+  auto tile_of = [&](std::size_t id) {
+    return static_cast<std::size_t>(index(nodes_[id].tile.x, nodes_[id].tile.y));
+  };
+  for (std::size_t id = n_pins; id < n_nodes; ++id) ++tile_slot[tile_of(id) + 1];
+  for (std::size_t t = 0; t < tile_count; ++t) tile_slot[t + 1] += tile_slot[t];
+  for (std::size_t id = n_pins; id < n_nodes; ++id) {
+    const std::size_t s = n_pins + tile_slot[tile_of(id)]++;
+    search_of_[id] = static_cast<RrSearchIndex>(s);
+    id_of_[s] = static_cast<RrNodeId>(id);
+  }
+
+  // --- CSR in place, in search order: one pass counts each row, a second
+  // fills it with public ids; then each row is sorted and deduped by id
+  // and translated to search indices, compacting the target array
+  // leftward.
   edge_start_.assign(n_nodes + 1, 0);
-  for_each_edge([&](RrNodeId from, RrNodeId) { ++edge_start_[static_cast<std::size_t>(from) + 1]; });
-  for (std::size_t i = 0; i < n_nodes; ++i) edge_start_[i + 1] += edge_start_[i];
-  edge_targets_.resize(edge_start_[n_nodes]);
-  std::vector<std::size_t> cursor(edge_start_.begin(), edge_start_.end() - 1);
-  for_each_edge([&](RrNodeId from, RrNodeId to) {
-    edge_targets_[cursor[static_cast<std::size_t>(from)]++] = to;
+  std::size_t n_edges = 0;
+  auto row_of = [&](RrNodeId from) {
+    return static_cast<std::size_t>(search_of_[static_cast<std::size_t>(from)]);
+  };
+  for_each_edge([&](RrNodeId from, RrNodeId) {
+    ++edge_start_[row_of(from) + 1];
+    ++n_edges;
   });
-  std::size_t out = 0;
+  if (n_edges > UINT32_MAX)
+    throw std::length_error("rr_graph: edge count exceeds the 32-bit CSR offsets");
+  for (std::size_t i = 0; i < n_nodes; ++i) edge_start_[i + 1] += edge_start_[i];
+  edge_targets_.resize(n_edges);
+  std::vector<std::uint32_t> cursor(edge_start_.begin(), edge_start_.end() - 1);
+  for_each_edge(
+      [&](RrNodeId from, RrNodeId to) { edge_targets_[cursor[row_of(from)]++] = to; });
+  std::uint32_t out = 0;
   for (std::size_t i = 0; i < n_nodes; ++i) {
     const auto first = edge_targets_.begin() + static_cast<std::ptrdiff_t>(edge_start_[i]);
     const auto last = edge_targets_.begin() + static_cast<std::ptrdiff_t>(edge_start_[i + 1]);
     std::sort(first, last);
     const auto unique_end = std::unique(first, last);
     edge_start_[i] = out;
-    for (auto it = first; it != unique_end; ++it) edge_targets_[out++] = *it;
+    for (auto it = first; it != unique_end; ++it) {
+      edge_targets_[out++] = search_of_[static_cast<std::size_t>(*it)];
+    }
   }
   edge_start_[n_nodes] = out;
   edge_targets_.resize(out);

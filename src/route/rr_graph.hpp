@@ -8,10 +8,15 @@
 // passing a tile into its IPIN.
 //
 // Layout (DESIGN.md section 16): pins take ids [0, first_wire()) and wires
-// [first_wire(), num_nodes()). Edges are stored in CSR form, and fanout()
-// returns a node's row as a span of target ids, strictly ascending. So a
-// row lists its pins (only IPINs: no edge targets an OPIN) before its
-// wires, which lets the router skip non-target IPINs without loading them.
+// [first_wire(), num_nodes()). The router searches in a second numbering,
+// the search index: pins keep their ids, and wires are grouped by anchor
+// tile in tile-major order (stable in id within a tile), so a wire's
+// switch-block neighbours sit a few tiles' worth of records away instead
+// of a whole track apart. Edges are stored in CSR form in search order:
+// fanout() takes a search index and returns its row as search indices,
+// in strictly ascending public-id order. So a row lists its pins (only
+// IPINs: no edge targets an OPIN) before its wires, which lets the
+// router skip non-target IPINs without loading them.
 
 #include <cstddef>
 #include <cstdint>
@@ -26,6 +31,8 @@ namespace taf::route {
 enum class RrKind : std::uint8_t { Opin, Ipin, WireH, WireV };
 
 using RrNodeId = int;
+/// Position of a node in the router's search order (see the header).
+using RrSearchIndex = int;
 
 struct RrNode {
   RrKind kind = RrKind::WireH;
@@ -45,14 +52,23 @@ class RrGraph {
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   const RrNode& node(RrNodeId id) const { return nodes_[static_cast<std::size_t>(id)]; }
 
-  /// Outgoing edges of a node: a view into the CSR target array, sorted
-  /// strictly ascending (so deduped, pins before wires).
-  std::span<const RrNodeId> fanout(RrNodeId id) const {
-    const auto i = static_cast<std::size_t>(id);
+  /// Search index of node `id`; pins map to themselves.
+  RrSearchIndex search_index(RrNodeId id) const {
+    return search_of_[static_cast<std::size_t>(id)];
+  }
+  /// Public id of the node at search index `s`: the inverse of search_index().
+  RrNodeId node_id(RrSearchIndex s) const { return id_of_[static_cast<std::size_t>(s)]; }
+
+  /// Outgoing edges of the node at search index `s`: a view into the CSR
+  /// target array, as search indices, in strictly ascending public-id
+  /// order (so deduped, pins before wires).
+  std::span<const RrSearchIndex> fanout(RrSearchIndex s) const {
+    const auto i = static_cast<std::size_t>(s);
     return {edge_targets_.data() + edge_start_[i], edge_start_[i + 1] - edge_start_[i]};
   }
 
   /// First wire id: every pin id is below it, every wire id at or above.
+  /// The same split holds for search indices.
   RrNodeId first_wire() const { return first_wire_; }
 
   RrNodeId opin_at(int x, int y) const { return opin_[static_cast<std::size_t>(index(x, y))]; }
@@ -69,10 +85,12 @@ class RrGraph {
 
   const arch::FpgaGrid* grid_;
   const arch::ArchParams* arch_;
-  std::vector<RrNode> nodes_;
-  /// CSR: node i's targets are edge_targets_[edge_start_[i], edge_start_[i+1]).
-  std::vector<std::size_t> edge_start_;
-  std::vector<RrNodeId> edge_targets_;
+  std::vector<RrNode> nodes_;  ///< indexed by public id
+  std::vector<RrSearchIndex> search_of_;  ///< public id -> search index
+  std::vector<RrNodeId> id_of_;           ///< search index -> public id
+  /// CSR in search order: row s is edge_targets_[edge_start_[s], edge_start_[s+1]).
+  std::vector<std::uint32_t> edge_start_;
+  std::vector<RrSearchIndex> edge_targets_;
   std::vector<RrNodeId> opin_;
   std::vector<RrNodeId> ipin_;
   RrNodeId first_wire_ = 0;

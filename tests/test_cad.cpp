@@ -254,11 +254,11 @@ TEST(RrGraph, OpinsReachWiresAndWiresReachIpins) {
   // Interior tile: its OPIN must have wire fanout; some wire must feed
   // its IPIN (checked via reverse scan).
   const int x = d.grid.width() / 2, y = d.grid.height() / 2;
-  EXPECT_FALSE(d.rr.fanout(d.rr.opin_at(x, y)).empty());
+  EXPECT_FALSE(d.rr.fanout(d.rr.search_index(d.rr.opin_at(x, y))).empty());
   bool ipin_reachable = false;
-  const route::RrNodeId ip = d.rr.ipin_at(x, y);
-  for (route::RrNodeId n = 0; n < d.rr.num_nodes() && !ipin_reachable; ++n) {
-    for (route::RrNodeId to : d.rr.fanout(n)) {
+  const route::RrSearchIndex ip = d.rr.search_index(d.rr.ipin_at(x, y));
+  for (route::RrSearchIndex n = 0; n < d.rr.num_nodes() && !ipin_reachable; ++n) {
+    for (route::RrSearchIndex to : d.rr.fanout(n)) {
       if (to == ip) {
         ipin_reachable = true;
         break;

@@ -5,13 +5,16 @@
 // tie-breaking fails here, not three stages later in a guardband table.
 // The reroute tests hold the incremental entry point to the same loop:
 // nothing kept reproduces route() exactly, nothing moved keeps every
-// tree. The invariant tests pin the RR-graph layout the router's fast
-// path relies on (DESIGN.md section 16).
+// tree, and a seeded set of swaps pins the kept-tree path with
+// negotiation. The invariant tests pin the RR-graph layout the router's
+// fast path relies on: the search index and its CSR rows (DESIGN.md
+// section 16).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -28,6 +31,7 @@
 #include "route_checks.hpp"
 #include "util/codec.hpp"
 #include "util/hash.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -98,6 +102,48 @@ TEST(RouteGolden, TinyHandBuiltGraph) {
   EXPECT_EQ(route_digest(r), 0x009b159d7ad4db60ull);
 }
 
+/// The kept-tree path every thermal_place candidate reroute takes:
+/// stereovision0 with a seeded set of CLB swaps, rerouted from its blind
+/// routes. The nets off the swapped blocks keep their trees in iteration
+/// 1, and the congestion the swapped nets leave forces negotiation over
+/// kept and new trees alike.
+TEST(RouteGolden, SeededSwapRerouteKeepsTreesAndNegotiates) {
+  const auto impl = implement_design("stereovision0");
+  ASSERT_NE(impl, nullptr);
+  const pack::PackedNetlist& packed = impl->packed;
+  std::vector<int> clbs;
+  for (std::size_t b = 0; b < packed.blocks.size(); ++b) {
+    if (packed.blocks[b].kind == pack::BlockKind::Clb) clbs.push_back(static_cast<int>(b));
+  }
+  ASSERT_GE(clbs.size(), 2u);
+  util::Rng rng(21);
+  place::Placement swapped = impl->placement;
+  for (int k = 0; k < 6; ++k) {
+    const auto n = static_cast<std::uint32_t>(clbs.size());
+    std::swap(swapped.pos[static_cast<std::size_t>(clbs[rng.next_below(n)])],
+              swapped.pos[static_cast<std::size_t>(clbs[rng.next_below(n)])]);
+  }
+  const auto moved = [&](int b) {
+    const auto i = static_cast<std::size_t>(b);
+    return !(swapped.pos[i] == impl->placement.pos[i]);
+  };
+  int kept = 0;
+  for (const pack::BlockNet& bn : packed.block_nets) {
+    const bool touched = moved(bn.driver_block) ||
+                         std::any_of(bn.sink_blocks.begin(), bn.sink_blocks.end(), moved);
+    if (!touched) ++kept;
+  }
+  EXPECT_GT(kept, 0);
+  EXPECT_LT(kept, static_cast<int>(packed.block_nets.size()));
+
+  const route::RouteResult r =
+      route::reroute(impl->rr, packed, impl->placement, swapped, impl->routes);
+  EXPECT_TRUE(r.success);
+  EXPECT_GT(r.iterations, 1) << "the swaps no longer force negotiation";
+  routecheck::expect_connected(impl->rr, packed, swapped, r);
+  EXPECT_EQ(route_digest(r), 0xe2a1d5196b362337ull);
+}
+
 // gtest prints a parameter's raw bytes into each test's name. The digest
 // leads so those bytes start with fixed data, not a load address.
 struct SuiteDigest {
@@ -148,6 +194,7 @@ TEST_P(RouteGoldenSuite, RerouteWithNoBlockMovedKeepsEveryNet) {
 INSTANTIATE_TEST_SUITE_P(
     Designs, RouteGoldenSuite,
     ::testing::Values(SuiteDigest{0x2cf48442ad03b8abull, "sha"},
+                      SuiteDigest{0xa55a6a4f08bd8716ull, "stereovision0"},
                       SuiteDigest{0x697d19d37be6ffa9ull, "or1200"},
                       SuiteDigest{0xd0c71d33d901db36ull, "mkDelayWorker32B"},
                       SuiteDigest{0x0bd44176dcf4e4daull, "stereovision1"}),
@@ -233,6 +280,37 @@ TEST(RouteLimits, RejectsGridBeyondInt16Coordinates) {
   EXPECT_THROW(route::route(rr, pack::PackedNetlist{}, place::Placement{}), std::length_error);
 }
 
+/// Settings that cannot negotiate are typed errors, not empty routes.
+TEST(RouteLimits, RejectsInvalidOptions) {
+  const arch::FpgaGrid grid(4, 4);
+  arch::ArchParams a = arch::scaled_arch();
+  a.channel_tracks = 2;
+  const route::RrGraph rr(grid, a);
+  const pack::PackedNetlist packed;
+  const place::Placement pl;
+  const route::RouteResult seed;
+  auto expect_rejected = [&](const route::RouteOptions& o) {
+    EXPECT_THROW(route::route(rr, packed, pl, o), std::invalid_argument);
+    EXPECT_THROW(route::reroute(rr, packed, pl, pl, seed, o), std::invalid_argument);
+  };
+  EXPECT_NO_THROW(route::route(rr, packed, pl));
+
+  route::RouteOptions no_iterations;
+  no_iterations.max_iterations = 0;
+  expect_rejected(no_iterations);
+  for (double route::RouteOptions::*factor :
+       {&route::RouteOptions::first_iter_pres_fac, &route::RouteOptions::pres_fac_mult,
+        &route::RouteOptions::hist_fac, &route::RouteOptions::astar_fac}) {
+    for (const double bad : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()}) {
+      route::RouteOptions o;
+      o.*factor = bad;
+      SCOPED_TRACE(testing::Message() << "factor value " << bad);
+      expect_rejected(o);
+    }
+  }
+}
+
 // ---------- RR-graph invariants ----------
 
 /// 10x10 grid on the routed-experiment arch (96 tracks, length 4).
@@ -247,22 +325,15 @@ bool is_pin(const route::RrNode& n) {
   return n.kind == route::RrKind::Opin || n.kind == route::RrKind::Ipin;
 }
 
-TEST(RrGraphInvariants, FanoutRowsStrictlyAscending) {
+TEST(RrGraphInvariants, SearchMapsAreInversePermutations) {
   const route::RrGraph& rr = fixed_graph();
-  for (route::RrNodeId n = 0; n < rr.num_nodes(); ++n) {
-    const auto fan = rr.fanout(n);
-    for (std::size_t i = 1; i < fan.size(); ++i) {
-      ASSERT_LT(fan[i - 1], fan[i]) << "row of node " << n << " unsorted or duplicated";
-    }
+  for (route::RrNodeId id = 0; id < rr.num_nodes(); ++id) {
+    const route::RrSearchIndex s = rr.search_index(id);
+    ASSERT_TRUE(s >= 0 && s < rr.num_nodes()) << "node " << id;
+    ASSERT_EQ(rr.node_id(s), id) << "node " << id;
   }
-}
-
-TEST(RrGraphInvariants, NoEdgeEntersAnOpin) {
-  const route::RrGraph& rr = fixed_graph();
-  for (route::RrNodeId n = 0; n < rr.num_nodes(); ++n) {
-    for (route::RrNodeId to : rr.fanout(n)) {
-      ASSERT_NE(rr.node(to).kind, route::RrKind::Opin) << "edge " << n << " -> " << to;
-    }
+  for (route::RrSearchIndex s = 0; s < rr.num_nodes(); ++s) {
+    ASSERT_EQ(rr.search_index(rr.node_id(s)), s) << "search index " << s;
   }
 }
 
@@ -272,13 +343,58 @@ TEST(RrGraphInvariants, PinsPrecedeWires) {
   EXPECT_EQ(rr.num_nodes() - rr.first_wire(), rr.num_wires());
   for (route::RrNodeId n = 0; n < rr.num_nodes(); ++n) {
     EXPECT_EQ(is_pin(rr.node(n)), n < rr.first_wire()) << "node " << n;
+    if (n < rr.first_wire()) {
+      EXPECT_EQ(rr.search_index(n), n) << "pin " << n;
+    }
+  }
+}
+
+/// Wires sit in contiguous runs per anchor tile, tiles in row-major
+/// (y, then x) order, and ids ascend within a run.
+TEST(RrGraphInvariants, WiresAreTileMajorAndStableInId) {
+  const route::RrGraph& rr = fixed_graph();
+  const int width = rr.grid().width();
+  auto tile_of = [&](route::RrSearchIndex s) {
+    const route::RrNode& n = rr.node(rr.node_id(s));
+    return n.tile.y * width + n.tile.x;
+  };
+  for (route::RrSearchIndex s = rr.first_wire() + 1; s < rr.num_nodes(); ++s) {
+    ASSERT_LE(tile_of(s - 1), tile_of(s)) << "search index " << s;
+    if (tile_of(s - 1) == tile_of(s)) {
+      ASSERT_LT(rr.node_id(s - 1), rr.node_id(s)) << "search index " << s;
+    }
+  }
+}
+
+/// Each row ascends strictly in public id, which puts its pins (search
+/// index below first_wire()) before its wires.
+TEST(RrGraphInvariants, FanoutRowsStrictlyAscending) {
+  const route::RrGraph& rr = fixed_graph();
+  for (route::RrSearchIndex s = 0; s < rr.num_nodes(); ++s) {
+    const auto fan = rr.fanout(s);
+    for (std::size_t i = 1; i < fan.size(); ++i) {
+      ASSERT_LT(rr.node_id(fan[i - 1]), rr.node_id(fan[i]))
+          << "row of search index " << s << " unsorted or duplicated";
+      ASSERT_FALSE(fan[i - 1] >= rr.first_wire() && fan[i] < rr.first_wire())
+          << "row of search index " << s << " has a pin after a wire";
+    }
+  }
+}
+
+TEST(RrGraphInvariants, NoEdgeEntersAnOpin) {
+  const route::RrGraph& rr = fixed_graph();
+  for (route::RrSearchIndex s = 0; s < rr.num_nodes(); ++s) {
+    for (route::RrSearchIndex to : rr.fanout(s)) {
+      ASSERT_NE(rr.node(rr.node_id(to)).kind, route::RrKind::Opin)
+          << "edge " << rr.node_id(s) << " -> " << rr.node_id(to);
+    }
   }
 }
 
 TEST(RrGraphInvariants, EdgeCountMatchesPinned) {
   const route::RrGraph& rr = fixed_graph();
   std::size_t edges = 0;
-  for (route::RrNodeId n = 0; n < rr.num_nodes(); ++n) edges += rr.fanout(n).size();
+  for (route::RrSearchIndex s = 0; s < rr.num_nodes(); ++s) edges += rr.fanout(s).size();
   EXPECT_EQ(rr.num_nodes(), 6440);
   EXPECT_EQ(edges, 122816u);
 }
