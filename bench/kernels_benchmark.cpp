@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks of the flow's computational kernels:
 // SPICE transient, Elmore evaluation, thermal solve, STA, power maps,
-// routing and the feedback edge's incremental reroute.
+// placement, routing and the feedback edge's incremental reroute.
 
 #include <benchmark/benchmark.h>
 
@@ -178,6 +178,25 @@ void BM_GuardbandBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_GuardbandBatch)->Unit(benchmark::kMillisecond);
 
+/// One full annealing placement of a suite design at 1/16 scale, with
+/// the flow's placement options. Packing and the grid come from the
+/// shared implementation, built outside the timed loop.
+void BM_PlaceDesign(benchmark::State& state, const char* design) {
+  const auto& impl = bench::implementation_of(design);
+  const core::ImplementOptions flow;
+  place::PlaceOptions popt;
+  popt.seed = flow.seed;
+  popt.effort = flow.place_effort;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(place::place(impl.packed, impl.grid, popt));
+  }
+}
+BENCHMARK_CAPTURE(BM_PlaceDesign, diffeq1, "diffeq1")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PlaceDesign, stereovision0, "stereovision0")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_PlaceDesign, stereovision2, "stereovision2")
+    ->Unit(benchmark::kMillisecond);
+
 /// One full PathFinder route of a suite design at 1/16 scale. Packing,
 /// placement and the RR graph come from the shared implementation, built
 /// outside the timed loop. diffeq1 is small enough that per-call setup
@@ -196,7 +215,8 @@ BENCHMARK_CAPTURE(BM_RouteDesign, stereovision2, "stereovision2")
 
 /// The first thermal_place candidate reroute of stereovision0 at 1/16
 /// scale: the blind routes seed an incremental reroute of the candidate
-/// placement. The candidate is built outside the timed loop the way the
+/// placement, resumed at the present factor where the blind route
+/// converged. The candidate is built outside the timed loop the way the
 /// stage builds its first pass (DESIGN.md section 15): quantized adjoint
 /// prices of the blind build, then one bounded refinement.
 void BM_RerouteCandidate(benchmark::State& state) {
@@ -224,9 +244,10 @@ void BM_RerouteCandidate(benchmark::State& state) {
   ropt.max_rounds = tp.max_rounds;
   const place::Placement candidate =
       place::refine_placement(impl.packed, impl.grid, impl.placement, field, ropt);
+  const route::RouteOptions resumed = route::resumed_options({}, impl.routes);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        route::reroute(impl.rr, impl.packed, impl.placement, candidate, impl.routes));
+        route::reroute(impl.rr, impl.packed, impl.placement, candidate, impl.routes, resumed));
   }
 }
 BENCHMARK(BM_RerouteCandidate)->Unit(benchmark::kMillisecond);

@@ -240,6 +240,10 @@ void run_thermal_place(FlowBuild& b) {
   place::RefineOptions ropt;
   ropt.effort = tp.effort;
   ropt.max_rounds = tp.max_rounds;
+  // Candidates resume negotiation at the present factor where the blind
+  // route converged. It is fixed here: an accepted one-iteration reroute
+  // would otherwise reset it to the first-iteration factor.
+  const route::RouteOptions candidate_route = route::resumed_options(b.opt.route, impl.routes);
 
   // Timing guard: a pass is only kept when the rerouted design is at
   // least as fast as what it replaces (STA at the uniform pricing
@@ -277,7 +281,7 @@ void run_thermal_place(FlowBuild& b) {
     // Only nets touching a moved block are ripped up; the rest keep
     // their trees from the current routes.
     route::RouteResult rerouted = route::reroute(impl.rr, impl.packed, impl.placement,
-                                                 refined, impl.routes, b.opt.route);
+                                                 refined, impl.routes, candidate_route);
     // Legality guard: a partly routed candidate can time faster precisely
     // because nets are missing, so more overuse than the current routes
     // is a rejection before timing is even consulted.
@@ -450,8 +454,9 @@ FlowGraph FlowGraph::standard(const netlist::BenchmarkSpec& spec,
     h.add(tp.thermal.tile_edge_um);
     h.add(tp.thermal.package_r_k_per_w);
     // The candidate reroute algorithm shapes the artifact too: a stored
-    // full-reroute result must not be served for an incremental one.
-    h.add(std::string_view("reroute:incremental"));
+    // result of an earlier algorithm (full reroute, or incremental from
+    // the first-iteration present factor) must not be served for this one.
+    h.add(std::string_view("reroute:incremental-resume"));
     s.param_hash = h.state;
     s.storable = true;
     s.run = run_thermal_place;

@@ -37,6 +37,10 @@ CostModel::CostModel(const pack::PackedNetlist& packed, const arch::FpgaGrid& gr
     nets_of_block_[static_cast<std::size_t>(bn.driver_block)].push_back(n);
     for (int s : bn.sink_blocks) nets_of_block_[static_cast<std::size_t>(s)].push_back(n);
   }
+  net_cost_.resize(packed_.block_nets.size());
+  for (int n = 0; n < static_cast<int>(net_cost_.size()); ++n) {
+    net_cost_[static_cast<std::size_t>(n)] = net_cost(n);
+  }
 }
 
 double CostModel::net_cost(int net) const {
@@ -84,13 +88,16 @@ void CostModel::stage_move(int b1, int b2) {
   affected_.erase(std::unique(affected_.begin(), affected_.end()), affected_.end());
 
   staged_before_ = 0.0;
-  for (int n : affected_) staged_before_ += net_cost(n);
+  for (int n : affected_) staged_before_ += net_cost_[static_cast<std::size_t>(n)];
 }
 
-double CostModel::staged_delta(int b1, arch::TilePos old1, int b2,
-                               arch::TilePos old2) const {
+double CostModel::staged_delta(int b1, arch::TilePos old1, int b2, arch::TilePos old2) {
+  staged_after_.clear();
   double after = 0.0;
-  for (int n : affected_) after += net_cost(n);
+  for (int n : affected_) {
+    staged_after_.push_back(net_cost(n));
+    after += staged_after_.back();
+  }
   double delta = after - staged_before_;
   if (thermal_ != nullptr) {
     // O(1) re-pricing: only the moved blocks change tiles, so the
@@ -104,6 +111,12 @@ double CostModel::staged_delta(int b1, arch::TilePos old1, int b2,
     delta += thermal_->weight * td;
   }
   return delta;
+}
+
+void CostModel::commit_staged() {
+  for (std::size_t i = 0; i < affected_.size(); ++i) {
+    net_cost_[static_cast<std::size_t>(affected_[i])] = staged_after_[i];
+  }
 }
 
 }  // namespace taf::place

@@ -35,13 +35,19 @@ struct NetBox {
 /// Incremental cost evaluation over a live Placement. The annealer owns
 /// slot bookkeeping and position updates; the model owns every cost
 /// number. Move evaluation is two-phase to preserve the fused annealer's
-/// exact sequence: stage_move() records the affected nets and their cost
-/// at the OLD positions; the caller then applies the proposed positions
-/// and staged_delta() re-prices the same nets (plus the O(1) thermal
-/// re-pricing of the one or two moved blocks).
+/// exact sequence: stage_move() records the affected nets and sums their
+/// cost at the OLD positions; the caller then applies the proposed
+/// positions and staged_delta() re-prices the same nets (plus the O(1)
+/// thermal re-pricing of the one or two moved blocks). The model keeps
+/// each net's cost at the current positions, so the old side is a sum of
+/// cached values: the same doubles net_cost() would return, added in the
+/// same order. The caller reports an accepted move through
+/// commit_staged(); a rejected move, reverted by the caller, leaves the
+/// cache as it was.
 class CostModel {
  public:
-  /// pl and thermal (may be null) are borrowed for the model's lifetime.
+  /// pl and thermal (may be null) are borrowed for the model's lifetime;
+  /// pl must hold the starting positions (every net is priced here).
   /// A non-null thermal field must carry one price per grid tile and one
   /// power per block (std::invalid_argument otherwise).
   CostModel(const pack::PackedNetlist& packed, const arch::FpgaGrid& grid,
@@ -60,15 +66,18 @@ class CostModel {
   }
 
   /// Phase 1 of a proposed swap of b1 with b2 (b2 < 0 for a free target
-  /// slot): collect the affected nets and price them at the current
-  /// (old) positions.
+  /// slot): collect the affected nets and sum their cached cost at the
+  /// current (old) positions.
   void stage_move(int b1, int b2);
 
   /// Phase 2, after the caller applied the proposed positions to the
   /// placement: total cost delta of the staged move. old1/old2 are the
-  /// pre-move positions of b1/b2 (old2 ignored when b2 < 0).
-  double staged_delta(int b1, arch::TilePos old1, int b2,
-                      arch::TilePos old2) const;
+  /// pre-move positions of b1/b2 (old2 ignored when b2 < 0). Keeps the
+  /// affected nets' new costs for commit_staged().
+  double staged_delta(int b1, arch::TilePos old1, int b2, arch::TilePos old2);
+
+  /// The staged move was accepted: its new net costs become the cache.
+  void commit_staged();
 
   bool thermal_active() const { return thermal_ != nullptr; }
 
@@ -81,7 +90,9 @@ class CostModel {
   Placement& pl_;
   const ThermalField* thermal_;
   std::vector<std::vector<int>> nets_of_block_;
+  std::vector<double> net_cost_;  ///< net_cost(n) at the current positions
   std::vector<int> affected_;
+  std::vector<double> staged_after_;  ///< affected_'s costs at the proposed positions
   double staged_before_ = 0.0;
 };
 

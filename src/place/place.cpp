@@ -113,6 +113,7 @@ bool try_move(const PackedNetlist& packed, std::vector<std::vector<Slot>>& slots
     std::swap(pool[static_cast<std::size_t>(s1)].block, pool[static_cast<std::size_t>(s2)].block);
     slot_of_block[static_cast<std::size_t>(b1)] = s2;
     if (b2 >= 0) slot_of_block[static_cast<std::size_t>(b2)] = s1;
+    model.commit_staged();
     cost += delta;
     return true;
   }

@@ -121,6 +121,11 @@ void check_options(const RouteOptions& opt) {
   }
 }
 
+/// The present factor of the iteration after one priced at `pres_fac`.
+double next_pres_fac(double pres_fac, const RouteOptions& opt) {
+  return std::min(pres_fac * opt.pres_fac_mult, 1e6);
+}
+
 /// The one PathFinder loop behind route() and reroute(). `result.routes`
 /// holds the kept tree of every clean net and an empty route for every
 /// net flagged in `dirty`. Kept trees are charged to occupancy up front;
@@ -346,7 +351,7 @@ RouteResult negotiate(const RrGraph& rr, const pack::PackedNetlist& packed,
         }
       }
     }
-    pres_fac = std::min(pres_fac * opt.pres_fac_mult, 1e6);
+    pres_fac = next_pres_fac(pres_fac, opt);
     refresh_all();
     util::log_debug("route: iter %d, %d overused nodes", iter, overused);
   }
@@ -401,6 +406,14 @@ RouteResult reroute(const RrGraph& rr, const pack::PackedNetlist& packed,
     }
   }
   return negotiate(rr, packed, to, std::move(start), std::move(dirty), opt);
+}
+
+RouteOptions resumed_options(const RouteOptions& opt, const RouteResult& seed) {
+  RouteOptions resumed = opt;
+  for (int iter = 1; iter < seed.iterations; ++iter) {
+    resumed.first_iter_pres_fac = next_pres_fac(resumed.first_iter_pres_fac, opt);
+  }
+  return resumed;
 }
 
 void serialize(const RouteResult& result, util::codec::Encoder& enc) {

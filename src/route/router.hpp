@@ -69,6 +69,16 @@ RouteResult reroute(const RrGraph& rr, const pack::PackedNetlist& packed,
                     const place::Placement& from, const place::Placement& to,
                     const RouteResult& seed, const RouteOptions& opt = {});
 
+/// `opt` with first_iter_pres_fac set to the present factor of `seed`'s
+/// last iteration, where it converged: first_iter_pres_fac *
+/// pres_fac_mult^(seed.iterations - 1), grown and capped at 1e6 exactly
+/// as the PathFinder loop grows it.
+/// A reroute seeded from `seed` resumes negotiation there instead of at
+/// the first-iteration factor, so the dirty nets do not pile onto kept
+/// trees that the seed's congestion already settled. A one-iteration
+/// seed returns `opt` unchanged.
+RouteOptions resumed_options(const RouteOptions& opt, const RouteResult& seed);
+
 /// Artifact codec (util/codec.hpp): exact round-trip, byte-identical on
 /// re-serialization. RR node ids are stored raw; they are only valid for
 /// the RrGraph deterministically rebuilt from the same grid/arch.

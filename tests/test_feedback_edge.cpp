@@ -2,7 +2,8 @@
 // (DESIGN.md section 15) and for the stage loaders' decode-then-commit
 // contract: the stage list the edge adds, the invariant that the routes
 // thermal_place installs are a legal incremental reroute of the placement
-// it installs, the legality guard, the device precondition, and a rejected
+// it installs, resumed at the blind route's present factor, the legality
+// guard, the device precondition, and a rejected
 // stored payload warning once and recomputing from the blind build —
 // never from the bytes it rejected.
 
@@ -18,6 +19,7 @@
 #include "coffe/device_model.hpp"
 #include "core/flow.hpp"
 #include "core/stage_graph.hpp"
+#include "first_candidate.hpp"
 #include "netlist/benchmarks.hpp"
 #include "pack/pack.hpp"
 #include "place/place.hpp"
@@ -147,21 +149,58 @@ TEST(FeedbackEdge, InstalledRoutesAreLegalAndConnectTheInstalledPlacement) {
 
 TEST(FeedbackEdge, OneAcceptedPassInstallsTheRerouteOfTheBlindRoutes) {
   // With one pass, a moved placement means exactly one candidate was
-  // accepted, and its routes are reroute() seeded from the blind build.
+  // accepted, and its routes are reroute() seeded from the blind build,
+  // resumed at the present factor where the blind route converged.
   core::ImplementOptions opt = aware_options();
   opt.thermal_place.passes = 1;
+  // stereovision0's blind route converges in 3 iterations, so its resumed
+  // options differ from the defaults, and its one pass is accepted only
+  // when the candidate is rerouted at them.
   int refined = 0;
-  for (const char* name : {"stereovision3", "diffeq1", "diffeq2", "ch_intrinsics"}) {
+  for (const char* name :
+       {"stereovision3", "diffeq1", "diffeq2", "ch_intrinsics", "stereovision0"}) {
     SCOPED_TRACE(name);
     const auto blind = core::implement(scaled_spec(name), test_arch());
     const auto impl = core::implement(scaled_spec(name), test_arch(), opt);
-    if (impl->placement.pos == blind->placement.pos) continue;
+    if (impl->placement.pos == blind->placement.pos) {
+      EXPECT_NE(std::string_view(name), "stereovision0") << "its one pass was rejected";
+      continue;
+    }
     ++refined;
     EXPECT_TRUE(route_bytes(impl->routes) ==
                 route_bytes(route::reroute(impl->rr, impl->packed, blind->placement,
-                                           impl->placement, blind->routes, opt.route)));
+                                           impl->placement, blind->routes,
+                                           route::resumed_options(opt.route, blind->routes))));
   }
   EXPECT_GT(refined, 0);
+}
+
+TEST(FeedbackEdge, ResumedCandidateRerouteTakesFewerIterations) {
+  // stereovision0's blind route negotiates over several iterations. Its
+  // first candidate's dirty nets, rerouted from the first-iteration
+  // present factor, pile onto the kept trees and negotiate again;
+  // resumed at the factor where the blind route converged, they route
+  // around them at once. Both are legal.
+  const auto blind = core::implement(scaled_spec("stereovision0"), test_arch());
+  ASSERT_GT(blind->routes.iterations, 1);
+  const core::ThermalPlaceOptions tp = aware_options().thermal_place;
+  const place::Placement candidate =
+      testutil::first_candidate(*blind, tp, testutil::first_pass_field(*blind, tp));
+  ASSERT_FALSE(candidate.pos == blind->placement.pos);
+
+  const route::RouteOptions defaults;
+  const route::RouteResult fresh = route::reroute(blind->rr, blind->packed, blind->placement,
+                                                  candidate, blind->routes, defaults);
+  const route::RouteResult resumed =
+      route::reroute(blind->rr, blind->packed, blind->placement, candidate, blind->routes,
+                     route::resumed_options(defaults, blind->routes));
+  for (const route::RouteResult* r : {&fresh, &resumed}) {
+    EXPECT_TRUE(r->success);
+    EXPECT_EQ(r->overused_nodes, 0);
+    routecheck::expect_connected(blind->rr, blind->packed, candidate, *r);
+  }
+  EXPECT_EQ(fresh.iterations, 3);
+  EXPECT_EQ(resumed.iterations, 1);
 }
 
 // ---------- legality guard ----------

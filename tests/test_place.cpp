@@ -3,23 +3,33 @@
 // property tests (non-negativity, translation invariance, single-block
 // nets), the Placement codec corruption corpus (same style as
 // tests/test_artifact_store.cpp), the zero-weight bit-identity contract
-// of the composed cost model, and refinement invariants (descent,
-// determinism, legality).
+// of the composed cost model, refinement invariants (descent,
+// determinism, legality), and golden placements: FNV-1a digests of
+// serialized place() and refine_placement() results on suite designs, so
+// any drift in the annealer's cost arithmetic or move sequence fails here.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "arch/arch_params.hpp"
 #include "arch/fpga_grid.hpp"
+#include "coffe/device_model.hpp"
+#include "core/flow.hpp"
+#include "first_candidate.hpp"
+#include "netlist/benchmarks.hpp"
 #include "pack/pack.hpp"
 #include "place/place.hpp"
 #include "util/codec.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -392,6 +402,71 @@ TEST(Refine, ZeroRoundsReturnsStartUnchanged) {
   for (std::size_t i = 0; i < start.pos.size(); ++i) {
     EXPECT_EQ(out.pos[i], start.pos[i]) << "block " << i;
   }
+}
+
+// ---------- golden placements ----------
+
+std::uint64_t placement_digest(const place::Placement& pl) {
+  codec::Encoder enc;
+  place::serialize(pl, enc);
+  return util::fnv1a_bytes(enc.buffer().data(), enc.buffer().size());
+}
+
+netlist::BenchmarkSpec scaled_spec(const char* name) {
+  for (const netlist::BenchmarkSpec& spec : netlist::vtr_suite()) {
+    if (spec.name == name) return netlist::scaled(spec, 1.0 / 16);
+  }
+  ADD_FAILURE() << "no suite design named " << name;
+  return {};
+}
+
+// gtest prints a parameter's raw bytes into each test's name. The digest
+// leads so those bytes start with fixed data, not a load address.
+struct PlaceDigest {
+  std::uint64_t digest;
+  const char* design;
+};
+
+class PlaceGoldenSuite : public ::testing::TestWithParam<PlaceDigest> {};
+
+/// place() of a suite design at 1/16 scale, from the netlist, packing and
+/// grid the flow builds (same netlist seed), without routing it.
+TEST_P(PlaceGoldenSuite, SerializedPlacementMatchesPinnedDigest) {
+  const netlist::BenchmarkSpec spec = scaled_spec(GetParam().design);
+  const core::ImplementOptions flow;
+  util::Rng rng(flow.seed ^ std::hash<std::string>{}(spec.name));
+  const netlist::Netlist nl = netlist::generate(spec, rng);
+  const pack::PackedNetlist packed = pack::pack(nl, arch::scaled_arch());
+  const arch::FpgaGrid grid = arch::FpgaGrid::fit(packed.count(pack::BlockKind::Clb),
+                                                  packed.count(pack::BlockKind::Bram),
+                                                  packed.count(pack::BlockKind::Dsp));
+  place::PlaceOptions popt;
+  popt.seed = flow.seed;
+  popt.effort = flow.place_effort;
+  EXPECT_EQ(placement_digest(place::place(packed, grid, popt)), GetParam().digest);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Designs, PlaceGoldenSuite,
+    ::testing::Values(PlaceDigest{0x187f85e48b8fb195ull, "sha"},
+                      PlaceDigest{0xdc2c90432e6c6f11ull, "stereovision0"},
+                      PlaceDigest{0x5722f9e10a082651ull, "stereovision2"}),
+    [](const ::testing::TestParamInfo<PlaceDigest>& param_info) {
+      return std::string(param_info.param.design);
+    });
+
+/// refine_placement() of stereovision0's blind placement under the
+/// quantized adjoint field of its blind routes: thermal_place's first
+/// candidate, the path every feedback-edge pass anneals.
+TEST(PlaceGolden, RefinedFirstCandidateMatchesPinnedDigest) {
+  const coffe::DeviceModel dev = coffe::Characterizer::paper_table2_reference();
+  const auto impl = core::implement(scaled_spec("stereovision0"), arch::scaled_arch());
+  core::ThermalPlaceOptions tp;
+  tp.device = &dev;
+  const place::ThermalField field = testutil::first_pass_field(*impl, tp);
+  const place::Placement refined = testutil::first_candidate(*impl, tp, field);
+  EXPECT_FALSE(refined.pos == impl->placement.pos) << "the refinement no longer moves a block";
+  EXPECT_EQ(placement_digest(refined), 0x12f8048206b8e2efull);
 }
 
 }  // namespace

@@ -6,7 +6,8 @@
 // The reroute tests hold the incremental entry point to the same loop:
 // nothing kept reproduces route() exactly, nothing moved keeps every
 // tree, and a seeded set of swaps pins the kept-tree path with
-// negotiation. The invariant tests pin the RR-graph layout the router's
+// negotiation. resumed_options() is pinned to the loop's present-factor
+// growth and cap. The invariant tests pin the RR-graph layout the router's
 // fast path relies on: the search index and its CSR rows (DESIGN.md
 // section 16).
 
@@ -201,6 +202,28 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<SuiteDigest>& param_info) {
       return std::string(param_info.param.design);
     });
+
+// ---------- resumed present factor ----------
+
+TEST(RouteResume, ResumedOptionsStartAtTheSeedsConvergedPresentFactor) {
+  route::RouteOptions opt;
+  opt.max_iterations = 17;
+  opt.hist_fac = 0.5;
+  opt.astar_fac = 0.9;
+  route::RouteResult seed;
+  const auto resumed_at = [&](int iterations) {
+    seed.iterations = iterations;
+    const route::RouteOptions r = route::resumed_options(opt, seed);
+    EXPECT_EQ(r.max_iterations, opt.max_iterations);
+    EXPECT_EQ(r.pres_fac_mult, opt.pres_fac_mult);
+    EXPECT_EQ(r.hist_fac, opt.hist_fac);
+    EXPECT_EQ(r.astar_fac, opt.astar_fac);
+    return r.first_iter_pres_fac;
+  };
+  EXPECT_EQ(resumed_at(1), opt.first_iter_pres_fac);
+  EXPECT_EQ(resumed_at(3), 0.8 * 2.0 * 2.0);
+  EXPECT_EQ(resumed_at(40), 1e6);  // capped as the PathFinder loop caps it
+}
 
 // ---------- incremental reroute ----------
 

@@ -184,10 +184,12 @@ TEST(FlowCache, FeedbackEdgeKeyFollowsTheStageGraph) {
 
 TEST(FlowCache, FeedbackEdgeKeyNamesTheRerouteAlgorithm) {
   // thermal_place's identity covers its candidate reroute algorithm, so
-  // an artifact directory filled when candidates were routed from scratch
-  // is not served for the incremental reroute. The pinned value is sha's
-  // thermal_place input_hash under the full-reroute stage.
+  // an artifact directory filled by an earlier algorithm is not served
+  // for the current one. The pinned values are sha's thermal_place
+  // input_hash under the full-reroute stage and under the incremental
+  // reroute that restarted at the first-iteration present factor.
   constexpr std::uint64_t kFullRerouteHash = 0x3cadcb3bd870b064ull;
+  constexpr std::uint64_t kFirstFactorRerouteHash = 0x9aee227082137c06ull;
   const coffe::DeviceModel dev = coffe::Characterizer::paper_table2_reference();
   core::ImplementOptions aware;
   aware.thermal_place.enabled = true;
@@ -200,6 +202,7 @@ TEST(FlowCache, FeedbackEdgeKeyNamesTheRerouteAlgorithm) {
     if (std::string_view(s.name) != "thermal_place") continue;
     ++seen;
     EXPECT_NE(s.input_hash, kFullRerouteHash);
+    EXPECT_NE(s.input_hash, kFirstFactorRerouteHash);
   }
   EXPECT_EQ(seen, 1);
 }
