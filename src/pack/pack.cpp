@@ -96,9 +96,13 @@ PackedNetlist pack(const Netlist& nl, const arch::ArchParams& arch,
   // affinity, as in AAPack: they connect everything to everything and
   // would make candidate scans quadratic without improving the packing.
   constexpr std::size_t kMaxAffinityFanout = 24;
+  // nets_of_ble[b] = ble_nets() of BLE b, computed once for the scans below.
+  std::vector<std::vector<NetId>> nets_of_ble(bles.size());
   std::unordered_map<NetId, std::vector<int>> net_to_bles;
   for (int b = 0; b < static_cast<int>(bles.size()); ++b) {
-    for (NetId n : ble_nets(nl, bles[static_cast<std::size_t>(b)])) {
+    std::vector<NetId>& nets = nets_of_ble[static_cast<std::size_t>(b)];
+    nets = ble_nets(nl, bles[static_cast<std::size_t>(b)]);
+    for (NetId n : nets) {
       if (nl.net(n).sinks.size() > kMaxAffinityFanout) continue;
       net_to_bles[n].push_back(b);
     }
@@ -125,7 +129,7 @@ PackedNetlist pack(const Netlist& nl, const arch::ArchParams& arch,
         cluster.prims.push_back(ble.ff);
         cluster_outputs.insert(nl.prim(ble.ff).output);
       }
-      for (NetId n : ble_nets(nl, ble)) cluster_nets.insert(n);
+      for (NetId n : nets_of_ble[static_cast<std::size_t>(b)]) cluster_nets.insert(n);
       // Recompute external inputs: inputs not driven inside the cluster.
       cluster_inputs.clear();
       for (const Ble& cb : cluster.bles) {
@@ -151,7 +155,7 @@ PackedNetlist pack(const Netlist& nl, const arch::ArchParams& arch,
         for (int cand : it->second) {
           if (clustered[static_cast<std::size_t>(cand)]) continue;
           int affinity = 0;
-          for (NetId cn : ble_nets(nl, bles[static_cast<std::size_t>(cand)]))
+          for (NetId cn : nets_of_ble[static_cast<std::size_t>(cand)])
             affinity += cluster_nets.count(cn) ? 1 : 0;
           if (affinity > best_affinity) {
             best_affinity = affinity;

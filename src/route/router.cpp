@@ -72,7 +72,9 @@ class OpenSet {
     std::ptrdiff_t child = 0;
     while (child < (len - 1) / 2) {
       child = 2 * (child + 1);
-      if (at(prio_, child) > at(prio_, child - 1)) --child;
+      // Branch-free: which child is smaller is a coin flip to the
+      // predictor. A tie keeps the right child.
+      child -= static_cast<std::ptrdiff_t>(at(prio_, child) > at(prio_, child - 1));
       move_entry(child, hole);
       hole = child;
     }
@@ -190,6 +192,12 @@ RouteResult negotiate(const RrGraph& rr, const pack::PackedNetlist& packed,
   std::vector<int> order;
   std::vector<RrSearchIndex> tree;
   std::vector<RrSearchIndex> path;
+  // One expanded row's accepted relaxations, in row order.
+  struct Relaxation {
+    double cost;
+    RrSearchIndex to;
+  };
+  std::vector<Relaxation> accepted(rr.max_fanout());
 
   // Route one net; returns false if any sink is unreachable.
   auto route_net = [&](int net_idx) -> bool {
@@ -272,7 +280,27 @@ RouteResult negotiate(const RrGraph& rr, const pack::PackedNetlist& packed,
         for (; it != fan.end() && *it < first_wire; ++it) {
           if (*it == target) relax(node, cost, target);
         }
-        for (; it != fan.end(); ++it) relax(node, cost, *it);
+        // The wires in two passes, the same relaxations as relax() in
+        // the same order (DESIGN.md section 16). Rows hold no duplicate
+        // and no self-loop, so no relaxation in a row changes another
+        // target's test: pass 1 tests every target without branching,
+        // and pass 2 commits and pushes the survivors in row order.
+        std::size_t kept = 0;
+        for (; it != fan.end(); ++it) {
+          const SearchNode& t = at(*it);
+          const double c = cost + t.entry_cost;
+          accepted[kept] = {c, *it};
+          kept += static_cast<std::size_t>(!((t.visit_epoch == epoch) &
+                                             (c >= t.best_cost - 1e-12)));
+        }
+        for (std::size_t k = 0; k < kept; ++k) {
+          const auto [c, to] = accepted[k];
+          SearchNode& t = at(to);
+          t.visit_epoch = epoch;
+          t.best_cost = c;
+          t.prev = node;
+          heap.push(c + heuristic(t, dst), to);
+        }
       }
       if (!found) {
         ok = false;
@@ -295,16 +323,20 @@ RouteResult negotiate(const RrGraph& rr, const pack::PackedNetlist& packed,
     }
 
     for (RrSearchIndex n : tree) in_tree[static_cast<std::size_t>(n)] = 0;
-    if (ok) {
-      // The tree holds each node once.
-      for (RrSearchIndex n : tree) {
-        nr.nodes.push_back(rr.node_id(n));
-        ++at(n).over;
-        refresh(n);
-      }
-      std::sort(nr.nodes.begin(), nr.nodes.end());
+    if (!ok) {
+      // An unrouted net holds no occupancy and keeps no partial tree.
+      nr.paths.clear();
+      nr.parents.clear();
+      return false;
     }
-    return ok;
+    // The tree holds each node once.
+    for (RrSearchIndex n : tree) {
+      nr.nodes.push_back(rr.node_id(n));
+      ++at(n).over;
+      refresh(n);
+    }
+    std::sort(nr.nodes.begin(), nr.nodes.end());
+    return true;
   };
 
   // --- PathFinder iterations. The reroute order rotates every iteration

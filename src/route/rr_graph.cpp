@@ -222,6 +222,7 @@ RrGraph::RrGraph(const arch::FpgaGrid& grid, const arch::ArchParams& arch)
     const auto last = edge_targets_.begin() + static_cast<std::ptrdiff_t>(edge_start_[i + 1]);
     std::sort(first, last);
     const auto unique_end = std::unique(first, last);
+    max_fanout_ = std::max(max_fanout_, static_cast<std::size_t>(unique_end - first));
     edge_start_[i] = out;
     for (auto it = first; it != unique_end; ++it) {
       edge_targets_[out++] = search_of_[static_cast<std::size_t>(*it)];

@@ -67,6 +67,10 @@ class RrGraph {
     return {edge_targets_.data() + edge_start_[i], edge_start_[i + 1] - edge_start_[i]};
   }
 
+  /// Length of the longest fanout() row: a bound for any per-row buffer.
+  /// It grows with the channel width (an OPIN row holds W wires).
+  std::size_t max_fanout() const { return max_fanout_; }
+
   /// First wire id: every pin id is below it, every wire id at or above.
   /// The same split holds for search indices.
   RrNodeId first_wire() const { return first_wire_; }
@@ -95,6 +99,7 @@ class RrGraph {
   std::vector<RrNodeId> ipin_;
   RrNodeId first_wire_ = 0;
   int num_wires_ = 0;
+  std::size_t max_fanout_ = 0;
 };
 
 }  // namespace taf::route

@@ -3,17 +3,24 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
 #include <set>
+#include <string>
 #include <unordered_map>
 
 #include "arch/arch_params.hpp"
 #include "coffe/device_model.hpp"
+#include "core/flow.hpp"
 #include "netlist/benchmarks.hpp"
 #include "pack/pack.hpp"
 #include "place/place.hpp"
 #include "route/router.hpp"
 #include "route/rr_graph.hpp"
 #include "timing/timing.hpp"
+#include "util/codec.hpp"
+#include "util/hash.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -163,6 +170,41 @@ TEST(Pack, AffinityTieBreaksByLowestNet) {
   EXPECT_EQ(cluster.bles[0].lut, a);
   EXPECT_EQ(cluster.bles[1].lut, x) << "affinity tie must break toward the lower net id";
 }
+
+// gtest prints a parameter's raw bytes into each test's name. The digest
+// leads so those bytes start with fixed data, not a load address.
+struct PackDigest {
+  std::uint64_t digest;
+  const char* design;
+};
+
+class PackGoldenSuite : public ::testing::TestWithParam<PackDigest> {};
+
+/// pack() of a suite design at 1/16 scale, from the netlist the flow
+/// generates (same seed): any drift in BLE formation or in the affinity
+/// scan's candidate order moves the serialized digest.
+TEST_P(PackGoldenSuite, SerializedPackingMatchesPinnedDigest) {
+  netlist::BenchmarkSpec spec;
+  for (const netlist::BenchmarkSpec& s : netlist::vtr_suite()) {
+    if (s.name == GetParam().design) spec = netlist::scaled(s, 1.0 / 16);
+  }
+  ASSERT_EQ(spec.name, GetParam().design);
+  const core::ImplementOptions flow;
+  util::Rng rng(flow.seed ^ std::hash<std::string>{}(spec.name));
+  const netlist::Netlist nl = netlist::generate(spec, rng);
+  util::codec::Encoder enc;
+  pack::serialize(pack::pack(nl, test_arch()), enc);
+  EXPECT_EQ(util::fnv1a_bytes(enc.buffer().data(), enc.buffer().size()), GetParam().digest);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Designs, PackGoldenSuite,
+    ::testing::Values(PackDigest{0xf090dd48b51f3f16ull, "sha"},
+                      PackDigest{0x915cd549a0719ffcull, "stereovision0"},
+                      PackDigest{0x9f28202e66502addull, "stereovision2"}),
+    [](const ::testing::TestParamInfo<PackDigest>& param_info) {
+      return std::string(param_info.param.design);
+    });
 
 // ---------- place ----------
 

@@ -145,6 +145,19 @@ TEST(RouteGolden, SeededSwapRerouteKeepsTreesAndNegotiates) {
   EXPECT_EQ(route_digest(r), 0xe2a1d5196b362337ull);
 }
 
+/// stereovision0 at 192 tracks, the widest channel the width ablation
+/// routes: an OPIN's row holds 192 wires there, twice the experiment
+/// width, so any per-row buffer sized for the narrower fabric overflows.
+TEST(RouteGolden, WidestAblationChannel) {
+  arch::ArchParams a = arch::scaled_arch();
+  a.channel_tracks = 192;
+  const auto impl = implement_design("stereovision0", a);
+  ASSERT_NE(impl, nullptr);
+  EXPECT_TRUE(impl->routes.success);
+  routecheck::expect_connected(impl->rr, impl->packed, impl->placement, impl->routes);
+  EXPECT_EQ(route_digest(impl->routes), 0x0e926fdde006ac21ull);
+}
+
 // gtest prints a parameter's raw bytes into each test's name. The digest
 // leads so those bytes start with fixed data, not a load address.
 struct SuiteDigest {
@@ -198,7 +211,9 @@ INSTANTIATE_TEST_SUITE_P(
                       SuiteDigest{0xa55a6a4f08bd8716ull, "stereovision0"},
                       SuiteDigest{0x697d19d37be6ffa9ull, "or1200"},
                       SuiteDigest{0xd0c71d33d901db36ull, "mkDelayWorker32B"},
-                      SuiteDigest{0x0bd44176dcf4e4daull, "stereovision1"}),
+                      SuiteDigest{0x0bd44176dcf4e4daull, "stereovision1"},
+                      SuiteDigest{0x07957b7e5999e9abull, "LU8PEEng"},
+                      SuiteDigest{0x24800dd5f6501a46ull, "stereovision2"}),
     [](const ::testing::TestParamInfo<SuiteDigest>& param_info) {
       return std::string(param_info.param.design);
     });
@@ -291,6 +306,67 @@ TEST(Reroute, MismatchedSeedOrPlacementThrows) {
   route::RouteResult foreign = impl->routes;
   foreign.routes.front().nodes.push_back(impl->rr.num_nodes());
   EXPECT_THROW(route::reroute(impl->rr, impl->packed, pl, pl, foreign), std::invalid_argument);
+}
+
+// ---------- unroutable nets ----------
+
+/// Every net without occupancy carries no partial tree: a net whose later
+/// sink is unreachable must not keep the paths its earlier sinks found.
+void expect_unrouted_nets_empty(const route::RouteResult& r) {
+  for (std::size_t n = 0; n < r.routes.size(); ++n) {
+    const route::NetRoute& nr = r.routes[n];
+    if (!nr.nodes.empty()) continue;
+    EXPECT_TRUE(nr.paths.empty()) << "net " << n;
+    EXPECT_TRUE(nr.parents.empty()) << "net " << n;
+  }
+}
+
+/// At one track, an IPIN taps a wire only on odd rows ((t + 2x + 3y) odd)
+/// and an OPIN only where x + y is even. Net 0 drives a reachable sink
+/// one tile away and an unreachable one two tiles away; sinks route
+/// nearest-first, so the search fails after the first sink's path is
+/// committed. Net 1 routes.
+TEST(RouteUnroutable, LaterUnreachableSinkLeavesNoPartialTree) {
+  const arch::FpgaGrid grid(6, 6);
+  arch::ArchParams a = arch::scaled_arch();
+  a.channel_tracks = 1;
+  const route::RrGraph rr(grid, a);
+  place::Placement pl;
+  pl.pos = {{1, 1}, {2, 1}, {2, 2}, {1, 3}, {3, 3}};
+  pack::PackedNetlist packed;
+  packed.block_nets.push_back({0, 0, {1, 2}});
+  packed.block_nets.push_back({1, 3, {4}});
+  route::RouteOptions opt;
+  opt.max_iterations = 2;
+
+  pack::PackedNetlist reachable_only = packed;
+  reachable_only.block_nets[0].sink_blocks = {1};
+  const route::RouteResult reachable = route::route(rr, reachable_only, pl, opt);
+  ASSERT_TRUE(reachable.success) << "the nearer sink is no longer reachable on its own";
+
+  const route::RouteResult r = route::route(rr, packed, pl, opt);
+  EXPECT_FALSE(r.success);
+  EXPECT_TRUE(r.routes[0].nodes.empty());
+  EXPECT_FALSE(r.routes[1].nodes.empty());
+  expect_unrouted_nets_empty(r);
+}
+
+/// sha's blind placement on a one-track fabric: many nets fail, some
+/// after routing their nearer sinks.
+TEST(RouteUnroutable, OneTrackFabricLeavesNoPartialTrees) {
+  const auto impl = implement_design("sha");
+  ASSERT_NE(impl, nullptr);
+  arch::ArchParams a = arch::scaled_arch();
+  a.channel_tracks = 1;
+  const route::RrGraph rr(impl->grid, a);
+  route::RouteOptions opt;
+  opt.max_iterations = 2;
+  const route::RouteResult r = route::route(rr, impl->packed, impl->placement, opt);
+  EXPECT_FALSE(r.success);
+  const auto unrouted = std::count_if(r.routes.begin(), r.routes.end(),
+                                      [](const route::NetRoute& nr) { return nr.nodes.empty(); });
+  EXPECT_GT(unrouted, 0);
+  expect_unrouted_nets_empty(r);
 }
 
 /// The packed search record keeps tile coordinates as int16; a wider grid
