@@ -30,6 +30,7 @@ struct NetRoute {
   /// Tree parent pointers as (node, parent) pairs; the source OPIN has no
   /// entry. Walking a sink IPIN to the source yields its full path — the
   /// thermal-aware STA prices every SB hop at its own tile temperature.
+  /// A net that failed to route has empty nodes, paths and parents.
   std::vector<std::pair<RrNodeId, RrNodeId>> parents;
 };
 

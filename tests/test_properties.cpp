@@ -49,12 +49,12 @@ TEST(Property, SeedChangesPlacementButNotLegality) {
   EXPECT_TRUE(a->routes.success);
   EXPECT_TRUE(b->routes.success);
   // The seed also seeds the netlist generator, so the two designs may
-  // pack into different block counts: a block only one of them has counts
-  // as moved, and positions are compared over the blocks both have.
-  const std::size_t na = a->placement.pos.size();
-  const std::size_t nb = b->placement.pos.size();
-  std::size_t moved = std::max(na, nb) - std::min(na, nb);
-  for (std::size_t i = 0; i < std::min(na, nb); ++i) {
+  // pack into different block counts; positions are compared over the
+  // blocks both have, and at least one of those must have moved.
+  const std::size_t n =
+      std::min(a->placement.pos.size(), b->placement.pos.size());
+  std::size_t moved = 0;
+  for (std::size_t i = 0; i < n; ++i) {
     moved += !(a->placement.pos[i] == b->placement.pos[i]);
   }
   EXPECT_GT(moved, 0u);
