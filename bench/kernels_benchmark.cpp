@@ -72,16 +72,6 @@ void BM_ThermalGuardbandCell(benchmark::State& state) {
 }
 BENCHMARK(BM_ThermalGuardbandCell)->Arg(32)->Arg(64)->Unit(benchmark::kMillisecond);
 
-void BM_ThermalAwareSta(benchmark::State& state) {
-  const auto& impl = bench::implementation_of("sha");
-  const auto& dev = bench::device_at(25.0);
-  std::vector<double> temps(static_cast<std::size_t>(impl.grid.num_tiles()), 40.0);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(impl.sta->analyze(dev, temps));
-  }
-}
-BENCHMARK(BM_ThermalAwareSta)->Unit(benchmark::kMillisecond);
-
 /// One uniform-map session analysis of stereovision0, alternating
 /// between two temperatures so every call moves every tile: the shape of
 /// Algorithm 1's worst-case baseline and priming passes.

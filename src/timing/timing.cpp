@@ -14,22 +14,9 @@ namespace taf::timing {
 namespace {
 
 using coffe::ResourceKind;
-using netlist::kNoNet;
 using netlist::NetId;
 using netlist::PrimId;
 using netlist::PrimKind;
-
-/// Per-arc delay decomposition used both for arrival propagation and for
-/// critical-path breakdown reporting.
-struct ArcDelay {
-  double total = 0.0;
-  std::array<double, coffe::kNumResourceKinds> by_kind{};
-
-  void add(ResourceKind k, double ps) {
-    total += ps;
-    by_kind[static_cast<std::size_t>(k)] += ps;
-  }
-};
 
 }  // namespace
 
@@ -38,8 +25,53 @@ TimingAnalyzer::TimingAnalyzer(const netlist::Netlist& nl,
                                const place::Placement& pl, const route::RrGraph& rr,
                                const route::RouteResult& routes,
                                const arch::FpgaGrid& grid, TimingOptions opt)
-    : nl_(&nl), packed_(&packed), pl_(&pl), grid_(&grid), opt_(opt) {
+    : opt_(opt) {
   topo_ = nl.topo_order();
+  inc_topo_.build(*this, nl, packed, pl, rr, routes, grid);
+}
+
+TimingResult TimingAnalyzer::analyze_uniform(const coffe::DeviceModel& dev,
+                                             units::Celsius temp) const {
+  const std::vector<double> temps(static_cast<std::size_t>(inc_topo_.n_tiles_), temp.value());
+  return IncrementalSta(*this, dev).analyze(temps, /*with_critical_path=*/true);
+}
+
+// ---------------------------------------------------------------------------
+// IncrementalSta
+
+void IncrementalTopology::build(const TimingAnalyzer& an, const netlist::Netlist& nl,
+                                const pack::PackedNetlist& packed, const place::Placement& pl,
+                                const route::RrGraph& rr, const route::RouteResult& routes,
+                                const arch::FpgaGrid& grid) {
+  n_tiles_ = grid.num_tiles();
+
+  const auto n_prims = nl.prims().size();
+  prim_kind_.resize(n_prims);
+  prim_tile_.resize(n_prims);
+  for (PrimId id = 0; id < static_cast<PrimId>(n_prims); ++id) {
+    prim_kind_[static_cast<std::size_t>(id)] = nl.prim(id).kind;
+    const int b = packed.block_of_prim[static_cast<std::size_t>(id)];
+    prim_tile_[static_cast<std::size_t>(id)] = grid.index_of(pl.pos[static_cast<std::size_t>(b)]);
+  }
+
+  // Connections, one per (net, sink) in net order, each interned into its
+  // arc as soon as its wire tiles are known, so no per-connection tile
+  // list is kept. Arcs live in an open-addressing table of arc ids,
+  // hashed by the arc's (same_block, source tile, destination tile, wire
+  // tiles) list. A probe hit is confirmed by comparing the lists, so only
+  // equal expressions share an arc, in expected time linear in the total
+  // wire-tile count.
+  std::size_t n_conns = 0;
+  for (const auto& net : nl.nets()) n_conns += net.sinks.size();
+  conn_src_.reserve(n_conns);
+  conn_dst_.reserve(n_conns);
+  conn_arc_.reserve(n_conns);
+  arc_wire_start_.assign(1, 0);
+  const std::size_t mask = std::bit_ceil(2 * n_conns + 1) - 1;
+  std::vector<int> arc_table(mask + 1, -1);
+  auto mix = [](std::uint64_t h, int v) {
+    return (h ^ static_cast<std::uint32_t>(v)) * 0x9e3779b97f4a7c15ull;
+  };
 
   // Map netlist net -> block-net index for routed path lookup.
   std::unordered_map<NetId, int> block_net_of;
@@ -50,6 +82,7 @@ TimingAnalyzer::TimingAnalyzer(const netlist::Netlist& nl,
   for (NetId n = 0; n < static_cast<NetId>(nl.nets().size()); ++n) {
     const auto& net = nl.net(n);
     const int src_block = packed.block_of_prim[static_cast<std::size_t>(net.driver)];
+    const int src_t = prim_tile_[static_cast<std::size_t>(net.driver)];
 
     // Parent map of the routed tree (if this net leaves its block).
     const route::NetRoute* nr = nullptr;
@@ -63,23 +96,22 @@ TimingAnalyzer::TimingAnalyzer(const netlist::Netlist& nl,
 
     // Straight-line SB hop estimate, used for unrouted nets and as the
     // fallback when a sink is missing from the routed tree.
-    auto estimate_hops = [&pl](Connection& c, int from_block, int to_block) {
-      const arch::TilePos a = pl.pos[static_cast<std::size_t>(from_block)];
+    auto estimate_hops = [&](int to_block) {
+      const arch::TilePos a = pl.pos[static_cast<std::size_t>(src_block)];
       const arch::TilePos b = pl.pos[static_cast<std::size_t>(to_block)];
       const int dist = std::abs(a.x - b.x) + std::abs(a.y - b.y);
       const int hops = std::max(1, (dist + 3) / 4);
-      for (int h = 0; h < hops; ++h) c.wire_tiles.push_back(a);
+      arc_wire_flat_.insert(arc_wire_flat_.end(), static_cast<std::size_t>(hops), src_t);
     };
 
     bool warned_missing_sink = false;
     for (const auto& sink : net.sinks) {
-      Connection c;
-      c.src = net.driver;
-      c.dst = sink.prim;
-      c.dst_pin = sink.pin;
       const int dst_block = packed.block_of_prim[static_cast<std::size_t>(sink.prim)];
-      c.same_block = dst_block == src_block;
-      if (!c.same_block && nr != nullptr && !nr->nodes.empty()) {
+      const char same_block = dst_block == src_block ? 1 : 0;
+      // The candidate's wire tiles go on the end of arc_wire_flat_ and stay
+      // only if they start a new arc.
+      const auto wires_begin = static_cast<std::ptrdiff_t>(arc_wire_flat_.size());
+      if (!same_block && nr != nullptr && !nr->nodes.empty()) {
         // Walk the routed tree from the sink IPIN back to the source.
         const arch::TilePos dst_pos = pl.pos[static_cast<std::size_t>(dst_block)];
         route::RrNodeId cur = rr.ipin_at(dst_pos.x, dst_pos.y);
@@ -94,7 +126,7 @@ TimingAnalyzer::TimingAnalyzer(const netlist::Netlist& nl,
                 n);
             warned_missing_sink = true;
           }
-          estimate_hops(c, src_block, dst_block);
+          estimate_hops(dst_block);
         }
         int guard = 0;
         while (true) {
@@ -103,251 +135,47 @@ TimingAnalyzer::TimingAnalyzer(const netlist::Netlist& nl,
           cur = pit->second;
           const route::RrNode& node = rr.node(cur);
           if (node.kind == route::RrKind::WireH || node.kind == route::RrKind::WireV) {
-            c.wire_tiles.push_back(node.tile);
+            arc_wire_flat_.push_back(grid.index_of(node.tile));
           }
           if (++guard > rr.num_nodes()) {
             util::log_warn("timing: cyclic route parents on net %d", n);
             break;
           }
         }
-      } else if (!c.same_block) {
-        estimate_hops(c, src_block, dst_block);
+      } else if (!same_block) {
+        estimate_hops(dst_block);
       }
-      connections_.push_back(std::move(c));
-    }
-  }
 
-  inc_topo_.build(*this);
-}
-
-TimingResult TimingAnalyzer::analyze(const coffe::DeviceModel& dev,
-                                     const std::vector<double>& tile_temp_c) const {
-  assert(static_cast<int>(tile_temp_c.size()) == grid_->num_tiles());
-
-  auto temp_at = [&](arch::TilePos p) {
-    return tile_temp_c[static_cast<std::size_t>(grid_->index_of(p))];
-  };
-  // Unwrapped device lookup: same arithmetic as DeviceModel::delay.
-  auto dly = [&dev](ResourceKind k, double t) {
-    return dev.delay(k, units::Celsius{t}).value();
-  };
-  auto block_tile = [&](PrimId prim) {
-    const int b = packed_->block_of_prim[static_cast<std::size_t>(prim)];
-    return pl_->pos[static_cast<std::size_t>(b)];
-  };
-
-  // Connection delays.
-  auto conn_delay = [&](const Connection& c) {
-    ArcDelay d;
-    const arch::TilePos src_tile = block_tile(c.src);
-    if (c.same_block) {
-      d.add(ResourceKind::FeedbackMux, dly(ResourceKind::FeedbackMux,
-                                                    temp_at(src_tile)));
-    } else {
-      d.add(ResourceKind::OutputMux,
-            dly(ResourceKind::OutputMux, temp_at(src_tile)));
-      for (const arch::TilePos& wt : c.wire_tiles) {
-        d.add(ResourceKind::SbMux, dly(ResourceKind::SbMux, temp_at(wt)));
+      const int dst_t = prim_tile_[static_cast<std::size_t>(sink.prim)];
+      std::uint64_t h = mix(mix(mix(0, same_block), src_t), dst_t);
+      for (auto w = arc_wire_flat_.begin() + wires_begin; w != arc_wire_flat_.end(); ++w) {
+        h = mix(h, *w);
       }
-      d.add(ResourceKind::CbMux,
-            dly(ResourceKind::CbMux, temp_at(block_tile(c.dst))));
-    }
-    return d;
-  };
-
-  // Per-connection lists by destination primitive.
-  std::vector<std::vector<int>> conns_into(nl_->prims().size());
-  for (int i = 0; i < static_cast<int>(connections_.size()); ++i) {
-    conns_into[static_cast<std::size_t>(connections_[static_cast<std::size_t>(i)].dst)]
-        .push_back(i);
-  }
-
-  const auto n_prims = nl_->prims().size();
-  std::vector<double> arrival(n_prims, 0.0);
-  std::vector<int> crit_conn(n_prims, -1);  // critical incoming connection
-
-  // Launch times for sequential sources.
-  for (PrimId id = 0; id < static_cast<PrimId>(n_prims); ++id) {
-    const auto& p = nl_->prim(id);
-    switch (p.kind) {
-      case PrimKind::Input: arrival[static_cast<std::size_t>(id)] = opt_.io_delay_ps.value(); break;
-      case PrimKind::Ff: arrival[static_cast<std::size_t>(id)] = opt_.ff_clk_to_q_ps.value(); break;
-      case PrimKind::Bram:
-        arrival[static_cast<std::size_t>(id)] =
-            dly(ResourceKind::Bram, temp_at(block_tile(id)));
-        break;
-      default: break;
-    }
-  }
-
-  // Propagate through combinational elements in topological order.
-  for (PrimId id : topo_) {
-    const auto& p = nl_->prim(id);
-    if (p.kind != PrimKind::Lut && p.kind != PrimKind::Dsp && p.kind != PrimKind::Output)
-      continue;
-    double worst = 0.0;
-    int worst_conn = -1;
-    for (int ci : conns_into[static_cast<std::size_t>(id)]) {
-      const Connection& c = connections_[static_cast<std::size_t>(ci)];
-      const double t = arrival[static_cast<std::size_t>(c.src)] + conn_delay(c).total;
-      if (t > worst) {
-        worst = t;
-        worst_conn = ci;
+      auto is_this_arc = [&](int arc) {
+        const auto a = static_cast<std::size_t>(arc);
+        return arc_same_block_[a] == same_block && arc_src_tile_[a] == src_t &&
+               arc_dst_tile_[a] == dst_t &&
+               std::equal(arc_wire_flat_.begin() + wires_begin, arc_wire_flat_.end(),
+                          arc_wire_flat_.begin() + arc_wire_start_[a],
+                          arc_wire_flat_.begin() + arc_wire_start_[a + 1]);
+      };
+      std::size_t slot = (h >> 32) & mask;
+      while (arc_table[slot] >= 0 && !is_this_arc(arc_table[slot])) slot = (slot + 1) & mask;
+      if (arc_table[slot] >= 0) {
+        arc_wire_flat_.resize(static_cast<std::size_t>(wires_begin));
+      } else {
+        arc_table[slot] = static_cast<int>(arc_src_tile_.size());
+        arc_same_block_.push_back(same_block);
+        arc_src_tile_.push_back(src_t);
+        arc_dst_tile_.push_back(dst_t);
+        arc_wire_start_.push_back(static_cast<int>(arc_wire_flat_.size()));
+        max_hops_ = std::max(max_hops_, static_cast<int>(arc_wire_flat_.size()) -
+                                            static_cast<int>(wires_begin));
       }
+      conn_src_.push_back(net.driver);
+      conn_dst_.push_back(sink.prim);
+      conn_arc_.push_back(arc_table[slot]);
     }
-    crit_conn[static_cast<std::size_t>(id)] = worst_conn;
-    const double temp = temp_at(block_tile(id));
-    if (p.kind == PrimKind::Lut) {
-      worst += dly(ResourceKind::LocalMux, temp) +
-               dly(ResourceKind::Lut, temp);
-    } else if (p.kind == PrimKind::Dsp) {
-      worst += dly(ResourceKind::Dsp, temp);
-    }
-    arrival[static_cast<std::size_t>(id)] = worst;
-  }
-
-  // Capture: FF data / BRAM and DSP inputs (setup), primary outputs.
-  double cp = 0.0;
-  PrimId cp_end = -1;
-  int cp_end_conn = -1;
-  auto consider = [&](PrimId prim, int ci, double t) {
-    if (t > cp) {
-      cp = t;
-      cp_end = prim;
-      cp_end_conn = ci;
-    }
-  };
-  for (PrimId id = 0; id < static_cast<PrimId>(n_prims); ++id) {
-    const auto& p = nl_->prim(id);
-    if (p.kind == PrimKind::Output) {
-      consider(id, crit_conn[static_cast<std::size_t>(id)], arrival[static_cast<std::size_t>(id)]);
-    } else if (p.kind == PrimKind::Ff || p.kind == PrimKind::Bram) {
-      const double setup =
-          (p.kind == PrimKind::Ff ? opt_.ff_setup_ps : opt_.bram_setup_ps).value();
-      for (int ci : conns_into[static_cast<std::size_t>(id)]) {
-        const Connection& c = connections_[static_cast<std::size_t>(ci)];
-        consider(id, ci, arrival[static_cast<std::size_t>(c.src)] + conn_delay(c).total + setup);
-      }
-    }
-  }
-
-  TimingResult result;
-  result.critical_path_ps = units::Picoseconds{cp};
-  result.fmax_mhz =
-      cp > 0.0 ? units::frequency_of(units::Picoseconds{cp}) : units::Megahertz{0.0};
-
-  // Reconstruct the critical path and its resource breakdown.
-  if (cp_end >= 0) {
-    PrimId cur = cp_end;
-    int ci = cp_end_conn;
-    result.cp_prims.push_back(cur);
-    int guard = 0;
-    while (ci >= 0 && guard++ < static_cast<int>(n_prims)) {
-      const Connection& c = connections_[static_cast<std::size_t>(ci)];
-      const ArcDelay d = conn_delay(c);
-      for (std::size_t k = 0; k < d.by_kind.size(); ++k)
-        result.cp_breakdown[k] += d.by_kind[k];
-      cur = c.src;
-      result.cp_prims.push_back(cur);
-      const auto& p = nl_->prim(cur);
-      const double temp = temp_at(block_tile(cur));
-      if (p.kind == PrimKind::Lut) {
-        result.cp_breakdown[static_cast<std::size_t>(ResourceKind::Lut)] +=
-            dly(ResourceKind::Lut, temp);
-        result.cp_breakdown[static_cast<std::size_t>(ResourceKind::LocalMux)] +=
-            dly(ResourceKind::LocalMux, temp);
-      } else if (p.kind == PrimKind::Dsp) {
-        result.cp_breakdown[static_cast<std::size_t>(ResourceKind::Dsp)] +=
-            dly(ResourceKind::Dsp, temp);
-      } else if (p.kind == PrimKind::Bram) {
-        result.cp_breakdown[static_cast<std::size_t>(ResourceKind::Bram)] +=
-            dly(ResourceKind::Bram, temp);
-      }
-      ci = crit_conn[static_cast<std::size_t>(cur)];
-    }
-    std::reverse(result.cp_prims.begin(), result.cp_prims.end());
-  }
-  return result;
-}
-
-TimingResult TimingAnalyzer::analyze_uniform(const coffe::DeviceModel& dev,
-                                             units::Celsius temp) const {
-  const std::vector<double> temps(static_cast<std::size_t>(grid_->num_tiles()),
-                                  temp.value());
-  return analyze(dev, temps);
-}
-
-// ---------------------------------------------------------------------------
-// IncrementalSta
-
-void IncrementalTopology::build(const TimingAnalyzer& an) {
-  n_tiles_ = an.grid_->num_tiles();
-
-  const auto n_prims = an.nl_->prims().size();
-  prim_kind_.resize(n_prims);
-  prim_tile_.resize(n_prims);
-  for (PrimId id = 0; id < static_cast<PrimId>(n_prims); ++id) {
-    prim_kind_[static_cast<std::size_t>(id)] = an.nl_->prim(id).kind;
-    const int b = an.packed_->block_of_prim[static_cast<std::size_t>(id)];
-    prim_tile_[static_cast<std::size_t>(id)] =
-        an.grid_->index_of(an.pl_->pos[static_cast<std::size_t>(b)]);
-  }
-
-  // Arcs, in one pass over the connections: an open-addressing table of
-  // arc ids, hashed by the arc's (same_block, source tile, destination
-  // tile, wire tiles) list. A probe hit is confirmed by comparing the
-  // lists, so only equal expressions share an arc, in expected time linear
-  // in the total wire-tile count.
-  const auto& conns = an.connections_;
-  const auto n_conns = conns.size();
-  conn_src_.resize(n_conns);
-  conn_dst_.resize(n_conns);
-  conn_arc_.resize(n_conns);
-  arc_wire_start_.assign(1, 0);
-  const std::size_t mask = std::bit_ceil(2 * n_conns + 1) - 1;
-  std::vector<int> arc_table(mask + 1, -1);
-  auto mix = [](std::uint64_t h, int v) {
-    return (h ^ static_cast<std::uint32_t>(v)) * 0x9e3779b97f4a7c15ull;
-  };
-  for (std::size_t ci = 0; ci < n_conns; ++ci) {
-    const auto& c = conns[ci];
-    conn_src_[ci] = c.src;
-    conn_dst_[ci] = c.dst;
-    const char same_block = c.same_block ? 1 : 0;
-    const int src_t = prim_tile_[static_cast<std::size_t>(c.src)];
-    const int dst_t = prim_tile_[static_cast<std::size_t>(c.dst)];
-    std::uint64_t h = mix(mix(mix(0, same_block), src_t), dst_t);
-    // The candidate's wire tiles go on the end of arc_wire_flat_ and stay
-    // only if they start a new arc.
-    const auto wires_begin = static_cast<std::ptrdiff_t>(arc_wire_flat_.size());
-    if (!c.same_block) {
-      for (const arch::TilePos& wt : c.wire_tiles) {
-        arc_wire_flat_.push_back(an.grid_->index_of(wt));
-        h = mix(h, arc_wire_flat_.back());
-      }
-    }
-    auto is_this_arc = [&](int arc) {
-      const auto a = static_cast<std::size_t>(arc);
-      return arc_same_block_[a] == same_block && arc_src_tile_[a] == src_t &&
-             arc_dst_tile_[a] == dst_t &&
-             std::equal(arc_wire_flat_.begin() + wires_begin, arc_wire_flat_.end(),
-                        arc_wire_flat_.begin() + arc_wire_start_[a],
-                        arc_wire_flat_.begin() + arc_wire_start_[a + 1]);
-    };
-    std::size_t slot = (h >> 32) & mask;
-    while (arc_table[slot] >= 0 && !is_this_arc(arc_table[slot])) slot = (slot + 1) & mask;
-    if (arc_table[slot] >= 0) {
-      arc_wire_flat_.resize(static_cast<std::size_t>(wires_begin));
-    } else {
-      arc_table[slot] = static_cast<int>(arc_src_tile_.size());
-      arc_same_block_.push_back(same_block);
-      arc_src_tile_.push_back(src_t);
-      arc_dst_tile_.push_back(dst_t);
-      arc_wire_start_.push_back(static_cast<int>(arc_wire_flat_.size()));
-      max_hops_ = std::max(max_hops_, static_cast<int>(arc_wire_flat_.size()) -
-                                          static_cast<int>(wires_begin));
-    }
-    conn_arc_[ci] = arc_table[slot];
   }
   const auto n_arcs = arc_src_tile_.size();
 
@@ -405,10 +233,11 @@ void IncrementalTopology::build(const TimingAnalyzer& an) {
               }
             });
 
-  // Capture entries in exactly the order the full path scans them.
+  // Capture entries in exactly the order the reference scans them
+  // (tests/reference_sta.hpp).
   capture_of_conn_.assign(n_conns, -1);
   for (PrimId id = 0; id < static_cast<PrimId>(n_prims); ++id) {
-    const PrimKind k = an.nl_->prim(id).kind;
+    const PrimKind k = prim_kind_[static_cast<std::size_t>(id)];
     if (k == PrimKind::Output) {
       captures_.push_back({id, -1, units::Picoseconds{0.0}});
     } else if (k == PrimKind::Ff || k == PrimKind::Bram) {
@@ -425,7 +254,7 @@ void IncrementalTopology::build(const TimingAnalyzer& an) {
   }
 
   // DSP feedback: topo_order() does not gate on DSP inputs, so a DSP can
-  // precede its combinational fanins in topo_. The full pass then reads
+  // precede its combinational fanins in topo_. A full recompute then reads
   // such a fanin's arrival before computing it — i.e. its per-call
   // initial value 0 — which the session reproduces by pinning those
   // contributions to 0 instead of using the cached (final) arrival.
@@ -437,16 +266,15 @@ void IncrementalTopology::build(const TimingAnalyzer& an) {
   }
   conn_src_frozen_.assign(n_conns, 0);
   for (std::size_t ci = 0; ci < n_conns; ++ci) {
-    const auto& c = conns[ci];
-    const PrimKind sk = an.nl_->prim(c.src).kind;
-    const PrimKind dk = an.nl_->prim(c.dst).kind;
+    const auto src = static_cast<std::size_t>(conn_src_[ci]);
+    const auto dst = static_cast<std::size_t>(conn_dst_[ci]);
+    const PrimKind sk = prim_kind_[src];
+    const PrimKind dk = prim_kind_[dst];
     const bool comb_src =
         sk == PrimKind::Lut || sk == PrimKind::Dsp || sk == PrimKind::Output;
     const bool comb_dst =
         dk == PrimKind::Lut || dk == PrimKind::Dsp || dk == PrimKind::Output;
-    if (comb_src && comb_dst &&
-        topo_pos[static_cast<std::size_t>(c.src)] >
-            topo_pos[static_cast<std::size_t>(c.dst)]) {
+    if (comb_src && comb_dst && topo_pos[src] > topo_pos[dst]) {
       conn_src_frozen_[ci] = 1;
     }
   }
@@ -522,7 +350,8 @@ void IncrementalSta::refresh_tile(int tile, double temp_c) {
 }
 
 double IncrementalSta::arc_delay_total(int arc) const {
-  // Mirrors TimingAnalyzer's conn_delay() accumulation order exactly.
+  // Mirrors the reference's connection-delay accumulation order exactly
+  // (tests/reference_sta.hpp).
   const auto a = static_cast<std::size_t>(arc);
   double total = 0.0;
   if (arc_same_block_[a]) {
@@ -578,10 +407,10 @@ TimingResult IncrementalSta::analyze(const std::vector<double>& tile_temp_c,
 }
 
 void IncrementalSta::recompute_all(const std::vector<double>& tile_temp_c, bool uniform) {
-  // The full pass's computation over the session's cached tables: every
-  // tile, arc total, BRAM launch, combinational arrival and capture value
-  // is recomputed once, with the same arithmetic and order (frozen DSP
-  // feedback edges still contribute 0).
+  // A full recompute over the session's cached tables: every tile, arc
+  // total, BRAM launch, combinational arrival and capture value is
+  // recomputed once, with the reference's arithmetic and order (frozen
+  // DSP feedback edges still contribute 0).
   for (int t = 0; t < n_tiles_; ++t) refresh_tile(t, tile_temp_c[static_cast<std::size_t>(t)]);
   const auto n_arcs = arc_total_.size();
   if (uniform) {
@@ -630,7 +459,7 @@ void IncrementalSta::recompute_all(const std::vector<double>& tile_temp_c, bool 
 }
 
 double IncrementalSta::arrival_through(PrimId id) {
-  // The full pass's arrival expression: worst fanin arrival plus
+  // The reference's arrival expression: worst fanin arrival plus
   // connection delay (first strict maximum wins), then the primitive's
   // own tile-local delay.
   double worst = 0.0;
@@ -726,7 +555,7 @@ void IncrementalSta::propagate_frontier(const std::vector<double>& tile_temp_c) 
   }
 
   // 2. Repropagate arrivals downstream of the frontier, in the same
-  // topological order (and with the same arithmetic) as the full pass.
+  // topological order (and with the same arithmetic) as the reference.
   for (PrimId id : an_->topo_) {
     if (!node_pending_[static_cast<std::size_t>(id)]) continue;
     for (int i = conn_in_start_[static_cast<std::size_t>(id)];
@@ -755,7 +584,7 @@ void IncrementalSta::propagate_frontier(const std::vector<double>& tile_temp_c) 
 }
 
 void IncrementalSta::scan_captures() {
-  // Critical endpoint, with the full pass's order and tie-breaking.
+  // Critical endpoint, with the reference's order and tie-breaking.
   double cp = 0.0;
   PrimId cp_end = -1;
   int cp_end_conn = -1;
@@ -783,20 +612,22 @@ void IncrementalSta::reconstruct_critical_path(TimingResult& result) const {
   int guard = 0;
   while (ci >= 0 && guard++ < static_cast<int>(n_prims)) {
     // Per-kind decomposition of the arc first, then folded into the
-    // path: the same association as the full pass's ArcDelay.
+    // path: the same association as the reference's per-connection sum.
     const auto a = static_cast<std::size_t>(conn_arc_[static_cast<std::size_t>(ci)]);
-    ArcDelay d;
+    std::array<double, coffe::kNumResourceKinds> by_kind{};
+    auto add = [&](ResourceKind k, int tile) {
+      by_kind[static_cast<std::size_t>(k)] += tile_delay(k, tile);
+    };
     if (arc_same_block_[a]) {
-      d.add(ResourceKind::FeedbackMux, tile_delay(ResourceKind::FeedbackMux, arc_src_tile_[a]));
+      add(ResourceKind::FeedbackMux, arc_src_tile_[a]);
     } else {
-      d.add(ResourceKind::OutputMux, tile_delay(ResourceKind::OutputMux, arc_src_tile_[a]));
+      add(ResourceKind::OutputMux, arc_src_tile_[a]);
       for (int w = arc_wire_start_[a]; w < arc_wire_start_[a + 1]; ++w) {
-        d.add(ResourceKind::SbMux,
-              tile_delay(ResourceKind::SbMux, arc_wire_flat_[static_cast<std::size_t>(w)]));
+        add(ResourceKind::SbMux, arc_wire_flat_[static_cast<std::size_t>(w)]);
       }
-      d.add(ResourceKind::CbMux, tile_delay(ResourceKind::CbMux, arc_dst_tile_[a]));
+      add(ResourceKind::CbMux, arc_dst_tile_[a]);
     }
-    for (std::size_t k = 0; k < d.by_kind.size(); ++k) result.cp_breakdown[k] += d.by_kind[k];
+    for (std::size_t k = 0; k < by_kind.size(); ++k) result.cp_breakdown[k] += by_kind[k];
     cur = conn_src_[static_cast<std::size_t>(ci)];
     result.cp_prims.push_back(cur);
     const PrimKind kind = prim_kind_[static_cast<std::size_t>(cur)];

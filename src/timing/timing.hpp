@@ -79,9 +79,10 @@ class TimingAnalyzer;
 /// connections. A session sums each arc once and connections read their
 /// total through conn_arc_.
 struct IncrementalTopology {
-  /// One entry of the capture scan, mirroring the full path's order:
-  /// prim-id ascending; FF/BRAM expand to one entry per incoming
-  /// connection, primary outputs to a single arrival entry (conn == -1).
+  /// One entry of the capture scan, mirroring the order of the
+  /// full-recompute reference (tests/reference_sta.hpp): prim-id
+  /// ascending; FF/BRAM expand to one entry per incoming connection,
+  /// primary outputs to a single arrival entry (conn == -1).
   struct CaptureEntry {
     netlist::PrimId prim;
     int conn;                     ///< capture connection, or -1 for a primary output
@@ -92,8 +93,8 @@ struct IncrementalTopology {
   // Flat tile indices (not TilePos); all per-prim, per-arc and per-tile
   // lists are CSR to avoid one allocation per primitive. Connection
   // endpoints and primitive kinds are copied into dense arrays — the
-  // propagation loop must not stride through Connection (embedded
-  // vector) or Primitive (embedded strings) records.
+  // propagation loop must not stride through Primitive (embedded
+  // strings) records.
   std::vector<netlist::PrimKind> prim_kind_;    ///< kind of each primitive
   std::vector<int> prim_tile_;                  ///< tile of each primitive's block
   std::vector<netlist::PrimId> conn_src_;       ///< source prim per conn
@@ -105,7 +106,7 @@ struct IncrementalTopology {
   std::vector<int> conn_out_start_;
   /// Propagation edges whose combinational source sits later in topo_
   /// than their destination (DSP feedback: topo_order() does not gate on
-  /// DSP inputs). The full pass reads such a source's arrival before it
+  /// DSP inputs). A full recompute reads such a source's arrival before it
   /// is computed — i.e. its per-call initial value 0 — so a session
   /// must pin the contribution to 0 rather than use the cached arrival.
   std::vector<char> conn_src_frozen_;
@@ -125,10 +126,19 @@ struct IncrementalTopology {
   std::vector<CaptureEntry> captures_;
   std::vector<int> capture_of_conn_;            ///< conn -> captures_ index or -1
 
-  void build(const TimingAnalyzer& an);
+  /// Walks every (net, sink) connection's route tree once and interns
+  /// it into its arc; no per-connection wire-tile list is kept. Reads the
+  /// analyzer's topological order and options.
+  void build(const TimingAnalyzer& an, const netlist::Netlist& nl,
+             const pack::PackedNetlist& packed, const place::Placement& pl,
+             const route::RrGraph& rr, const route::RouteResult& routes,
+             const arch::FpgaGrid& grid);
 };
 
-/// Bound view of a fully implemented design (netlist through routing).
+/// Timing view of a fully implemented design (netlist through routing):
+/// the immutable topology every IncrementalSta session over it shares.
+/// The constructor reads its arguments once; none of them need outlive
+/// the analyzer.
 class TimingAnalyzer {
  public:
   TimingAnalyzer(const netlist::Netlist& nl, const pack::PackedNetlist& packed,
@@ -136,38 +146,22 @@ class TimingAnalyzer {
                  const route::RouteResult& routes, const arch::FpgaGrid& grid,
                  TimingOptions opt = {});
 
-  /// STA with one temperature per tile (indexed by FpgaGrid::index_of).
-  TimingResult analyze(const coffe::DeviceModel& dev,
-                       const std::vector<double>& tile_temp_c) const;
-
-  /// STA with a uniform junction temperature (the conventional corner).
+  /// STA with a uniform junction temperature (the conventional corner),
+  /// through a one-shot IncrementalSta session. Per-tile maps go through
+  /// a session directly.
   TimingResult analyze_uniform(const coffe::DeviceModel& dev, units::Celsius temp) const;
 
-  /// Connections between primitives: the edges one full pass evaluates.
-  std::size_t num_connections() const { return connections_.size(); }
+  /// Connections between primitives, one per (net, sink) pair.
+  std::size_t num_connections() const { return inc_topo_.conn_src_.size(); }
   /// Distinct delay expressions among them, which a session sums once
   /// each (see IncrementalTopology).
   std::size_t num_arcs() const { return inc_topo_.arc_src_tile_.size(); }
 
  private:
-  struct Connection {
-    netlist::PrimId src;
-    netlist::PrimId dst;
-    int dst_pin;
-    bool same_block;
-    /// Anchor tiles of the wires on the routed path (SB hops).
-    std::vector<arch::TilePos> wire_tiles;
-  };
-
   friend class IncrementalSta;
   friend struct IncrementalTopology;
 
-  const netlist::Netlist* nl_;
-  const pack::PackedNetlist* packed_;
-  const place::Placement* pl_;
-  const arch::FpgaGrid* grid_;
   TimingOptions opt_;
-  std::vector<Connection> connections_;
   std::vector<netlist::PrimId> topo_;
   IncrementalTopology inc_topo_;  ///< built last in the constructor
 };
@@ -176,17 +170,18 @@ class TimingAnalyzer {
 ///
 /// Algorithm 1 re-times the same design at a sequence of nearby
 /// temperature maps. A session caches, between analyze() calls: the
-/// fanin/fanout adjacency (the full path rebuilds it per call), per-tile
+/// fanin/fanout adjacency (a full recompute rebuilds it per call), per-tile
 /// delay tables for every resource kind, one delay total per arc (the
 /// connections that share a delay expression; see IncrementalTopology),
 /// and the arrival/critical-arc state — then repropagates arrival times
 /// only downstream of the frontier of arcs whose delay actually changed,
 /// or recomputes everything in one sweep when every tile moved (no
 /// frontier to prune; on a uniform map each arc total is then looked up
-/// by hop count). Evaluation order and arithmetic mirror
-/// TimingAnalyzer::analyze() expression for expression, so the results
-/// are bit-identical to a full recompute (DESIGN.md sec. 8). The work
-/// counters count connections, not arcs.
+/// by hop count). Evaluation order and arithmetic mirror the
+/// full-recompute reference in tests/reference_sta.hpp expression for
+/// expression, so the results are bit-identical to it (DESIGN.md sec. 8).
+/// It is the only STA engine: a one-shot analysis is a fresh session's
+/// first call. The work counters count connections, not arcs.
 ///
 /// Not thread-safe; sessions are cheap and task-local (one per
 /// guardband() call).

@@ -1,11 +1,13 @@
 #pragma once
 // Full-recompute reference for Algorithm 1, the oracle core::guardband()
 // is compared against. Every iteration times the whole design from
-// scratch (TimingAnalyzer::analyze, analyze_uniform for the worst-case
-// baseline), prices power from the implementation's load table, and
-// solves thermal cold through a caller-chosen solve — ThermalGrid::solve
-// (the production stencil PCG) or thermal_oracle::solve (plain CG). It
-// uses only public APIs; production keeps no second loop.
+// scratch through the reference STA of reference_sta.hpp (uniform maps
+// for the worst-case baseline and the priming pass), so it shares no STA
+// code with production. It prices power from the implementation's load
+// table and solves thermal cold through a caller-chosen solve —
+// ThermalGrid::solve (the production stencil PCG) or
+// thermal_oracle::solve (plain CG). It uses only public APIs; production
+// keeps no second loop.
 //
 // Loop semantics match guardband(): iteration 1 prices power at the
 // priming pass's clock (a uniform ambient map), a map is re-timed only
@@ -21,6 +23,7 @@
 #include <vector>
 
 #include "core/flow.hpp"
+#include "reference_sta.hpp"
 #include "thermal_oracle.hpp"
 #include "util/stats.hpp"
 
@@ -64,11 +67,13 @@ inline core::GuardbandResult guardband(const core::Implementation& impl,
     return p;
   };
 
+  const reference_sta::Analyzer sta(impl.nl, impl.packed, impl.placement, impl.rr,
+                                    impl.routes, impl.grid);
   core::GuardbandResult result;
-  result.baseline_fmax_mhz = impl.sta->analyze_uniform(dev, opt.t_worst_c).fmax_mhz;
+  result.baseline_fmax_mhz = sta.analyze_uniform(dev, opt.t_worst_c).fmax_mhz;
 
   std::vector<double> temps(n_tiles, opt.t_amb_c.value());
-  double fmax = impl.sta->analyze(dev, temps).fmax_mhz.value();
+  double fmax = sta.analyze(dev, temps).fmax_mhz.value();
   result.converged = opt.max_iterations <= 0;
   for (int iter = 1; iter <= opt.max_iterations; ++iter) {
     result.iterations = iter;
@@ -85,12 +90,12 @@ inline core::GuardbandResult guardband(const core::Implementation& impl,
       result.converged = true;
       break;
     }
-    if (iter < opt.max_iterations) fmax = impl.sta->analyze(dev, temps).fmax_mhz.value();
+    if (iter < opt.max_iterations) fmax = sta.analyze(dev, temps).fmax_mhz.value();
   }
 
   std::vector<double> margin_temps = temps;
   for (double& t : margin_temps) t += opt.delta_t_c.value();
-  result.timing = impl.sta->analyze(dev, margin_temps);
+  result.timing = sta.analyze(dev, margin_temps);
   result.fmax_mhz = result.timing.fmax_mhz;
   result.power = run_power(result.fmax_mhz.value(), temps);
   result.tile_temp_c = std::move(temps);

@@ -15,6 +15,7 @@
 #include "netlist/benchmarks.hpp"
 #include "pack/pack.hpp"
 #include "place/place.hpp"
+#include "reference_sta.hpp"
 #include "route/router.hpp"
 #include "route/rr_graph.hpp"
 #include "timing/timing.hpp"
@@ -369,22 +370,41 @@ TEST(Route, ParentChainsReachTheSource) {
 
 // ---------- timing ----------
 
+const coffe::DeviceModel& timing_device() {
+  static const coffe::DeviceModel dev =
+      coffe::Characterizer(tech::ptm22(), test_arch()).characterize(units::Celsius(25.0));
+  return dev;
+}
+
+reference_sta::Analyzer reference_of(const Design& d, const route::RouteResult& routes) {
+  return reference_sta::Analyzer(d.nl, d.packed, d.pl, d.rr, routes, d.grid);
+}
+
+/// Production STA result equals the full-recompute reference bit for bit.
+void expect_matches_reference(const timing::TimingResult& r, const timing::TimingResult& ref) {
+  EXPECT_EQ(r.fmax_mhz.value(), ref.fmax_mhz.value());
+  EXPECT_EQ(r.critical_path_ps.value(), ref.critical_path_ps.value());
+  EXPECT_EQ(r.cp_prims, ref.cp_prims);
+  EXPECT_EQ(r.cp_breakdown, ref.cp_breakdown);
+}
+
 TEST(Timing, HotterIsSlower) {
   const auto& d = sha_design();
   const timing::TimingAnalyzer sta(d.nl, d.packed, d.pl, d.rr, d.routes, d.grid);
-  static const coffe::Characterizer ch(tech::ptm22(), test_arch());
-  const auto dev = ch.characterize(units::Celsius(25.0));
+  const auto& dev = timing_device();
   const auto cold = sta.analyze_uniform(dev, units::Celsius(0.0));
   const auto hot = sta.analyze_uniform(dev, units::Celsius(100.0));
   EXPECT_GT(hot.critical_path_ps.value(), cold.critical_path_ps.value() * 1.2);
   EXPECT_LT(hot.fmax_mhz.value(), cold.fmax_mhz.value());
+  const auto ref = reference_of(d, d.routes);
+  expect_matches_reference(cold, ref.analyze_uniform(dev, units::Celsius(0.0)));
+  expect_matches_reference(hot, ref.analyze_uniform(dev, units::Celsius(100.0)));
 }
 
 TEST(Timing, BreakdownSumsToCriticalPath) {
   const auto& d = sha_design();
   const timing::TimingAnalyzer sta(d.nl, d.packed, d.pl, d.rr, d.routes, d.grid);
-  static const coffe::Characterizer ch(tech::ptm22(), test_arch());
-  const auto dev = ch.characterize(units::Celsius(25.0));
+  const auto& dev = timing_device();
   const auto r = sta.analyze_uniform(dev, units::Celsius(25.0));
   double sum = 0.0;
   for (double v : r.cp_breakdown) sum += v;
@@ -392,20 +412,24 @@ TEST(Timing, BreakdownSumsToCriticalPath) {
   EXPECT_GT(sum, 0.7 * r.critical_path_ps.value());
   EXPECT_LE(sum, r.critical_path_ps.value() + 1e-6);
   EXPECT_FALSE(r.cp_prims.empty());
+  expect_matches_reference(r, reference_of(d, d.routes).analyze_uniform(dev, units::Celsius(25.0)));
 }
 
 TEST(Timing, PerTileTemperatureMatters) {
   const auto& d = sha_design();
   const timing::TimingAnalyzer sta(d.nl, d.packed, d.pl, d.rr, d.routes, d.grid);
-  static const coffe::Characterizer ch(tech::ptm22(), test_arch());
-  const auto dev = ch.characterize(units::Celsius(25.0));
+  const auto& dev = timing_device();
+  const auto ref = reference_of(d, d.routes);
+  timing::IncrementalSta session(sta, dev);
   // Uniform 25C vs a map that is 25C except one very hot column.
   std::vector<double> temps(static_cast<std::size_t>(d.grid.num_tiles()), 25.0);
-  const auto base = sta.analyze(dev, temps);
+  const auto base = session.analyze(temps);
+  expect_matches_reference(base, ref.analyze(dev, temps));
   for (int y = 0; y < d.grid.height(); ++y) {
     temps[static_cast<std::size_t>(d.grid.index_of(d.grid.width() / 2, y))] = 100.0;
   }
-  const auto hot_col = sta.analyze(dev, temps);
+  const auto hot_col = session.analyze(temps);
+  expect_matches_reference(hot_col, ref.analyze(dev, temps));
   EXPECT_GE(hot_col.critical_path_ps.value(), base.critical_path_ps.value());
   EXPECT_LT(hot_col.critical_path_ps.value(),
             sta.analyze_uniform(dev, units::Celsius(100.0)).critical_path_ps.value());
@@ -418,8 +442,7 @@ TEST(Timing, MissingSinkFallsBackToHopEstimate) {
   // tampered parents and an empty route must time identically (and both
   // strictly slower than zero-wire).
   const auto& d = sha_design();
-  static const coffe::Characterizer ch(tech::ptm22(), test_arch());
-  const auto dev = ch.characterize(units::Celsius(25.0));
+  const auto& dev = timing_device();
 
   route::RouteResult no_parents = d.routes;
   for (auto& nr : no_parents.routes) nr.parents.clear();
@@ -434,9 +457,15 @@ TEST(Timing, MissingSinkFallsBackToHopEstimate) {
                                         d.grid);
   const timing::TimingAnalyzer estimated(d.nl, d.packed, d.pl, d.rr, unrouted,
                                          d.grid);
-  const double cp_tampered = tampered.analyze_uniform(dev, units::Celsius(25.0)).critical_path_ps.value();
-  const double cp_estimated = estimated.analyze_uniform(dev, units::Celsius(25.0)).critical_path_ps.value();
+  const auto r_tampered = tampered.analyze_uniform(dev, units::Celsius(25.0));
+  const auto r_estimated = estimated.analyze_uniform(dev, units::Celsius(25.0));
+  const double cp_tampered = r_tampered.critical_path_ps.value();
+  const double cp_estimated = r_estimated.critical_path_ps.value();
   EXPECT_DOUBLE_EQ(cp_tampered, cp_estimated);
+  expect_matches_reference(r_tampered,
+                           reference_of(d, no_parents).analyze_uniform(dev, units::Celsius(25.0)));
+  expect_matches_reference(r_estimated,
+                           reference_of(d, unrouted).analyze_uniform(dev, units::Celsius(25.0)));
 
   // The real routed tree gives yet another (valid) answer; the point is
   // the fallback is not free: inter-block wire delay stays accounted for.
@@ -448,10 +477,10 @@ TEST(Timing, MissingSinkFallsBackToHopEstimate) {
 TEST(Timing, DspHeavyDesignHasDspOnCriticalPath) {
   const Design d("stereovision1", 1.0 / 16);  // DSP-heavy (152 full-size)
   const timing::TimingAnalyzer sta(d.nl, d.packed, d.pl, d.rr, d.routes, d.grid);
-  static const coffe::Characterizer ch(tech::ptm22(), test_arch());
-  const auto dev = ch.characterize(units::Celsius(25.0));
+  const auto& dev = timing_device();
   const auto r = sta.analyze_uniform(dev, units::Celsius(25.0));
   EXPECT_GT(r.cp_share(coffe::ResourceKind::Dsp), 0.02);
+  expect_matches_reference(r, reference_of(d, d.routes).analyze_uniform(dev, units::Celsius(25.0)));
 }
 
 }  // namespace

@@ -10,10 +10,12 @@
 // iteration, zero incremental work) and the non-convergence
 // flag/counter satellite. The STA-level differential drives one
 // IncrementalSta session through every frontier shape (all, some and no
-// tiles moved) against TimingAnalyzer::analyze.
+// tiles moved) against the full-recompute reference of
+// tests/reference_sta.hpp.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -22,6 +24,7 @@
 
 #include "core/flow.hpp"
 #include "reference_guardband.hpp"
+#include "reference_sta.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -82,6 +85,12 @@ TEST_P(IncrementalDifferential, ExactMatchesFullRecomputeAtBothAmbients) {
   const netlist::BenchmarkSpec spec =
       netlist::scaled(suite()[static_cast<std::size_t>(GetParam())], 1.0 / 16);
   const auto impl = core::implement(spec, test_arch());
+  // The reference walks the route trees itself and must find the same
+  // (net, sink) connections the production topology was built from.
+  EXPECT_EQ(reference_sta::Analyzer(impl->nl, impl->packed, impl->placement, impl->rr,
+                                    impl->routes, impl->grid)
+                .num_connections(),
+            impl->sta->num_connections());
   for (double t_amb : {25.0, 70.0}) {
     const core::GuardbandOptions opt = base_options(t_amb);
     const auto inc = core::guardband(*impl, device(), opt);
@@ -118,8 +127,9 @@ class StaSessionDifferential : public ::testing::TestWithParam<const char*> {
   }
 };
 
-// Drives one session through every frontier shape against the full
-// analyzer: bitwise results and exact counter deltas on every call.
+// Drives one session through every frontier shape against the
+// full-recompute reference: bitwise results and exact counter deltas on
+// every call. `ref` walks the same routes as `sta`.
 //
 // Seeded map sequence: a uniform map as the first call and again at a
 // new temperature, then every tile moves, then a uniform map right
@@ -127,8 +137,10 @@ class StaSessionDifferential : public ::testing::TestWithParam<const char*> {
 // map moves every tile, so it takes the dense pass priced by hop count.
 // Uniform temperatures come from their own stream, so the other shapes
 // pick the same tiles as without them.
-void expect_session_matches_analyzer(const timing::TimingAnalyzer& sta, std::size_t n_tiles) {
+void expect_session_matches_analyzer(const timing::TimingAnalyzer& sta,
+                                     const reference_sta::Analyzer& ref, std::size_t n_tiles) {
   const std::uint64_t n_conns = sta.num_connections();
+  ASSERT_EQ(ref.num_connections(), n_conns);
   enum class Moved { All, Uniform, Some, None };
   util::Rng rng(0x5eed0017);
   util::Rng uniform_rng(0x5eed0018);
@@ -152,13 +164,14 @@ void expect_session_matches_analyzer(const timing::TimingAnalyzer& sta, std::siz
     const timing::TimingResult inc = session.analyze(temps, /*with_critical_path=*/true);
     const std::uint64_t edges = session.counters().edges_reevaluated - before.edges_reevaluated;
     const std::uint64_t hits = session.counters().delay_cache_hits - before.delay_cache_hits;
-    const timing::TimingResult full = sta.analyze(device(), temps);
+    const timing::TimingResult full = ref.analyze(device(), temps);
 
     EXPECT_EQ(inc.fmax_mhz.value(), full.fmax_mhz.value());
     EXPECT_EQ(inc.critical_path_ps.value(), full.critical_path_ps.value());
     EXPECT_EQ(inc.cp_prims, full.cp_prims);
     EXPECT_EQ(inc.cp_breakdown, full.cp_breakdown);
     if (moved == Moved::Uniform) {
+      // The one-shot path: a fresh session's first call.
       const timing::TimingResult oracle =
           sta.analyze_uniform(device(), units::Celsius(temps.front()));
       EXPECT_EQ(inc.fmax_mhz.value(), oracle.fmax_mhz.value());
@@ -190,7 +203,9 @@ TEST_P(StaSessionDifferential, MatchesFullAnalyzerOnEveryFrontierShape) {
   // Sinks of a net in one tile share a routed arc, so the session sums
   // fewer arcs than there are connections.
   EXPECT_LT(sta.num_arcs(), sta.num_connections());
-  expect_session_matches_analyzer(sta, static_cast<std::size_t>(impl->grid.num_tiles()));
+  const reference_sta::Analyzer ref(impl->nl, impl->packed, impl->placement, impl->rr,
+                                    impl->routes, impl->grid);
+  expect_session_matches_analyzer(sta, ref, static_cast<std::size_t>(impl->grid.num_tiles()));
 }
 
 TEST_P(StaSessionDifferential, MatchesFullAnalyzerOnHopEstimatedArcs) {
@@ -201,7 +216,9 @@ TEST_P(StaSessionDifferential, MatchesFullAnalyzerOnHopEstimatedArcs) {
   for (auto& nr : no_parents.routes) nr.parents.clear();
   const timing::TimingAnalyzer sta(impl->nl, impl->packed, impl->placement, impl->rr,
                                    no_parents, impl->grid);
-  expect_session_matches_analyzer(sta, static_cast<std::size_t>(impl->grid.num_tiles()));
+  const reference_sta::Analyzer ref(impl->nl, impl->packed, impl->placement, impl->rr,
+                                    no_parents, impl->grid);
+  expect_session_matches_analyzer(sta, ref, static_cast<std::size_t>(impl->grid.num_tiles()));
 }
 
 // LUT/FF only, DSP feedback (frozen edges), BRAM launch/capture, and both.
@@ -219,6 +236,28 @@ const core::Implementation& sha_impl() {
     return core::implement(spec, test_arch());
   }();
   return *impl;
+}
+
+// sha routed on a one-track fabric: negotiation gives up with some nets
+// unrouted (empty trees, timed by the SB-hop estimate) next to routed
+// ones, and the session must still match the reference.
+TEST(UnroutableStaSessionDifferential, OneTrackFabricMatchesReference) {
+  const core::Implementation& impl = sha_impl();
+  arch::ArchParams a = test_arch();
+  a.channel_tracks = 1;
+  const route::RrGraph rr(impl.grid, a);
+  route::RouteOptions opt;
+  opt.max_iterations = 2;
+  const route::RouteResult routes = route::route(rr, impl.packed, impl.placement, opt);
+  ASSERT_FALSE(routes.success);
+  const auto unrouted = std::count_if(routes.routes.begin(), routes.routes.end(),
+                                      [](const route::NetRoute& nr) { return nr.nodes.empty(); });
+  ASSERT_GT(unrouted, 0);
+  ASSERT_LT(unrouted, static_cast<std::ptrdiff_t>(routes.routes.size()));
+  const timing::TimingAnalyzer sta(impl.nl, impl.packed, impl.placement, rr, routes, impl.grid);
+  const reference_sta::Analyzer ref(impl.nl, impl.packed, impl.placement, rr, routes,
+                                    impl.grid);
+  expect_session_matches_analyzer(sta, ref, static_cast<std::size_t>(impl.grid.num_tiles()));
 }
 
 TEST(IncrementalDifferentialDetail, CriticalPathStructureIsIdentical) {
