@@ -49,55 +49,13 @@ FlowCache& FlowCache::global() {
   return cache;
 }
 
-template <typename V, typename Build>
-const V& FlowCache::get_or_build(
-    std::unordered_map<std::uint64_t, std::unique_ptr<Slot<V>>>& map, std::uint64_t key,
-    std::atomic<std::uint64_t>* hits, std::atomic<std::uint64_t>* misses,
-    const Build& build) {
-  Slot<V>* slot = nullptr;
-  bool builder = false;
-  {
-    std::lock_guard<std::mutex> lock(map_mutex_);
-    auto& entry = map[key];
-    if (entry == nullptr) {
-      entry = std::make_unique<Slot<V>>();
-      builder = true;
-    }
-    slot = entry.get();
-  }
-  if (builder) {
-    if (misses != nullptr) misses->fetch_add(1, std::memory_order_relaxed);
-    std::unique_ptr<V> value;
-    std::exception_ptr error;
-    try {
-      value = build();
-    } catch (...) {
-      error = std::current_exception();
-    }
-    {
-      std::lock_guard<std::mutex> lock(slot->mutex);
-      slot->value = std::move(value);
-      slot->error = error;
-      slot->ready = true;
-    }
-    slot->ready_cv.notify_all();
-  } else {
-    if (hits != nullptr) hits->fetch_add(1, std::memory_order_relaxed);
-  }
-  std::unique_lock<std::mutex> lock(slot->mutex);
-  slot->ready_cv.wait(lock, [slot] { return slot->ready; });
-  if (slot->error) std::rethrow_exception(slot->error);
-  return *slot->value;
-}
-
 const coffe::Characterizer& FlowCache::characterizer(const tech::Technology& tech,
                                                      const arch::ArchParams& arch) {
   Hasher h;
   h.add(tech_hash(tech));
   h.add(arch_hash(arch));
-  return get_or_build(characterizers_, h.state, nullptr, nullptr, [&] {
-    return std::make_unique<coffe::Characterizer>(tech, arch);
-  });
+  return *characterizers_.get_or_build(
+      h.state, [&] { return std::make_unique<coffe::Characterizer>(tech, arch); });
 }
 
 const coffe::DeviceModel& FlowCache::device(const tech::Technology& tech,
@@ -107,11 +65,14 @@ const coffe::DeviceModel& FlowCache::device(const tech::Technology& tech,
   h.add(tech_hash(tech));
   h.add(arch_hash(arch));
   h.add(quantize_t_opt(t_opt_c));
-  return get_or_build(devices_, h.state, &device_hits_, &device_misses_, [&] {
-    const coffe::Characterizer& ch = characterizer(tech, arch);
-    return std::make_unique<coffe::DeviceModel>(
-        ch.characterize(units::Celsius{t_opt_c}));
-  });
+  return *devices_.get_or_build(
+      h.state,
+      [&] {
+        const coffe::Characterizer& ch = characterizer(tech, arch);
+        return std::make_unique<coffe::DeviceModel>(
+            ch.characterize(units::Celsius{t_opt_c}));
+      },
+      &device_hits_, &device_misses_);
 }
 
 const core::Implementation& FlowCache::implementation(const netlist::BenchmarkSpec& spec,
@@ -124,7 +85,7 @@ const core::Implementation& FlowCache::implementation(const netlist::BenchmarkSp
   const netlist::BenchmarkSpec scaled = netlist::scaled(spec, scale);
   const std::uint64_t key =
       core::FlowGraph::standard(scaled, arch, opt).stages().back().input_hash;
-  return get_or_build(impls_, key, &impl_hits_, &impl_misses_, [&] {
+  return *impls_.get_or_build(key, [&] {
     // Disk tier: consulted only here, inside a build — i.e. only after an
     // in-memory miss — keyed per stage by the stage graph's chained input
     // hash. A caller-supplied stage_hooks takes precedence.
@@ -141,7 +102,7 @@ const core::Implementation& FlowCache::implementation(const netlist::BenchmarkSp
       iopt.stage_hooks = &hooks;
     }
     return core::implement(scaled, arch, iopt);
-  });
+  }, &impl_hits_, &impl_misses_);
 }
 
 FlowCache::Stats FlowCache::stats() const {
@@ -161,7 +122,6 @@ FlowCache::Stats FlowCache::stats() const {
 }
 
 void FlowCache::clear() {
-  std::lock_guard<std::mutex> lock(map_mutex_);
   characterizers_.clear();
   devices_.clear();
   impls_.clear();

@@ -21,15 +21,13 @@
 // returned references stay valid for the cache's lifetime.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 
 #include "coffe/device_model.hpp"
 #include "core/flow.hpp"
 #include "netlist/benchmarks.hpp"
+#include "runner/build_once_map.hpp"
 #include "tech/technology.hpp"
 
 namespace taf::runner {
@@ -102,26 +100,15 @@ class FlowCache {
   void clear();
 
  private:
+  /// Keys are 64-bit hashes of program-derived inputs, never client
+  /// bytes. Each builder returns its artifact on the heap (an
+  /// Implementation is never copied or moved).
   template <typename V>
-  struct Slot {
-    std::mutex mutex;
-    std::condition_variable ready_cv;
-    bool ready = false;              // guarded by mutex
-    std::exception_ptr error;        // guarded by mutex
-    std::unique_ptr<V> value;        // written once before ready
-  };
+  using Cache = BuildOnceMap<std::uint64_t, std::unique_ptr<V>>;
 
-  /// Build-once lookup: returns the slot value, constructing it via
-  /// build() if this call is the first for `key`.
-  template <typename V, typename Build>
-  const V& get_or_build(std::unordered_map<std::uint64_t, std::unique_ptr<Slot<V>>>& map,
-                        std::uint64_t key, std::atomic<std::uint64_t>* hits,
-                        std::atomic<std::uint64_t>* misses, const Build& build);
-
-  mutable std::mutex map_mutex_;  // guards the three maps' structure
-  std::unordered_map<std::uint64_t, std::unique_ptr<Slot<coffe::Characterizer>>> characterizers_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<Slot<coffe::DeviceModel>>> devices_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<Slot<core::Implementation>>> impls_;
+  Cache<coffe::Characterizer> characterizers_;
+  Cache<coffe::DeviceModel> devices_;
+  Cache<core::Implementation> impls_;
 
   std::atomic<std::uint64_t> device_hits_{0};
   std::atomic<std::uint64_t> device_misses_{0};

@@ -34,17 +34,26 @@ std::int64_t quantize_permille(double scale) {
   return static_cast<std::int64_t>(std::llround(scale * 1000.0));
 }
 
+protocol::ErrorResponse bad_parameter(std::uint64_t request_id, std::string message) {
+  protocol::ErrorResponse err;
+  err.request_id = request_id;
+  err.code = protocol::ErrorResponse::kBadParameter;
+  err.message = std::move(message);
+  return err;
+}
+
 }  // namespace
 
 GuardbandServer::GuardbandServer(ServerConfig config)
     : config_(std::move(config)),
+      suite_(netlist::vtr_suite()),
       store_(config_.artifact_dir.empty()
                  ? nullptr
                  : std::make_unique<runner::ArtifactStore>(config_.artifact_dir)),
       pool_(config_.threads) {
-  for (netlist::BenchmarkSpec& spec : netlist::vtr_suite()) {
-    suite_.emplace(spec.name, std::move(spec));
-  }
+  // Name order makes suite-index order the (design, grade) group order.
+  std::sort(suite_.begin(), suite_.end(),
+            [](const auto& a, const auto& b) { return a.name < b.name; });
   if (store_ != nullptr) cache_.set_artifact_store(store_.get());
   admission_thread_ = std::thread([this] { admission_loop(); });
 }
@@ -58,29 +67,29 @@ GuardbandServer::~GuardbandServer() {
   admission_thread_.join();
 }
 
+std::int32_t GuardbandServer::design_index(std::string_view name) const {
+  const auto it = std::lower_bound(suite_.begin(), suite_.end(), name,
+                                   [](const auto& spec, std::string_view n) {
+                                     return spec.name < n;
+                                   });
+  if (it == suite_.end() || it->name != name) return -1;
+  return static_cast<std::int32_t>(it - suite_.begin());
+}
+
 GuardbandServer::Tuple GuardbandServer::canonicalize(
-    const protocol::GuardbandRequest& request) {
+    const protocol::GuardbandRequest& request) const {
   Tuple t;
-  t.design = request.design;
+  t.design = design_index(request.design);
   t.grade_mdeg = runner::FlowCache::quantize_t_opt(request.grade_t_opt_c);
   t.ambient_mdeg = runner::FlowCache::quantize_t_opt(request.ambient_c);
   t.activity_permille = quantize_permille(request.activity_scale);
   return t;
 }
 
-std::uint64_t GuardbandServer::tuple_key(const Tuple& t) {
-  util::Fnv1a h;
-  h.add(std::string_view(t.design));
-  h.add(t.grade_mdeg);
-  h.add(t.ambient_mdeg);
-  h.add(t.activity_permille);
-  return h.state;
-}
-
-GuardbandServer::TraceTuple GuardbandServer::canonicalize_trace(
-    const protocol::TraceRequest& request) {
+GuardbandServer::TraceTuple GuardbandServer::canonicalize(
+    const protocol::TraceRequest& request) const {
   TraceTuple t;
-  t.design = request.design;
+  t.design = design_index(request.design);
   t.grade_mdeg = runner::FlowCache::quantize_t_opt(request.grade_t_opt_c);
   t.ambient_mdeg = runner::FlowCache::quantize_t_opt(request.ambient_c);
   t.samples_per_segment = request.samples_per_segment;
@@ -90,21 +99,31 @@ GuardbandServer::TraceTuple GuardbandServer::canonicalize_trace(
   return t;
 }
 
-std::uint64_t GuardbandServer::trace_tuple_key(const TraceTuple& t) {
+std::size_t GuardbandServer::TupleHash::operator()(const Tuple& t) const {
   util::Fnv1a h;
-  h.add(std::string_view(t.design));
+  h.add(t.design);
   h.add(t.grade_mdeg);
   h.add(t.ambient_mdeg);
-  h.add(static_cast<std::int64_t>(t.samples_per_segment));
+  h.add(t.activity_permille);
+  return h.state;
+}
+
+std::size_t GuardbandServer::TupleHash::operator()(const TraceTuple& t) const {
+  util::Fnv1a h;
+  h.add(t.design);
+  h.add(t.grade_mdeg);
+  h.add(t.ambient_mdeg);
+  h.add(t.samples_per_segment);
   h.add(std::string_view(t.trace_payload));
   return h.state;
 }
 
-std::optional<protocol::ErrorResponse> GuardbandServer::validate(
-    const protocol::GuardbandRequest& request) const {
-  protocol::ErrorResponse err;
-  err.request_id = request.request_id;
-  if (suite_.find(request.design) == suite_.end()) {
+template <typename Request>
+std::optional<protocol::ErrorResponse> GuardbandServer::validate_common(
+    const Request& request) const {
+  if (design_index(request.design) < 0) {
+    protocol::ErrorResponse err;
+    err.request_id = request.request_id;
     err.code = protocol::ErrorResponse::kUnknownDesign;
     err.message = "unknown design '" + request.design + "'";
     return err;
@@ -113,51 +132,30 @@ std::optional<protocol::ErrorResponse> GuardbandServer::validate(
     return !std::isfinite(v) || v < kMinTempC || v > kMaxTempC;
   };
   if (bad_temp(request.grade_t_opt_c)) {
-    err.code = protocol::ErrorResponse::kBadParameter;
-    err.message = "grade_t_opt_c out of domain";
-    return err;
+    return bad_parameter(request.request_id, "grade_t_opt_c out of domain");
   }
   if (bad_temp(request.ambient_c)) {
-    err.code = protocol::ErrorResponse::kBadParameter;
-    err.message = "ambient_c out of domain";
-    return err;
+    return bad_parameter(request.request_id, "ambient_c out of domain");
   }
+  return std::nullopt;
+}
+
+std::optional<protocol::ErrorResponse> GuardbandServer::validate(
+    const protocol::GuardbandRequest& request) const {
+  if (auto err = validate_common(request)) return err;
   if (!std::isfinite(request.activity_scale) || request.activity_scale < 0.0 ||
       request.activity_scale > kMaxActivityScale) {
-    err.code = protocol::ErrorResponse::kBadParameter;
-    err.message = "activity_scale out of domain";
-    return err;
+    return bad_parameter(request.request_id, "activity_scale out of domain");
   }
   return std::nullopt;
 }
 
 std::optional<protocol::ErrorResponse> GuardbandServer::validate_trace(
     const protocol::TraceRequest& request) const {
-  protocol::ErrorResponse err;
-  err.request_id = request.request_id;
-  if (suite_.find(request.design) == suite_.end()) {
-    err.code = protocol::ErrorResponse::kUnknownDesign;
-    err.message = "unknown design '" + request.design + "'";
-    return err;
-  }
-  const auto bad_temp = [](double v) {
-    return !std::isfinite(v) || v < kMinTempC || v > kMaxTempC;
-  };
-  if (bad_temp(request.grade_t_opt_c)) {
-    err.code = protocol::ErrorResponse::kBadParameter;
-    err.message = "grade_t_opt_c out of domain";
-    return err;
-  }
-  if (bad_temp(request.ambient_c)) {
-    err.code = protocol::ErrorResponse::kBadParameter;
-    err.message = "ambient_c out of domain";
-    return err;
-  }
+  if (auto err = validate_common(request)) return err;
   if (request.samples_per_segment < 1 ||
       request.samples_per_segment > kMaxSamplesPerSegment) {
-    err.code = protocol::ErrorResponse::kBadParameter;
-    err.message = "samples_per_segment out of domain";
-    return err;
+    return bad_parameter(request.request_id, "samples_per_segment out of domain");
   }
   // The frame decoded (structure is sound) but the trace's *contents* may
   // still be out of domain — that is a bad parameter, not a malformed
@@ -165,102 +163,127 @@ std::optional<protocol::ErrorResponse> GuardbandServer::validate_trace(
   try {
     request.trace.validate();
   } catch (const std::invalid_argument& e) {
-    err.code = protocol::ErrorResponse::kBadParameter;
-    err.message = e.what();
-    return err;
+    return bad_parameter(request.request_id, e.what());
   }
   if (request.trace.blocks != 1) {
-    err.code = protocol::ErrorResponse::kBadParameter;
-    err.message = "service traces are whole-device (exactly one block)";
-    return err;
+    return bad_parameter(request.request_id,
+                         "service traces are whole-device (exactly one block)");
   }
   if (request.trace.segments.size() >
       static_cast<std::size_t>(kMaxServiceTraceSegments)) {
-    err.code = protocol::ErrorResponse::kBadParameter;
-    err.message = "trace segment count exceeds the service cap";
-    return err;
+    return bad_parameter(request.request_id, "trace segment count exceeds the service cap");
   }
   return std::nullopt;
 }
 
-void GuardbandServer::fill_slot(ResponseSlot& slot, protocol::GuardbandResponse value) {
-  {
-    const std::lock_guard<std::mutex> lock(slot.mutex);
-    slot.value = std::move(value);
-    slot.ready = true;
+void GuardbandServer::evaluate_items(const core::Implementation& impl,
+                                     const coffe::DeviceModel& dev,
+                                     const std::vector<ScalarKind::Work>& items,
+                                     runner::TaskMetrics& tm) {
+  const core::FlowObserver obs = runner::observe_into(tm);
+  core::GuardbandOptions base = config_.guardband;
+  base.observer = &obs;
+
+  // Chunk the group's corners by max_batch; within a chunk the corners
+  // share one blocked stencil traversal per thermal solve.
+  const std::size_t chunk_max = std::max<std::size_t>(1, config_.max_batch);
+  for (std::size_t begin = 0; begin < items.size(); begin += chunk_max) {
+    const std::size_t end = std::min(items.size(), begin + chunk_max);
+    std::vector<core::GuardbandCorner> corners;
+    corners.reserve(end - begin);
+    for (std::size_t i = begin; i < end; ++i) {
+      const Tuple& t = *items[i].tuple;
+      core::GuardbandCorner c;
+      c.t_amb_c = units::Celsius{static_cast<double>(t.ambient_mdeg) / 1000.0};
+      c.power_scale = config_.guardband.power_scale *
+                      (static_cast<double>(t.activity_permille) / 1000.0);
+      corners.push_back(c);
+    }
+    const std::vector<core::GuardbandResult> results =
+        core::guardband_batch(impl, dev, base, corners);
+    batched_corners_ += corners.size();
+    for (std::size_t i = begin; i < end; ++i) {
+      const Tuple& t = *items[i].tuple;
+      const core::GuardbandResult& r = results[i - begin];
+      protocol::GuardbandResponse resp;
+      resp.design = suite_[static_cast<std::size_t>(t.design)].name;
+      resp.grade_mdeg = t.grade_mdeg;
+      resp.ambient_mdeg = t.ambient_mdeg;
+      resp.activity_permille = t.activity_permille;
+      resp.fmax_mhz = r.fmax_mhz.value();
+      resp.baseline_fmax_mhz = r.baseline_fmax_mhz.value();
+      resp.margin_c = config_.guardband.delta_t_c.value();
+      resp.peak_temp_c = r.peak_temp_c.value();
+      resp.mean_temp_c = r.mean_temp_c.value();
+      resp.iterations = r.iterations;
+      resp.converged = r.converged ? 1 : 0;
+      resp.edges_reevaluated = r.stats.edges_reevaluated;
+      resp.delay_cache_hits = r.stats.delay_cache_hits;
+      resp.cg_iterations = r.stats.cg_iterations;
+      scalar_.cache.fill(*items[i].slot, std::move(resp));
+      ++scalar_.evaluated;
+    }
   }
-  slot.ready_cv.notify_all();
 }
 
-void GuardbandServer::fail_slot(ResponseSlot& slot, std::exception_ptr error) {
-  {
-    const std::lock_guard<std::mutex> lock(slot.mutex);
-    slot.error = std::move(error);
-    slot.ready = true;
+void GuardbandServer::evaluate_items(const core::Implementation& impl,
+                                     const coffe::DeviceModel& dev,
+                                     const std::vector<TraceKind::Work>& items,
+                                     runner::TaskMetrics& /*tm*/) {
+  for (const TraceKind::Work& item : items) {
+    // Same option mapping as the scalar path: the server's configured
+    // margin/thermal/power model, the request's quantized ambient.
+    const TraceTuple& t = *item.tuple;
+    core::DynamicGuardbandOptions dopt;
+    dopt.t_amb_c = units::Celsius{static_cast<double>(t.ambient_mdeg) / 1000.0};
+    dopt.margin_c = config_.guardband.delta_t_c;
+    dopt.thermal = config_.guardband.thermal;
+    dopt.power_scale = config_.guardband.power_scale;
+    dopt.samples_per_segment = t.samples_per_segment;
+    const core::DynamicGuardband dyn(impl, dev, std::move(dopt));
+    const core::DynamicResult r = dyn.replay(item.request->trace);
+
+    protocol::TraceResponse resp;
+    resp.design = suite_[static_cast<std::size_t>(t.design)].name;
+    resp.grade_mdeg = t.grade_mdeg;
+    resp.ambient_mdeg = t.ambient_mdeg;
+    resp.samples_per_segment = t.samples_per_segment;
+    resp.min_fmax_mhz = r.min_fmax_mhz.value();
+    resp.peak_temp_c = r.peak_temp_c.value();
+    resp.throttled_s = r.throttled_s.value();
+    resp.transient_steps = r.stats.steps;
+    resp.cg_iterations = r.stats.cg_iterations;
+    resp.samples.reserve(r.samples.size());
+    for (const core::DynamicSample& s : r.samples) {
+      protocol::TraceSamplePoint p;
+      p.time_s = s.time_s;
+      p.peak_temp_c = s.peak_temp_c;
+      p.mean_temp_c = s.mean_temp_c;
+      p.fmax_mhz = s.fmax_mhz;
+      p.throttled = s.throttled ? 1 : 0;
+      resp.samples.push_back(p);
+    }
+    trace_.cache.fill(*item.slot, std::move(resp));
+    ++trace_.evaluated;
   }
-  slot.ready_cv.notify_all();
 }
 
-void GuardbandServer::evaluate_group(
-    const std::string& design, std::int64_t grade_mdeg,
-    const std::vector<std::pair<Tuple, ResponseSlot*>>& tuples) {
+template <typename K>
+void GuardbandServer::evaluate_group(K& kind, std::int32_t design, std::int64_t grade_mdeg,
+                                     const std::vector<typename K::Work>& items) {
   try {
+    const netlist::BenchmarkSpec& spec = suite_[static_cast<std::size_t>(design)];
+    const double grade_c = static_cast<double>(grade_mdeg) / 1000.0;
     runner::TaskMetrics tm;
-    tm.name = design + "@" + std::to_string(static_cast<double>(grade_mdeg) / 1000.0);
-    tm.kind = "service-group";
+    tm.name = spec.name + "@" + std::to_string(grade_c);
+    tm.kind = kind.metrics_kind;
     util::Stopwatch wall;
     {
       const runner::TaskCounterScope counter_scope(tm);
-      const core::FlowObserver obs = runner::observe_into(tm);
-
-      const double grade_c = static_cast<double>(grade_mdeg) / 1000.0;
       const coffe::DeviceModel& dev = cache_.device(config_.tech, config_.arch, grade_c);
       const core::Implementation& impl =
-          cache_.implementation(suite_.at(design), config_.arch, config_.scale);
-
-      core::GuardbandOptions base = config_.guardband;
-      base.observer = &obs;
-
-      // Chunk the group's corners by max_batch; within a chunk the
-      // corners share one blocked stencil traversal per thermal solve.
-      const std::size_t chunk_max = std::max<std::size_t>(1, config_.max_batch);
-      for (std::size_t begin = 0; begin < tuples.size(); begin += chunk_max) {
-        const std::size_t end = std::min(tuples.size(), begin + chunk_max);
-        std::vector<core::GuardbandCorner> corners;
-        corners.reserve(end - begin);
-        for (std::size_t i = begin; i < end; ++i) {
-          const Tuple& t = tuples[i].first;
-          core::GuardbandCorner c;
-          c.t_amb_c = units::Celsius{static_cast<double>(t.ambient_mdeg) / 1000.0};
-          c.power_scale = config_.guardband.power_scale *
-                          (static_cast<double>(t.activity_permille) / 1000.0);
-          corners.push_back(c);
-        }
-        const std::vector<core::GuardbandResult> results =
-            core::guardband_batch(impl, dev, base, corners);
-        batched_corners_ += corners.size();
-        for (std::size_t i = begin; i < end; ++i) {
-          const Tuple& t = tuples[i].first;
-          const core::GuardbandResult& r = results[i - begin];
-          protocol::GuardbandResponse resp;
-          resp.design = t.design;
-          resp.grade_mdeg = t.grade_mdeg;
-          resp.ambient_mdeg = t.ambient_mdeg;
-          resp.activity_permille = t.activity_permille;
-          resp.fmax_mhz = r.fmax_mhz.value();
-          resp.baseline_fmax_mhz = r.baseline_fmax_mhz.value();
-          resp.margin_c = config_.guardband.delta_t_c.value();
-          resp.peak_temp_c = r.peak_temp_c.value();
-          resp.mean_temp_c = r.mean_temp_c.value();
-          resp.iterations = r.iterations;
-          resp.converged = r.converged ? 1 : 0;
-          resp.edges_reevaluated = r.stats.edges_reevaluated;
-          resp.delay_cache_hits = r.stats.delay_cache_hits;
-          resp.cg_iterations = r.stats.cg_iterations;
-          fill_slot(*tuples[i].second, std::move(resp));
-          ++tuples_evaluated_;
-        }
-      }
+          cache_.implementation(spec, config_.arch, config_.scale);
+      evaluate_items(impl, dev, items, tm);
     }
     tm.wall_s = wall.seconds();
     {
@@ -269,416 +292,199 @@ void GuardbandServer::evaluate_group(
     }
     ++groups_evaluated_;
   } catch (...) {
+    // Fails only the slots not yet filled: tuples an earlier chunk
+    // already answered keep their responses.
     const std::exception_ptr error = std::current_exception();
-    for (const auto& [tuple, slot] : tuples) fail_slot(*slot, error);
+    for (const auto& item : items) kind.cache.fail(*item.slot, error);
   }
 }
 
-void GuardbandServer::evaluate_trace_group(const std::string& design,
-                                           std::int64_t grade_mdeg,
-                                           const std::vector<TraceWork>& items) {
-  try {
-    runner::TaskMetrics tm;
-    tm.name = design + "@" + std::to_string(static_cast<double>(grade_mdeg) / 1000.0);
-    tm.kind = "service-trace-group";
-    util::Stopwatch wall;
-    {
-      const runner::TaskCounterScope counter_scope(tm);
-
-      const double grade_c = static_cast<double>(grade_mdeg) / 1000.0;
-      const coffe::DeviceModel& dev = cache_.device(config_.tech, config_.arch, grade_c);
-      const core::Implementation& impl =
-          cache_.implementation(suite_.at(design), config_.arch, config_.scale);
-
-      for (const TraceWork& item : items) {
-        // Same option mapping as the scalar path: the server's configured
-        // margin/thermal/power model, the request's quantized ambient.
-        core::DynamicGuardbandOptions dopt;
-        dopt.t_amb_c =
-            units::Celsius{static_cast<double>(item.tuple.ambient_mdeg) / 1000.0};
-        dopt.margin_c = config_.guardband.delta_t_c;
-        dopt.thermal = config_.guardband.thermal;
-        dopt.power_scale = config_.guardband.power_scale;
-        dopt.samples_per_segment = item.tuple.samples_per_segment;
-        const core::DynamicGuardband dyn(impl, dev, std::move(dopt));
-        const core::DynamicResult r = dyn.replay(item.request->trace);
-
-        protocol::TraceResponse resp;
-        resp.design = item.tuple.design;
-        resp.grade_mdeg = item.tuple.grade_mdeg;
-        resp.ambient_mdeg = item.tuple.ambient_mdeg;
-        resp.samples_per_segment = item.tuple.samples_per_segment;
-        resp.min_fmax_mhz = r.min_fmax_mhz.value();
-        resp.peak_temp_c = r.peak_temp_c.value();
-        resp.throttled_s = r.throttled_s.value();
-        resp.transient_steps = r.stats.steps;
-        resp.cg_iterations = r.stats.cg_iterations;
-        resp.samples.reserve(r.samples.size());
-        for (const core::DynamicSample& s : r.samples) {
-          protocol::TraceSamplePoint p;
-          p.time_s = s.time_s;
-          p.peak_temp_c = s.peak_temp_c;
-          p.mean_temp_c = s.mean_temp_c;
-          p.fmax_mhz = s.fmax_mhz;
-          p.throttled = s.throttled ? 1 : 0;
-          resp.samples.push_back(p);
-        }
-        {
-          const std::lock_guard<std::mutex> lock(item.slot->mutex);
-          item.slot->value = std::move(resp);
-          item.slot->ready = true;
-        }
-        item.slot->ready_cv.notify_all();
-        ++traces_evaluated_;
-      }
-    }
-    tm.wall_s = wall.seconds();
-    {
-      const std::lock_guard<std::mutex> lock(metrics_mutex_);
-      metrics_.push_back(std::move(tm));
-    }
-    ++groups_evaluated_;
-  } catch (...) {
-    const std::exception_ptr error = std::current_exception();
-    for (const TraceWork& item : items) {
-      {
-        const std::lock_guard<std::mutex> lock(item.slot->mutex);
-        if (!item.slot->ready) {
-          item.slot->error = error;
-          item.slot->ready = true;
-        }
-      }
-      item.slot->ready_cv.notify_all();
-    }
-  }
-}
-
-std::vector<protocol::TraceResponse> GuardbandServer::handle_trace_batch(
-    const std::vector<protocol::TraceRequest>& requests) {
-  for (const protocol::TraceRequest& req : requests) {
-    if (const auto err = validate_trace(req)) {
-      throw std::invalid_argument("guardband trace request " +
+template <typename K>
+std::vector<typename K::Response> GuardbandServer::run_batch(
+    K& kind, const std::vector<typename K::Request>& requests) {
+  for (const auto& req : requests) {
+    if (const auto err = validate_request(req)) {
+      throw std::invalid_argument(std::string(kind.label) + " request " +
                                   std::to_string(req.request_id) + ": " + err->message);
     }
   }
-  trace_requests_ += requests.size();
+  kind.requests += requests.size();
 
-  struct Lookup {
-    TraceTuple tuple;
-    TraceSlot* slot = nullptr;
-  };
-  std::vector<Lookup> lookups(requests.size());
-  std::map<std::pair<std::string, std::int64_t>, std::vector<TraceWork>> groups;
+  // Find-or-create the response slot of every distinct tuple, under one
+  // lock for the whole batch; slots this call creates are its to-build
+  // list (every tuple is evaluated exactly once, whoever asks first
+  // builds). Groups are (design, grade) in deterministic (map) order.
+  std::vector<typename K::Cache::Slot*> slots(requests.size());
+  using Groups =
+      std::map<std::pair<std::int32_t, std::int64_t>, std::vector<typename K::Work>>;
+  Groups groups;
   {
-    const std::lock_guard<std::mutex> lock(slots_mutex_);
+    auto locked = kind.cache.lock();
     for (std::size_t i = 0; i < requests.size(); ++i) {
-      lookups[i].tuple = canonicalize_trace(requests[i]);
-      const std::uint64_t key = trace_tuple_key(lookups[i].tuple);
-      auto it = trace_slots_.find(key);
-      if (it == trace_slots_.end()) {
-        it = trace_slots_.emplace(key, std::make_unique<TraceSlot>()).first;
-        TraceWork work;
-        work.tuple = lookups[i].tuple;
-        work.request = &requests[i];
-        work.slot = it->second.get();
-        groups[{lookups[i].tuple.design, lookups[i].tuple.grade_mdeg}].push_back(
-            std::move(work));
+      const auto claim = locked.claim(canonicalize(requests[i]));
+      if (claim.claimed) {
+        groups[{claim.key.design, claim.key.grade_mdeg}].push_back(
+            {&claim.key, &requests[i], &claim.slot});
       } else {
-        ++trace_hits_;
+        ++kind.hits;
       }
-      lookups[i].slot = it->second.get();
+      slots[i] = &claim.slot;
     }
   }
 
   if (!groups.empty()) {
-    std::vector<const std::pair<const std::pair<std::string, std::int64_t>,
-                                std::vector<TraceWork>>*>
-        group_list;
+    std::vector<const typename Groups::value_type*> group_list;
     group_list.reserve(groups.size());
     for (const auto& g : groups) group_list.push_back(&g);
     pool_.parallel_for(group_list.size(), [&](std::size_t gi) {
       const auto& [key, items] = *group_list[gi];
-      evaluate_trace_group(key.first, key.second, items);
+      evaluate_group(kind, key.first, key.second, items);
     });
   }
 
-  std::vector<protocol::TraceResponse> responses;
+  // Collect under one more lock (released while a slot is still being
+  // built), stamping each request's id onto a copy of the cached body.
+  std::vector<typename K::Response> responses;
   responses.reserve(requests.size());
+  auto locked = kind.cache.lock();
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    TraceSlot& slot = *lookups[i].slot;
-    std::unique_lock<std::mutex> lock(slot.mutex);
-    slot.ready_cv.wait(lock, [&] { return slot.ready; });
-    if (slot.error) std::rethrow_exception(slot.error);
-    protocol::TraceResponse resp = slot.value;
-    lock.unlock();
-    resp.request_id = requests[i].request_id;
-    responses.push_back(std::move(resp));
+    responses.push_back(locked.wait(*slots[i]));
+    responses.back().request_id = requests[i].request_id;
   }
   return responses;
 }
 
 std::vector<protocol::GuardbandResponse> GuardbandServer::handle_batch(
     const std::vector<protocol::GuardbandRequest>& requests) {
-  for (const protocol::GuardbandRequest& req : requests) {
-    if (const auto err = validate(req)) {
-      throw std::invalid_argument("guardband request " +
-                                  std::to_string(req.request_id) + ": " + err->message);
-    }
-  }
-  requests_ += requests.size();
+  return run_batch(scalar_, requests);
+}
 
-  // Find-or-create the response slot of every distinct tuple; slots this
-  // call creates are its to-build list (the build-once contract: every
-  // tuple is evaluated exactly once, whoever asks first builds).
-  struct Lookup {
-    Tuple tuple;
-    ResponseSlot* slot = nullptr;
-  };
-  std::vector<Lookup> lookups(requests.size());
-  // (design, grade) groups to evaluate, in deterministic (map) order.
-  std::map<std::pair<std::string, std::int64_t>, std::vector<std::pair<Tuple, ResponseSlot*>>>
-      groups;
+std::vector<protocol::TraceResponse> GuardbandServer::handle_trace_batch(
+    const std::vector<protocol::TraceRequest>& requests) {
+  return run_batch(trace_, requests);
+}
+
+template <typename K>
+typename K::Response GuardbandServer::submit(const typename K::Request& request) {
+  auto pending = std::make_shared<typename K::Pending>();
+  pending->request = request;
+  std::future<typename K::Response> reply = pending->reply.get_future();
   {
-    const std::lock_guard<std::mutex> lock(slots_mutex_);
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      lookups[i].tuple = canonicalize(requests[i]);
-      const std::uint64_t key = tuple_key(lookups[i].tuple);
-      auto it = slots_.find(key);
-      if (it == slots_.end()) {
-        it = slots_.emplace(key, std::make_unique<ResponseSlot>()).first;
-        groups[{lookups[i].tuple.design, lookups[i].tuple.grade_mdeg}].emplace_back(
-            lookups[i].tuple, it->second.get());
-      } else {
-        ++tuple_hits_;
-      }
-      lookups[i].slot = it->second.get();
-    }
+    const std::lock_guard<std::mutex> lock(admission_mutex_);
+    if (stop_) throw std::runtime_error("guardband server is shutting down");
+    admission_queue_.emplace_back(std::move(pending));
   }
-
-  if (!groups.empty()) {
-    std::vector<const std::pair<const std::pair<std::string, std::int64_t>,
-                                std::vector<std::pair<Tuple, ResponseSlot*>>>*>
-        group_list;
-    group_list.reserve(groups.size());
-    for (const auto& g : groups) group_list.push_back(&g);
-    pool_.parallel_for(group_list.size(), [&](std::size_t gi) {
-      const auto& [key, tuples] = *group_list[gi];
-      evaluate_group(key.first, key.second, tuples);
-    });
-  }
-
-  std::vector<protocol::GuardbandResponse> responses;
-  responses.reserve(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    ResponseSlot& slot = *lookups[i].slot;
-    std::unique_lock<std::mutex> lock(slot.mutex);
-    slot.ready_cv.wait(lock, [&] { return slot.ready; });
-    if (slot.error) std::rethrow_exception(slot.error);
-    protocol::GuardbandResponse resp = slot.value;
-    lock.unlock();
-    resp.request_id = requests[i].request_id;
-    responses.push_back(std::move(resp));
-  }
-  return responses;
+  admission_cv_.notify_one();
+  return reply.get();
 }
 
 protocol::GuardbandResponse GuardbandServer::handle(
     const protocol::GuardbandRequest& request) {
-  auto pending = std::make_shared<PendingRequest>();
-  pending->request = request;
-  {
-    const std::lock_guard<std::mutex> lock(admission_mutex_);
-    if (stop_) throw std::runtime_error("guardband server is shutting down");
-    admission_queue_.push_back(pending);
-  }
-  admission_cv_.notify_one();
-  std::unique_lock<std::mutex> lock(pending->mutex);
-  pending->done_cv.wait(lock, [&] { return pending->done; });
-  if (pending->error) std::rethrow_exception(pending->error);
-  return std::move(pending->response);
+  return submit<ScalarKind>(request);
 }
 
 protocol::TraceResponse GuardbandServer::handle_trace(
     const protocol::TraceRequest& request) {
-  auto pending = std::make_shared<PendingRequest>();
-  pending->is_trace = true;
-  pending->trace_request = request;
-  {
-    const std::lock_guard<std::mutex> lock(admission_mutex_);
-    if (stop_) throw std::runtime_error("guardband server is shutting down");
-    admission_queue_.push_back(pending);
+  return submit<TraceKind>(request);
+}
+
+template <typename K>
+void GuardbandServer::admit(K& kind,
+                            const std::vector<std::shared_ptr<typename K::Pending>>& batch) {
+  if (batch.empty()) return;
+  std::vector<typename K::Request> requests;
+  requests.reserve(batch.size());
+  for (const auto& p : batch) requests.push_back(p->request);
+  std::vector<typename K::Response> responses;
+  bool batch_ok = true;
+  try {
+    responses = run_batch(kind, requests);
+  } catch (...) {
+    batch_ok = false;
   }
-  admission_cv_.notify_one();
-  std::unique_lock<std::mutex> lock(pending->mutex);
-  pending->done_cv.wait(lock, [&] { return pending->done; });
-  if (pending->error) std::rethrow_exception(pending->error);
-  return std::move(pending->trace_response);
+  if (batch_ok) {
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      batch[i]->reply.set_value(std::move(responses[i]));
+    }
+    return;
+  }
+  // One bad (or failing) request must not poison its batch peers: retry
+  // each request on its own and report per-request errors.
+  for (const auto& p : batch) {
+    try {
+      p->reply.set_value(std::move(run_batch(kind, {p->request})[0]));
+    } catch (...) {
+      p->reply.set_exception(std::current_exception());
+    }
+  }
 }
 
 void GuardbandServer::admission_loop() {
   for (;;) {
-    std::vector<std::shared_ptr<PendingRequest>> batch;
+    std::vector<QueueEntry> batch;
     {
       std::unique_lock<std::mutex> lock(admission_mutex_);
       admission_cv_.wait(lock, [&] { return stop_ || !admission_queue_.empty(); });
       if (admission_queue_.empty()) return;  // stop_ and drained
       const std::size_t take =
           std::min(admission_queue_.size(), std::max<std::size_t>(1, config_.max_admission));
-      batch.assign(admission_queue_.begin(),
-                   admission_queue_.begin() + static_cast<std::ptrdiff_t>(take));
+      batch.assign(std::make_move_iterator(admission_queue_.begin()),
+                   std::make_move_iterator(admission_queue_.begin() +
+                                           static_cast<std::ptrdiff_t>(take)));
       admission_queue_.erase(admission_queue_.begin(),
                              admission_queue_.begin() + static_cast<std::ptrdiff_t>(take));
     }
     ++admission_batches_;
 
-    // Split the drained batch by kind: scalar and trace queries share the
-    // admission queue (concurrent clients of either kind coalesce into
-    // one batch) but run through their own batch entry points.
-    std::vector<std::shared_ptr<PendingRequest>> scalar;
-    std::vector<std::shared_ptr<PendingRequest>> traces;
-    for (auto& p : batch) (p->is_trace ? traces : scalar).push_back(std::move(p));
-
-    if (!scalar.empty()) {
-      std::vector<protocol::GuardbandRequest> requests;
-      requests.reserve(scalar.size());
-      for (const auto& p : scalar) requests.push_back(p->request);
-      std::vector<protocol::GuardbandResponse> responses;
-      std::exception_ptr batch_error;
-      try {
-        responses = handle_batch(requests);
-      } catch (...) {
-        batch_error = std::current_exception();
-      }
-      if (batch_error == nullptr) {
-        for (std::size_t i = 0; i < scalar.size(); ++i) {
-          PendingRequest& p = *scalar[i];
-          {
-            const std::lock_guard<std::mutex> lock(p.mutex);
-            p.response = std::move(responses[i]);
-            p.done = true;
-          }
-          p.done_cv.notify_all();
-        }
+    // Split the drained batch by kind; each kind runs as one batch.
+    std::vector<std::shared_ptr<ScalarKind::Pending>> scalar;
+    std::vector<std::shared_ptr<TraceKind::Pending>> traces;
+    for (QueueEntry& entry : batch) {
+      if (auto* p = std::get_if<0>(&entry)) {
+        scalar.push_back(std::move(*p));
       } else {
-        // One bad (or failing) request must not poison its batch peers:
-        // retry each request on its own and report per-request errors.
-        for (const auto& p : scalar) {
-          std::exception_ptr error;
-          protocol::GuardbandResponse resp;
-          try {
-            resp = handle_batch({p->request})[0];
-          } catch (...) {
-            error = std::current_exception();
-          }
-          {
-            const std::lock_guard<std::mutex> lock(p->mutex);
-            p->response = std::move(resp);
-            p->error = error;
-            p->done = true;
-          }
-          p->done_cv.notify_all();
-        }
+        traces.push_back(std::move(std::get<1>(entry)));
       }
     }
+    admit(scalar_, scalar);
+    admit(trace_, traces);
+  }
+}
 
-    if (!traces.empty()) {
-      std::vector<protocol::TraceRequest> requests;
-      requests.reserve(traces.size());
-      for (const auto& p : traces) requests.push_back(p->trace_request);
-      std::vector<protocol::TraceResponse> responses;
-      std::exception_ptr batch_error;
-      try {
-        responses = handle_trace_batch(requests);
-      } catch (...) {
-        batch_error = std::current_exception();
-      }
-      if (batch_error == nullptr) {
-        for (std::size_t i = 0; i < traces.size(); ++i) {
-          PendingRequest& p = *traces[i];
-          {
-            const std::lock_guard<std::mutex> lock(p.mutex);
-            p.trace_response = std::move(responses[i]);
-            p.done = true;
-          }
-          p.done_cv.notify_all();
-        }
-      } else {
-        for (const auto& p : traces) {
-          std::exception_ptr error;
-          protocol::TraceResponse resp;
-          try {
-            resp = handle_trace_batch({p->trace_request})[0];
-          } catch (...) {
-            error = std::current_exception();
-          }
-          {
-            const std::lock_guard<std::mutex> lock(p->mutex);
-            p->trace_response = std::move(resp);
-            p->error = error;
-            p->done = true;
-          }
-          p->done_cv.notify_all();
-        }
-      }
-    }
+template <typename K, typename Decode, typename Encode>
+std::string GuardbandServer::serve(std::string_view envelope, Decode decode, Encode encode) {
+  typename K::Request request;
+  try {
+    request = decode(envelope);
+  } catch (const util::codec::Error& e) {
+    ++errors_;
+    protocol::ErrorResponse err;
+    err.code = protocol::ErrorResponse::kMalformedFrame;
+    err.message = e.what();
+    return protocol::encode_error(err);
+  }
+  if (auto err = validate_request(request)) {
+    ++errors_;
+    return protocol::encode_error(*err);
+  }
+  try {
+    return encode(submit<K>(request));
+  } catch (const std::exception& e) {
+    ++errors_;
+    protocol::ErrorResponse err;
+    err.request_id = request.request_id;
+    err.code = protocol::ErrorResponse::kInternal;
+    err.message = e.what();
+    return protocol::encode_error(err);
   }
 }
 
 std::string GuardbandServer::serve_payload(std::string_view envelope) {
   if (protocol::is_trace_request_envelope(envelope)) {
-    return serve_trace_payload(envelope);
+    return serve<TraceKind>(envelope, protocol::decode_trace_request,
+                            protocol::encode_trace_response);
   }
-  protocol::GuardbandRequest request;
-  try {
-    request = protocol::decode_request(envelope);
-  } catch (const util::codec::Error& e) {
-    ++errors_;
-    protocol::ErrorResponse err;
-    err.code = protocol::ErrorResponse::kMalformedFrame;
-    err.message = e.what();
-    return protocol::encode_error(err);
-  }
-  if (auto err = validate(request)) {
-    ++errors_;
-    return protocol::encode_error(*err);
-  }
-  try {
-    return protocol::encode_response(handle(request));
-  } catch (const std::exception& e) {
-    ++errors_;
-    protocol::ErrorResponse err;
-    err.request_id = request.request_id;
-    err.code = protocol::ErrorResponse::kInternal;
-    err.message = e.what();
-    return protocol::encode_error(err);
-  }
-}
-
-std::string GuardbandServer::serve_trace_payload(std::string_view envelope) {
-  protocol::TraceRequest request;
-  try {
-    request = protocol::decode_trace_request(envelope);
-  } catch (const util::codec::Error& e) {
-    ++errors_;
-    protocol::ErrorResponse err;
-    err.code = protocol::ErrorResponse::kMalformedFrame;
-    err.message = e.what();
-    return protocol::encode_error(err);
-  }
-  if (auto err = validate_trace(request)) {
-    ++errors_;
-    return protocol::encode_error(*err);
-  }
-  try {
-    return protocol::encode_trace_response(handle_trace(request));
-  } catch (const std::exception& e) {
-    ++errors_;
-    protocol::ErrorResponse err;
-    err.request_id = request.request_id;
-    err.code = protocol::ErrorResponse::kInternal;
-    err.message = e.what();
-    return protocol::encode_error(err);
-  }
+  return serve<ScalarKind>(envelope, protocol::decode_request, protocol::encode_response);
 }
 
 std::string GuardbandServer::serve_frame(std::string_view frame_bytes) {
@@ -700,16 +506,16 @@ std::string GuardbandServer::serve_frame(std::string_view frame_bytes) {
 
 GuardbandServer::Stats GuardbandServer::stats() const {
   Stats s;
-  s.requests = requests_.load();
-  s.tuple_hits = tuple_hits_.load();
-  s.tuples_evaluated = tuples_evaluated_.load();
+  s.requests = scalar_.requests.load();
+  s.tuple_hits = scalar_.hits.load();
+  s.tuples_evaluated = scalar_.evaluated.load();
   s.groups_evaluated = groups_evaluated_.load();
   s.batched_corners = batched_corners_.load();
   s.admission_batches = admission_batches_.load();
   s.errors = errors_.load();
-  s.trace_requests = trace_requests_.load();
-  s.trace_hits = trace_hits_.load();
-  s.traces_evaluated = traces_evaluated_.load();
+  s.trace_requests = trace_.requests.load();
+  s.trace_hits = trace_.hits.load();
+  s.traces_evaluated = trace_.evaluated.load();
   return s;
 }
 

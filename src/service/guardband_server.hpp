@@ -6,41 +6,49 @@
 // — and answers fleet queries "what fmax/guardband is safe for my grade,
 // ambient, and activity right now" (protocol.hpp).
 //
-// Request path:
-//   handle() --> admission queue --> admission thread drains a batch -->
-//   handle_batch() --> canonicalize tuples --> build-once response slots
-//   --> uncached tuples grouped by (design, grade) --> groups fan out on
-//   the ThreadPool --> each group evaluates its ambient/activity corners
-//   through core::guardband_batch() on one warm implementation (the
-//   corners of a chunk share one blocked stencil traversal per thermal
-//   solve) --> responses assembled in request order.
+// Request path, one pipeline for both request kinds (scalar guardband
+// and guardband_trace):
+//   handle()/handle_trace() --> one admission queue --> the admission
+//   thread drains a batch and splits it by kind --> handle_batch()/
+//   handle_trace_batch() --> canonicalize tuples --> build-once response
+//   slots (runner::BuildOnceMap keyed by the canonical tuple) -->
+//   uncached tuples grouped by (design, grade) --> groups fan out on the
+//   ThreadPool --> each group evaluates its tuples on one warm
+//   implementation --> responses assembled in request order.
+// A kind supplies only its tuple, its extra validation, its group body
+// (scalar: core::guardband_batch() over ambient/activity corners, whose
+// chunks share one blocked stencil traversal per thermal solve; trace:
+// a core::DynamicGuardband replay per trace) and its response fields.
 //
 // Determinism: a response's bytes (minus the echoed request_id) are a
 // pure function of the quantized request tuple. Tuples are canonicalized
 // before evaluation (grade/ambient to millidegrees, activity to
-// permille), every tuple is evaluated exactly once (build-once slots, as
-// in FlowCache), and core::guardband_batch() is bit-identical to
-// per-corner guardband() whatever the batch composition — so admission
-// batching, pool size, and client interleaving cannot leak into response
-// bytes. tests/test_service.cpp pins concurrent == serial replay.
+// permille; traces are taken verbatim), every tuple is evaluated exactly
+// once (build-once slots), and core::guardband_batch() is bit-identical
+// to per-corner guardband() whatever the batch composition — so
+// admission batching, pool size, and client interleaving cannot leak
+// into response bytes. tests/test_service.cpp pins concurrent == serial
+// replay.
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
-#include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "arch/arch_params.hpp"
 #include "core/flow.hpp"
 #include "netlist/benchmarks.hpp"
 #include "runner/artifact_store.hpp"
+#include "runner/build_once_map.hpp"
 #include "runner/flow_cache.hpp"
 #include "runner/metrics.hpp"
 #include "runner/thread_pool.hpp"
@@ -145,103 +153,129 @@ class GuardbandServer {
   runner::FlowCache& flow_cache() { return cache_; }
 
  private:
-  /// Canonical (quantized) form of a request tuple.
+  /// Canonical (quantized) scalar tuple. The design is its index in the
+  /// name-sorted suite, so a key is 32 bytes with no heap string.
   struct Tuple {
-    std::string design;
+    std::int32_t design = 0;
     std::int64_t grade_mdeg = 0;
     std::int64_t ambient_mdeg = 0;
     std::int64_t activity_permille = 1000;
-  };
-  static Tuple canonicalize(const protocol::GuardbandRequest& request);
-  static std::uint64_t tuple_key(const Tuple& t);
-
-  /// Build-once response slot (the FlowCache Slot pattern).
-  struct ResponseSlot {
-    std::mutex mutex;
-    std::condition_variable ready_cv;
-    bool ready = false;            // guarded by mutex
-    std::exception_ptr error;      // guarded by mutex
-    protocol::GuardbandResponse value;  // written once before ready
+    bool operator==(const Tuple&) const = default;
   };
 
-  /// Canonical form of a trace request: quantized scalars plus the
-  /// trace's canonical serialized payload bytes (f64s are bit-exact
-  /// through the codec, so re-encoding the decoded trace is canonical).
+  /// Canonical trace tuple: quantized scalars plus the trace's canonical
+  /// serialized payload bytes (f64s are bit-exact through the codec, so
+  /// re-encoding the decoded trace is canonical).
   struct TraceTuple {
-    std::string design;
+    std::int32_t design = 0;
     std::int64_t grade_mdeg = 0;
     std::int64_t ambient_mdeg = 0;
     std::int32_t samples_per_segment = 0;
     std::string trace_payload;
-  };
-  static TraceTuple canonicalize_trace(const protocol::TraceRequest& request);
-  static std::uint64_t trace_tuple_key(const TraceTuple& t);
-
-  struct TraceSlot {
-    std::mutex mutex;
-    std::condition_variable ready_cv;
-    bool ready = false;            // guarded by mutex
-    std::exception_ptr error;      // guarded by mutex
-    protocol::TraceResponse value;  // written once before ready
+    bool operator==(const TraceTuple&) const = default;
   };
 
-  /// One admission-queue entry; either a scalar or a trace query (the
-  /// two kinds coalesce into the same admission batches and are split by
-  /// kind when the batch is drained).
-  struct PendingRequest {
-    bool is_trace = false;
-    protocol::GuardbandRequest request;          // valid when !is_trace
-    protocol::TraceRequest trace_request;        // valid when is_trace
-    protocol::GuardbandResponse response;
-    protocol::TraceResponse trace_response;
-    std::exception_ptr error;
-    bool done = false;  // guarded by mutex
-    std::mutex mutex;
-    std::condition_variable done_cv;
+  struct TupleHash {
+    std::size_t operator()(const Tuple& t) const;
+    std::size_t operator()(const TraceTuple& t) const;
   };
 
-  struct TraceWork {
-    TraceTuple tuple;
-    const protocol::TraceRequest* request = nullptr;
-    TraceSlot* slot = nullptr;
-  };
+  /// One request kind of the shared pipeline: its response cache, keyed
+  /// by the canonical tuple itself (compared with ==, so colliding hashes
+  /// never share a response), and its Stats counters.
+  template <typename RequestT, typename ResponseT, typename KeyT>
+  struct Kind {
+    using Request = RequestT;
+    using Response = ResponseT;
+    using Cache = runner::BuildOnceMap<KeyT, ResponseT, TupleHash>;
 
+    /// A tuple this batch claimed and must evaluate.
+    struct Work {
+      const KeyT* tuple = nullptr;  // the cache's copy
+      const RequestT* request = nullptr;
+      typename Cache::Slot* slot = nullptr;
+    };
+
+    /// One handle()/handle_trace() call waiting in the admission queue.
+    struct Pending {
+      RequestT request;
+      std::promise<ResponseT> reply;
+    };
+
+    Kind(const char* name, const char* group_kind) : label(name), metrics_kind(group_kind) {}
+
+    const char* const label;         ///< error-message prefix
+    const char* const metrics_kind;  ///< TaskMetrics kind of its groups
+    Cache cache;
+    std::atomic<std::uint64_t> requests{0};
+    std::atomic<std::uint64_t> hits{0};
+    std::atomic<std::uint64_t> evaluated{0};
+  };
+  using ScalarKind = Kind<protocol::GuardbandRequest, protocol::GuardbandResponse, Tuple>;
+  using TraceKind = Kind<protocol::TraceRequest, protocol::TraceResponse, TraceTuple>;
+
+  /// Both kinds share one admission queue, so concurrent clients of
+  /// either kind coalesce into one admission batch.
+  using QueueEntry = std::variant<std::shared_ptr<ScalarKind::Pending>,
+                                  std::shared_ptr<TraceKind::Pending>>;
+
+  /// Suite index of `name`, or -1 when it is not a suite design.
+  std::int32_t design_index(std::string_view name) const;
+  Tuple canonicalize(const protocol::GuardbandRequest& request) const;
+  TraceTuple canonicalize(const protocol::TraceRequest& request) const;
+  /// The design, grade and ambient checks both kinds share.
+  template <typename Request>
+  std::optional<protocol::ErrorResponse> validate_common(const Request& request) const;
+  std::optional<protocol::ErrorResponse> validate_request(
+      const protocol::GuardbandRequest& request) const {
+    return validate(request);
+  }
+  std::optional<protocol::ErrorResponse> validate_request(
+      const protocol::TraceRequest& request) const {
+    return validate_trace(request);
+  }
+
+  // The pipeline, once for both kinds.
+  template <typename K>
+  std::vector<typename K::Response> run_batch(
+      K& kind, const std::vector<typename K::Request>& requests);
+  template <typename K>
+  void evaluate_group(K& kind, std::int32_t design, std::int64_t grade_mdeg,
+                      const std::vector<typename K::Work>& items);
+  template <typename K>
+  typename K::Response submit(const typename K::Request& request);
+  template <typename K>
+  void admit(K& kind, const std::vector<std::shared_ptr<typename K::Pending>>& batch);
+  template <typename K, typename Decode, typename Encode>
+  std::string serve(std::string_view envelope, Decode decode, Encode encode);
   void admission_loop();
-  void evaluate_group(const std::string& design, std::int64_t grade_mdeg,
-                      const std::vector<std::pair<Tuple, ResponseSlot*>>& tuples);
-  void evaluate_trace_group(const std::string& design, std::int64_t grade_mdeg,
-                            const std::vector<TraceWork>& items);
-  std::string serve_trace_payload(std::string_view envelope);
-  static void fill_slot(ResponseSlot& slot, protocol::GuardbandResponse value);
-  static void fail_slot(ResponseSlot& slot, std::exception_ptr error);
+
+  // Per-kind group bodies: evaluate every item on one warm implementation
+  // and fill its slot.
+  void evaluate_items(const core::Implementation& impl, const coffe::DeviceModel& dev,
+                      const std::vector<ScalarKind::Work>& items, runner::TaskMetrics& tm);
+  void evaluate_items(const core::Implementation& impl, const coffe::DeviceModel& dev,
+                      const std::vector<TraceKind::Work>& items, runner::TaskMetrics& tm);
 
   ServerConfig config_;
-  std::unordered_map<std::string, netlist::BenchmarkSpec> suite_;
+  std::vector<netlist::BenchmarkSpec> suite_;  // sorted by name
   std::unique_ptr<runner::ArtifactStore> store_;  // before cache_ (cache points at it)
   runner::FlowCache cache_;
   runner::ThreadPool pool_;
 
-  std::mutex slots_mutex_;  // guards the two slot maps' structure only
-  std::unordered_map<std::uint64_t, std::unique_ptr<ResponseSlot>> slots_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<TraceSlot>> trace_slots_;
-
-  std::mutex metrics_mutex_;
-  std::vector<runner::TaskMetrics> metrics_;
-
-  std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> tuple_hits_{0};
-  std::atomic<std::uint64_t> tuples_evaluated_{0};
+  ScalarKind scalar_{"guardband", "service-group"};
+  TraceKind trace_{"guardband trace", "service-trace-group"};
   std::atomic<std::uint64_t> groups_evaluated_{0};
   std::atomic<std::uint64_t> batched_corners_{0};
   std::atomic<std::uint64_t> admission_batches_{0};
   std::atomic<std::uint64_t> errors_{0};
-  std::atomic<std::uint64_t> trace_requests_{0};
-  std::atomic<std::uint64_t> trace_hits_{0};
-  std::atomic<std::uint64_t> traces_evaluated_{0};
+
+  std::mutex metrics_mutex_;
+  std::vector<runner::TaskMetrics> metrics_;
 
   std::mutex admission_mutex_;
   std::condition_variable admission_cv_;
-  std::deque<std::shared_ptr<PendingRequest>> admission_queue_;  // guarded by admission_mutex_
+  std::deque<QueueEntry> admission_queue_;  // guarded by admission_mutex_
   bool stop_ = false;  // guarded by admission_mutex_
   std::thread admission_thread_;
 };

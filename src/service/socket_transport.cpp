@@ -86,7 +86,9 @@ SocketListener::SocketListener(GuardbandServer& server, ListenerConfig config)
 SocketListener::~SocketListener() { stop(); }
 
 void SocketListener::start() {
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  // The thread reads its own copy of the fd: stop() resets listen_fd_
+  // while the thread may still be running.
+  accept_thread_ = std::thread([this, fd = listen_fd_] { accept_loop(fd); });
 }
 
 void SocketListener::stop() {
@@ -111,9 +113,9 @@ void SocketListener::stop() {
   if (!config_.unix_path.empty()) ::unlink(config_.unix_path.c_str());
 }
 
-void SocketListener::accept_loop() {
+void SocketListener::accept_loop(int listen_fd) {
   for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       return;  // listening socket closed (stop()) or fatal

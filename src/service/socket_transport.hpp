@@ -56,7 +56,7 @@ class SocketListener {
   std::uint64_t connections_accepted() const { return accepted_.load(); }
 
  private:
-  void accept_loop();
+  void accept_loop(int listen_fd);
   void serve_connection(int fd);
 
   GuardbandServer& server_;

@@ -79,6 +79,10 @@ void IncrementalTopology::build(const TimingAnalyzer& an, const netlist::Netlist
     block_net_of[packed.block_nets[static_cast<std::size_t>(i)].net] = i;
   }
 
+  // Nets with a sink IPIN outside their routed tree (partial or failed
+  // route), reported once per build rather than once per net.
+  int nets_missing_sinks = 0;
+  NetId last_net_missing_sinks = -1;
   for (NetId n = 0; n < static_cast<NetId>(nl.nets().size()); ++n) {
     const auto& net = nl.net(n);
     const int src_block = packed.block_of_prim[static_cast<std::size_t>(net.driver)];
@@ -104,7 +108,6 @@ void IncrementalTopology::build(const TimingAnalyzer& an, const netlist::Netlist
       arc_wire_flat_.insert(arc_wire_flat_.end(), static_cast<std::size_t>(hops), src_t);
     };
 
-    bool warned_missing_sink = false;
     for (const auto& sink : net.sinks) {
       const int dst_block = packed.block_of_prim[static_cast<std::size_t>(sink.prim)];
       const char same_block = dst_block == src_block ? 1 : 0;
@@ -119,13 +122,8 @@ void IncrementalTopology::build(const TimingAnalyzer& an, const netlist::Netlist
           // The sink IPIN never made it into the routed tree (partial or
           // failed route). Charging zero wire delay here would silently
           // make the connection look free; estimate it instead.
-          if (!warned_missing_sink) {
-            util::log_warn(
-                "timing: net %d has sinks missing from its routed tree; "
-                "using SB-hop delay estimate",
-                n);
-            warned_missing_sink = true;
-          }
+          if (last_net_missing_sinks != n) ++nets_missing_sinks;
+          last_net_missing_sinks = n;
           estimate_hops(dst_block);
         }
         int guard = 0;
@@ -176,6 +174,12 @@ void IncrementalTopology::build(const TimingAnalyzer& an, const netlist::Netlist
       conn_dst_.push_back(sink.prim);
       conn_arc_.push_back(arc_table[slot]);
     }
+  }
+  if (nets_missing_sinks > 0) {
+    util::log_warn(
+        "timing: %d nets have sinks missing from their routed trees; "
+        "using SB-hop delay estimates",
+        nets_missing_sinks);
   }
   const auto n_arcs = arc_src_tile_.size();
 
@@ -285,36 +289,14 @@ IncrementalSta::IncrementalSta(const TimingAnalyzer& analyzer,
     : an_(&analyzer),
       dev_(&dev),
       n_tiles_(analyzer.inc_topo_.n_tiles_),
-      prim_kind_(analyzer.inc_topo_.prim_kind_),
-      prim_tile_(analyzer.inc_topo_.prim_tile_),
-      conn_src_(analyzer.inc_topo_.conn_src_),
-      conn_dst_(analyzer.inc_topo_.conn_dst_),
-      conn_arc_(analyzer.inc_topo_.conn_arc_),
-      conn_in_flat_(analyzer.inc_topo_.conn_in_flat_),
-      conn_in_start_(analyzer.inc_topo_.conn_in_start_),
-      conn_out_flat_(analyzer.inc_topo_.conn_out_flat_),
-      conn_out_start_(analyzer.inc_topo_.conn_out_start_),
-      conn_src_frozen_(analyzer.inc_topo_.conn_src_frozen_),
-      arc_same_block_(analyzer.inc_topo_.arc_same_block_),
-      arc_src_tile_(analyzer.inc_topo_.arc_src_tile_),
-      arc_dst_tile_(analyzer.inc_topo_.arc_dst_tile_),
-      arc_wire_flat_(analyzer.inc_topo_.arc_wire_flat_),
-      arc_wire_start_(analyzer.inc_topo_.arc_wire_start_),
-      arc_conn_flat_(analyzer.inc_topo_.arc_conn_flat_),
-      arc_conn_start_(analyzer.inc_topo_.arc_conn_start_),
-      tile_arc_flat_(analyzer.inc_topo_.tile_arc_flat_),
-      tile_arc_start_(analyzer.inc_topo_.tile_arc_start_),
-      tile_prim_flat_(analyzer.inc_topo_.tile_prim_flat_),
-      tile_prim_start_(analyzer.inc_topo_.tile_prim_start_),
-      captures_(analyzer.inc_topo_.captures_),
-      capture_of_conn_(analyzer.inc_topo_.capture_of_conn_) {
+      topo_(analyzer.inc_topo_) {
   for (int k = 0; k < coffe::kNumResourceKinds; ++k) {
     fit_[static_cast<std::size_t>(k)] =
         dev.at(static_cast<ResourceKind>(k)).delay_ps;
   }
 
-  const auto n_prims = prim_kind_.size();
-  const auto n_arcs = arc_src_tile_.size();
+  const auto n_prims = topo_.prim_kind_.size();
+  const auto n_arcs = topo_.arc_src_tile_.size();
   base_temp_.assign(static_cast<std::size_t>(n_tiles_),
                     std::numeric_limits<double>::quiet_NaN());
   tile_delay_.assign(static_cast<std::size_t>(coffe::kNumResourceKinds) *
@@ -323,10 +305,10 @@ IncrementalSta::IncrementalSta(const TimingAnalyzer& analyzer,
   arc_total_.assign(n_arcs, 0.0);
   arrival_.assign(n_prims, 0.0);
   crit_conn_.assign(n_prims, -1);
-  capture_val_.assign(captures_.size(), 0.0);
+  capture_val_.assign(topo_.captures_.size(), 0.0);
   // Temperature-independent launch times.
   for (PrimId id = 0; id < static_cast<PrimId>(n_prims); ++id) {
-    const PrimKind k = prim_kind_[static_cast<std::size_t>(id)];
+    const PrimKind k = topo_.prim_kind_[static_cast<std::size_t>(id)];
     if (k == PrimKind::Input)
       arrival_[static_cast<std::size_t>(id)] = an_->opt_.io_delay_ps.value();
     if (k == PrimKind::Ff)
@@ -337,8 +319,8 @@ IncrementalSta::IncrementalSta(const TimingAnalyzer& analyzer,
   dirty_arcs_.reserve(n_arcs);
   arc_dirty_.assign(n_arcs, 0);
   node_pending_.assign(n_prims, 0);
-  capture_pending_.assign(captures_.size(), 0);
-  hop_total_.assign(static_cast<std::size_t>(analyzer.inc_topo_.max_hops_) + 1, 0.0);
+  capture_pending_.assign(topo_.captures_.size(), 0);
+  hop_total_.assign(static_cast<std::size_t>(topo_.max_hops_) + 1, 0.0);
 }
 
 void IncrementalSta::refresh_tile(int tile, double temp_c) {
@@ -354,14 +336,15 @@ double IncrementalSta::arc_delay_total(int arc) const {
   // (tests/reference_sta.hpp).
   const auto a = static_cast<std::size_t>(arc);
   double total = 0.0;
-  if (arc_same_block_[a]) {
-    total += tile_delay(ResourceKind::FeedbackMux, arc_src_tile_[a]);
+  if (topo_.arc_same_block_[a]) {
+    total += tile_delay(ResourceKind::FeedbackMux, topo_.arc_src_tile_[a]);
   } else {
-    total += tile_delay(ResourceKind::OutputMux, arc_src_tile_[a]);
-    for (int w = arc_wire_start_[a]; w < arc_wire_start_[a + 1]; ++w) {
-      total += tile_delay(ResourceKind::SbMux, arc_wire_flat_[static_cast<std::size_t>(w)]);
+    total += tile_delay(ResourceKind::OutputMux, topo_.arc_src_tile_[a]);
+    for (int w = topo_.arc_wire_start_[a]; w < topo_.arc_wire_start_[a + 1]; ++w) {
+      total +=
+          tile_delay(ResourceKind::SbMux, topo_.arc_wire_flat_[static_cast<std::size_t>(w)]);
     }
-    total += tile_delay(ResourceKind::CbMux, arc_dst_tile_[a]);
+    total += tile_delay(ResourceKind::CbMux, topo_.arc_dst_tile_[a]);
   }
   return total;
 }
@@ -424,35 +407,35 @@ void IncrementalSta::recompute_all(const std::vector<double>& tile_temp_c, bool 
     }
     const double feedback = 0.0 + tile_delay(ResourceKind::FeedbackMux, 0);
     for (std::size_t a = 0; a < n_arcs; ++a) {
-      arc_total_[a] = arc_same_block_[a]
+      arc_total_[a] = topo_.arc_same_block_[a]
                           ? feedback
-                          : hop_total_[static_cast<std::size_t>(arc_wire_start_[a + 1] -
-                                                                arc_wire_start_[a])];
+                          : hop_total_[static_cast<std::size_t>(topo_.arc_wire_start_[a + 1] -
+                                                                topo_.arc_wire_start_[a])];
     }
   } else {
     for (std::size_t a = 0; a < n_arcs; ++a) {
       arc_total_[a] = arc_delay_total(static_cast<int>(a));
     }
   }
-  counters_.edges_reevaluated += conn_src_.size();
+  counters_.edges_reevaluated += topo_.conn_src_.size();
 
-  const auto n_prims = static_cast<PrimId>(prim_kind_.size());
+  const auto n_prims = static_cast<PrimId>(topo_.prim_kind_.size());
   for (PrimId p = 0; p < n_prims; ++p) {
-    if (prim_kind_[static_cast<std::size_t>(p)] == PrimKind::Bram) {
+    if (topo_.prim_kind_[static_cast<std::size_t>(p)] == PrimKind::Bram) {
       arrival_[static_cast<std::size_t>(p)] =
-          tile_delay(ResourceKind::Bram, prim_tile_[static_cast<std::size_t>(p)]);
+          tile_delay(ResourceKind::Bram, topo_.prim_tile_[static_cast<std::size_t>(p)]);
     }
   }
   for (PrimId id : an_->topo_) {
-    const PrimKind kind = prim_kind_[static_cast<std::size_t>(id)];
+    const PrimKind kind = topo_.prim_kind_[static_cast<std::size_t>(id)];
     if (kind != PrimKind::Lut && kind != PrimKind::Dsp && kind != PrimKind::Output) continue;
     arrival_[static_cast<std::size_t>(id)] = arrival_through(id);
   }
-  for (std::size_t i = 0; i < captures_.size(); ++i) {
-    const CaptureEntry& e = captures_[i];
+  for (std::size_t i = 0; i < topo_.captures_.size(); ++i) {
+    const CaptureEntry& e = topo_.captures_[i];
     if (e.conn < 0) continue;
     capture_val_[i] =
-        arrival_[static_cast<std::size_t>(conn_src_[static_cast<std::size_t>(e.conn)])] +
+        arrival_[static_cast<std::size_t>(topo_.conn_src_[static_cast<std::size_t>(e.conn)])] +
         conn_total(e.conn) + e.setup_ps.value();
   }
   scan_captures();
@@ -464,13 +447,14 @@ double IncrementalSta::arrival_through(PrimId id) {
   // own tile-local delay.
   double worst = 0.0;
   int worst_conn = -1;
-  for (int i = conn_in_start_[static_cast<std::size_t>(id)];
-       i < conn_in_start_[static_cast<std::size_t>(id) + 1]; ++i) {
-    const int ci = conn_in_flat_[static_cast<std::size_t>(i)];
+  for (int i = topo_.conn_in_start_[static_cast<std::size_t>(id)];
+       i < topo_.conn_in_start_[static_cast<std::size_t>(id) + 1]; ++i) {
+    const int ci = topo_.conn_in_flat_[static_cast<std::size_t>(i)];
     const double src_arr =
-        conn_src_frozen_[static_cast<std::size_t>(ci)]
+        topo_.conn_src_frozen_[static_cast<std::size_t>(ci)]
             ? 0.0
-            : arrival_[static_cast<std::size_t>(conn_src_[static_cast<std::size_t>(ci)])];
+            : arrival_[static_cast<std::size_t>(
+                  topo_.conn_src_[static_cast<std::size_t>(ci)])];
     const double t = src_arr + conn_total(ci);
     if (t > worst) {
       worst = t;
@@ -478,8 +462,8 @@ double IncrementalSta::arrival_through(PrimId id) {
     }
   }
   crit_conn_[static_cast<std::size_t>(id)] = worst_conn;
-  const int tile = prim_tile_[static_cast<std::size_t>(id)];
-  const PrimKind kind = prim_kind_[static_cast<std::size_t>(id)];
+  const int tile = topo_.prim_tile_[static_cast<std::size_t>(id)];
+  const PrimKind kind = topo_.prim_kind_[static_cast<std::size_t>(id)];
   if (kind == PrimKind::Lut) {
     worst += tile_delay(ResourceKind::LocalMux, tile) + tile_delay(ResourceKind::Lut, tile);
   } else if (kind == PrimKind::Dsp) {
@@ -496,24 +480,26 @@ void IncrementalSta::propagate_frontier(const std::vector<double>& tile_temp_c) 
 
   // A connection's delay was refreshed iff its arc's was.
   auto conn_dirty = [&](int ci) {
-    return arc_dirty_[static_cast<std::size_t>(conn_arc_[static_cast<std::size_t>(ci)])] != 0;
+    return arc_dirty_[static_cast<std::size_t>(
+               topo_.conn_arc_[static_cast<std::size_t>(ci)])] != 0;
   };
   // The consumer of connection ci must be re-evaluated.
   auto mark_consumer = [&](int ci) {
-    const int cap = capture_of_conn_[static_cast<std::size_t>(ci)];
+    const int cap = topo_.capture_of_conn_[static_cast<std::size_t>(ci)];
     if (cap >= 0) {
       capture_pending_[static_cast<std::size_t>(cap)] = 1;
     } else {
-      node_pending_[static_cast<std::size_t>(conn_dst_[static_cast<std::size_t>(ci)])] = 1;
+      node_pending_[static_cast<std::size_t>(
+          topo_.conn_dst_[static_cast<std::size_t>(ci)])] = 1;
     }
   };
   auto mark_fanout = [&](PrimId p) {
-    for (int i = conn_out_start_[static_cast<std::size_t>(p)];
-         i < conn_out_start_[static_cast<std::size_t>(p) + 1]; ++i) {
-      const int ci = conn_out_flat_[static_cast<std::size_t>(i)];
+    for (int i = topo_.conn_out_start_[static_cast<std::size_t>(p)];
+         i < topo_.conn_out_start_[static_cast<std::size_t>(p) + 1]; ++i) {
+      const int ci = topo_.conn_out_flat_[static_cast<std::size_t>(i)];
       // A frozen edge contributes 0 regardless of the source's arrival;
       // only its connection delay matters, handled via dirty arcs.
-      if (!conn_src_frozen_[static_cast<std::size_t>(ci)]) mark_consumer(ci);
+      if (!topo_.conn_src_frozen_[static_cast<std::size_t>(ci)]) mark_consumer(ci);
     }
   };
 
@@ -521,21 +507,21 @@ void IncrementalSta::propagate_frontier(const std::vector<double>& tile_temp_c) 
   // tile-resident primitives, and BRAM launch times.
   for (int t : dirty_tiles_) refresh_tile(t, tile_temp_c[static_cast<std::size_t>(t)]);
   for (int t : dirty_tiles_) {
-    for (int i = tile_arc_start_[static_cast<std::size_t>(t)];
-         i < tile_arc_start_[static_cast<std::size_t>(t) + 1]; ++i) {
-      const int a = tile_arc_flat_[static_cast<std::size_t>(i)];
+    for (int i = topo_.tile_arc_start_[static_cast<std::size_t>(t)];
+         i < topo_.tile_arc_start_[static_cast<std::size_t>(t) + 1]; ++i) {
+      const int a = topo_.tile_arc_flat_[static_cast<std::size_t>(i)];
       if (!arc_dirty_[static_cast<std::size_t>(a)]) {
         arc_dirty_[static_cast<std::size_t>(a)] = 1;
         dirty_arcs_.push_back(a);
       }
     }
-    for (int i = tile_prim_start_[static_cast<std::size_t>(t)];
-         i < tile_prim_start_[static_cast<std::size_t>(t) + 1]; ++i) {
-      const PrimId p = tile_prim_flat_[static_cast<std::size_t>(i)];
-      const PrimKind k = prim_kind_[static_cast<std::size_t>(p)];
+    for (int i = topo_.tile_prim_start_[static_cast<std::size_t>(t)];
+         i < topo_.tile_prim_start_[static_cast<std::size_t>(t) + 1]; ++i) {
+      const PrimId p = topo_.tile_prim_flat_[static_cast<std::size_t>(i)];
+      const PrimKind k = topo_.prim_kind_[static_cast<std::size_t>(p)];
       if (k == PrimKind::Bram) {
         const double launch =
-            tile_delay(ResourceKind::Bram, prim_tile_[static_cast<std::size_t>(p)]);
+            tile_delay(ResourceKind::Bram, topo_.prim_tile_[static_cast<std::size_t>(p)]);
         if (launch != arrival_[static_cast<std::size_t>(p)]) {
           arrival_[static_cast<std::size_t>(p)] = launch;
           mark_fanout(p);
@@ -547,10 +533,10 @@ void IncrementalSta::propagate_frontier(const std::vector<double>& tile_temp_c) 
   }
   for (int a : dirty_arcs_) {
     arc_total_[static_cast<std::size_t>(a)] = arc_delay_total(a);
-    for (int i = arc_conn_start_[static_cast<std::size_t>(a)];
-         i < arc_conn_start_[static_cast<std::size_t>(a) + 1]; ++i) {
+    for (int i = topo_.arc_conn_start_[static_cast<std::size_t>(a)];
+         i < topo_.arc_conn_start_[static_cast<std::size_t>(a) + 1]; ++i) {
       ++counters_.edges_reevaluated;
-      mark_consumer(arc_conn_flat_[static_cast<std::size_t>(i)]);
+      mark_consumer(topo_.arc_conn_flat_[static_cast<std::size_t>(i)]);
     }
   }
 
@@ -558,9 +544,9 @@ void IncrementalSta::propagate_frontier(const std::vector<double>& tile_temp_c) 
   // topological order (and with the same arithmetic) as the reference.
   for (PrimId id : an_->topo_) {
     if (!node_pending_[static_cast<std::size_t>(id)]) continue;
-    for (int i = conn_in_start_[static_cast<std::size_t>(id)];
-         i < conn_in_start_[static_cast<std::size_t>(id) + 1]; ++i) {
-      if (!conn_dirty(conn_in_flat_[static_cast<std::size_t>(i)])) {
+    for (int i = topo_.conn_in_start_[static_cast<std::size_t>(id)];
+         i < topo_.conn_in_start_[static_cast<std::size_t>(id) + 1]; ++i) {
+      if (!conn_dirty(topo_.conn_in_flat_[static_cast<std::size_t>(i)])) {
         ++counters_.delay_cache_hits;
       }
     }
@@ -572,12 +558,12 @@ void IncrementalSta::propagate_frontier(const std::vector<double>& tile_temp_c) 
   }
 
   // 3. Refresh pending capture arrivals, then rescan every capture.
-  for (std::size_t i = 0; i < captures_.size(); ++i) {
-    const CaptureEntry& e = captures_[i];
+  for (std::size_t i = 0; i < topo_.captures_.size(); ++i) {
+    const CaptureEntry& e = topo_.captures_[i];
     if (e.conn < 0 || !capture_pending_[i]) continue;
     if (!conn_dirty(e.conn)) ++counters_.delay_cache_hits;
     capture_val_[i] =
-        arrival_[static_cast<std::size_t>(conn_src_[static_cast<std::size_t>(e.conn)])] +
+        arrival_[static_cast<std::size_t>(topo_.conn_src_[static_cast<std::size_t>(e.conn)])] +
         conn_total(e.conn) + e.setup_ps.value();
   }
   scan_captures();
@@ -588,8 +574,8 @@ void IncrementalSta::scan_captures() {
   double cp = 0.0;
   PrimId cp_end = -1;
   int cp_end_conn = -1;
-  for (std::size_t i = 0; i < captures_.size(); ++i) {
-    const CaptureEntry& e = captures_[i];
+  for (std::size_t i = 0; i < topo_.captures_.size(); ++i) {
+    const CaptureEntry& e = topo_.captures_[i];
     const double v = e.conn < 0 ? arrival_[static_cast<std::size_t>(e.prim)]
                                 : capture_val_[i];
     if (v > cp) {
@@ -605,7 +591,7 @@ void IncrementalSta::scan_captures() {
 
 void IncrementalSta::reconstruct_critical_path(TimingResult& result) const {
   if (cached_cp_end_ < 0) return;
-  const auto n_prims = prim_kind_.size();
+  const auto n_prims = topo_.prim_kind_.size();
   PrimId cur = cached_cp_end_;
   int ci = cached_cp_end_conn_;
   result.cp_prims.push_back(cur);
@@ -613,25 +599,25 @@ void IncrementalSta::reconstruct_critical_path(TimingResult& result) const {
   while (ci >= 0 && guard++ < static_cast<int>(n_prims)) {
     // Per-kind decomposition of the arc first, then folded into the
     // path: the same association as the reference's per-connection sum.
-    const auto a = static_cast<std::size_t>(conn_arc_[static_cast<std::size_t>(ci)]);
+    const auto a = static_cast<std::size_t>(topo_.conn_arc_[static_cast<std::size_t>(ci)]);
     std::array<double, coffe::kNumResourceKinds> by_kind{};
     auto add = [&](ResourceKind k, int tile) {
       by_kind[static_cast<std::size_t>(k)] += tile_delay(k, tile);
     };
-    if (arc_same_block_[a]) {
-      add(ResourceKind::FeedbackMux, arc_src_tile_[a]);
+    if (topo_.arc_same_block_[a]) {
+      add(ResourceKind::FeedbackMux, topo_.arc_src_tile_[a]);
     } else {
-      add(ResourceKind::OutputMux, arc_src_tile_[a]);
-      for (int w = arc_wire_start_[a]; w < arc_wire_start_[a + 1]; ++w) {
-        add(ResourceKind::SbMux, arc_wire_flat_[static_cast<std::size_t>(w)]);
+      add(ResourceKind::OutputMux, topo_.arc_src_tile_[a]);
+      for (int w = topo_.arc_wire_start_[a]; w < topo_.arc_wire_start_[a + 1]; ++w) {
+        add(ResourceKind::SbMux, topo_.arc_wire_flat_[static_cast<std::size_t>(w)]);
       }
-      add(ResourceKind::CbMux, arc_dst_tile_[a]);
+      add(ResourceKind::CbMux, topo_.arc_dst_tile_[a]);
     }
     for (std::size_t k = 0; k < by_kind.size(); ++k) result.cp_breakdown[k] += by_kind[k];
-    cur = conn_src_[static_cast<std::size_t>(ci)];
+    cur = topo_.conn_src_[static_cast<std::size_t>(ci)];
     result.cp_prims.push_back(cur);
-    const PrimKind kind = prim_kind_[static_cast<std::size_t>(cur)];
-    const int tile = prim_tile_[static_cast<std::size_t>(cur)];
+    const PrimKind kind = topo_.prim_kind_[static_cast<std::size_t>(cur)];
+    const int tile = topo_.prim_tile_[static_cast<std::size_t>(cur)];
     if (kind == PrimKind::Lut) {
       result.cp_breakdown[static_cast<std::size_t>(ResourceKind::Lut)] +=
           tile_delay(ResourceKind::Lut, tile);

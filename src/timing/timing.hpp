@@ -205,7 +205,7 @@ class IncrementalSta {
   }
   /// Cached delay total of connection `ci`, i.e. of its arc.
   double conn_total(int ci) const {
-    return arc_total_[static_cast<std::size_t>(conn_arc_[static_cast<std::size_t>(ci)])];
+    return arc_total_[static_cast<std::size_t>(topo_.conn_arc_[static_cast<std::size_t>(ci)])];
   }
   void refresh_tile(int tile, double temp_c);
   double arc_delay_total(int arc) const;
@@ -233,31 +233,9 @@ class IncrementalSta {
   // copy is the same arithmetic as DeviceModel::delay_ps).
   std::array<util::LinearFit, coffe::kNumResourceKinds> fit_{};
 
-  // Views into the analyzer's prebuilt IncrementalTopology (immutable,
-  // shared by all sessions; a session allocates only the state below).
-  const std::vector<netlist::PrimKind>& prim_kind_;
-  const std::vector<int>& prim_tile_;
-  const std::vector<netlist::PrimId>& conn_src_;
-  const std::vector<netlist::PrimId>& conn_dst_;
-  const std::vector<int>& conn_arc_;
-  const std::vector<int>& conn_in_flat_;
-  const std::vector<int>& conn_in_start_;
-  const std::vector<int>& conn_out_flat_;
-  const std::vector<int>& conn_out_start_;
-  const std::vector<char>& conn_src_frozen_;
-  const std::vector<char>& arc_same_block_;
-  const std::vector<int>& arc_src_tile_;
-  const std::vector<int>& arc_dst_tile_;
-  const std::vector<int>& arc_wire_flat_;
-  const std::vector<int>& arc_wire_start_;
-  const std::vector<int>& arc_conn_flat_;
-  const std::vector<int>& arc_conn_start_;
-  const std::vector<int>& tile_arc_flat_;
-  const std::vector<int>& tile_arc_start_;
-  const std::vector<netlist::PrimId>& tile_prim_flat_;
-  const std::vector<int>& tile_prim_start_;
-  const std::vector<CaptureEntry>& captures_;
-  const std::vector<int>& capture_of_conn_;
+  // The analyzer's prebuilt topology (immutable, shared by all sessions;
+  // a session allocates only the state below).
+  const IncrementalTopology& topo_;
 
   // Cached analysis state (valid after the first analyze()).
   std::vector<double> base_temp_;     ///< temperature each tile's delays use

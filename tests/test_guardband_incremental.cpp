@@ -240,7 +240,8 @@ const core::Implementation& sha_impl() {
 
 // sha routed on a one-track fabric: negotiation gives up with some nets
 // unrouted (empty trees, timed by the SB-hop estimate) next to routed
-// ones, and the session must still match the reference.
+// ones, and the session must still match the reference — also once a
+// sink is cut out of every routed tree (partly routed nets).
 TEST(UnroutableStaSessionDifferential, OneTrackFabricMatchesReference) {
   const core::Implementation& impl = sha_impl();
   arch::ArchParams a = test_arch();
@@ -254,10 +255,38 @@ TEST(UnroutableStaSessionDifferential, OneTrackFabricMatchesReference) {
                                       [](const route::NetRoute& nr) { return nr.nodes.empty(); });
   ASSERT_GT(unrouted, 0);
   ASSERT_LT(unrouted, static_cast<std::ptrdiff_t>(routes.routes.size()));
-  const timing::TimingAnalyzer sta(impl.nl, impl.packed, impl.placement, rr, routes, impl.grid);
-  const reference_sta::Analyzer ref(impl.nl, impl.packed, impl.placement, rr, routes,
-                                    impl.grid);
-  expect_session_matches_analyzer(sta, ref, static_cast<std::size_t>(impl.grid.num_tiles()));
+  // Each analyzer build reports its nets with sinks missing from their
+  // routed trees in one warning line, not one line per net.
+  const auto analyze_and_compare = [&](const route::RouteResult& rt,
+                                       std::size_t expected_warning_lines) {
+    testing::internal::CaptureStderr();
+    const timing::TimingAnalyzer sta(impl.nl, impl.packed, impl.placement, rr, rt, impl.grid);
+    const std::string log = testing::internal::GetCapturedStderr();
+    std::size_t warning_lines = 0;
+    for (std::size_t at = log.find("sinks missing from"); at != std::string::npos;
+         at = log.find("sinks missing from", at + 1)) {
+      ++warning_lines;
+    }
+    EXPECT_EQ(warning_lines, expected_warning_lines) << log;
+    const reference_sta::Analyzer ref(impl.nl, impl.packed, impl.placement, rr, rt, impl.grid);
+    expect_session_matches_analyzer(sta, ref, static_cast<std::size_t>(impl.grid.num_tiles()));
+  };
+  // A failed net has an empty tree: the SB-hop estimate, no warning.
+  analyze_and_compare(routes, 0);
+  // Cut one sink IPIN out of every routed tree: many nets with missing
+  // sinks next to unrouted ones, one warning line.
+  route::RouteResult partial = routes;
+  std::size_t cut = 0;
+  for (route::NetRoute& nr : partial.routes) {
+    const auto ipin = std::find_if(nr.parents.begin(), nr.parents.end(), [&](const auto& p) {
+      return rr.node(p.first).kind == route::RrKind::Ipin;
+    });
+    if (ipin == nr.parents.end()) continue;
+    nr.parents.erase(ipin);
+    ++cut;
+  }
+  ASSERT_GT(cut, 1u);
+  analyze_and_compare(partial, 1);
 }
 
 TEST(IncrementalDifferentialDetail, CriticalPathStructureIsIdentical) {

@@ -1,6 +1,7 @@
 // Tests for the experiment runner: the work-stealing thread pool, the
-// build-once FlowCache (quantized corner keys, single-build semantics
-// under contention), sweep determinism (parallel == serial, bit for
+// build-once slot map (keys compared, not only hashed) and the FlowCache
+// built on it (quantized corner keys, single-build semantics under
+// contention), sweep determinism (parallel == serial, bit for
 // bit), and the metrics serialization.
 
 #include <gtest/gtest.h>
@@ -10,11 +11,13 @@
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
 #include "core/stage_graph.hpp"
+#include "runner/build_once_map.hpp"
 #include "runner/flow_cache.hpp"
 #include "runner/metrics.hpp"
 #include "runner/sweep.hpp"
@@ -227,6 +230,55 @@ TEST(FlowCache, ClearResetsEntriesAndCounters) {
   EXPECT_EQ(s.impl_misses, 0u);
   cache.implementation(spec, test_arch(), 1.0 / 16);
   EXPECT_EQ(cache.stats().impl_misses, 1u);
+}
+
+// ---------- build-once slot map ----------
+
+/// Sends every key to one bucket, so only == tells keys apart.
+struct ConstantHash {
+  std::size_t operator()(const std::string& /*key*/) const { return 42; }
+};
+
+TEST(BuildOnceMap, UnequalKeysWithEqualHashesGetSeparateSlots) {
+  runner::BuildOnceMap<std::string, std::string, ConstantHash> map;
+  int builds = 0;
+  const auto build = [&builds](const char* value) {
+    return [&builds, value] {
+      ++builds;
+      return std::string(value);
+    };
+  };
+  EXPECT_EQ(map.get_or_build("alpha", build("value of alpha")), "value of alpha");
+  EXPECT_EQ(map.get_or_build("beta", build("value of beta")), "value of beta");
+  EXPECT_EQ(map.get_or_build("alpha", build("rebuilt")), "value of alpha");
+  EXPECT_EQ(map.get_or_build("beta", build("rebuilt")), "value of beta");
+  EXPECT_EQ(builds, 2);
+
+  const auto hit = map.claim("beta");
+  EXPECT_FALSE(hit.claimed);
+  EXPECT_EQ(hit.key, "beta");
+  EXPECT_EQ(map.wait(hit.slot), "value of beta");
+  const auto miss = map.claim("gamma");
+  EXPECT_TRUE(miss.claimed);
+  EXPECT_NE(&miss.slot, &hit.slot);
+  map.fill(miss.slot, "value of gamma");
+  EXPECT_EQ(map.wait(miss.slot), "value of gamma");
+}
+
+TEST(BuildOnceMap, FailLeavesFilledSlotsAlone) {
+  runner::BuildOnceMap<int, int> map;
+  const auto filled = map.claim(1);
+  const auto pending = map.claim(2);
+  ASSERT_TRUE(filled.claimed);
+  ASSERT_TRUE(pending.claimed);
+  map.fill(filled.slot, 10);
+  const auto error = std::make_exception_ptr(std::runtime_error("build failed"));
+  map.fail(filled.slot, error);
+  map.fail(pending.slot, error);
+  EXPECT_EQ(map.wait(filled.slot), 10);
+  EXPECT_THROW((void)map.wait(pending.slot), std::runtime_error);
+  // A failed build stays failed: later lookups rethrow, nothing rebuilds.
+  EXPECT_THROW((void)map.get_or_build(2, [] { return 20; }), std::runtime_error);
 }
 
 // ---------- sweep determinism ----------

@@ -400,6 +400,34 @@ TEST(ServiceTrace, DuplicatesCoalesceAndStoreBackedRestartMatches) {
   }
 }
 
+TEST(ServiceTrace, TracesDifferingInOneSampleAreEvaluatedSeparately) {
+  // The response cache compares whole canonical tuples, trace bytes
+  // included: a one-sample difference is a different tuple.
+  const protocol::TraceRequest a = trace_request(1, "mkPktMerge", 45.0, 2);
+  protocol::TraceRequest b = a;
+  b.request_id = 2;
+  b.trace.segments[0].utilization[0] = 0.75;
+  ASSERT_NE(a.trace.segments[0].utilization[0], 0.75);
+
+  GuardbandServer server(small_config(1));
+  const std::string wire_a = protocol::encode_trace_response(server.handle_trace(a));
+  const std::string wire_b = protocol::encode_trace_response(server.handle_trace(b));
+  const GuardbandServer::Stats s = server.stats();
+  EXPECT_EQ(s.trace_requests, 2u);
+  EXPECT_EQ(s.traces_evaluated, 2u);
+  EXPECT_EQ(s.trace_hits, 0u);
+
+  // Each answer is its own trace's: a fresh server asked in the other
+  // order returns the same bytes, and the two bodies differ.
+  GuardbandServer fresh(small_config(1));
+  EXPECT_EQ(protocol::encode_trace_response(fresh.handle_trace(b)), wire_b);
+  EXPECT_EQ(protocol::encode_trace_response(fresh.handle_trace(a)), wire_a);
+  protocol::TraceResponse body_a = protocol::decode_trace_response(wire_a);
+  protocol::TraceResponse body_b = protocol::decode_trace_response(wire_b);
+  body_b.request_id = body_a.request_id;
+  EXPECT_NE(protocol::encode_trace_response(body_a), protocol::encode_trace_response(body_b));
+}
+
 TEST(ServiceTrace, RejectsBadTracesWithTypedErrors) {
   GuardbandServer server(small_config(1));
 
@@ -450,6 +478,80 @@ TEST(ServiceTrace, RejectsBadTracesWithTypedErrors) {
   ASSERT_TRUE(protocol::is_error_envelope(reply2));
   EXPECT_EQ(protocol::decode_error(reply2).code,
             protocol::ErrorResponse::kMalformedFrame);
+}
+
+/// One query of a mixed fleet: a scalar or a trace request.
+struct MixedQuery {
+  bool is_trace = false;
+  protocol::GuardbandRequest scalar;
+  protocol::TraceRequest trace;
+};
+
+/// request_stream() with a trace query after every third scalar one:
+/// two designs, two ambients, duplicates included.
+std::vector<MixedQuery> mixed_stream() {
+  std::vector<MixedQuery> stream;
+  const auto scalars = request_stream(24);
+  for (std::size_t i = 0; i < scalars.size(); ++i) {
+    MixedQuery q;
+    q.scalar = scalars[i];
+    stream.push_back(q);
+    if (i % 3 == 2) {
+      MixedQuery t;
+      t.is_trace = true;
+      t.trace = trace_request(100 + i, i % 2 == 0 ? "mkPktMerge" : "diffeq2",
+                              (i / 6) % 2 == 0 ? 45.0 : 60.0, 2);
+      stream.push_back(t);
+    }
+  }
+  return stream;
+}
+
+std::string serve_query(GuardbandServer& server, const MixedQuery& q) {
+  return q.is_trace ? protocol::encode_trace_response(server.handle_trace(q.trace))
+                    : protocol::encode_response(server.handle(q.scalar));
+}
+
+TEST(ServiceDeterminism, MixedKindClientsMatchSerialReplay) {
+  // Scalar and trace queries share the admission queue: concurrent
+  // clients of both kinds coalesce into one admission batch, which the
+  // admission thread splits by kind. Neither kind's bytes may depend on
+  // the other's presence, the batch composition or the pool size.
+  const std::vector<MixedQuery> stream = mixed_stream();
+  std::vector<std::string> expected;
+  {
+    GuardbandServer serial(small_config(1));
+    for (const MixedQuery& q : stream) expected.push_back(serve_query(serial, q));
+  }
+  const auto n_traces = static_cast<std::size_t>(std::count_if(
+      stream.begin(), stream.end(), [](const MixedQuery& q) { return q.is_trace; }));
+
+  for (const int pool_threads : {1, 4}) {
+    SCOPED_TRACE("pool " + std::to_string(pool_threads));
+    GuardbandServer server(small_config(pool_threads));
+    constexpr int kClients = 4;
+    std::vector<std::string> got(stream.size());
+    std::vector<std::thread> clients;
+    clients.reserve(kClients);
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        for (std::size_t i = static_cast<std::size_t>(c); i < stream.size(); i += kClients) {
+          got[i] = serve_query(server, stream[i]);
+        }
+      });
+    }
+    for (auto& t : clients) t.join();
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      EXPECT_EQ(got[i], expected[i]) << "query " << i;
+    }
+    const GuardbandServer::Stats s = server.stats();
+    EXPECT_EQ(s.requests + s.trace_requests, stream.size());
+    EXPECT_EQ(s.trace_requests, n_traces);
+    EXPECT_EQ(s.tuples_evaluated, 12u);
+    EXPECT_EQ(s.traces_evaluated + s.trace_hits, n_traces);
+    EXPECT_EQ(s.traces_evaluated, 4u);  // 2 designs x 2 ambients
+    EXPECT_EQ(s.errors, 0u);
+  }
 }
 
 TEST(ServiceQuantization, NearbyDoublesCollapseOntoOneTuple) {

@@ -45,9 +45,9 @@ const std::array<const char*, 8> kSyscalls = {"read",   "write",  "recv",   "sen
                                               "accept", "connect", "poll",  "select"};
 const std::array<const char*, 4> kTransport = {"write_all", "read_exact", "write_frame",
                                                "read_frame"};
-const std::array<const char*, 6> kServerEntry = {"serve_payload",   "serve_trace_payload",
-                                                 "serve_frame",     "handle_batch",
-                                                 "handle_trace_batch", "drain_metrics"};
+const std::array<const char*, 5> kServerEntry = {"serve_payload", "serve_frame",
+                                                 "handle_batch", "handle_trace_batch",
+                                                 "drain_metrics"};
 
 bool in_list(const std::string& s, const char* const* names, std::size_t count) {
   for (std::size_t k = 0; k < count; ++k)
