@@ -1,6 +1,7 @@
 #include "place/cost_model.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -31,11 +32,17 @@ CostModel::CostModel(const pack::PackedNetlist& packed, const arch::FpgaGrid& gr
           std::to_string(packed_.blocks.size()) + " blocks");
     }
   }
+  // Nets are visited in ascending order and each is added to a block at
+  // most once, so every list ascends strictly (stage_move merges them).
   nets_of_block_.resize(packed_.blocks.size());
+  auto add = [&](int block, int net) {
+    std::vector<int>& nets = nets_of_block_[static_cast<std::size_t>(block)];
+    if (nets.empty() || nets.back() != net) nets.push_back(net);
+  };
   for (int n = 0; n < static_cast<int>(packed_.block_nets.size()); ++n) {
     const auto& bn = packed_.block_nets[static_cast<std::size_t>(n)];
-    nets_of_block_[static_cast<std::size_t>(bn.driver_block)].push_back(n);
-    for (int s : bn.sink_blocks) nets_of_block_[static_cast<std::size_t>(s)].push_back(n);
+    add(bn.driver_block, n);
+    for (int s : bn.sink_blocks) add(s, n);
   }
   net_cost_.resize(packed_.block_nets.size());
   for (int n = 0; n < static_cast<int>(net_cost_.size()); ++n) {
@@ -79,13 +86,16 @@ double CostModel::total() const {
 }
 
 void CostModel::stage_move(int b1, int b2) {
-  affected_ = nets_of_block_[static_cast<std::size_t>(b1)];
-  if (b2 >= 0) {
-    affected_.insert(affected_.end(), nets_of_block_[static_cast<std::size_t>(b2)].begin(),
-                     nets_of_block_[static_cast<std::size_t>(b2)].end());
+  const std::vector<int>& nets1 = nets_of_block_[static_cast<std::size_t>(b1)];
+  if (b2 < 0) {
+    affected_ = nets1;
+  } else {
+    // Both lists ascend strictly, so their union is sorted and deduped.
+    const std::vector<int>& nets2 = nets_of_block_[static_cast<std::size_t>(b2)];
+    affected_.clear();
+    std::set_union(nets1.begin(), nets1.end(), nets2.begin(), nets2.end(),
+                   std::back_inserter(affected_));
   }
-  std::sort(affected_.begin(), affected_.end());
-  affected_.erase(std::unique(affected_.begin(), affected_.end()), affected_.end());
 
   staged_before_ = 0.0;
   for (int n : affected_) staged_before_ += net_cost_[static_cast<std::size_t>(n)];

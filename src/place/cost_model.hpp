@@ -60,7 +60,7 @@ class CostModel {
   /// q-corrected bounding-box cost of one block net at current positions.
   double net_cost(int net) const;
 
-  /// Nets incident to each block (driver + sinks, deduped per net).
+  /// Nets incident to each block (as driver or sink), each once, ascending.
   const std::vector<int>& nets_of(int block) const {
     return nets_of_block_[static_cast<std::size_t>(block)];
   }

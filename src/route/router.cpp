@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -11,8 +12,6 @@
 #include "util/log.hpp"
 
 namespace taf::route {
-
-namespace {
 
 double base_cost(const RrNode& n) {
   switch (n.kind) {
@@ -23,6 +22,8 @@ double base_cost(const RrNode& n) {
   }
   return 1.0;
 }
+
+namespace {
 
 /// Everything one relaxation reads or writes about a node, packed into
 /// one 32-byte record so it costs one cache line (DESIGN.md section 16).
@@ -35,11 +36,94 @@ struct alignas(32) SearchNode {
   double best_cost = 0.0;  ///< valid when visit_epoch == the current epoch
   int visit_epoch = -1;
   RrSearchIndex prev = -1;
-  int over = 0;            ///< occupancy - capacity
   std::int16_t x = 0;      ///< anchor tile, for the A* heuristic
   std::int16_t y = 0;
+  std::int16_t x2 = 0;     ///< far corner of the node's tiles, for the bound
+  std::int16_t y2 = 0;
 };
 static_assert(sizeof(SearchNode) == 32);
+
+/// The tile fields of a node's search record (the other fields start
+/// empty). A pin spans only its anchor tile.
+SearchNode search_node(const RrNode& n) {
+  SearchNode s;
+  s.x = static_cast<std::int16_t>(n.tile.x);
+  s.y = static_cast<std::int16_t>(n.tile.y);
+  s.x2 = static_cast<std::int16_t>(n.tile.x + (n.kind == RrKind::WireH ? n.span - 1 : 0));
+  s.y2 = static_cast<std::int16_t>(n.tile.y + (n.kind == RrKind::WireV ? n.span - 1 : 0));
+  return s;
+}
+
+/// How the remaining-cost bound treats a node: a wire by the tap phase of
+/// its track (0 or 1), a pin by its kind.
+constexpr std::uint8_t kOpinBound = 2;
+constexpr std::uint8_t kIpinBound = 3;
+std::uint8_t bound_class(const RrNode& n) {
+  switch (n.kind) {
+    case RrKind::Opin: return kOpinBound;
+    case RrKind::Ipin: return kIpinBound;
+    case RrKind::WireH:
+    case RrKind::WireV: break;
+  }
+  return static_cast<std::uint8_t>(RrGraph::tap_phase(n.track));
+}
+
+/// remaining_cost_bound() toward one target IPIN at a time (DESIGN.md
+/// section 16). A wire-to-wire hop extends a path's reach by at most L
+/// tiles along one axis, so a wire whose tiles lie gx columns and gy rows
+/// from the target needs ceil(gx/L) + ceil(gy/L) more wires at >= 1.0
+/// each, then the IPIN at 0.5. A wire on the target tile whose tap phase
+/// misses the target's needs one more wire. An OPIN needs a wire and the
+/// IPIN. Every value is a multiple of 0.5, so sums of bounds are exact.
+class RemainingBound {
+ public:
+  explicit RemainingBound(const RrGraph& rr) {
+    const int seg = std::max(1, rr.arch().wire_segment_length);
+    const int span_x = std::max(1, rr.grid().width()) - 1;
+    const int span_y = std::max(1, rr.grid().height()) - 1;
+    hops_.resize(static_cast<std::size_t>(std::max(span_x, span_y) + 1));
+    for (int d = 0; d < static_cast<int>(hops_.size()); ++d) {
+      hops_[static_cast<std::size_t>(d)] = static_cast<double>((d + seg - 1) / seg);
+    }
+    max_finite_ = std::max(1.5, hops(span_x) + hops(span_y) + 0.5);
+  }
+
+  void aim(RrSearchIndex target, arch::TilePos tile) {
+    target_ = target;
+    tx_ = tile.x;
+    ty_ = tile.y;
+    phase_ = RrGraph::tap_phase_at(tile.x, tile.y);
+  }
+
+  /// The bound at a wire of tap phase `phase`.
+  double wire(const SearchNode& s, int phase) const {
+    const int gx = std::max({0, s.x - tx_, tx_ - s.x2});
+    const int gy = std::max({0, s.y - ty_, ty_ - s.y2});
+    const double miss = (gx | gy) == 0 && phase != phase_ ? 1.0 : 0.0;
+    return hops(gx) + hops(gy) + 0.5 + miss;
+  }
+
+  double operator()(RrSearchIndex i, const SearchNode& s, std::uint8_t bound_cls) const {
+    switch (bound_cls) {
+      case kOpinBound: return 1.5;
+      case kIpinBound: return i == target_ ? 0.0 : std::numeric_limits<double>::infinity();
+      default: return wire(s, bound_cls);
+    }
+  }
+
+  /// The largest finite value the bound takes on this graph.
+  double max_finite() const { return max_finite_; }
+
+ private:
+  double hops(int d) const { return hops_[static_cast<std::size_t>(d)]; }
+
+  std::vector<double> hops_;  ///< hops_[d] = ceil(d / L)
+  double max_finite_ = 0.0;
+  RrSearchIndex target_ = -1;
+  int tx_ = 0;
+  int ty_ = 0;
+  int phase_ = 0;
+};
 
 /// The A* open set: a binary min-heap over reused arrays, priorities and
 /// nodes kept apart so a sift reads only priorities. The sift rules are
@@ -47,24 +131,33 @@ static_assert(sizeof(SearchNode) == 32);
 /// equal priorities pop in the order they always have (DESIGN.md
 /// section 16): push sifts up while the parent is greater; pop moves
 /// the hole to the bottom along the smaller child, taking the right
-/// child on a tie, then sifts the last entry up from there.
+/// child on a tie, then sifts the last entry up from there. Each entry
+/// carries a mark for the early exit, stored as the complement of its
+/// (non-negative) node, which no sift looks at.
 class OpenSet {
  public:
+  struct Entry {
+    double priority;
+    RrSearchIndex node;
+    bool marked;
+  };
+
   bool empty() const { return prio_.empty(); }
   void clear() {
     prio_.clear();
     node_.clear();
   }
 
-  void push(double priority, RrSearchIndex node) {
+  void push(double priority, RrSearchIndex node, bool marked = false) {
     prio_.push_back(priority);
-    node_.push_back(node);
-    sift_up(static_cast<std::ptrdiff_t>(prio_.size()) - 1, priority, node);
+    node_.push_back(tag(node, marked));
+    sift_up(static_cast<std::ptrdiff_t>(prio_.size()) - 1, priority, node_.back());
   }
 
-  /// Removes the least entry and returns it as (priority, node).
-  std::pair<double, RrSearchIndex> pop() {
-    const std::pair<double, RrSearchIndex> top{prio_.front(), node_.front()};
+  /// Removes the least entry and returns it.
+  Entry pop() {
+    const RrSearchIndex front = node_.front();
+    const Entry top{prio_.front(), untag(front), front < 0};
     const double last_prio = prio_.back();
     const RrSearchIndex last_node = node_.back();
     const auto len = static_cast<std::ptrdiff_t>(prio_.size()) - 1;
@@ -89,7 +182,26 @@ class OpenSet {
     return top;
   }
 
+  /// Re-marks every entry as marked(priority, node) and returns how many
+  /// are marked.
+  template <typename Pred>
+  int remark(Pred&& marked) {
+    int count = 0;
+    for (std::size_t i = 0; i < node_.size(); ++i) {
+      const RrSearchIndex node = untag(node_[i]);
+      const bool m = marked(prio_[i], node);
+      node_[i] = tag(node, m);
+      count += static_cast<int>(m);
+    }
+    return count;
+  }
+
  private:
+  static RrSearchIndex tag(RrSearchIndex node, bool marked) {
+    return node ^ -static_cast<RrSearchIndex>(marked);
+  }
+  static RrSearchIndex untag(RrSearchIndex tagged) { return tagged ^ (tagged >> 31); }
+
   template <typename T>
   static T& at(std::vector<T>& v, std::ptrdiff_t i) {
     return v[static_cast<std::size_t>(i)];
@@ -145,31 +257,33 @@ RouteResult negotiate(const RrGraph& rr, const pack::PackedNetlist& packed,
   if (rr.grid().width() > INT16_MAX || rr.grid().height() > INT16_MAX)
     throw std::length_error("route: grid dimensions exceed the int16 tile coordinates");
 
-  // Search state, packed per node; hist, hist_cost and in_tree are off
-  // the hot path.
+  // Search state, packed per node; occupancy, history, the bound classes
+  // and in_tree are off the relaxation's hot path.
   std::vector<SearchNode> state(static_cast<std::size_t>(n_nodes));
+  std::vector<int> over(static_cast<std::size_t>(n_nodes));  // occupancy - capacity
   std::vector<double> hist(static_cast<std::size_t>(n_nodes), 0.0);
   std::vector<double> hist_cost(static_cast<std::size_t>(n_nodes));
+  std::vector<std::uint8_t> bound_cls(static_cast<std::size_t>(n_nodes));
   std::vector<char> in_tree(static_cast<std::size_t>(n_nodes), 0);
   for (RrSearchIndex i = 0; i < n_nodes; ++i) {
     const RrNode& node = rr.node(rr.node_id(i));
-    SearchNode& s = state[static_cast<std::size_t>(i)];
-    hist_cost[static_cast<std::size_t>(i)] = base_cost(node);  // hist starts at 0
-    s.over = -node.capacity;
-    s.x = static_cast<std::int16_t>(node.tile.x);
-    s.y = static_cast<std::int16_t>(node.tile.y);
+    const auto k = static_cast<std::size_t>(i);
+    state[k] = search_node(node);
+    over[k] = -node.capacity;
+    hist_cost[k] = base_cost(node);  // hist starts at 0
+    bound_cls[k] = bound_class(node);
   }
   auto at = [&](RrSearchIndex i) -> SearchNode& { return state[static_cast<std::size_t>(i)]; };
-  auto of = [&](RrNodeId id) -> SearchNode& { return at(rr.search_index(id)); };
+  auto over_at = [&](RrSearchIndex i) -> int& { return over[static_cast<std::size_t>(i)]; };
+  auto over_of = [&](RrNodeId id) -> int& { return over_at(rr.search_index(id)); };
   for (const NetRoute& nr : result.routes) {
-    for (RrNodeId n : nr.nodes) ++of(n).over;
+    for (RrNodeId n : nr.nodes) ++over_of(n);
   }
 
   double pres_fac = opt.first_iter_pres_fac;
   auto refresh = [&](RrSearchIndex i) {
-    SearchNode& s = at(i);
-    s.entry_cost =
-        hist_cost[static_cast<std::size_t>(i)] * (1.0 + pres_fac * std::max(0, s.over + 1));
+    const double congestion = pres_fac * std::max(0, over_at(i) + 1);
+    at(i).entry_cost = hist_cost[static_cast<std::size_t>(i)] * (1.0 + congestion);
   };
   auto refresh_all = [&] {
     for (RrSearchIndex i = 0; i < n_nodes; ++i) refresh(i);
@@ -184,6 +298,11 @@ RouteResult negotiate(const RrGraph& rr, const pack::PackedNetlist& packed,
   auto heuristic = [&](const SearchNode& s, arch::TilePos target) {
     return dist_cost[static_cast<std::size_t>(std::abs(s.x - target.x) + std::abs(s.y - target.y))];
   };
+  RemainingBound bound(rr);
+  // Relative slack of the early exit for rounding in the cost sums
+  // (DESIGN.md section 16).
+  const double round_slack =
+      (2.0 * bound.max_finite() + 8.0) * std::numeric_limits<double>::epsilon();
 
   // A* bookkeeping with epoch-tagged visitation to avoid clearing. The
   // open set, sink order, tree and path buffers are reused.
@@ -207,7 +326,7 @@ RouteResult negotiate(const RrGraph& rr, const pack::PackedNetlist& packed,
     // Rip up previous occupancy.
     for (RrNodeId n : nr.nodes) {
       const RrSearchIndex i = rr.search_index(n);
-      --at(i).over;
+      --over_at(i);
       refresh(i);
     }
     nr.paths.resize(bn.sink_blocks.size());
@@ -240,6 +359,7 @@ RouteResult negotiate(const RrGraph& rr, const pack::PackedNetlist& packed,
 
       ++epoch;
       heap.clear();
+      bound.aim(target, dst);
       for (RrSearchIndex n : tree) {
         // Tree nodes re-usable at zero cost.
         SearchNode& s = at(n);
@@ -249,27 +369,48 @@ RouteResult negotiate(const RrGraph& rr, const pack::PackedNetlist& packed,
         heap.push(heuristic(s, dst), n);
       }
 
-      auto relax = [&](RrSearchIndex from, double cost, RrSearchIndex to) {
-        SearchNode& s = at(to);
+      // The early exit (DESIGN.md section 16). Once the target is reached
+      // at cost C, an open entry is marked while it may still improve the
+      // target or a node on its prev chain: it is current and its cost
+      // plus the remaining-cost bound lies below settle_below, just under
+      // C. The search ends when no marked entry is left; popping on would
+      // leave the path as it is.
+      bool reached = false;
+      int marked = 0;
+      double settle_below = 0.0;
+      auto reach = [&] {
+        reached = true;
+        settle_below = at(target).best_cost * (1.0 + round_slack) - 1e-12;
+        marked = heap.remark([&](double priority, RrSearchIndex n) {
+          const SearchNode& s = at(n);
+          return n != target && s.best_cost + heuristic(s, dst) == priority &&
+                 s.best_cost + bound(n, s, bound_cls[static_cast<std::size_t>(n)]) <
+                     settle_below;
+        });
+      };
+      if (at(target).visit_epoch == epoch) reach();  // the target is on the tree
+
+      // Relaxes the target from `from`; true if that improved it.
+      auto relax_target = [&](RrSearchIndex from, double cost) {
+        SearchNode& s = at(target);
         const double c = cost + s.entry_cost;
-        if (s.visit_epoch == epoch && c >= s.best_cost - 1e-12) return;
+        if (s.visit_epoch == epoch && c >= s.best_cost - 1e-12) return false;
         s.visit_epoch = epoch;
         s.best_cost = c;
         s.prev = from;
-        heap.push(c + heuristic(s, dst), to);
+        heap.push(c + heuristic(s, dst), target);
+        return true;
       };
 
-      bool found = false;
-      while (!heap.empty()) {
-        const auto [priority, node] = heap.pop();
+      while (!(reached && marked == 0) && !heap.empty()) {
+        const OpenSet::Entry top = heap.pop();
+        marked -= static_cast<int>(top.marked);
+        const RrSearchIndex node = top.node;
         // An entry is current only while its node's best cost still
         // yields its priority; an improved node left it behind.
         const SearchNode& s = at(node);
-        if (s.best_cost + heuristic(s, dst) != priority) continue;
-        if (node == target) {
-          found = true;
-          break;
-        }
+        if (s.best_cost + heuristic(s, dst) != top.priority) continue;
+        if (node == target) break;
         // Rows are in ascending id order and pins keep their ids, so pins
         // precede wires. No edge enters an OPIN, and IPINs other than the
         // target are dead ends, so the pin prefix only matters if it
@@ -278,10 +419,10 @@ RouteResult negotiate(const RrGraph& rr, const pack::PackedNetlist& packed,
         const std::span<const RrSearchIndex> fan = rr.fanout(node);
         auto it = fan.begin();
         for (; it != fan.end() && *it < first_wire; ++it) {
-          if (*it == target) relax(node, cost, target);
+          if (*it == target && relax_target(node, cost)) reach();
         }
-        // The wires in two passes, the same relaxations as relax() in
-        // the same order (DESIGN.md section 16). Rows hold no duplicate
+        // The wires in two passes, the same relaxations as relax_target()
+        // in the same order (DESIGN.md section 16). Rows hold no duplicate
         // and no self-loop, so no relaxation in a row changes another
         // target's test: pass 1 tests every target without branching,
         // and pass 2 commits and pushes the survivors in row order.
@@ -299,10 +440,14 @@ RouteResult negotiate(const RrGraph& rr, const pack::PackedNetlist& packed,
           t.visit_epoch = epoch;
           t.best_cost = c;
           t.prev = node;
-          heap.push(c + heuristic(t, dst), to);
+          const bool mark =
+              reached &&
+              c + bound.wire(t, bound_cls[static_cast<std::size_t>(to)]) < settle_below;
+          heap.push(c + heuristic(t, dst), to, mark);
+          marked += static_cast<int>(mark);
         }
       }
-      if (!found) {
+      if (!reached) {
         ok = false;
         break;
       }
@@ -332,7 +477,7 @@ RouteResult negotiate(const RrGraph& rr, const pack::PackedNetlist& packed,
     // The tree holds each node once.
     for (RrSearchIndex n : tree) {
       nr.nodes.push_back(rr.node_id(n));
-      ++at(n).over;
+      ++over_at(n);
       refresh(n);
     }
     std::sort(nr.nodes.begin(), nr.nodes.end());
@@ -354,11 +499,11 @@ RouteResult negotiate(const RrGraph& rr, const pack::PackedNetlist& packed,
     // Accumulate history and find congested nets.
     int overused = 0;
     for (RrSearchIndex i = 0; i < n_nodes; ++i) {
-      const SearchNode& s = at(i);
-      if (s.over > 0) {
+      const int o = over_at(i);
+      if (o > 0) {
         ++overused;
         double& h = hist[static_cast<std::size_t>(i)];
-        h += opt.hist_fac * s.over;
+        h += opt.hist_fac * o;
         hist_cost[static_cast<std::size_t>(i)] = base_cost(rr.node(rr.node_id(i))) * (1.0 + h);
       }
     }
@@ -377,7 +522,7 @@ RouteResult negotiate(const RrGraph& rr, const pack::PackedNetlist& packed,
         continue;
       }
       for (RrNodeId node : nr.nodes) {
-        if (of(node).over > 0) {
+        if (over_of(node) > 0) {
           dirty[static_cast<std::size_t>(n)] = 1;
           break;
         }
@@ -390,7 +535,7 @@ RouteResult negotiate(const RrGraph& rr, const pack::PackedNetlist& packed,
 
   int used_wires = 0;
   for (RrNodeId n = first_wire; n < n_nodes; ++n) {
-    if (of(n).over + rr.node(n).capacity > 0) ++used_wires;
+    if (over_of(n) + rr.node(n).capacity > 0) ++used_wires;
   }
   result.wire_utilization =
       rr.num_wires() > 0 ? static_cast<double>(used_wires) / rr.num_wires() : 0.0;
@@ -398,6 +543,16 @@ RouteResult negotiate(const RrGraph& rr, const pack::PackedNetlist& packed,
 }
 
 }  // namespace
+
+double remaining_cost_bound(const RrGraph& rr, RrNodeId node, RrNodeId target) {
+  const RrNode& t = rr.node(target);
+  if (t.kind != RrKind::Ipin)
+    throw std::invalid_argument("remaining_cost_bound: the target is not an IPIN");
+  RemainingBound bound(rr);
+  bound.aim(rr.search_index(target), t.tile);
+  const RrNode& n = rr.node(node);
+  return bound(rr.search_index(node), search_node(n), bound_class(n));
+}
 
 RouteResult route(const RrGraph& rr, const pack::PackedNetlist& packed,
                   const place::Placement& pl, const RouteOptions& opt) {

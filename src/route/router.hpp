@@ -5,9 +5,11 @@
 // IPIN over the RR graph. Congestion is negotiated: present overuse is
 // priced by a growing pres_fac, history cost accumulates on persistently
 // overused nodes, and only congested nets are ripped up between
-// iterations. A* with an admissible distance heuristic accelerates each
-// search. reroute() runs the same loop from a previous result, routing
-// first only the nets a placement change touched.
+// iterations. A* with a distance heuristic orders each search, and each
+// search ends as soon as an admissible lower bound proves that no open
+// entry can still improve its path (DESIGN.md section 16). reroute() runs
+// the same loop from a previous result, routing first only the nets a
+// placement change touched.
 
 #include <vector>
 
@@ -47,8 +49,24 @@ struct RouteOptions {
   double first_iter_pres_fac = 0.8;
   double pres_fac_mult = 2.0;
   double hist_fac = 1.0;
-  double astar_fac = 0.85;  ///< heuristic weight (<=1 keeps A* admissible-ish)
+  /// Weight of the A* heuristic: astar_fac * (anchor-tile Manhattan
+  /// distance) / wire_segment_length. It only orders heap pops and may
+  /// overestimate (at 0.85, 0.64 against 0.5 next to the target); the
+  /// early exit uses its own admissible bound, remaining_cost_bound().
+  double astar_fac = 0.85;
 };
+
+/// Cost of entering `node` with no history and no congestion: 1.0 per
+/// wire, 0.5 per IPIN, 0.6 per OPIN. Entry costs never fall below it.
+double base_cost(const RrNode& node);
+
+/// Lower bound on the summed base_cost() of the nodes after `node` on any
+/// path from `node` to the IPIN `target` (DESIGN.md section 16): 0 at the
+/// target, +infinity at any other IPIN. It is admissible (at most the
+/// cheapest such path) and consistent (at most base_cost(v) plus the bound
+/// at v, over every edge node -> v). The A* search ends on it. Throws
+/// std::invalid_argument if `target` is not an IPIN.
+double remaining_cost_bound(const RrGraph& rr, RrNodeId node, RrNodeId target);
 
 /// Route every net of placement `pl` from scratch: reroute() with
 /// nothing kept.

@@ -121,7 +121,7 @@ RrGraph::RrGraph(const arch::FpgaGrid& grid, const arch::ArchParams& arch)
             if (wh >= 0) emit(op, wh);
             if (wv >= 0) emit(op, wv);
           }
-          if ((t + 2 * x + 3 * y) % 2 == 1) {
+          if (tap_phase(t) == tap_phase_at(x, y)) {
             if (wh >= 0) emit(wh, ip);
             if (wv >= 0) emit(wv, ip);
           }

@@ -75,6 +75,12 @@ class RrGraph {
   /// The same split holds for search indices.
   RrNodeId first_wire() const { return first_wire_; }
 
+  /// The connection-block pattern: a wire passing tile (x, y) has an edge
+  /// to that tile's IPIN exactly when tap_phase() of its track equals
+  /// tap_phase_at(x, y).
+  static int tap_phase(int track) { return track % 2; }
+  static int tap_phase_at(int x, int y) { return (2 * x + 3 * y + 1) % 2; }
+
   RrNodeId opin_at(int x, int y) const { return opin_[static_cast<std::size_t>(index(x, y))]; }
   RrNodeId ipin_at(int x, int y) const { return ipin_[static_cast<std::size_t>(index(x, y))]; }
 

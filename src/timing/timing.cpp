@@ -5,7 +5,8 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
+#include <stdexcept>
+#include <vector>
 
 #include "util/log.hpp"
 
@@ -73,11 +74,20 @@ void IncrementalTopology::build(const TimingAnalyzer& an, const netlist::Netlist
     return (h ^ static_cast<std::uint32_t>(v)) * 0x9e3779b97f4a7c15ull;
   };
 
-  // Map netlist net -> block-net index for routed path lookup.
-  std::unordered_map<NetId, int> block_net_of;
+  // Netlist net -> block-net index for routed path lookup (-1: none).
+  std::vector<int> block_net_of(nl.nets().size(), -1);
   for (int i = 0; i < static_cast<int>(packed.block_nets.size()); ++i) {
-    block_net_of[packed.block_nets[static_cast<std::size_t>(i)].net] = i;
+    const NetId net = packed.block_nets[static_cast<std::size_t>(i)].net;
+    block_net_of[static_cast<std::size_t>(net)] = i;
   }
+  // Tree parent of each RR node for the net being walked, kNoParent off
+  // its tree. Filled from the net's parent pairs (a repeated node keeps
+  // its last pair) and reset after the net, so one array serves all nets.
+  constexpr route::RrNodeId kNoParent = std::numeric_limits<route::RrNodeId>::min();
+  std::vector<route::RrNodeId> parent(static_cast<std::size_t>(rr.num_nodes()), kNoParent);
+  auto parent_of = [&](route::RrNodeId node) -> route::RrNodeId& {
+    return parent[static_cast<std::size_t>(node)];
+  };
 
   // Nets with a sink IPIN outside their routed tree (partial or failed
   // route), reported once per build rather than once per net.
@@ -88,14 +98,17 @@ void IncrementalTopology::build(const TimingAnalyzer& an, const netlist::Netlist
     const int src_block = packed.block_of_prim[static_cast<std::size_t>(net.driver)];
     const int src_t = prim_tile_[static_cast<std::size_t>(net.driver)];
 
-    // Parent map of the routed tree (if this net leaves its block).
+    // Parents of the routed tree (if this net leaves its block).
     const route::NetRoute* nr = nullptr;
-    std::unordered_map<route::RrNodeId, route::RrNodeId> parent;
-    auto it = block_net_of.find(n);
-    if (it != block_net_of.end()) {
-      nr = &routes.routes[static_cast<std::size_t>(it->second)];
-      parent.reserve(nr->parents.size());
-      for (const auto& [node, par] : nr->parents) parent[node] = par;
+    if (const int bn = block_net_of[static_cast<std::size_t>(n)]; bn >= 0) {
+      nr = &routes.routes[static_cast<std::size_t>(bn)];
+      for (const auto& [node, par] : nr->parents) {
+        if (node < 0 || node >= rr.num_nodes() || par < 0 || par >= rr.num_nodes()) {
+          throw std::invalid_argument(
+              "timing: a routed tree names a node outside the RR graph");
+        }
+        parent_of(node) = par;
+      }
     }
 
     // Straight-line SB hop estimate, used for unrouted nets and as the
@@ -118,7 +131,7 @@ void IncrementalTopology::build(const TimingAnalyzer& an, const netlist::Netlist
         // Walk the routed tree from the sink IPIN back to the source.
         const arch::TilePos dst_pos = pl.pos[static_cast<std::size_t>(dst_block)];
         route::RrNodeId cur = rr.ipin_at(dst_pos.x, dst_pos.y);
-        if (parent.find(cur) == parent.end()) {
+        if (parent_of(cur) == kNoParent) {
           // The sink IPIN never made it into the routed tree (partial or
           // failed route). Charging zero wire delay here would silently
           // make the connection look free; estimate it instead.
@@ -128,9 +141,9 @@ void IncrementalTopology::build(const TimingAnalyzer& an, const netlist::Netlist
         }
         int guard = 0;
         while (true) {
-          auto pit = parent.find(cur);
-          if (pit == parent.end() || pit->second < 0) break;
-          cur = pit->second;
+          const route::RrNodeId par = parent_of(cur);
+          if (par == kNoParent) break;  // the source, or off the tree
+          cur = par;
           const route::RrNode& node = rr.node(cur);
           if (node.kind == route::RrKind::WireH || node.kind == route::RrKind::WireV) {
             arc_wire_flat_.push_back(grid.index_of(node.tile));
@@ -173,6 +186,9 @@ void IncrementalTopology::build(const TimingAnalyzer& an, const netlist::Netlist
       conn_src_.push_back(net.driver);
       conn_dst_.push_back(sink.prim);
       conn_arc_.push_back(arc_table[slot]);
+    }
+    if (nr != nullptr) {
+      for (const auto& pair : nr->parents) parent_of(pair.first) = kNoParent;
     }
   }
   if (nets_missing_sinks > 0) {

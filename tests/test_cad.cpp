@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 
@@ -433,6 +435,19 @@ TEST(Timing, PerTileTemperatureMatters) {
   EXPECT_GE(hot_col.critical_path_ps.value(), base.critical_path_ps.value());
   EXPECT_LT(hot_col.critical_path_ps.value(),
             sta.analyze_uniform(dev, units::Celsius(100.0)).critical_path_ps.value());
+}
+
+TEST(Timing, RoutedTreeOutsideTheGraphThrows) {
+  const auto& d = sha_design();
+  for (const bool bad_parent : {false, true}) {
+    route::RouteResult routes = d.routes;
+    auto& nr = *std::find_if(routes.routes.begin(), routes.routes.end(),
+                             [](const route::NetRoute& r) { return !r.parents.empty(); });
+    (bad_parent ? nr.parents.front().second : nr.parents.front().first) = d.rr.num_nodes();
+    EXPECT_THROW(timing::TimingAnalyzer(d.nl, d.packed, d.pl, d.rr, routes, d.grid),
+                 std::invalid_argument)
+        << (bad_parent ? "parent" : "node") << " outside the graph";
+  }
 }
 
 TEST(Timing, MissingSinkFallsBackToHopEstimate) {

@@ -15,10 +15,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
+#include <queue>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/arch_params.hpp"
@@ -158,6 +161,49 @@ TEST(RouteGolden, WidestAblationChannel) {
   EXPECT_EQ(route_digest(impl->routes), 0x0e926fdde006ac21ull);
 }
 
+/// sha at 40 tracks, the narrowest channel (of 32, 40 and 48) it routes
+/// on: PathFinder negotiates for 9 iterations, so the present factor
+/// climbs to 204.8 and a contested node costs over 200 to enter. At such
+/// costs the early exit's rounding slack is in play (DESIGN.md section 16).
+TEST(RouteGolden, NarrowChannelNegotiatesPastPresentFactor100) {
+  arch::ArchParams a = arch::scaled_arch();
+  a.channel_tracks = 40;
+  const auto impl = implement_design("sha", a);
+  ASSERT_NE(impl, nullptr);
+  EXPECT_TRUE(impl->routes.success);
+  EXPECT_GT(route::resumed_options({}, impl->routes).first_iter_pres_fac, 100.0)
+      << "the fixture no longer negotiates past a present factor of 100";
+  routecheck::expect_connected(impl->rr, impl->packed, impl->placement, impl->routes);
+  EXPECT_EQ(route_digest(impl->routes), 0x49a37dd47a23e70aull);
+}
+
+/// diffeq1 at 16 tracks cannot route: all 30 iterations run and the
+/// present factor reaches its 1e6 cap, so entry costs reach ~1e7, where
+/// one ulp is ~2e-9.
+TEST(RouteGolden, UnroutableChannelAtPresentFactorCap) {
+  arch::ArchParams a = arch::scaled_arch();
+  a.channel_tracks = 16;
+  const auto impl = implement_design("diffeq1", a);
+  ASSERT_NE(impl, nullptr);
+  EXPECT_FALSE(impl->routes.success);
+  EXPECT_EQ(route::resumed_options({}, impl->routes).first_iter_pres_fac, 1e6);
+  EXPECT_EQ(route_digest(impl->routes), 0x8a57bf18beee49bcull);
+}
+
+/// stereovision0 with the A* heuristic weighted to 1.3: the heuristic
+/// overestimates, so pops leave the order of an admissible search. The
+/// early exit must not depend on the pop order.
+TEST(RouteGolden, OverweightedHeuristic) {
+  const auto impl = implement_design("stereovision0");
+  ASSERT_NE(impl, nullptr);
+  route::RouteOptions opt;
+  opt.astar_fac = 1.3;
+  const route::RouteResult r = route::route(impl->rr, impl->packed, impl->placement, opt);
+  EXPECT_TRUE(r.success);
+  routecheck::expect_connected(impl->rr, impl->packed, impl->placement, r);
+  EXPECT_EQ(route_digest(r), 0xdafdc53b49e1f9e4ull);
+}
+
 // gtest prints a parameter's raw bytes into each test's name. The digest
 // leads so those bytes start with fixed data, not a load address.
 struct SuiteDigest {
@@ -213,10 +259,111 @@ INSTANTIATE_TEST_SUITE_P(
                       SuiteDigest{0xd0c71d33d901db36ull, "mkDelayWorker32B"},
                       SuiteDigest{0x0bd44176dcf4e4daull, "stereovision1"},
                       SuiteDigest{0x07957b7e5999e9abull, "LU8PEEng"},
-                      SuiteDigest{0x24800dd5f6501a46ull, "stereovision2"}),
+                      SuiteDigest{0x24800dd5f6501a46ull, "stereovision2"},
+                      SuiteDigest{0xf53e7581b88373a6ull, "bgm"}),
     [](const ::testing::TestParamInfo<SuiteDigest>& param_info) {
       return std::string(param_info.param.design);
     });
+
+// ---------- remaining-cost bound ----------
+
+/// The A* search ends once remaining_cost_bound() proves no open entry can
+/// improve its path, which is sound only while the bound is admissible and
+/// consistent. Base costs are the least any entry costs, so a bound that
+/// holds over them holds at every present factor. On each fabric, for
+/// every target IPIN, a reverse Dijkstra over base costs gives the
+/// cheapest remaining cost of every node.
+void expect_bound_sound(const route::RrGraph& rr) {
+  const int n = rr.num_nodes();
+  std::vector<std::vector<route::RrNodeId>> fanin(static_cast<std::size_t>(n));
+  for (route::RrSearchIndex s = 0; s < n; ++s) {
+    for (route::RrSearchIndex t : rr.fanout(s)) {
+      fanin[static_cast<std::size_t>(rr.node_id(t))].push_back(rr.node_id(s));
+    }
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  int tight = 0;
+  for (int y = 0; y < rr.grid().height(); ++y) {
+    for (int x = 0; x < rr.grid().width(); ++x) {
+      const route::RrNodeId target = rr.ipin_at(x, y);
+      SCOPED_TRACE(testing::Message() << "target IPIN at (" << x << ", " << y << ")");
+      std::vector<double> dist(static_cast<std::size_t>(n), inf);
+      using Item = std::pair<double, route::RrNodeId>;
+      std::priority_queue<Item, std::vector<Item>, std::greater<>> open;
+      dist[static_cast<std::size_t>(target)] = 0.0;
+      open.push({0.0, target});
+      while (!open.empty()) {
+        const auto [d, v] = open.top();
+        open.pop();
+        if (d != dist[static_cast<std::size_t>(v)]) continue;
+        const double via = d + route::base_cost(rr.node(v));
+        for (route::RrNodeId u : fanin[static_cast<std::size_t>(v)]) {
+          if (via < dist[static_cast<std::size_t>(u)]) {
+            dist[static_cast<std::size_t>(u)] = via;
+            open.push({via, u});
+          }
+        }
+      }
+      std::vector<double> bound(static_cast<std::size_t>(n));
+      for (route::RrNodeId u = 0; u < n; ++u) {
+        bound[static_cast<std::size_t>(u)] = route::remaining_cost_bound(rr, u, target);
+      }
+      ASSERT_EQ(bound[static_cast<std::size_t>(target)], 0.0);
+      for (route::RrNodeId u = 0; u < n; ++u) {
+        const double h = bound[static_cast<std::size_t>(u)];
+        const double d = dist[static_cast<std::size_t>(u)];
+        ASSERT_LE(h, d) << "node " << u << " is overestimated";
+        if (h == d && d > 0.0) ++tight;
+        for (route::RrSearchIndex t : rr.fanout(rr.search_index(u))) {
+          const route::RrNodeId v = rr.node_id(t);
+          ASSERT_LE(h, route::base_cost(rr.node(v)) + bound[static_cast<std::size_t>(v)])
+              << "edge " << u << " -> " << v << " is inconsistent";
+        }
+      }
+    }
+  }
+  EXPECT_GT(tight, 0) << "the bound is nowhere tight";
+}
+
+/// The scaled arch with `tracks` tracks of length-`segment_length` wires
+/// (0 keeps the scaled arch's value).
+arch::ArchParams fabric_arch(int tracks, int segment_length) {
+  arch::ArchParams a = arch::scaled_arch();
+  if (tracks > 0) a.channel_tracks = tracks;
+  if (segment_length > 0) a.wire_segment_length = segment_length;
+  return a;
+}
+
+TEST(RemainingCostBound, SoundOnTheHandBuiltFabric) {
+  const arch::FpgaGrid grid(6, 6);
+  const arch::ArchParams a = fabric_arch(4, 2);
+  expect_bound_sound(route::RrGraph(grid, a));
+}
+
+/// At one track only odd rows have taps: every wire on an even-row target's
+/// tile misses its tap phase, and the target is unreachable.
+TEST(RemainingCostBound, SoundOnAOneTrackFabric) {
+  const arch::FpgaGrid grid(6, 6);
+  const arch::ArchParams a = fabric_arch(1, 0);
+  expect_bound_sound(route::RrGraph(grid, a));
+}
+
+TEST(RemainingCostBound, SoundOnTheScaledArch) {
+  const arch::FpgaGrid grid(6, 6);
+  const arch::ArchParams a = fabric_arch(0, 0);
+  expect_bound_sound(route::RrGraph(grid, a));
+}
+
+TEST(RemainingCostBound, PinsAndNonIpinTargets) {
+  const arch::FpgaGrid grid(4, 4);
+  const arch::ArchParams a = fabric_arch(2, 0);
+  const route::RrGraph rr(grid, a);
+  EXPECT_THROW(route::remaining_cost_bound(rr, rr.ipin_at(0, 0), rr.opin_at(1, 1)),
+               std::invalid_argument);
+  EXPECT_EQ(route::remaining_cost_bound(rr, rr.opin_at(1, 1), rr.ipin_at(0, 0)), 1.5);
+  EXPECT_EQ(route::remaining_cost_bound(rr, rr.ipin_at(1, 1), rr.ipin_at(0, 0)),
+            std::numeric_limits<double>::infinity());
+}
 
 // ---------- resumed present factor ----------
 
