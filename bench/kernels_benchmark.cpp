@@ -4,7 +4,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cmath>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -207,33 +206,21 @@ BENCHMARK_CAPTURE(BM_RouteDesign, stereovision2, "stereovision2")
 /// scale: the blind routes seed an incremental reroute of the candidate
 /// placement, resumed at the present factor where the blind route
 /// converged. The candidate is built outside the timed loop the way the
-/// stage builds its first pass (DESIGN.md section 15): quantized adjoint
-/// prices of the blind build, then one bounded refinement.
+/// stage builds its first pass (DESIGN.md section 15): one bounded
+/// refinement of the blind placement, moving above-mean-power blocks.
 void BM_RerouteCandidate(benchmark::State& state) {
   const auto& impl = bench::implementation_of("stereovision0");
   core::ThermalPlaceOptions tp;
   tp.device = &bench::device_at(25.0);
-  const std::vector<double> pricing_temp(static_cast<std::size_t>(impl.grid.num_tiles()),
-                                         tp.pricing_temp_c.value());
-  const power::PowerBreakdown power =
-      power::compute_power(*tp.device, impl.nl, impl.packed, impl.placement, impl.rr,
-                           impl.routes, impl.activity, tp.pricing_f_mhz, pricing_temp,
-                           impl.grid);
-  const thermal::AdjointResult adj =
-      thermal::ThermalGrid(impl.grid, tp.thermal).solve_adjoint(power.tile_w, tp.smooth_tau_k);
-  place::ThermalField field;
-  for (double v : adj.dpeak_dp_k_per_w) {
-    field.dpeak_dp_k_per_w.push_back(std::round(v * 1000.0) / 1000.0);
-  }
-  field.block_power_w = power::block_dynamic_power(*tp.device, impl.nl, impl.packed,
-                                                   impl.activity, tp.pricing_f_mhz);
-  field.weight = tp.weight;
   place::RefineOptions ropt;
   ropt.seed = core::ImplementOptions{}.seed;
   ropt.effort = tp.effort;
   ropt.max_rounds = tp.max_rounds;
-  const place::Placement candidate =
-      place::refine_placement(impl.packed, impl.grid, impl.placement, field, ropt);
+  const place::Placement candidate = place::refine_placement(
+      impl.packed, impl.grid, impl.placement,
+      power::block_dynamic_power(*tp.device, impl.nl, impl.packed, impl.activity,
+                                 tp.pricing_f_mhz),
+      ropt);
   const route::RouteOptions resumed = route::resumed_options({}, impl.routes);
   for (auto _ : state) {
     benchmark::DoNotOptimize(

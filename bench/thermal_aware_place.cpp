@@ -1,10 +1,9 @@
-// Thermal-aware placement (DESIGN.md section 15): close the place ->
-// thermal feedback loop with exact adjoint gradients — price every tile
-// with d(peak T)/d(tile power) from one extra CG solve, re-anneal the
-// placement under the composed wirelength + thermal cost model, and
-// report what that buys ON TOP of Algorithm 1 guardbanding: the
-// converged-peak reduction and the guardbanded-fmax gain over the
-// thermally blind placer, per benchmark.
+// Timing-guarded re-place (DESIGN.md section 15): the place -> thermal
+// feedback edge refines the wirelength around the above-mean-power
+// blocks, reroutes each candidate, and keeps it only if it is faster, or
+// as fast and cooler, at the pricing point. Reports what that buys ON
+// TOP of Algorithm 1 guardbanding: the converged-peak change and the
+// guardbanded-fmax gain over the thermally blind flow, per benchmark.
 
 #include "bench_common.hpp"
 #include "power/power.hpp"
@@ -41,11 +40,10 @@ TAF_EXPERIMENT(thermal_aware_place) {
   using namespace taf;
   using util::Table;
   bench::print_header(
-      "Thermal-aware placement — adjoint-gradient feedback on top of Algorithm 1",
-      "pricing tiles with d(peak T)/d(P) from one adjoint CG solve and "
-      "re-annealing the placement spreads the hot blocks, lowering the "
-      "converged peak and buying guardbanded fmax beyond the thermally "
-      "blind flow");
+      "Thermal-aware placement — timing-guarded re-place on top of Algorithm 1",
+      "re-placing the above-mean-power blocks and keeping a rerouted "
+      "candidate only when it is faster, or as fast and cooler, buys "
+      "guardbanded fmax beyond the thermally blind flow without losing any");
 
   const auto& dev = bench::device_at(25.0);
   core::GuardbandOptions gopt;

@@ -100,7 +100,7 @@ struct GuardbandStats {
   X(thermal_cg_iterations, "steady-state thermal CG iterations (all solves)") \
   X(transient_steps, "backward-Euler steps of trace replays")                 \
   X(transient_cg_iterations, "CG iterations those steps cost")                \
-  X(thermal_adjoint_solves, "thermal_place adjoint gradient solves")          \
+  X(thermal_adjoint_solves, "thermal_place per-pass thermal solves")          \
   X(replace_moves, "re-place moves proposed by thermal_place refinement")
 
 struct FlowCounters {
@@ -141,20 +141,19 @@ struct FlowObserver {
 /// computations and capture fresh ones, without core knowing about disk.
 struct StageHooks;
 
-/// Thermal-aware placement refinement — the place->thermal feedback edge
-/// (DESIGN.md section 15). Off by default: with enabled == false the flow
-/// graph, every stage hash, and every result are untouched. When enabled,
-/// one extra stage runs after the thermally-blind flow: `thermal_place`
-/// prices tiles with d(peak T)/d(P) from ThermalGrid::solve_adjoint and
-/// greedily refines the placement under the composed cost model, up to
-/// `passes` candidate passes with the gradient field refreshed after each
-/// accepted one. Every candidate is rerouted, and the stage's one
-/// artifact is the accepted placement with those routes; the final STA is
-/// built on it. Every pass is guarded: it is kept only if its reroute
-/// has no more overused nodes than the current routes and the design is
-/// strictly faster at the pricing point, or equally fast with a strictly
-/// lower realized peak — the feedback edge can only improve the
-/// implementation.
+/// Timing-guarded re-place — the place->thermal feedback edge (DESIGN.md
+/// section 15). Off by default: with enabled == false the flow graph,
+/// every stage hash, and every result are untouched. When enabled, one
+/// extra stage runs after the thermally-blind flow: `thermal_place`
+/// prices power and solves the thermal map at the pricing point, then
+/// greedily refines the wirelength by moving above-mean-power blocks
+/// over short hops, for up to `passes` candidate passes. Every candidate
+/// is rerouted, and the stage's one artifact is the accepted placement
+/// with those routes; the final STA is built on it. Every pass is
+/// guarded: it is kept only if its reroute has no more overused nodes
+/// than the current routes and the design is strictly faster at the
+/// pricing point, or equally fast with a strictly lower realized peak —
+/// the feedback edge can only improve the implementation.
 struct ThermalPlaceOptions {
   bool enabled = false;
   /// Device whose Table II characterization prices block dynamic power
@@ -163,21 +162,16 @@ struct ThermalPlaceOptions {
   /// by (name, t_opt_c) — sufficient because devices are deterministic in
   /// (technology, arch, t_opt) and both are already hashed upstream.
   const coffe::DeviceModel* device = nullptr;
-  /// Cost-mix weight: HPWL units per kelvin of predicted smooth-peak
-  /// rise. Zero disables the thermal term (the refinement then only
-  /// polishes wirelength).
-  double weight = 1.0e6;
   int passes = 4;          ///< candidate passes (a rejected pass retries with a new seed)
   double effort = 0.25;    ///< refinement move budget scale (see PlaceOptions)
   int max_rounds = 32;     ///< descent rounds per refinement pass
-  /// Smooth-max temperature scale tau of the log-sum-exp peak selection.
-  units::Kelvin smooth_tau_k{0.05};
-  /// Operating point the power map is priced at: design frequency and a
-  /// uniform leakage temperature (the gradient is refreshed per pass, not
-  /// per Algorithm 1 iteration, so a representative point suffices).
+  /// Operating point the power map and the timing guard are priced at:
+  /// design frequency and a uniform leakage temperature (the map is
+  /// refreshed per pass, not per Algorithm 1 iteration, so a
+  /// representative point suffices).
   units::Megahertz pricing_f_mhz{100.0};
   units::Celsius pricing_temp_c{60.0};
-  /// Thermal model for the adjoint solves (conductances, tolerance).
+  /// Thermal model for the tiebreak's peak solves (conductances, tolerance).
   thermal::ThermalConfig thermal;
 };
 

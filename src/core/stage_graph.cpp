@@ -1,7 +1,6 @@
 #include "core/stage_graph.hpp"
 
 #include <cassert>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -214,24 +213,13 @@ void load_activity(FlowBuild& b, std::string_view payload) {
 
 // --- ThermalPlace (place -> thermal feedback edge) -------------------------
 
-/// Quantize adjoint prices to 1e-3 K/W before they reach the placer: a
-/// change of solver tolerance or of the stencil kernels moves a price
-/// only at solver-tolerance scale (~1e-10 K/W), so pricing at a
-/// granularity orders of magnitude above that keeps every accept
-/// decision — and hence the refined placement artifact — independent of
-/// them (same pattern as FlowCache::quantize_t_opt).
-double quantize_price(double k_per_w) {
-  return std::round(k_per_w * 1000.0) / 1000.0;
-}
-
 void run_thermal_place(FlowBuild& b) {
   const ThermalPlaceOptions& tp = b.opt.thermal_place;
   const coffe::DeviceModel& dev = *tp.device;
   Implementation& impl = *b.impl;
   FlowCounters& counters = thread_flow_counters();
 
-  thermal::ThermalConfig tcfg = tp.thermal;
-  const thermal::ThermalGrid tgrid(impl.grid, tcfg);
+  const thermal::ThermalGrid tgrid(impl.grid, tp.thermal);
   const std::vector<double> block_w = power::block_dynamic_power(
       dev, impl.nl, impl.packed, impl.activity, tp.pricing_f_mhz);
   const std::vector<double> pricing_temp(
@@ -247,9 +235,8 @@ void run_thermal_place(FlowBuild& b) {
 
   // Timing guard: a pass is only kept when the rerouted design is at
   // least as fast as what it replaces (STA at the uniform pricing
-  // temperature). Thermal-aware refinement must never ship a slower
-  // implementation — placement moves reroute nets, and routed-delay
-  // perturbation would otherwise swamp the kelvin-scale thermal win.
+  // temperature). The re-place must never ship a slower implementation:
+  // placement moves reroute nets, and routed delay moves with them.
   double fmax_best =
       timing::TimingAnalyzer(impl.nl, impl.packed, impl.placement, impl.rr,
                              impl.routes, impl.grid)
@@ -260,21 +247,13 @@ void run_thermal_place(FlowBuild& b) {
     const power::PowerBreakdown power = power::compute_power(
         dev, impl.nl, impl.packed, impl.placement, impl.rr, impl.routes,
         impl.activity, tp.pricing_f_mhz, pricing_temp, impl.grid);
-    const thermal::AdjointResult adj =
-        tgrid.solve_adjoint(power.tile_w, tp.smooth_tau_k);
+    const units::Celsius peak_now = thermal::ThermalGrid::peak(tgrid.solve(power.tile_w));
     counters.thermal_adjoint_solves += 1;
-
-    place::ThermalField field;
-    field.dpeak_dp_k_per_w.reserve(adj.dpeak_dp_k_per_w.size());
-    for (double v : adj.dpeak_dp_k_per_w)
-      field.dpeak_dp_k_per_w.push_back(quantize_price(v));
-    field.block_power_w = block_w;
-    field.weight = tp.weight;
 
     ropt.seed = b.opt.seed + static_cast<unsigned>(pass);
     place::RefineStats rstats;
     place::Placement refined = place::refine_placement(
-        impl.packed, impl.grid, impl.placement, field, ropt, &rstats);
+        impl.packed, impl.grid, impl.placement, block_w, ropt, &rstats);
     counters.replace_moves += static_cast<std::uint64_t>(rstats.moves);
     if (rstats.accepted == 0) break;  // descent fixed point: nothing moved
 
@@ -297,14 +276,12 @@ void run_thermal_place(FlowBuild& b) {
     if (fmax_refined < fmax_best) continue;
     if (fmax_refined == fmax_best) {
       // Timing is flat, so the pass must pay its way thermally: require
-      // the realized (not just predicted smooth-max) peak to drop.
-      // The linearized model can be off by millikelvins after rerouting.
+      // the realized peak at the pricing point to drop.
       const power::PowerBreakdown p_ref = power::compute_power(
           dev, impl.nl, impl.packed, refined, impl.rr, rerouted, impl.activity,
           tp.pricing_f_mhz, pricing_temp, impl.grid);
       const units::Celsius peak_ref =
           thermal::ThermalGrid::peak(tgrid.solve(p_ref.tile_w));
-      const units::Celsius peak_now = thermal::ThermalGrid::peak(adj.temp_c);
       if (!(peak_ref.value() < peak_now.value())) continue;
     }
 
@@ -436,27 +413,27 @@ FlowGraph FlowGraph::standard(const netlist::BenchmarkSpec& spec,
                 ArtifactKind::Activity};
     util::Fnv1a h;
     h.add(opt.seed);
-    h.add(tp.weight);
     h.add(tp.passes);
     h.add(tp.effort);
     h.add(tp.max_rounds);
-    h.add(tp.smooth_tau_k.value());
     h.add(tp.pricing_f_mhz.value());
     h.add(tp.pricing_temp_c.value());
     h.add(std::string_view(tp.device->name));
     h.add(tp.device->t_opt_c.value());
-    // Thermal-model knobs that shape the gradient field. The solver
-    // (solve_tol_k, kernels) is deliberately NOT hashed: prices are
-    // quantized far above solver tolerance, so it cannot change the
-    // refined placement.
+    // Thermal-model knobs, the solver tolerance included: the equal-fmax
+    // tiebreak compares two realized peaks, and a tolerance change can
+    // flip that comparison. Nothing else selects the solver (DESIGN.md
+    // section 11), so the tolerance is its only knob.
     h.add(tp.thermal.silicon_k_w_mk);
     h.add(tp.thermal.die_thickness_um);
     h.add(tp.thermal.tile_edge_um);
     h.add(tp.thermal.package_r_k_per_w);
-    // The candidate reroute algorithm shapes the artifact too: a stored
-    // result of an earlier algorithm (full reroute, or incremental from
-    // the first-iteration present factor) must not be served for this one.
-    h.add(std::string_view("reroute:incremental-resume"));
+    h.add(tp.thermal.solve_tol_k.value());
+    // The refinement objective and the candidate reroute algorithm shape
+    // the artifact too: a stored result of an earlier stage (adjoint-priced
+    // refinement, full reroute, or incremental reroute from the
+    // first-iteration present factor) must not be served for this one.
+    h.add(std::string_view("refine:wirelength reroute:incremental-resume"));
     s.param_hash = h.state;
     s.storable = true;
     s.run = run_thermal_place;

@@ -33,7 +33,10 @@ struct Block {
 struct BlockNet {
   netlist::NetId net = 0;     ///< originating netlist net
   int driver_block = 0;
-  std::vector<int> sink_blocks;  ///< unique, excludes driver-internal sinks
+  /// Blocks holding a sink pin, strictly ascending (so unique) and never
+  /// driver_block (its own sinks are driver-internal). pack() emits only
+  /// nets with at least one such block.
+  std::vector<int> sink_blocks;
 };
 
 struct PackedNetlist {

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <iterator>
-#include <stdexcept>
-#include <string>
 
 namespace taf::place {
 
@@ -14,24 +12,8 @@ double q_factor(int pins) {
   return 1.4974 + (pins - 10) * 0.0264;
 }
 
-CostModel::CostModel(const pack::PackedNetlist& packed, const arch::FpgaGrid& grid,
-                     Placement& pl, const ThermalField* thermal)
-    : packed_(packed), grid_(grid), pl_(pl), thermal_(thermal) {
-  // A zero-weight field contributes exactly nothing; drop it so the
-  // wirelength-only fast path (and its bit-identity contract) applies.
-  if (thermal_ != nullptr && thermal_->weight == 0.0) thermal_ = nullptr;
-  if (thermal_ != nullptr) {
-    if (thermal_->dpeak_dp_k_per_w.size() !=
-            static_cast<std::size_t>(grid_.num_tiles()) ||
-        thermal_->block_power_w.size() != packed_.blocks.size()) {
-      throw std::invalid_argument(
-          "place::CostModel: thermal field shape mismatch: " +
-          std::to_string(thermal_->dpeak_dp_k_per_w.size()) + " prices for " +
-          std::to_string(grid_.num_tiles()) + " tiles, " +
-          std::to_string(thermal_->block_power_w.size()) + " block powers for " +
-          std::to_string(packed_.blocks.size()) + " blocks");
-    }
-  }
+CostModel::CostModel(const pack::PackedNetlist& packed, Placement& pl)
+    : packed_(packed), pl_(pl) {
   // Nets are visited in ascending order and each is added to a block at
   // most once, so every list ascends strictly (stage_move merges them).
   nets_of_block_.resize(packed_.blocks.size());
@@ -67,23 +49,7 @@ double CostModel::net_cost(int net) const {
   return box.cost();
 }
 
-double CostModel::price_at(arch::TilePos p) const {
-  return thermal_->dpeak_dp_k_per_w[static_cast<std::size_t>(grid_.index_of(p))];
-}
-
-double CostModel::thermal_total() const {
-  double s = 0.0;
-  for (std::size_t b = 0; b < packed_.blocks.size(); ++b) {
-    s += thermal_->block_power_w[b] * price_at(pl_.pos[b]);
-  }
-  return thermal_->weight * s;
-}
-
-double CostModel::total() const {
-  double wl = wirelength_cost(packed_, pl_);
-  if (thermal_ != nullptr) wl += thermal_total();
-  return wl;
-}
+double CostModel::total() const { return wirelength_cost(packed_, pl_); }
 
 void CostModel::stage_move(int b1, int b2) {
   const std::vector<int>& nets1 = nets_of_block_[static_cast<std::size_t>(b1)];
@@ -101,26 +67,14 @@ void CostModel::stage_move(int b1, int b2) {
   for (int n : affected_) staged_before_ += net_cost_[static_cast<std::size_t>(n)];
 }
 
-double CostModel::staged_delta(int b1, arch::TilePos old1, int b2, arch::TilePos old2) {
+double CostModel::staged_delta() {
   staged_after_.clear();
   double after = 0.0;
   for (int n : affected_) {
     staged_after_.push_back(net_cost(n));
     after += staged_after_.back();
   }
-  double delta = after - staged_before_;
-  if (thermal_ != nullptr) {
-    // O(1) re-pricing: only the moved blocks change tiles, so the
-    // thermal sum shifts by each block's power times its price change.
-    double td = thermal_->block_power_w[static_cast<std::size_t>(b1)] *
-                (price_at(pl_.pos[static_cast<std::size_t>(b1)]) - price_at(old1));
-    if (b2 >= 0) {
-      td += thermal_->block_power_w[static_cast<std::size_t>(b2)] *
-            (price_at(pl_.pos[static_cast<std::size_t>(b2)]) - price_at(old2));
-    }
-    delta += thermal_->weight * td;
-  }
-  return delta;
+  return after - staged_before_;
 }
 
 void CostModel::commit_staged() {

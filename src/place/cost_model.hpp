@@ -1,21 +1,18 @@
 #pragma once
-// Composable placement cost model: the q-corrected HPWL wirelength term
-// plus an optional thermal term priced by an adjoint gradient field
-// (DESIGN.md section 15).
+// Placement cost model: the q-corrected HPWL wirelength of every block
+// net, kept per net so a move is priced from cached values (DESIGN.md
+// section 15).
 //
 // INTERNAL to src/place — the place-cost-seam lint rule bans this header
 // and its identifiers outside the placement layer. Consumers drive the
-// model through place()/refine_placement() in place/place.hpp; the
-// ThermalField exchange type lives there for the same reason.
+// model through place()/refine_placement() in place/place.hpp.
 //
-// Contract: with no thermal field (or weight zero) every arithmetic
-// expression the model evaluates is the one the fused annealer used, in
-// the same order, so place() reproduces pre-refactor placements
-// bit-for-bit (the ZeroWeight differential tests pin this).
+// Contract: every arithmetic expression the model evaluates is the one
+// the fused annealer used, in the same order, so place() reproduces
+// pre-refactor placements bit-for-bit (the PlaceGolden digests pin this).
 
 #include <vector>
 
-#include "arch/fpga_grid.hpp"
 #include "pack/pack.hpp"
 #include "place/place.hpp"
 
@@ -37,8 +34,7 @@ struct NetBox {
 /// number. Move evaluation is two-phase to preserve the fused annealer's
 /// exact sequence: stage_move() records the affected nets and sums their
 /// cost at the OLD positions; the caller then applies the proposed
-/// positions and staged_delta() re-prices the same nets (plus the O(1)
-/// thermal re-pricing of the one or two moved blocks). The model keeps
+/// positions and staged_delta() re-prices the same nets. The model keeps
 /// each net's cost at the current positions, so the old side is a sum of
 /// cached values: the same doubles net_cost() would return, added in the
 /// same order. The caller reports an accepted move through
@@ -46,15 +42,11 @@ struct NetBox {
 /// cache as it was.
 class CostModel {
  public:
-  /// pl and thermal (may be null) are borrowed for the model's lifetime;
-  /// pl must hold the starting positions (every net is priced here).
-  /// A non-null thermal field must carry one price per grid tile and one
-  /// power per block (std::invalid_argument otherwise).
-  CostModel(const pack::PackedNetlist& packed, const arch::FpgaGrid& grid,
-            Placement& pl, const ThermalField* thermal);
+  /// pl is borrowed for the model's lifetime and must hold the starting
+  /// positions (every net is priced here).
+  CostModel(const pack::PackedNetlist& packed, Placement& pl);
 
-  /// Full cost at the current positions: wirelength + weight * sum_b
-  /// P_b * price(tile(b)). Exactly wirelength_cost() when thermal is off.
+  /// Full cost at the current positions: exactly wirelength_cost().
   double total() const;
 
   /// q-corrected bounding-box cost of one block net at current positions.
@@ -71,24 +63,16 @@ class CostModel {
   void stage_move(int b1, int b2);
 
   /// Phase 2, after the caller applied the proposed positions to the
-  /// placement: total cost delta of the staged move. old1/old2 are the
-  /// pre-move positions of b1/b2 (old2 ignored when b2 < 0). Keeps the
-  /// affected nets' new costs for commit_staged().
-  double staged_delta(int b1, arch::TilePos old1, int b2, arch::TilePos old2);
+  /// placement: total cost delta of the staged move. Keeps the affected
+  /// nets' new costs for commit_staged().
+  double staged_delta();
 
   /// The staged move was accepted: its new net costs become the cache.
   void commit_staged();
 
-  bool thermal_active() const { return thermal_ != nullptr; }
-
  private:
-  double thermal_total() const;
-  double price_at(arch::TilePos p) const;
-
   const pack::PackedNetlist& packed_;
-  const arch::FpgaGrid& grid_;
   Placement& pl_;
-  const ThermalField* thermal_;
   std::vector<std::vector<int>> nets_of_block_;
   std::vector<double> net_cost_;  ///< net_cost(n) at the current positions
   std::vector<int> affected_;

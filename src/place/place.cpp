@@ -92,14 +92,12 @@ bool try_move(const PackedNetlist& packed, std::vector<std::vector<Slot>>& slots
   const int b2 = pool[static_cast<std::size_t>(s2)].block;
 
   model.stage_move(b1, b2);
-  const TilePos old1 = pool[static_cast<std::size_t>(s1)].pos;
-  const TilePos old2 = pool[static_cast<std::size_t>(s2)].pos;
 
   // Apply.
   pl.pos[static_cast<std::size_t>(b1)] = pool[static_cast<std::size_t>(s2)].pos;
   if (b2 >= 0) pl.pos[static_cast<std::size_t>(b2)] = pool[static_cast<std::size_t>(s1)].pos;
 
-  const double delta = model.staged_delta(b1, old1, b2, old2);
+  const double delta = model.staged_delta();
 
   bool accept;
   if (delta < 0.0) {
@@ -189,7 +187,7 @@ Placement place(const PackedNetlist& packed, const FpgaGrid& grid,
     pl.pos[static_cast<std::size_t>(b)] = pool[static_cast<std::size_t>(base)].pos;
   }
 
-  CostModel model(packed, grid, pl, opt.thermal);
+  CostModel model(packed, pl);
 
   double cost = model.total();
   if (packed.block_nets.empty() || num_blocks < 2) {
@@ -231,7 +229,8 @@ Placement place(const PackedNetlist& packed, const FpgaGrid& grid,
 }
 
 Placement refine_placement(const PackedNetlist& packed, const FpgaGrid& grid,
-                           const Placement& start, const ThermalField& thermal,
+                           const Placement& start,
+                           const std::vector<double>& block_power_w,
                            const RefineOptions& opt, RefineStats* stats) {
   validate(opt.effort, opt.io_capacity);
   if (opt.max_rounds < 0) {
@@ -248,6 +247,11 @@ Placement refine_placement(const PackedNetlist& packed, const FpgaGrid& grid,
     throw std::invalid_argument(
         "refine_placement: start placement has " + std::to_string(start.pos.size()) +
         " positions for " + std::to_string(num_blocks) + " blocks");
+  }
+  if (block_power_w.size() != static_cast<std::size_t>(num_blocks)) {
+    throw std::invalid_argument(
+        "refine_placement: " + std::to_string(block_power_w.size()) +
+        " block powers for " + std::to_string(num_blocks) + " blocks");
   }
   util::Rng rng(opt.seed);
 
@@ -287,21 +291,20 @@ Placement refine_placement(const PackedNetlist& packed, const FpgaGrid& grid,
     slot_of_block[static_cast<std::size_t>(b)] = s;
   }
 
-  CostModel model(packed, grid, pl, &thermal);
+  CostModel model(packed, pl);
   double cost = model.total();
   RefineStats local;
 
   // Directed move generation: propose only blocks carrying at least the
-  // mean dynamic power. Cold-block swaps cannot improve the thermal term,
-  // and the wirelength-only shuffles they would produce perturb timing
-  // for no thermal return — place() already annealed that landscape.
+  // mean dynamic power, the blocks that set the power map. Shuffling cold
+  // blocks would perturb timing over a landscape place() already annealed.
   std::vector<int> hot;
   {
     double mean_w = 0.0;
-    for (double w : thermal.block_power_w) mean_w += w;
+    for (double w : block_power_w) mean_w += w;
     mean_w /= static_cast<double>(std::max(num_blocks, 1));
     for (int b = 0; b < num_blocks; ++b) {
-      const double w = thermal.block_power_w[static_cast<std::size_t>(b)];
+      const double w = block_power_w[static_cast<std::size_t>(b)];
       if (w > 0.0 && w >= mean_w) hot.push_back(b);
     }
   }
@@ -315,18 +318,17 @@ Placement refine_placement(const PackedNetlist& packed, const FpgaGrid& grid,
 
   // Bounded near-greedy schedule: start barely warm (at the default
   // start_t_factor uphill moves are effectively never accepted, so only
-  // moves improving the composed wirelength + thermal cost survive) and
-  // stop at the round budget or a descent fixed point. Plateau swaps are
-  // rejected (plateau=false): they cannot improve the cost and the
-  // routing churn they cause is pure timing noise.
+  // moves that shorten the wirelength survive) and stop at the round
+  // budget or a descent fixed point. Plateau swaps are rejected
+  // (plateau=false): they cannot improve the cost and the routing churn
+  // they cause is pure timing noise.
   const double per_net =
       cost / static_cast<double>(std::max<std::size_t>(packed.block_nets.size(), 1));
   double t = opt.start_t_factor * std::max(per_net, 1.0);
   const int moves_per_t =
       moves_per_temperature(opt.effort, static_cast<int>(hot.size()));
-  // Short hops only: the adjoint price field decays over the thermal
-  // healing length (a few tiles), so local moves capture almost all of
-  // the thermal benefit at a fraction of the routing perturbation.
+  // Short hops only: a local move perturbs few routes, so the candidate
+  // reroute stays incremental and the timing guard sees small changes.
   const int move_radius =
       std::max(2, std::min(grid.width(), grid.height()) / 8);
 

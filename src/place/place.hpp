@@ -21,21 +21,6 @@ struct Placement {
   double cost = 0.0;  ///< final HPWL cost
 };
 
-/// Per-tile thermal pricing for thermal-aware placement (DESIGN.md
-/// section 15): prices are d(smooth peak T)/d(tile power) [K/W] from
-/// thermal::ThermalGrid::solve_adjoint (quantized by the producer so
-/// accept decisions never depend on the thermal backend), and
-/// block_power_w is the per-block -> per-tile power Jacobian from
-/// power::block_dynamic_power. The placement cost becomes
-///   HPWL + weight * sum_b P_b * price(tile(b)),
-/// i.e. weight converts the predicted smooth-peak rise [K] into HPWL
-/// units. A zero weight disables the term entirely.
-struct ThermalField {
-  std::vector<double> dpeak_dp_k_per_w;  ///< one price per tile (grid index order)
-  std::vector<double> block_power_w;     ///< one movable power per block [W]
-  double weight = 0.0;                   ///< HPWL units per kelvin
-};
-
 struct PlaceOptions {
   unsigned seed = 1;
   /// Scales moves per temperature (VPR's inner_num). Must be positive
@@ -46,10 +31,6 @@ struct PlaceOptions {
   /// Pads per IO tile; must be >= 1 or place() throws (0 used to build
   /// an empty IO slot pool and fail with a misleading capacity error).
   int io_capacity = 8;
-  /// Optional thermal pricing, borrowed for the call (null = thermally
-  /// blind). With null or weight == 0 the anneal is bit-identical to the
-  /// pre-cost-model placer.
-  const ThermalField* thermal = nullptr;
 };
 
 /// Anneal the packed netlist onto the grid. The grid must have enough
@@ -58,15 +39,16 @@ struct PlaceOptions {
 Placement place(const pack::PackedNetlist& packed, const arch::FpgaGrid& grid,
                 const PlaceOptions& opt = {});
 
-/// Bounded refinement pass for the place->thermal feedback edge:
-/// near-greedy descent on the composed wirelength + thermal cost,
-/// starting from `start` and confined to at most max_rounds rounds (or a
-/// descent fixed point, whichever first). Moves are directed — only
-/// blocks carrying at least the mean dynamic power are proposed, since
-/// cold-block swaps cannot improve the thermal term and only perturb
-/// timing — and plateau (zero-delta) swaps are rejected. Move pricing
-/// and options validation match place(); the start placement must be
-/// legal on the grid under io_capacity.
+/// Bounded refinement pass for the place->thermal feedback edge
+/// (DESIGN.md section 15): near-greedy wirelength descent starting from
+/// `start` and confined to at most max_rounds rounds (or a descent fixed
+/// point, whichever first). Moves are directed — only blocks carrying at
+/// least the mean of block_power_w (one dynamic power per block, [W])
+/// are proposed, and only over short hops — and plateau (zero-delta)
+/// swaps are rejected. Move pricing and options validation match
+/// place(); the start placement must be legal on the grid under
+/// io_capacity, and block_power_w must hold one entry per block
+/// (std::invalid_argument otherwise).
 struct RefineOptions {
   unsigned seed = 1;
   double effort = 1.0;
@@ -75,8 +57,7 @@ struct RefineOptions {
   int max_rounds = 32;
   /// Starting temperature as a fraction of the per-net cost. The default
   /// is effectively greedy descent: uphill moves are (numerically) never
-  /// accepted, so refinement can only improve the composed cost — uphill
-  /// wirelength moves survive only when the thermal term pays for them.
+  /// accepted, so refinement does not raise the wirelength.
   double start_t_factor = 1e-4;
 };
 
@@ -87,7 +68,8 @@ struct RefineStats {
 
 Placement refine_placement(const pack::PackedNetlist& packed,
                            const arch::FpgaGrid& grid, const Placement& start,
-                           const ThermalField& thermal, const RefineOptions& opt,
+                           const std::vector<double>& block_power_w,
+                           const RefineOptions& opt,
                            RefineStats* stats = nullptr);
 
 /// Total q-corrected HPWL of a placement (for testing / reporting).

@@ -113,42 +113,6 @@ std::vector<std::vector<double>> ThermalGrid::solve_batch(
   return temps;
 }
 
-AdjointResult ThermalGrid::solve_adjoint(const std::vector<double>& power_w,
-                                         units::Kelvin smooth_tau_k) const {
-  const int n = width_ * height_;
-  const auto un = static_cast<std::size_t>(n);
-  assert(power_w.size() == un);
-  if (!(smooth_tau_k.value() > 0.0) || !std::isfinite(smooth_tau_k.value())) {
-    throw std::invalid_argument(
-        "ThermalGrid::solve_adjoint: smooth_tau_k must be a positive finite "
-        "temperature scale, got " +
-        std::to_string(smooth_tau_k.value()) + " K");
-  }
-  const double tau = smooth_tau_k.value();
-
-  AdjointResult out;
-  out.temp_c = solve(power_w, &out.primal);
-
-  // Softmax selection over the peak: w_i = exp((T_i - Tmax)/tau) / sum.
-  // Shifting by Tmax keeps every exponent <= 0, so the sum is finite and
-  // >= 1 for any tau. w is exactly dS/dT of the log-sum-exp smooth max.
-  const double t_max = *std::max_element(out.temp_c.begin(), out.temp_c.end());
-  std::vector<double> w(un);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < un; ++i) {
-    w[i] = std::exp((out.temp_c[i] - t_max) / tau);
-    sum += w[i];
-  }
-  for (double& wi : w) wi /= sum;
-  out.smooth_peak_c = units::Celsius{t_max + tau * std::log(sum)};
-
-  // Adjoint solve: A lambda = w against the same steady-state operator.
-  // lambda_j = d(smooth peak)/d(P_j) in K/W, by symmetry of A.
-  out.dpeak_dp_k_per_w.assign(un, 0.0);
-  stencil_solve(w, out.dpeak_dp_k_per_w, 0.0, &out.adjoint);
-  return out;
-}
-
 void ThermalGrid::step(const std::vector<double>& power_w, units::Seconds dt,
                        std::vector<double>& temps, CgStats* stats) const {
   const int n = width_ * height_;

@@ -59,22 +59,6 @@ struct CgStats {
   units::Watts residual_norm_w;  ///< ||P - A dT||_2 at termination
 };
 
-/// Result of ThermalGrid::solve_adjoint(): the primal temperature field
-/// plus the exact gradient of the smooth (log-sum-exp) peak temperature
-/// with respect to every tile's power.
-struct AdjointResult {
-  /// Primal steady-state temperatures [degC] (identical to solve()).
-  std::vector<double> temp_c;
-  /// d(smooth peak T) / d(P_tile) [K/W], one entry per tile. Always
-  /// non-negative: heating any tile can only raise the peak.
-  std::vector<double> dpeak_dp_k_per_w;
-  /// Smooth peak: Tmax + tau * log(sum_i exp((T_i - Tmax)/tau)).
-  /// Upper-bounds the hard peak and converges to it as tau -> 0.
-  units::Celsius smooth_peak_c;
-  CgStats primal;
-  CgStats adjoint;
-};
-
 class ThermalGrid {
  public:
   ThermalGrid(const arch::FpgaGrid& grid, ThermalConfig config);
@@ -110,18 +94,6 @@ class ThermalGrid {
       const std::vector<std::vector<double>>& initial_temp_c,
       const std::vector<double>& ambient_c,
       std::vector<CgStats>* stats = nullptr) const;
-
-  /// Gradient of the smooth peak temperature with respect to the power
-  /// map, via the adjoint method: with T = Tamb + A^-1 P and the
-  /// log-sum-exp smooth max S(T) (temperature scale smooth_tau_k), the
-  /// chain rule gives dS/dP = A^-T w = A^-1 w (A is symmetric), where
-  /// w = softmax((T - Tmax)/tau) is the smooth-max selection vector. One
-  /// extra CG solve against the same SPD operator, under the solve()
-  /// termination contract (the gradient-check CI job checks it against
-  /// central finite differences). Throws std::invalid_argument unless
-  /// smooth_tau_k is positive and finite.
-  AdjointResult solve_adjoint(const std::vector<double>& power_w,
-                              units::Kelvin smooth_tau_k) const;
 
   /// Transient step: advance the temperature field by dt under constant
   /// power (backward Euler on C dT/dt + A (T - Tamb) = P). `temps` is
@@ -171,8 +143,8 @@ class ThermalGrid {
 
   /// Solves (A + g_c I) x = rhs for x = T - Tamb, starting from x (pass
   /// g_c = 0 for the steady-state system). One parameterized PCG serves
-  /// solve(), solve_adjoint() and step() so tolerance and stats fixes
-  /// cannot diverge between the paths (thermal/stencil_solver.hpp).
+  /// solve() and step() so tolerance and stats fixes cannot diverge
+  /// between the paths (thermal/stencil_solver.hpp).
   void stencil_solve(const std::vector<double>& rhs, std::vector<double>& x,
                      double g_c, CgStats* stats) const;
 

@@ -117,10 +117,28 @@ TEST(Pack, RegisteredBlePairsFfWithLut) {
 }
 
 TEST(Pack, BlockNetsExcludeInternalSinks) {
-  const auto& d = sha_design();
-  for (const auto& bn : d.packed.block_nets) {
-    for (int s : bn.sink_blocks) EXPECT_NE(s, bn.driver_block);
+  // The BlockNet contract (pack.hpp) on every suite design at 1/16 scale,
+  // from the netlist the flow generates: sinks ascend strictly (so they
+  // are unique) and never name the driver's own block.
+  const core::ImplementOptions flow;
+  std::size_t nets = 0;
+  for (const netlist::BenchmarkSpec& s : netlist::vtr_suite()) {
+    const netlist::BenchmarkSpec spec = netlist::scaled(s, 1.0 / 16);
+    SCOPED_TRACE(spec.name);
+    util::Rng rng(flow.seed ^ std::hash<std::string>{}(spec.name));
+    const pack::PackedNetlist packed = pack::pack(netlist::generate(spec, rng), test_arch());
+    for (const pack::BlockNet& bn : packed.block_nets) {
+      ASSERT_FALSE(bn.sink_blocks.empty()) << "net " << bn.net;
+      ASSERT_TRUE(std::adjacent_find(bn.sink_blocks.begin(), bn.sink_blocks.end(),
+                                     std::greater_equal<int>()) == bn.sink_blocks.end())
+          << "net " << bn.net << ": sinks do not ascend strictly";
+      EXPECT_FALSE(std::binary_search(bn.sink_blocks.begin(), bn.sink_blocks.end(),
+                                      bn.driver_block))
+          << "net " << bn.net << ": driver block " << bn.driver_block << " is a sink";
+    }
+    nets += packed.block_nets.size();
   }
+  EXPECT_GT(nets, 0u);
 }
 
 TEST(Pack, HardBlocksAreSingletons) {

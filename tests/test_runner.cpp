@@ -164,18 +164,19 @@ TEST(FlowCache, FeedbackEdgeKeyFollowsTheStageGraph) {
     return &cache.implementation(spec, test_arch(), 1.0 / 16, o);
   };
 
-  EXPECT_NE(variant([](auto& o) { o.thermal_place.weight *= 2.0; }), base);
   EXPECT_NE(variant([](auto& o) { o.thermal_place.passes = 2; }), base);
   EXPECT_NE(variant([&](auto& o) { o.thermal_place.device = &other; }), base);
   EXPECT_NE(variant([](auto& o) { o.thermal_place.thermal.silicon_k_w_mk *= 2.0; }), base);
+  // The equal-fmax tiebreak compares realized peaks, so the solver
+  // tolerance is part of the stage's identity.
+  EXPECT_NE(
+      variant([](auto& o) { o.thermal_place.thermal.solve_tol_k = units::Kelvin(1e-10); }),
+      base);
   EXPECT_EQ(cache.stats().impl_misses, 6u);
 
   // What the stage deliberately leaves out of its hash shares the entry.
   const core::FlowObserver obs;
   const core::StageHooks hooks;
-  EXPECT_EQ(
-      variant([](auto& o) { o.thermal_place.thermal.solve_tol_k = units::Kelvin(1e-10); }),
-      base);
   EXPECT_EQ(variant([&](auto& o) { o.observer = &obs; }), base);
   EXPECT_EQ(variant([&](auto& o) { o.stage_hooks = &hooks; }), base);
   EXPECT_EQ(cache.stats().impl_misses, 6u);
@@ -186,13 +187,15 @@ TEST(FlowCache, FeedbackEdgeKeyFollowsTheStageGraph) {
 }
 
 TEST(FlowCache, FeedbackEdgeKeyNamesTheRerouteAlgorithm) {
-  // thermal_place's identity covers its candidate reroute algorithm, so
-  // an artifact directory filled by an earlier algorithm is not served
-  // for the current one. The pinned values are sha's thermal_place
-  // input_hash under the full-reroute stage and under the incremental
-  // reroute that restarted at the first-iteration present factor.
+  // thermal_place's identity covers its refinement objective and its
+  // candidate reroute algorithm, so an artifact directory filled by an
+  // earlier stage is not served for the current one. The pinned values
+  // are sha's thermal_place input_hash under the full-reroute stage,
+  // under the incremental reroute that restarted at the first-iteration
+  // present factor, and under the adjoint-priced refinement.
   constexpr std::uint64_t kFullRerouteHash = 0x3cadcb3bd870b064ull;
   constexpr std::uint64_t kFirstFactorRerouteHash = 0x9aee227082137c06ull;
+  constexpr std::uint64_t kAdjointPricedHash = 0x186f6930fe52076dull;
   const coffe::DeviceModel dev = coffe::Characterizer::paper_table2_reference();
   core::ImplementOptions aware;
   aware.thermal_place.enabled = true;
@@ -206,6 +209,7 @@ TEST(FlowCache, FeedbackEdgeKeyNamesTheRerouteAlgorithm) {
     ++seen;
     EXPECT_NE(s.input_hash, kFullRerouteHash);
     EXPECT_NE(s.input_hash, kFirstFactorRerouteHash);
+    EXPECT_NE(s.input_hash, kAdjointPricedHash);
   }
   EXPECT_EQ(seen, 1);
 }

@@ -647,7 +647,7 @@ void check_trace_codec_seam(const LexedFile& f, std::vector<Finding>& out) {
 
 const char* kPlaceCostSeamMsg =
     "placer cost-model internals reached around the src/place/ seam; "
-    "compose costs via PlaceOptions::thermal / refine_placement "
+    "drive placement through place() / refine_placement() "
     "instead of touching CostModel directly";
 
 void check_place_cost_seam(const LexedFile& f, std::vector<Finding>& out) {
