@@ -77,15 +77,15 @@ std::uint8_t bound_class(const RrNode& n) {
 /// IPIN. Every value is a multiple of 0.5, so sums of bounds are exact.
 class RemainingBound {
  public:
-  explicit RemainingBound(const RrGraph& rr) {
-    const int seg = std::max(1, rr.arch().wire_segment_length);
-    const int span_x = std::max(1, rr.grid().width()) - 1;
-    const int span_y = std::max(1, rr.grid().height()) - 1;
-    hops_.resize(static_cast<std::size_t>(std::max(span_x, span_y) + 1));
+  explicit RemainingBound(const RrGraph& rr)
+      : seg_(std::max(1, rr.arch().wire_segment_length)),
+        span_x_(std::max(1, rr.grid().width()) - 1),
+        span_y_(std::max(1, rr.grid().height()) - 1) {
+    hops_.resize(static_cast<std::size_t>(std::max(span_x_, span_y_) + 1));
     for (int d = 0; d < static_cast<int>(hops_.size()); ++d) {
-      hops_[static_cast<std::size_t>(d)] = static_cast<double>((d + seg - 1) / seg);
+      hops_[static_cast<std::size_t>(d)] = static_cast<double>((d + seg_ - 1) / seg_);
     }
-    max_finite_ = std::max(1.5, hops(span_x) + hops(span_y) + 0.5);
+    max_finite_ = std::max(1.5, hops(span_x_) + hops(span_y_) + 0.5);
   }
 
   void aim(RrSearchIndex target, arch::TilePos tile) {
@@ -114,9 +114,35 @@ class RemainingBound {
   /// The largest finite value the bound takes on this graph.
   double max_finite() const { return max_finite_; }
 
+  /// An upper bound on dist_cost[anchor distance] minus the bound, over
+  /// every wire and target tile (DESIGN.md section 16). A wire of span s
+  /// whose tiles lie ga tiles from the target along its axis and gb
+  /// across it has its anchor at most ga + s - 1 + gb tiles away, and
+  /// ga + s - 1 is at most the grid's extent along the axis. The maximum
+  /// runs over all such shapes and drops the tap-phase term, which only
+  /// raises the bound.
+  double wire_excess(const std::vector<double>& dist_cost) const {
+    double excess = -std::numeric_limits<double>::infinity();
+    for (const auto& [along, across] :
+         {std::pair{span_x_, span_y_}, std::pair{span_y_, span_x_}}) {
+      for (int s = 1; s <= std::min(seg_, along + 1); ++s) {
+        for (int ga = 0; ga + s - 1 <= along; ++ga) {
+          for (int gb = 0; gb <= across; ++gb) {
+            const double h = dist_cost[static_cast<std::size_t>(ga + s - 1 + gb)];
+            excess = std::max(excess, h - (hops(ga) + hops(gb) + 0.5));
+          }
+        }
+      }
+    }
+    return excess;
+  }
+
  private:
   double hops(int d) const { return hops_[static_cast<std::size_t>(d)]; }
 
+  int seg_;     ///< L
+  int span_x_;  ///< the grid's extent in tiles minus one, per axis
+  int span_y_;
   std::vector<double> hops_;  ///< hops_[d] = ceil(d / L)
   double max_finite_ = 0.0;
   RrSearchIndex target_ = -1;
@@ -183,16 +209,28 @@ class OpenSet {
   }
 
   /// Re-marks every entry as marked(priority, node) and returns how many
-  /// are marked.
+  /// are marked. The caller guarantees that marked() is false for every
+  /// entry whose priority is not below `limit`, so only the others are
+  /// asked (DESIGN.md section 16): one branch-free pass clears every mark
+  /// and collects the entries below the limit, and a second asks only
+  /// those.
   template <typename Pred>
-  int remark(Pred&& marked) {
+  int remark(double limit, Pred&& marked) {
+    if (below_.size() < prio_.size()) below_.resize(prio_.size());
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < prio_.size(); ++i) {
+      node_[i] = untag(node_[i]);
+      below_[kept] = static_cast<std::uint32_t>(i);
+      kept += static_cast<std::size_t>(prio_[i] < limit);
+    }
     int count = 0;
-    for (std::size_t i = 0; i < node_.size(); ++i) {
-      const RrSearchIndex node = untag(node_[i]);
-      const bool m = marked(prio_[i], node);
-      node_[i] = tag(node, m);
+    for (std::size_t k = 0; k < kept; ++k) {
+      const std::size_t i = below_[k];
+      const bool m = marked(prio_[i], node_[i]);
+      node_[i] = tag(node_[i], m);
       count += static_cast<int>(m);
     }
+    assert(count == count_unfiltered(marked));
     return count;
   }
 
@@ -201,6 +239,16 @@ class OpenSet {
     return node ^ -static_cast<RrSearchIndex>(marked);
   }
   static RrSearchIndex untag(RrSearchIndex tagged) { return tagged ^ (tagged >> 31); }
+
+  /// How many entries marked() holds for, asking every one: the check
+  /// that remark()'s filter drops no mark.
+  template <typename Pred>
+  int count_unfiltered(Pred& marked) const {
+    int count = 0;
+    for (std::size_t i = 0; i < prio_.size(); ++i)
+      count += static_cast<int>(marked(prio_[i], untag(node_[i])));
+    return count;
+  }
 
   template <typename T>
   static T& at(std::vector<T>& v, std::ptrdiff_t i) {
@@ -223,6 +271,7 @@ class OpenSet {
 
   std::vector<double> prio_;
   std::vector<RrSearchIndex> node_;
+  std::vector<std::uint32_t> below_;  ///< remark()'s entries below its limit
 };
 
 void check_options(const RouteOptions& opt) {
@@ -233,6 +282,16 @@ void check_options(const RouteOptions& opt) {
     if (!std::isfinite(f) || f <= 0.0)
       throw std::invalid_argument("route: cost factors must be finite and positive");
   }
+}
+
+/// The A* heuristic, tabulated by anchor-tile Manhattan distance.
+std::vector<double> heuristic_table(const RrGraph& rr, const RouteOptions& opt) {
+  const int seg = std::max(1, rr.arch().wire_segment_length);
+  std::vector<double> dist_cost(
+      static_cast<std::size_t>(rr.grid().width() + rr.grid().height()));
+  for (std::size_t d = 0; d < dist_cost.size(); ++d)
+    dist_cost[d] = opt.astar_fac * static_cast<double>(d) / seg;
+  return dist_cost;
 }
 
 /// The present factor of the iteration after one priced at `pres_fac`.
@@ -252,7 +311,6 @@ RouteResult negotiate(const RrGraph& rr, const pack::PackedNetlist& packed,
   check_options(opt);
   const int n_nodes = rr.num_nodes();
   const auto n_nets = static_cast<int>(packed.block_nets.size());
-  const int seg = std::max(1, rr.arch().wire_segment_length);
   const RrSearchIndex first_wire = rr.first_wire();
   if (rr.grid().width() > INT16_MAX || rr.grid().height() > INT16_MAX)
     throw std::length_error("route: grid dimensions exceed the int16 tile coordinates");
@@ -290,19 +348,17 @@ RouteResult negotiate(const RrGraph& rr, const pack::PackedNetlist& packed,
   };
   refresh_all();
 
-  // A* heuristic, tabulated by Manhattan distance (same expression, so
-  // the same doubles).
-  std::vector<double> dist_cost(static_cast<std::size_t>(rr.grid().width() + rr.grid().height()));
-  for (std::size_t d = 0; d < dist_cost.size(); ++d)
-    dist_cost[d] = opt.astar_fac * static_cast<double>(d) / seg;
+  // A* heuristic, read from its table.
+  const std::vector<double> dist_cost = heuristic_table(rr, opt);
   auto heuristic = [&](const SearchNode& s, arch::TilePos target) {
     return dist_cost[static_cast<std::size_t>(std::abs(s.x - target.x) + std::abs(s.y - target.y))];
   };
   RemainingBound bound(rr);
-  // Relative slack of the early exit for rounding in the cost sums
-  // (DESIGN.md section 16).
-  const double round_slack =
-      (2.0 * bound.max_finite() + 8.0) * std::numeric_limits<double>::epsilon();
+  // Relative slack of the early exit for rounding in the cost sums, and
+  // the most a wire's heuristic exceeds its bound (DESIGN.md section 16).
+  constexpr double eps = std::numeric_limits<double>::epsilon();
+  const double round_slack = (2.0 * bound.max_finite() + 8.0) * eps;
+  const double wire_excess = bound.wire_excess(dist_cost);
 
   // A* bookkeeping with epoch-tagged visitation to avoid clearing. The
   // open set, sink order, tree and path buffers are reused.
@@ -374,14 +430,19 @@ RouteResult negotiate(const RrGraph& rr, const pack::PackedNetlist& packed,
       // target or a node on its prev chain: it is current and its cost
       // plus the remaining-cost bound lies below settle_below, just under
       // C. The search ends when no marked entry is left; popping on would
-      // leave the path as it is.
+      // leave the path as it is. A marked entry's priority lies below
+      // settle_below plus the largest heuristic minus bound of an open
+      // entry: wire_excess, or the source OPIN's while it is open.
       bool reached = false;
       int marked = 0;
       double settle_below = 0.0;
+      double excess = std::max(wire_excess, heuristic(at(source), dst) - 1.5);
       auto reach = [&] {
         reached = true;
         settle_below = at(target).best_cost * (1.0 + round_slack) - 1e-12;
-        marked = heap.remark([&](double priority, RrSearchIndex n) {
+        const double limit =
+            settle_below + excess + 4.0 * eps * (std::abs(settle_below) + std::abs(excess));
+        marked = heap.remark(limit, [&](double priority, RrSearchIndex n) {
           const SearchNode& s = at(n);
           return n != target && s.best_cost + heuristic(s, dst) == priority &&
                  s.best_cost + bound(n, s, bound_cls[static_cast<std::size_t>(n)]) <
@@ -406,6 +467,7 @@ RouteResult negotiate(const RrGraph& rr, const pack::PackedNetlist& packed,
         const OpenSet::Entry top = heap.pop();
         marked -= static_cast<int>(top.marked);
         const RrSearchIndex node = top.node;
+        if (node == source) excess = wire_excess;
         // An entry is current only while its node's best cost still
         // yields its priority; an improved node left it behind.
         const SearchNode& s = at(node);
@@ -545,6 +607,10 @@ RouteResult negotiate(const RrGraph& rr, const pack::PackedNetlist& packed,
 }  // namespace
 
 double remaining_cost_bound(const RrGraph& rr, RrNodeId node, RrNodeId target) {
+  for (const RrNodeId id : {node, target}) {
+    if (id < 0 || id >= rr.num_nodes())
+      throw std::invalid_argument("remaining_cost_bound: node outside the RR graph");
+  }
   const RrNode& t = rr.node(target);
   if (t.kind != RrKind::Ipin)
     throw std::invalid_argument("remaining_cost_bound: the target is not an IPIN");
@@ -552,6 +618,11 @@ double remaining_cost_bound(const RrGraph& rr, RrNodeId node, RrNodeId target) {
   bound.aim(rr.search_index(target), t.tile);
   const RrNode& n = rr.node(node);
   return bound(rr.search_index(node), search_node(n), bound_class(n));
+}
+
+double heuristic_excess(const RrGraph& rr, const RouteOptions& opt) {
+  check_options(opt);
+  return RemainingBound(rr).wire_excess(heuristic_table(rr, opt));
 }
 
 RouteResult route(const RrGraph& rr, const pack::PackedNetlist& packed,

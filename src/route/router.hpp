@@ -65,8 +65,16 @@ double base_cost(const RrNode& node);
 /// target, +infinity at any other IPIN. It is admissible (at most the
 /// cheapest such path) and consistent (at most base_cost(v) plus the bound
 /// at v, over every edge node -> v). The A* search ends on it. Throws
-/// std::invalid_argument if `target` is not an IPIN.
+/// std::invalid_argument if `node` or `target` is outside `rr` or
+/// `target` is not an IPIN.
 double remaining_cost_bound(const RrGraph& rr, RrNodeId node, RrNodeId target);
+
+/// An upper bound on the A* heuristic minus remaining_cost_bound() at any
+/// wire, toward any target IPIN, under `opt`'s astar_fac (DESIGN.md
+/// section 16). It bounds how far above the early exit's threshold the
+/// priority of an entry the exit must wait for can lie. Throws
+/// std::invalid_argument for options route() rejects.
+double heuristic_excess(const RrGraph& rr, const RouteOptions& opt = {});
 
 /// Route every net of placement `pl` from scratch: reroute() with
 /// nothing kept.

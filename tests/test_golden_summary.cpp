@@ -1,12 +1,19 @@
-// Golden check of the documented headline numbers: every "avg N %" cell
-// in the Measured column of EXPERIMENTS.md's "## Summary" table must
-// appear as an "N%" cell of an `average` row in the committed bench_all
+// Golden check of the documented headline numbers in the Measured column
+// of EXPERIMENTS.md's "## Summary" table against the committed bench_all
 // stdout (tests/golden/bench_all.stdout), so the summary cannot drift from
-// the bytes the suite prints. There is no regenerate mode: a PR that moves
-// a number updates the golden and the summary together.
+// the bytes the suite prints:
+//   - every "avg N %" cell appears as an "N%" cell of an `average` row;
+//   - every percentage of a Fig. 1 row is a cell of the Fig. 1 table's
+//     100 °C row;
+//   - every "N×" ratio of a Fig. 2 row is a cell of the Fig. 2 table;
+//   - every percentage of a Fig. 3 row appears as "N% slower" in the
+//     Fig. 3 crossover line.
+// There is no regenerate mode: a PR that moves a number updates the golden
+// and the summary together.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <regex>
 #include <sstream>
@@ -48,11 +55,17 @@ std::vector<std::string> cells(const std::string& row) {
   return out;
 }
 
-/// The Measured column of EXPERIMENTS.md's summary table.
-std::vector<std::string> summary_measured_cells() {
+/// One row of EXPERIMENTS.md's summary table: its Experiment and
+/// Measured cells.
+struct SummaryRow {
+  std::string experiment;
+  std::string measured;
+};
+
+std::vector<SummaryRow> summary_rows() {
   const std::vector<std::string> lines =
       read_lines(std::string(TAF_EXPERIMENTS_MD));
-  std::vector<std::string> measured;
+  std::vector<SummaryRow> rows;
   bool in_summary = false;
   int column = -1;
   for (const std::string& line : lines) {
@@ -69,16 +82,55 @@ std::vector<std::string> summary_measured_cells() {
       continue;
     }
     if (static_cast<std::size_t>(column) < row.size()) {
-      measured.push_back(row[static_cast<std::size_t>(column)]);
+      rows.push_back({row.front(), row[static_cast<std::size_t>(column)]});
     }
   }
-  return measured;
+  return rows;
+}
+
+std::vector<std::string> golden_lines() {
+  return read_lines(std::string(TAF_GOLDEN_DIR) + "/bench_all.stdout");
+}
+
+/// The lines of the golden's section headed "== <title>...", up to the
+/// next section header.
+std::vector<std::string> golden_section(const std::string& title) {
+  std::vector<std::string> section;
+  bool in_section = false;
+  for (const std::string& line : golden_lines()) {
+    if (line.rfind("== ", 0) == 0) {
+      in_section = line.rfind("== " + title + " ", 0) == 0;
+      continue;
+    }
+    if (in_section) section.push_back(line);
+  }
+  EXPECT_FALSE(section.empty()) << "the golden has no section " << title;
+  return section;
+}
+
+/// The numbers N of every "N <unit>" in `cell` (spaces allowed between).
+std::vector<std::string> numbers_before(const std::string& cell, const std::string& unit) {
+  const std::regex re("([0-9]+(?:\\.[0-9]+)?)\\s*" + unit);
+  std::vector<std::string> out;
+  for (auto it = std::sregex_iterator(cell.begin(), cell.end(), re);
+       it != std::sregex_iterator(); ++it) {
+    out.push_back((*it)[1].str());
+  }
+  return out;
+}
+
+/// The Measured cells of the summary rows about `figure` ("Fig. 1").
+std::vector<std::string> figure_cells(const std::string& figure) {
+  std::vector<std::string> out;
+  for (const SummaryRow& row : summary_rows()) {
+    if (row.experiment.rfind(figure + " ", 0) == 0) out.push_back(row.measured);
+  }
+  return out;
 }
 
 TEST(GoldenSummary, SummaryAveragesAppearInGoldenStdout) {
   std::vector<std::vector<std::string>> average_rows;
-  for (const std::string& line :
-       read_lines(std::string(TAF_GOLDEN_DIR) + "/bench_all.stdout")) {
+  for (const std::string& line : golden_lines()) {
     const std::vector<std::string> row = cells(line);
     if (!row.empty() && row.front() == "average") average_rows.push_back(row);
   }
@@ -86,7 +138,8 @@ TEST(GoldenSummary, SummaryAveragesAppearInGoldenStdout) {
 
   const std::regex avg_re(R"(avg\s+([0-9]+(?:\.[0-9]+)?)\s*%)");
   std::size_t checked = 0;
-  for (const std::string& cell : summary_measured_cells()) {
+  for (const SummaryRow& summary : summary_rows()) {
+    const std::string& cell = summary.measured;
     std::smatch m;
     if (!std::regex_search(cell, m, avg_re)) continue;
     const std::string want = m[1].str() + "%";
@@ -101,6 +154,64 @@ TEST(GoldenSummary, SummaryAveragesAppearInGoldenStdout) {
   // Fig. 6, 7 and 8 quote averages today; a parser that finds none
   // would pass vacuously.
   EXPECT_GE(checked, 3u);
+}
+
+TEST(GoldenSummary, Fig1IncreasesAreTheGoldensHundredDegreeRow) {
+  std::vector<std::string> row_100;
+  for (const std::string& line : golden_section("Fig. 1")) {
+    const std::vector<std::string> row = cells(line);
+    if (!row.empty() && row.front() == "100") row_100 = row;
+  }
+  ASSERT_FALSE(row_100.empty()) << "the golden's Fig. 1 table has no 100 C row";
+  std::size_t checked = 0;
+  for (const std::string& cell : figure_cells("Fig. 1")) {
+    for (const std::string& n : numbers_before(cell, "%")) {
+      EXPECT_TRUE(std::ranges::find(row_100, n + "%") != row_100.end())
+          << "summary cell '" << cell << "' quotes " << n
+          << " %, which the golden's Fig. 1 100 C row does not print";
+      ++checked;
+    }
+  }
+  // CP, DSP, LUT and SB.
+  EXPECT_GE(checked, 4u);
+}
+
+TEST(GoldenSummary, Fig2RatiosAreCellsOfTheGoldensTable) {
+  std::vector<std::string> table;
+  for (const std::string& line : golden_section("Fig. 2")) {
+    for (const std::string& c : cells(line)) table.push_back(c);
+  }
+  std::size_t checked = 0;
+  for (const std::string& cell : figure_cells("Fig. 2")) {
+    for (const std::string& n : numbers_before(cell, "×")) {
+      EXPECT_TRUE(std::ranges::find(table, n) != table.end())
+          << "summary cell '" << cell << "' quotes " << n
+          << "×, which the golden's Fig. 2 table does not print";
+      ++checked;
+    }
+  }
+  // The two BRAM spreads.
+  EXPECT_GE(checked, 2u);
+}
+
+TEST(GoldenSummary, Fig3PenaltiesAreTheGoldensCrossoverLine) {
+  std::string slower_line;
+  for (const std::string& line : golden_section("Fig. 3")) {
+    if (line.find("% slower") != std::string::npos) slower_line = line;
+  }
+  ASSERT_FALSE(slower_line.empty()) << "the golden's Fig. 3 has no '% slower' line";
+  const std::vector<std::string> printed = numbers_before(slower_line, "% slower");
+  std::size_t checked = 0;
+  for (const std::string& cell : figure_cells("Fig. 3")) {
+    for (const std::string& n : numbers_before(cell, "%")) {
+      EXPECT_TRUE(std::ranges::find(printed, n) != printed.end())
+          << "summary cell '" << cell << "' quotes " << n
+          << " %, which the golden's Fig. 3 line does not print";
+      ++checked;
+    }
+  }
+  // The D100 penalty at 0 C and the D0 penalty at 100 C.
+  EXPECT_GE(checked, 2u);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -352,6 +353,72 @@ TEST(RemainingCostBound, SoundOnTheScaledArch) {
   const arch::FpgaGrid grid(6, 6);
   const arch::ArchParams a = fabric_arch(0, 0);
   expect_bound_sound(route::RrGraph(grid, a));
+}
+
+/// The early exit asks only heap entries whose priority lies below its
+/// threshold plus heuristic_excess(), so the constant must bound the A*
+/// heuristic (astar_fac times the anchor tile's Manhattan distance, over
+/// L) minus the bound at every wire toward every target IPIN. It must
+/// also be tight: a constant 0.125 lower fails on some pair, so a wrong
+/// one cannot hide behind slack.
+void expect_excess_sound(const route::RrGraph& rr) {
+  const int seg = std::max(1, rr.arch().wire_segment_length);
+  for (const double astar_fac : {0.85, 1.3}) {
+    SCOPED_TRACE(testing::Message() << "astar_fac " << astar_fac);
+    route::RouteOptions opt;
+    opt.astar_fac = astar_fac;
+    const double excess = route::heuristic_excess(rr, opt);
+    double worst = -std::numeric_limits<double>::infinity();
+    for (int y = 0; y < rr.grid().height(); ++y) {
+      for (int x = 0; x < rr.grid().width(); ++x) {
+        const route::RrNodeId target = rr.ipin_at(x, y);
+        for (route::RrNodeId w = rr.first_wire(); w < rr.num_nodes(); ++w) {
+          const arch::TilePos anchor = rr.node(w).tile;
+          const int d = std::abs(anchor.x - x) + std::abs(anchor.y - y);
+          const double h = opt.astar_fac * static_cast<double>(d) / seg;
+          const double gap = h - route::remaining_cost_bound(rr, w, target);
+          ASSERT_LE(gap, excess) << "wire " << w << " toward the IPIN at (" << x << ", " << y
+                                 << ") exceeds the constant";
+          worst = std::max(worst, gap);
+        }
+      }
+    }
+    EXPECT_GT(worst, excess - 0.125) << "the constant is looser than it need be";
+  }
+}
+
+TEST(RemainingCostBound, ExcessBoundsTheHeuristicOnTheHandBuiltFabric) {
+  const arch::FpgaGrid grid(6, 6);
+  expect_excess_sound(route::RrGraph(grid, fabric_arch(4, 2)));
+}
+
+TEST(RemainingCostBound, ExcessBoundsTheHeuristicOnAOneTrackFabric) {
+  const arch::FpgaGrid grid(6, 6);
+  expect_excess_sound(route::RrGraph(grid, fabric_arch(1, 0)));
+}
+
+TEST(RemainingCostBound, ExcessBoundsTheHeuristicOnTheScaledArch) {
+  const arch::FpgaGrid grid(6, 6);
+  const arch::ArchParams a = fabric_arch(0, 0);
+  const route::RrGraph rr(grid, a);
+  expect_excess_sound(rr);
+  // L = 4 at the default weight: a span-4 wire ending on the target tile,
+  // 0.85 * 3 / 4 - 0.5.
+  EXPECT_DOUBLE_EQ(route::heuristic_excess(rr), 0.1375);
+}
+
+TEST(RemainingCostBound, RejectsNodesOutsideTheGraph) {
+  const arch::FpgaGrid grid(4, 4);
+  const arch::ArchParams a = fabric_arch(2, 0);
+  const route::RrGraph rr(grid, a);
+  const route::RrNodeId ipin = rr.ipin_at(0, 0);
+  for (const route::RrNodeId bad : {-1, rr.num_nodes(), std::numeric_limits<int>::max()}) {
+    EXPECT_THROW(route::remaining_cost_bound(rr, bad, ipin), std::invalid_argument);
+    EXPECT_THROW(route::remaining_cost_bound(rr, ipin, bad), std::invalid_argument);
+  }
+  route::RouteOptions opt;
+  opt.astar_fac = 0.0;
+  EXPECT_THROW(route::heuristic_excess(rr, opt), std::invalid_argument);
 }
 
 TEST(RemainingCostBound, PinsAndNonIpinTargets) {
