@@ -17,7 +17,7 @@ const char* tile_kind_name(TileKind k) {
 }
 
 FpgaGrid::FpgaGrid(int width, int height) : width_(width), height_(height) {
-  assert(width >= 4 && height >= 4 && "grid must have an interior");
+  assert(width >= 1 && height >= 1 && "grid must have at least one tile");
   kinds_.resize(static_cast<size_t>(width_) * height_);
   by_kind_.resize(4);
   for (int y = 0; y < height_; ++y) {

@@ -22,7 +22,10 @@ struct TilePos {
 
 /// The physical tile array. Tile (0,0) is the bottom-left corner; the
 /// outermost ring is IO. Interior columns follow a repeating pattern with
-/// one BRAM and one DSP column per `kHardColumnPeriod` columns.
+/// one BRAM and one DSP column per `kHardColumnPeriod` columns. Any
+/// positive size is valid: a grid without an interior (width or height
+/// below 3) is all IO, as the thermal model's closed-form tests use it;
+/// fit() never returns one.
 class FpgaGrid {
  public:
   static constexpr int kHardColumnPeriod = 8;

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "core/stage_graph.hpp"
+#include "util/hash.hpp"
 #include "util/log.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
@@ -38,7 +39,47 @@ std::unique_ptr<Implementation> implement(const netlist::BenchmarkSpec& spec,
   return std::move(build.impl);
 }
 
+std::size_t ThermalOperatorKeyHash::operator()(const ThermalOperatorKey& k) const {
+  util::Fnv1a h;
+  h.add(k.width);
+  h.add(k.height);
+  h.add(k.lateral_g);
+  h.add(k.vertical_g);
+  h.add(k.solve_tol_k);
+  return static_cast<std::size_t>(h.state);
+}
+
 namespace {
+
+/// The unit responses of `impl` under tgrid's operator: one batched cold
+/// solve of the basis maps at zero ambient (an all-zero map costs no CG
+/// iteration and responds with zeros), built once per
+/// (implementation, operator) by whichever call or thread asks first.
+/// Its CG work is therefore counted neither in a GuardbandResult nor in
+/// the flow counters, which would then depend on call order; its time is
+/// part of the asking call's Thermal phase.
+const UnitResponses& unit_responses(const Implementation& impl,
+                                    const thermal::ThermalGrid& tgrid) {
+  const ThermalOperatorKey key{tgrid.width(), tgrid.height(), tgrid.lateral_g(),
+                               tgrid.vertical_g(), tgrid.config().solve_tol_k.value()};
+  return impl.unit_responses.get_or_build(key, [&] {
+    const std::vector<std::vector<double>> basis =
+        power::uniform_power_basis(impl.loads, impl.grid);
+    return tgrid.solve_batch(
+        basis, std::vector<std::vector<double>>(basis.size(), std::vector<double>(basis[0].size())),
+        std::vector<double>(basis.size(), 0.0));
+  });
+}
+
+/// The thermal model of one guardband corner: opt.thermal at the
+/// corner's ambient and the architecture's tile edge.
+thermal::ThermalGrid guardband_thermal_grid(const Implementation& impl,
+                                            const GuardbandOptions& opt) {
+  thermal::ThermalConfig tcfg = opt.thermal;
+  tcfg.ambient_c = opt.t_amb_c;
+  tcfg.tile_edge_um = impl.arch.tile_edge_um;
+  return thermal::ThermalGrid(impl.grid, tcfg);
+}
 
 /// Per-corner state of the lockstep Algorithm 1 engine below. One corner
 /// is exactly one historical guardband() call; the engine only changes
@@ -89,12 +130,7 @@ std::vector<GuardbandResult> guardband_lockstep(const Implementation& impl,
     const GuardbandOptions& opt = opts[k];
     c.opt = &opt;
 
-    if (!tgrid) {
-      thermal::ThermalConfig tcfg = opt.thermal;
-      tcfg.ambient_c = opt.t_amb_c;
-      tcfg.tile_edge_um = impl.arch.tile_edge_um;
-      tgrid.emplace(impl.grid, tcfg);
-    }
+    if (!tgrid) tgrid.emplace(guardband_thermal_grid(impl, opt));
     c.session.emplace(*impl.sta, dev);
 
     // Conventional baseline: clock for the worst-case corner, a pure
@@ -140,7 +176,7 @@ std::vector<GuardbandResult> guardband_lockstep(const Implementation& impl,
   // Algorithm 1, all corners in lockstep. Corners drop out as they reach
   // their own fixed point or exhaust their own iteration budget.
   std::vector<std::size_t> live;
-  std::vector<std::vector<double>> batch_power, batch_init;
+  std::vector<std::vector<double>> batch_power, batch_start;
   std::vector<double> batch_amb;
   std::vector<thermal::CgStats> batch_cg;
   for (int iter = 1;; ++iter) {
@@ -155,7 +191,6 @@ std::vector<GuardbandResult> guardband_lockstep(const Implementation& impl,
     if (live.empty()) break;
 
     batch_power.clear();
-    batch_init.clear();
     batch_amb.clear();
     for (std::size_t k : live) {
       CornerState& c = corners[k];
@@ -163,17 +198,27 @@ std::vector<GuardbandResult> guardband_lockstep(const Implementation& impl,
       watch.lap();
       batch_power.push_back(run_power(c, c.fmax, c.temps).tile_w);
       c.emit_phase(FlowPhase::Power, watch.lap());
-      batch_init.push_back(std::move(c.temps));  // refilled from the solve below
       batch_amb.push_back(c.opt->t_amb_c.value());
     }
 
     // One blocked stencil traversal per CG iteration serves every live
-    // corner; the per-corner ambients only shift the solution. Warm-
-    // starting CG from the previous iterate is safe: the system is SPD,
-    // so CG converges to the same solution from any starting point.
+    // corner; the per-corner ambients only shift the solution. CG may
+    // start anywhere: the system is SPD, so it converges to the same
+    // solution (within the tolerance) from any start. Iteration 1 starts
+    // from the superposed unit responses, which already are that
+    // solution up to the unit solves' residuals; later iterations start
+    // from the previous iterate. Either way the convergence test below
+    // measures against the previous iterate (c.temps), not the start.
     watch.lap();
+    batch_start.clear();
+    for (std::size_t k : live) {
+      const CornerState& c = corners[k];
+      batch_start.push_back(iter == 1
+                                ? first_solve_start(impl, dev, *c.opt, units::Megahertz{c.fmax})
+                                : c.temps);
+    }
     std::vector<std::vector<double>> batch_temps =
-        tgrid->solve_batch(batch_power, batch_init, batch_amb, &batch_cg);
+        tgrid->solve_batch(batch_power, batch_start, batch_amb, &batch_cg);
     // Each live corner is charged its share of the one traversal, so
     // the phases a batch reports never exceed its wall time.
     const double share_s = watch.lap() / static_cast<double>(live.size());
@@ -185,7 +230,7 @@ std::vector<GuardbandResult> guardband_lockstep(const Implementation& impl,
       c.result.stats.cg_iterations += cg_iters;
       double max_delta = 0.0;
       for (std::size_t i = 0; i < n_tiles; ++i) {
-        max_delta = std::max(max_delta, std::fabs(batch_temps[a][i] - batch_init[a][i]));
+        max_delta = std::max(max_delta, std::fabs(batch_temps[a][i] - c.temps[i]));
       }
       c.temps = std::move(batch_temps[a]);
       const double priced_fmax = c.fmax;
@@ -270,6 +315,23 @@ std::vector<GuardbandResult> guardband_lockstep(const Implementation& impl,
 GuardbandResult guardband(const Implementation& impl, const coffe::DeviceModel& dev,
                           const GuardbandOptions& opt) {
   return std::move(guardband_lockstep(impl, dev, {opt})[0]);
+}
+
+std::vector<double> first_solve_start(const Implementation& impl,
+                                      const coffe::DeviceModel& dev,
+                                      const GuardbandOptions& opt, units::Megahertz f) {
+  const UnitResponses& responses = unit_responses(impl, guardband_thermal_grid(impl, opt));
+  const power::UniformPowerCoefficients coef =
+      power::uniform_power_coefficients(dev, f, opt.t_amb_c);
+  // Every tile sits at the ambient, so the power map run_power() prices
+  // is power_scale * sum_j coef_j * basis_j, and its temperature rise is
+  // the same combination of the unit responses.
+  std::vector<double> start(static_cast<std::size_t>(impl.grid.num_tiles()), 0.0);
+  for (std::size_t j = 0; j < responses.size(); ++j) {
+    for (std::size_t i = 0; i < start.size(); ++i) start[i] += coef[j] * responses[j][i];
+  }
+  for (double& t : start) t = opt.t_amb_c.value() + opt.power_scale * t;
+  return start;
 }
 
 GuardbandOptions with_corner(const GuardbandOptions& base, const GuardbandCorner& c) {

@@ -3,6 +3,7 @@
 // and thermal-aware device/grade selection, driving the full CAD stack
 // (pack -> place -> route -> activity -> power -> thermal -> STA).
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iterator>
@@ -22,10 +23,32 @@
 #include "route/rr_graph.hpp"
 #include "thermal/thermal_grid.hpp"
 #include "timing/timing.hpp"
+#include "util/build_once_map.hpp"
 #include "util/counters.hpp"
 #include "util/units.hpp"
 
 namespace taf::core {
+
+/// Identity of a steady-state thermal operator: everything of a
+/// ThermalGrid that its solves depend on except the ambient, which only
+/// shifts the answer. Compared by value, never by address.
+struct ThermalOperatorKey {
+  int width = 0;
+  int height = 0;
+  double lateral_g = 0.0;
+  double vertical_g = 0.0;
+  double solve_tol_k = 0.0;
+
+  bool operator==(const ThermalOperatorKey&) const = default;
+};
+
+struct ThermalOperatorKeyHash {
+  std::size_t operator()(const ThermalOperatorKey& k) const;
+};
+
+/// Thermal responses [K] of power::uniform_power_basis, one per term,
+/// solved at zero ambient.
+using UnitResponses = std::vector<std::vector<double>>;
 
 /// A fully implemented design: the netlist and every CAD-stage artifact.
 /// Sub-objects hold pointers into their siblings, so the struct is pinned
@@ -42,6 +65,11 @@ struct Implementation {
   // Derived from the final artifacts by the StaBuild stage; never stored.
   std::unique_ptr<timing::TimingAnalyzer> sta;
   power::DynamicLoads loads;  ///< every dynamic-power term, priced per call
+  /// Unit responses per thermal operator, built by the first guardband()
+  /// on that operator and shared by every later call and thread; they
+  /// start Algorithm 1's first thermal solve (DESIGN.md section 8).
+  mutable util::BuildOnceMap<ThermalOperatorKey, UnitResponses, ThermalOperatorKeyHash>
+      unit_responses;
 
   Implementation(arch::ArchParams a, netlist::Netlist n, arch::FpgaGrid g)
       : arch(a), nl(std::move(n)), grid(g), rr(grid, arch) {}
@@ -82,7 +110,12 @@ const char* flow_phase_name(FlowPhase phase);
 struct GuardbandStats {
   std::uint64_t edges_reevaluated = 0;  ///< connection delays re-derived
   std::uint64_t delay_cache_hits = 0;   ///< cached connection delays reused
-  std::uint64_t cg_iterations = 0;      ///< thermal CG iterations (all solves)
+  /// Thermal CG iterations of every loop solve. Iteration 1 starts from
+  /// first_solve_start(), which already is its answer up to the unit
+  /// solves' residuals, so that solve costs ~0 iterations (often
+  /// exactly 0). The one-off build of the unit responses is not counted:
+  /// whichever call builds them would otherwise report more work.
+  std::uint64_t cg_iterations = 0;
 };
 
 /// Per-thread accumulation of flow work counters, as X(name, doc), in the
@@ -97,7 +130,7 @@ struct GuardbandStats {
   X(guardband_nonconverged, "runs that exhausted max_iterations unconverged") \
   X(sta_edges_reevaluated, "connection delays re-derived by incremental STA") \
   X(sta_delay_cache_hits, "cached connection delays reused")                  \
-  X(thermal_cg_iterations, "steady-state thermal CG iterations (all solves)") \
+  X(thermal_cg_iterations, "Algorithm 1 thermal CG iterations (loop solves)") \
   X(transient_steps, "backward-Euler steps of trace replays")                 \
   X(transient_cg_iterations, "CG iterations those steps cost")                \
   X(thermal_adjoint_solves, "thermal_place per-pass thermal solves")          \
@@ -239,9 +272,10 @@ struct GuardbandResult {
 /// Algorithm 1: iterate STA / power / thermal to convergence, then apply
 /// the delta-T safety margin. Also runs the T_worst baseline STA. One
 /// incremental STA session re-times only the tiles whose temperature
-/// moved, and each thermal solve warm-starts from the previous iterate
-/// (DESIGN.md section 8). tests/reference_guardband.hpp holds the
-/// full-recompute reference this is checked against.
+/// moved; the first thermal solve starts from first_solve_start() and
+/// each later one from the previous iterate (DESIGN.md section 8).
+/// tests/reference_guardband.hpp holds the full-recompute reference this
+/// is checked against.
 GuardbandResult guardband(const Implementation& impl, const coffe::DeviceModel& dev,
                           const GuardbandOptions& opt = {});
 
@@ -270,6 +304,19 @@ std::vector<GuardbandResult> guardband_batch(const Implementation& impl,
                                              const coffe::DeviceModel& dev,
                                              const GuardbandOptions& base,
                                              const std::vector<GuardbandCorner>& corners);
+
+/// The field Algorithm 1's first thermal solve starts CG from, for the
+/// corner `opt` priced at clock f (guardband() passes its priming fmax):
+/// the ambient plus opt.power_scale times the superposition of the
+/// implementation's unit responses (Implementation::unit_responses, built
+/// here on first use) weighted by power::uniform_power_coefficients(dev,
+/// f, opt.t_amb_c). That is the cold solve of the iteration's power map
+/// up to the unit solves' residuals, so CG only certifies it. A pure
+/// function of (impl, dev, corner, thermal operator); at power_scale 0 it
+/// is the ambient field bitwise.
+std::vector<double> first_solve_start(const Implementation& impl,
+                                      const coffe::DeviceModel& dev,
+                                      const GuardbandOptions& opt, units::Megahertz f);
 
 /// Eq. (1)-based grade selection: the device (by index) with the lowest
 /// expected representative-CP delay over a uniform [t_min, t_max] field

@@ -131,6 +131,9 @@ PowerBreakdown leakage_map(const coffe::DeviceModel& dev,
   return result;
 }
 
+/// First leakage term of the uniform-field basis.
+constexpr auto kFirstLeakageTerm = static_cast<std::size_t>(coffe::kNumResourceKinds);
+
 }  // namespace
 
 units::Microwatts tile_leakage(const coffe::DeviceModel& dev, arch::TileKind kind,
@@ -229,6 +232,35 @@ PowerBreakdown compute_power(const coffe::DeviceModel& dev, const DynamicLoads& 
   }
   result.dynamic_w = units::Watts{dynamic};
   return result;
+}
+
+std::vector<std::vector<double>> uniform_power_basis(const DynamicLoads& loads,
+                                                     const arch::FpgaGrid& grid) {
+  std::vector<std::vector<double>> basis(
+      kNumUniformPowerTerms, std::vector<double>(static_cast<std::size_t>(grid.num_tiles())));
+  for (std::size_t i = 0; i < loads.tile.size(); ++i) {
+    basis[loads.kind[i]][static_cast<std::size_t>(loads.tile[i])] += loads.activity[i];
+  }
+  for (int y = 0; y < grid.height(); ++y) {
+    for (int x = 0; x < grid.width(); ++x) {
+      basis[kFirstLeakageTerm + static_cast<std::size_t>(grid.at(x, y))]
+           [static_cast<std::size_t>(grid.index_of(x, y))] = 1.0;
+    }
+  }
+  return basis;
+}
+
+UniformPowerCoefficients uniform_power_coefficients(const coffe::DeviceModel& dev,
+                                                    units::Megahertz f, units::Celsius t) {
+  UniformPowerCoefficients coef{};
+  for (const ResourceKind k : coffe::all_resource_kinds()) {
+    coef[static_cast<std::size_t>(k)] = dev.dyn_power(k, f, 1.0).value() * 1e-6;
+  }
+  for (int kind = 0; kind < arch::kNumTileKinds; ++kind) {
+    coef[kFirstLeakageTerm + static_cast<std::size_t>(kind)] =
+        tile_leakage(dev, static_cast<arch::TileKind>(kind), dev.arch, t).value() * 1e-6;
+  }
+  return coef;
 }
 
 }  // namespace taf::power

@@ -14,6 +14,8 @@
 // per routed input pin. Intra-block feedback connections add no term: the
 // feedback muxes only leak.
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -93,5 +95,29 @@ PowerBreakdown compute_power(const coffe::DeviceModel& dev,
 PowerBreakdown compute_power(const coffe::DeviceModel& dev, const DynamicLoads& loads,
                              units::Megahertz f, const std::vector<double>& tile_temp_c,
                              const arch::FpgaGrid& grid);
+
+/// A power map at a uniform temperature field (Algorithm 1's first, at
+/// the ambient) as a linear combination of fixed unit maps: term k <
+/// coffe::kNumResourceKinds is the per-tile activity sum of resource kind
+/// k's dynamic terms, term coffe::kNumResourceKinds + t the indicator map
+/// of tile kind t. compute_power(dev, loads, f, uniform t, grid).tile_w
+/// equals sum_j uniform_power_coefficients(dev, f, t)[j] * basis[j] up to
+/// rounding, so the thermal response of that map is the same combination
+/// of the basis maps' responses (the thermal model is linear).
+inline constexpr auto kNumUniformPowerTerms =
+    static_cast<std::size_t>(coffe::kNumResourceKinds + arch::kNumTileKinds);
+using UniformPowerCoefficients = std::array<double, kNumUniformPowerTerms>;
+
+/// The unit maps, one per term in term order (all-zero for a resource
+/// kind without dynamic terms or a tile kind the grid lacks).
+std::vector<std::vector<double>> uniform_power_basis(const DynamicLoads& loads,
+                                                     const arch::FpgaGrid& grid);
+
+/// The terms' coefficients [W per unit] at frequency f and the uniform
+/// temperature t: each resource kind's dynamic power at activity 1 and
+/// each tile kind's leakage inventory, priced as compute_power() prices
+/// them.
+UniformPowerCoefficients uniform_power_coefficients(const coffe::DeviceModel& dev,
+                                                    units::Megahertz f, units::Celsius t);
 
 }  // namespace taf::power

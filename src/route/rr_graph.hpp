@@ -47,7 +47,12 @@ struct RrNode {
 
 class RrGraph {
  public:
+  /// The graph keeps pointers to `grid` and `arch` (grid(), arch()), so
+  /// both must outlive it; temporaries do not compile.
   RrGraph(const arch::FpgaGrid& grid, const arch::ArchParams& arch);
+  RrGraph(arch::FpgaGrid&&, const arch::ArchParams&) = delete;
+  RrGraph(const arch::FpgaGrid&, arch::ArchParams&&) = delete;
+  RrGraph(arch::FpgaGrid&&, arch::ArchParams&&) = delete;
 
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   const RrNode& node(RrNodeId id) const { return nodes_[static_cast<std::size_t>(id)]; }

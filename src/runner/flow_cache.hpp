@@ -27,7 +27,7 @@
 #include "coffe/device_model.hpp"
 #include "core/flow.hpp"
 #include "netlist/benchmarks.hpp"
-#include "runner/build_once_map.hpp"
+#include "util/build_once_map.hpp"
 #include "tech/technology.hpp"
 
 namespace taf::runner {
@@ -104,7 +104,7 @@ class FlowCache {
   /// bytes. Each builder returns its artifact on the heap (an
   /// Implementation is never copied or moved).
   template <typename V>
-  using Cache = BuildOnceMap<std::uint64_t, std::unique_ptr<V>>;
+  using Cache = util::BuildOnceMap<std::uint64_t, std::unique_ptr<V>>;
 
   Cache<coffe::Characterizer> characterizers_;
   Cache<coffe::DeviceModel> devices_;

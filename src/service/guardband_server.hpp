@@ -11,7 +11,7 @@
 //   handle()/handle_trace() --> one admission queue --> the admission
 //   thread drains a batch and splits it by kind --> handle_batch()/
 //   handle_trace_batch() --> canonicalize tuples --> build-once response
-//   slots (runner::BuildOnceMap keyed by the canonical tuple) -->
+//   slots (util::BuildOnceMap keyed by the canonical tuple) -->
 //   uncached tuples grouped by (design, grade) --> groups fan out on the
 //   ThreadPool --> each group evaluates its tuples on one warm
 //   implementation --> responses assembled in request order.
@@ -48,7 +48,7 @@
 #include "core/flow.hpp"
 #include "netlist/benchmarks.hpp"
 #include "runner/artifact_store.hpp"
-#include "runner/build_once_map.hpp"
+#include "util/build_once_map.hpp"
 #include "runner/flow_cache.hpp"
 #include "runner/metrics.hpp"
 #include "runner/thread_pool.hpp"
@@ -187,7 +187,7 @@ class GuardbandServer {
   struct Kind {
     using Request = RequestT;
     using Response = ResponseT;
-    using Cache = runner::BuildOnceMap<KeyT, ResponseT, TupleHash>;
+    using Cache = util::BuildOnceMap<KeyT, ResponseT, TupleHash>;
 
     /// A tuple this batch claimed and must evaluate.
     struct Work {

@@ -79,6 +79,8 @@ struct GuardbandResponse {
   // Algorithm 1 loop work (deterministic counters, not wall time).
   std::uint64_t edges_reevaluated = 0;
   std::uint64_t delay_cache_hits = 0;
+  /// core::GuardbandStats::cg_iterations: iteration 1's solve starts
+  /// from its superposed answer, so a one-iteration run reports ~0.
   std::uint64_t cg_iterations = 0;
 };
 

@@ -1,6 +1,7 @@
 #pragma once
 // Build-once slot map: the one memoization primitive behind FlowCache's
-// three caches and the guardband service's response caches.
+// three caches, the guardband service's response caches and each
+// implementation's thermal unit responses (core::Implementation).
 //
 // Each distinct key owns one slot. The first caller to claim a key is its
 // builder and must later fill() the slot with a value or fail() it with
@@ -22,6 +23,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -29,7 +31,7 @@
 #include <unordered_map>
 #include <utility>
 
-namespace taf::runner {
+namespace taf::util {
 
 template <typename Key, typename Value, typename Hash = std::hash<Key>>
 class BuildOnceMap {
@@ -122,6 +124,12 @@ class BuildOnceMap {
     return wait(c.slot);
   }
 
+  /// Number of slots: filled, failed or still being built.
+  std::size_t size() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return slots_.size();
+  }
+
   /// Drop every slot. Invalidates all references handed out.
   void clear() {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -134,4 +142,4 @@ class BuildOnceMap {
   std::unordered_map<Key, Slot, Hash> slots_;
 };
 
-}  // namespace taf::runner
+}  // namespace taf::util

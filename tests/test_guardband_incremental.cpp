@@ -6,9 +6,10 @@
 // bitwise-equal baseline, fmax within 1e-9 MHz and tile temperatures
 // within 1e-9 degC against the reference with cold stencil solves (the
 // reference with cold plain-CG solves is checked in
-// test_thermal_differential.cpp). Plus the metamorphic zero-power check (one
-// iteration, zero incremental work) and the non-convergence
-// flag/counter satellite. The STA-level differential drives one
+// test_thermal_differential.cpp). Plus the superposed start of the first
+// thermal solve against a cold solve on every benchmark, its memo's key,
+// the metamorphic zero-power check (one iteration, zero incremental work)
+// and the non-convergence flag/counter satellite. The STA-level differential drives one
 // IncrementalSta session through every frontier shape (all, some and no
 // tiles moved) against the full-recompute reference of
 // tests/reference_sta.hpp.
@@ -102,8 +103,61 @@ TEST_P(IncrementalDifferential, ExactMatchesFullRecomputeAtBothAmbients) {
     // run iterated again.
     EXPECT_EQ(inc.stats.delay_cache_hits + inc.stats.edges_reevaluated > 0u,
               inc.iterations >= 2);
+    // Production starts iteration 1 from the superposed unit responses
+    // (often needing no CG iteration at all) and later iterations from
+    // the previous iterate; the reference solves every iteration cold.
     if (inc.iterations > 0) {
-      EXPECT_GT(inc.stats.cg_iterations, 0u);
+      EXPECT_LT(inc.stats.cg_iterations, full.stats.cg_iterations);
+    }
+  }
+}
+
+/// Max |a - b| over two maps of one size.
+double max_abs_diff(const std::vector<double>& a, const std::vector<double>& b) {
+  double worst = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) worst = std::max(worst, std::fabs(a[i] - b[i]));
+  return worst;
+}
+
+/// Cold solve of Algorithm 1's first power map (every tile at the
+/// ambient, priced at clock f) under opt's thermal model.
+std::vector<double> cold_first_solve(const core::Implementation& impl,
+                                     const core::GuardbandOptions& opt, units::Megahertz f) {
+  const auto n = static_cast<std::size_t>(impl.grid.num_tiles());
+  std::vector<double> power =
+      power::compute_power(device(), impl.loads, f, std::vector<double>(n, opt.t_amb_c.value()),
+                           impl.grid)
+          .tile_w;
+  for (double& w : power) w *= opt.power_scale;
+  thermal::ThermalConfig tcfg = opt.thermal;
+  tcfg.ambient_c = opt.t_amb_c;
+  tcfg.tile_edge_um = impl.arch.tile_edge_um;
+  return thermal::ThermalGrid(impl.grid, tcfg).solve(power);
+}
+
+// The superposed start is the cold solve of the first power map up to the
+// solver's own error bound, sqrt(n_tiles) * solve_tol_k, at every ambient
+// and activity; at zero activity it is the ambient field bitwise.
+TEST_P(IncrementalDifferential, SuperposedStartMatchesAColdFirstSolve) {
+  const netlist::BenchmarkSpec spec =
+      netlist::scaled(suite()[static_cast<std::size_t>(GetParam())], 1.0 / 16);
+  const auto impl = core::implement(spec, test_arch());
+  const double bound =
+      std::sqrt(static_cast<double>(impl->grid.num_tiles())) *
+      core::GuardbandOptions{}.thermal.solve_tol_k.value();
+  for (double t_amb : {25.0, 70.0}) {
+    const units::Megahertz f =
+        impl->sta->analyze_uniform(device(), units::Celsius(t_amb)).fmax_mhz;
+    for (double scale : {0.0, 0.25, 1.0}) {
+      SCOPED_TRACE(spec.name + " @ " + std::to_string(t_amb) + "C, power_scale " +
+                   std::to_string(scale));
+      core::GuardbandOptions opt = base_options(t_amb);
+      opt.power_scale = scale;
+      const std::vector<double> start = core::first_solve_start(*impl, device(), opt, f);
+      EXPECT_LE(max_abs_diff(start, cold_first_solve(*impl, opt, f)), bound);
+      if (scale == 0.0) {
+        for (double t : start) ASSERT_EQ(t, t_amb);
+      }
     }
   }
 }
@@ -319,6 +373,37 @@ TEST(IncrementalMetamorphic, ZeroPowerConvergesInOneIterationWithZeroWork) {
   for (double t : r.tile_temp_c) EXPECT_EQ(t, 25.0);
   EXPECT_EQ(r.power.dynamic_w.value(), 0.0);
   EXPECT_EQ(r.power.leakage_w.value(), 0.0);
+}
+
+// The unit responses are keyed by the thermal operator alone: another
+// ambient or activity reuses an entry, another package resistance or
+// tolerance builds its own, and Algorithm 1 under that model still
+// matches the cold reference.
+TEST(SuperposedStart, EachThermalOperatorGetsItsOwnMemoEntry) {
+  netlist::BenchmarkSpec spec;
+  for (const auto& s : suite()) {
+    if (s.name == "diffeq1") spec = netlist::scaled(s, 1.0 / 16);
+  }
+  const auto impl = core::implement(spec, test_arch());
+  const units::Megahertz f =
+      impl->sta->analyze_uniform(device(), units::Celsius(25.0)).fmax_mhz;
+  EXPECT_EQ(impl->unit_responses.size(), 0u);
+  core::first_solve_start(*impl, device(), base_options(25.0), f);
+  EXPECT_EQ(impl->unit_responses.size(), 1u);
+  core::GuardbandOptions warm = base_options(70.0);
+  warm.power_scale = 0.5;
+  core::first_solve_start(*impl, device(), warm, f);
+  EXPECT_EQ(impl->unit_responses.size(), 1u);
+
+  core::GuardbandOptions tuned = base_options(25.0);
+  tuned.thermal.package_r_k_per_w = 6.0;
+  tuned.thermal.solve_tol_k = units::Kelvin(1e-12);
+  const std::vector<double> start = core::first_solve_start(*impl, device(), tuned, f);
+  EXPECT_EQ(impl->unit_responses.size(), 2u);
+  EXPECT_LE(max_abs_diff(start, cold_first_solve(*impl, tuned, f)),
+            std::sqrt(static_cast<double>(impl->grid.num_tiles())) * 1e-12);
+  expect_equivalent(reference::guardband(*impl, device(), tuned, reference::stencil_cold),
+                    core::guardband(*impl, device(), tuned), "diffeq1, tuned thermal model");
 }
 
 TEST(IncrementalNonConvergence, ExhaustedLoopIsFlaggedAndCounted) {

@@ -389,12 +389,14 @@ void expect_excess_sound(const route::RrGraph& rr) {
 
 TEST(RemainingCostBound, ExcessBoundsTheHeuristicOnTheHandBuiltFabric) {
   const arch::FpgaGrid grid(6, 6);
-  expect_excess_sound(route::RrGraph(grid, fabric_arch(4, 2)));
+  const arch::ArchParams a = fabric_arch(4, 2);
+  expect_excess_sound(route::RrGraph(grid, a));
 }
 
 TEST(RemainingCostBound, ExcessBoundsTheHeuristicOnAOneTrackFabric) {
   const arch::FpgaGrid grid(6, 6);
-  expect_excess_sound(route::RrGraph(grid, fabric_arch(1, 0)));
+  const arch::ArchParams a = fabric_arch(1, 0);
+  expect_excess_sound(route::RrGraph(grid, a));
 }
 
 TEST(RemainingCostBound, ExcessBoundsTheHeuristicOnTheScaledArch) {

@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "core/stage_graph.hpp"
-#include "runner/build_once_map.hpp"
+#include "util/build_once_map.hpp"
 #include "runner/flow_cache.hpp"
 #include "runner/metrics.hpp"
 #include "runner/sweep.hpp"
@@ -244,7 +244,7 @@ struct ConstantHash {
 };
 
 TEST(BuildOnceMap, UnequalKeysWithEqualHashesGetSeparateSlots) {
-  runner::BuildOnceMap<std::string, std::string, ConstantHash> map;
+  util::BuildOnceMap<std::string, std::string, ConstantHash> map;
   int builds = 0;
   const auto build = [&builds](const char* value) {
     return [&builds, value] {
@@ -270,7 +270,7 @@ TEST(BuildOnceMap, UnequalKeysWithEqualHashesGetSeparateSlots) {
 }
 
 TEST(BuildOnceMap, FailLeavesFilledSlotsAlone) {
-  runner::BuildOnceMap<int, int> map;
+  util::BuildOnceMap<int, int> map;
   const auto filled = map.claim(1);
   const auto pending = map.claim(2);
   ASSERT_TRUE(filled.claimed);

@@ -3,7 +3,9 @@
 //  * Determinism: N concurrent clients with interleaved queries get
 //    responses byte-identical to a serial replay of the same request
 //    list, for pool sizes 1 and 4 (the PR 1 pool(1)==pool(4) pinning
-//    lifted to the wire). Runs under the TSan CI gate.
+//    lifted to the wire), also when concurrent first calls race to build
+//    one implementation's thermal unit responses. Runs under the TSan CI
+//    gate.
 //  * Differential: every served tuple re-run through the cold batch
 //    implement()/guardband() oracle must match to the PR 3
 //    incremental-vs-full contract bounds.
@@ -20,6 +22,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <latch>
 #include <map>
 #include <memory>
 #include <string>
@@ -112,6 +115,42 @@ TEST(ServiceDeterminism, ConcurrentClientsMatchSerialReplayByteForByte) {
     EXPECT_EQ(s.tuples_evaluated, 12u);  // 2 designs x 3 ambients x 2 activities
     EXPECT_EQ(s.errors, 0u);
   }
+}
+
+TEST(ServiceDeterminism, ConcurrentFirstCallsOnOneImplementationMatchSerialReplay) {
+  // Every client asks about the same design at once, each for its own
+  // grade, ambient and activity, so the pool evaluates their groups
+  // concurrently on one shared implementation whose thermal unit
+  // responses none of them has built yet: one builds, the others wait,
+  // and the bytes still equal a serial replay's.
+  constexpr int kClients = 4;
+  std::vector<protocol::GuardbandRequest> stream(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    protocol::GuardbandRequest& req = stream[static_cast<std::size_t>(c)];
+    req.request_id = static_cast<std::uint64_t>(c) + 1;
+    req.design = "diffeq2";
+    req.grade_t_opt_c = c % 2 == 0 ? 25.0 : 70.0;
+    req.ambient_c = 30.0 + 10.0 * c;
+    req.activity_scale = c < 2 ? 1.0 : 0.5;
+  }
+  const std::vector<std::string> expected = serial_replay(stream);
+
+  GuardbandServer server(small_config(kClients));
+  std::vector<std::string> got(stream.size());
+  std::latch start(kClients);
+  std::vector<std::thread> clients;
+  clients.reserve(kClients);
+  for (std::size_t c = 0; c < stream.size(); ++c) {
+    clients.emplace_back([&, c] {
+      start.arrive_and_wait();
+      got[c] = protocol::encode_response(server.handle_batch({stream[c]}).front());
+    });
+  }
+  for (auto& t : clients) t.join();
+  for (std::size_t c = 0; c < stream.size(); ++c) {
+    EXPECT_EQ(got[c], expected[c]) << "client " << c;
+  }
+  EXPECT_EQ(server.stats().tuples_evaluated, stream.size());
 }
 
 TEST(ServiceDeterminism, HandleBatchMatchesPerRequestHandle) {

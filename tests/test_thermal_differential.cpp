@@ -228,9 +228,10 @@ TEST_P(ThermalBackendGuardband, GuardbandMatchesAcrossBackendsAtBothAmbients) {
     }
     EXPECT_NEAR(cg.fmax_mhz.value(), stn.fmax_mhz.value(), 1e-6);
     EXPECT_NEAR(cg.peak_temp_c.value(), stn.peak_temp_c.value(), 1e-8);
+    // Production starts iteration 1 from the superposed unit responses
+    // and later iterations warm; the reference solves every one cold.
     if (stn.iterations > 0) {
-      EXPECT_GT(cg.stats.cg_iterations, 0u);
-      EXPECT_GT(stn.stats.cg_iterations, 0u);
+      EXPECT_LT(stn.stats.cg_iterations, cg.stats.cg_iterations);
     }
   }
 }
