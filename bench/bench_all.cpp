@@ -1,27 +1,27 @@
-// bench_all: regenerates every reproduction table/figure in one process.
+// bench_all: the one driver of every reproduction table/figure.
 //
-// All experiment TUs are compiled in with -DTAF_BENCH_ALL, so their
-// TAF_EXPERIMENT bodies register here instead of emitting a main(). The
-// driver first warms the process-wide runner::FlowCache — device models
-// and suite implementations fan out over the shared thread pool — then
-// runs the experiments serially in alphabetical order, which is exactly
-// the order (and therefore output) of the per-binary loop
-//   for b in build/bench/<experiment>; do $b; done
-// so `diff` against the serial transcript validates the parallel run.
+// Each experiment TU registers its TAF_EXPERIMENT body here. The driver
+// first warms the process-wide runner::FlowCache — device models and
+// suite implementations fan out over the shared thread pool — then runs
+// the experiments serially in alphabetical order, so stdout is the same
+// at any -j and `cmp`-equal to the committed golden
+// tests/golden/bench_all.stdout; `--only name` (no warm-up) prints that
+// experiment's contiguous slice of it.
 //
 // Usage: bench_all [-j N] [--metrics out.json] [--csv out.csv]
 //                  [--artifact-dir DIR] [--list] [--only name ...]
 //
-// --artifact-dir DIR (or TAF_ARTIFACT_DIR) enables the on-disk artifact
-// store: implementations stream their pack/place/route/activity stages
-// to DIR, and a rerun — including after a kill — reloads every stage a
-// previous run completed instead of recomputing it. stdout is
-// byte-identical either way; the disk-tier traffic is reported on stderr
-// and in the --metrics/--csv output.
+// --artifact-dir DIR enables the on-disk artifact store: implementations
+// stream their pack/place/route/activity stages to DIR, and a rerun —
+// including after a kill — reloads every stage a previous run completed
+// instead of recomputing it. stdout is byte-identical either way; the
+// disk-tier traffic is reported on stderr and in the --metrics/--csv
+// output.
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstring>
+#include <climits>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -57,16 +57,21 @@ bool write_file(const std::string& path, const std::string& body) {
 int main(int argc, char** argv) {
   using namespace taf;
 
-  int jobs = 0;  // 0 = auto (TAF_BENCH_THREADS or hardware)
+  int jobs = 0;  // 0 = auto (hardware concurrency)
   std::string metrics_path, csv_path, artifact_dir;
   std::vector<std::string> only;
   bool list_only = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "-j" && i + 1 < argc) {
-      jobs = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else if (arg.rfind("-j", 0) == 0 && arg.size() > 2) {
-      jobs = static_cast<int>(std::strtol(arg.c_str() + 2, nullptr, 10));
+    if (arg.rfind("-j", 0) == 0 && (arg.size() > 2 || i + 1 < argc)) {
+      const char* value = arg.size() > 2 ? arg.c_str() + 2 : argv[++i];
+      char* end = nullptr;
+      const long n = std::strtol(value, &end, 10);
+      if (end == value || *end != '\0' || n < 1 || n > INT_MAX) {
+        std::fprintf(stderr, "bench_all: -j needs a positive integer, got '%s'\n", value);
+        return usage(argv[0], 2);
+      }
+      jobs = static_cast<int>(n);
     } else if (arg == "--metrics" && i + 1 < argc) {
       metrics_path = argv[++i];
     } else if (arg == "--csv" && i + 1 < argc) {
@@ -84,16 +89,13 @@ int main(int argc, char** argv) {
       return usage(argv[0], 2);
     }
   }
-  if (jobs > 0) bench::set_pool_threads(jobs);
+  bench::set_pool_threads(jobs);
 
-  // Disk tier: --artifact-dir wins over TAF_ARTIFACT_DIR; neither means
-  // no store. Attached for the whole process so both the warm-up phase
-  // and any --only subset builds go through it.
+  // Disk tier, only with --artifact-dir. Attached for the whole process
+  // so both the warm-up phase and any --only subset builds go through it.
   std::unique_ptr<runner::ArtifactStore> store;
   try {
-    store = artifact_dir.empty()
-                ? runner::ArtifactStore::from_env()
-                : std::make_unique<runner::ArtifactStore>(artifact_dir);
+    if (!artifact_dir.empty()) store = std::make_unique<runner::ArtifactStore>(artifact_dir);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "bench_all: %s\n", e.what());
     return 2;
@@ -170,9 +172,9 @@ int main(int argc, char** argv) {
                  warm.size(), report.threads, total.seconds());
   }
 
-  // Phase 2: run the experiments serially, in name order, so stdout is
-  // byte-identical to the standalone binaries run back to back (no
-  // separators: the transcripts concatenate exactly).
+  // Phase 2: run the experiments serially, in name order, with no
+  // separators: each experiment's transcript is a contiguous slice of
+  // the golden, whatever else runs with it.
   int rc = 0;
   for (std::size_t i = 0; i < experiments.size(); ++i) {
     runner::TaskMetrics m;

@@ -1,14 +1,12 @@
 #pragma once
-// Shared helpers for the reproduction benches: every bench binary prints
+// Shared helpers for the reproduction experiments: each experiment prints
 // the rows/series of one table or figure from the paper (DESIGN.md maps
-// experiment ids to binaries).
+// experiment ids to names).
 //
-// Each bench defines its body with TAF_EXPERIMENT(name). Compiled on its
-// own, the TU gets an ordinary main(); compiled into the bench_all driver
-// (-DTAF_BENCH_ALL) the body is registered instead, so one process can
-// regenerate every table/figure while sharing flow artifacts through the
-// process-wide runner::FlowCache (thread-safe, unlike the per-binary
-// static caches these helpers used to keep).
+// Each experiment defines its body with TAF_EXPERIMENT(name), which
+// registers it with the bench_all driver, so one process regenerates
+// every table/figure while sharing flow artifacts through the
+// process-wide runner::FlowCache.
 
 #include <cstdio>
 #include <cstdlib>
@@ -22,7 +20,6 @@
 #include "runner/metrics.hpp"
 #include "runner/sweep.hpp"
 #include "runner/thread_pool.hpp"
-#include "util/env.hpp"
 #include "util/table.hpp"
 
 namespace taf::bench {
@@ -67,9 +64,9 @@ inline const core::Implementation& implementation_of(const std::string& name,
 }
 
 // ---------------------------------------------------------------------------
-// Shared thread pool. Standalone benches and bench_all fan guardband
-// sweeps out over it; size it with set_pool_threads() before first use
-// (bench_all -j) or the TAF_BENCH_THREADS environment variable.
+// Shared thread pool. The experiments fan guardband sweeps out over it;
+// size it with set_pool_threads() before first use (bench_all -j), else
+// it takes the hardware default.
 
 inline int& pool_threads_setting() {
   static int n = 0;  // 0 = auto
@@ -79,11 +76,7 @@ inline int& pool_threads_setting() {
 inline void set_pool_threads(int n) { pool_threads_setting() = n; }
 
 inline runner::ThreadPool& pool() {
-  static runner::ThreadPool p([] {
-    if (pool_threads_setting() > 0) return pool_threads_setting();
-    return util::env_positive_int("TAF_BENCH_THREADS",
-                                  runner::ThreadPool::hardware_default());
-  }());
+  static runner::ThreadPool p(pool_threads_setting());
   return p;
 }
 
@@ -158,17 +151,10 @@ inline int register_experiment(const char* name, ExperimentFn fn) {
 
 }  // namespace taf::bench
 
-#ifdef TAF_BENCH_ALL
-#define TAF_BENCH_STANDALONE_MAIN(name)
-#else
-#define TAF_BENCH_STANDALONE_MAIN(name) \
-  int main() { return taf_experiment_##name(); }
-#endif
-
-/// Defines one reproduction experiment. The body returns an exit code.
+/// Defines one reproduction experiment and registers it with bench_all.
+/// The body returns an exit code.
 #define TAF_EXPERIMENT(name)                                          \
   static int taf_experiment_##name();                                 \
   [[maybe_unused]] static const int taf_experiment_reg_##name =       \
       taf::bench::register_experiment(#name, &taf_experiment_##name); \
-  TAF_BENCH_STANDALONE_MAIN(name)                                     \
   static int taf_experiment_##name()

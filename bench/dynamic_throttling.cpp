@@ -7,8 +7,8 @@
 // replay recovers the difference — while a slow duty cycle converges to
 // the static answer (the long-dwell differential contract).
 //
-// The "smoke" scenario doubles as the CI determinism probe: the
-// transient-smoke job runs this binary twice and byte-compares stdout,
+// The "smoke" scenario doubles as the CI determinism probe: CI runs
+// `bench_all --only dynamic_throttling` twice and byte-compares stdout,
 // so nothing below may print wall-clock time or any other run-varying
 // value.
 

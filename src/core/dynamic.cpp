@@ -375,15 +375,11 @@ DynamicResult DynamicGuardband::replay(const ActivityTrace& trace) const {
 
 Allocation allocate_tasks(const thermal::ThermalGrid& grid,
                           const std::vector<TaskSpec>& tasks,
-                          const std::vector<double>& background_power_w,
-                          const AllocatorOptions& opt) {
+                          const std::vector<double>& background_power_w) {
   const int width = grid.width();
   const int height = grid.height();
   const std::size_t n = static_cast<std::size_t>(width) * static_cast<std::size_t>(height);
   if (tasks.empty()) throw std::invalid_argument("allocate_tasks: no tasks");
-  if (opt.anchor_stride < 1) {
-    throw std::invalid_argument("allocate_tasks: anchor_stride must be >= 1");
-  }
   if (!background_power_w.empty() && background_power_w.size() != n) {
     throw std::invalid_argument(
         "allocate_tasks: background power size " +
@@ -438,8 +434,8 @@ Allocation allocate_tasks(const thermal::ThermalGrid& grid,
     double best_peak = std::numeric_limits<double>::infinity();
     int best_ax = -1;
     int best_ay = -1;
-    for (int ay = 0; ay + h <= height; ay += opt.anchor_stride) {
-      for (int ax = 0; ax + w <= width; ax += opt.anchor_stride) {
+    for (int ay = 0; ay + h <= height; ++ay) {
+      for (int ax = 0; ax + w <= width; ++ax) {
         bool overlaps = false;
         for (int c = 0; c < task.tiles && !overlaps; ++c) {
           const int idx = (ay + c / w) * width + (ax + c % w);

@@ -198,12 +198,6 @@ struct TaskSpec {
   int tiles = 1;
 };
 
-struct AllocatorOptions {
-  /// Anchor-grid stride when scanning candidate placements (1 = every
-  /// position). Purely a cost knob; results stay deterministic.
-  int anchor_stride = 1;
-};
-
 struct Allocation {
   /// Task index owning each tile, -1 for unassigned background.
   std::vector<int> tile_block;
@@ -219,15 +213,14 @@ struct Allocation {
 /// tentative steady-state solve (background + already-placed + this
 /// task) has the lowest peak temperature — hottest kernels claim the
 /// thermally cheapest regions first, later kernels spread away from
-/// them. Footprints are near-square rectangles scanned row-major on the
-/// anchor grid; ties keep the first (lowest-anchor) candidate, so the
+/// them. Footprints are near-square rectangles scanned row-major over
+/// every anchor tile; ties keep the first (lowest-anchor) candidate, so the
 /// result is deterministic. background_power_w (empty = zeros) is the
 /// always-on floor under every candidate solve. Throws
 /// std::invalid_argument on malformed inputs and std::runtime_error when
 /// a task cannot be placed without overlap.
 Allocation allocate_tasks(const thermal::ThermalGrid& grid,
                           const std::vector<TaskSpec>& tasks,
-                          const std::vector<double>& background_power_w = {},
-                          const AllocatorOptions& opt = {});
+                          const std::vector<double>& background_power_w = {});
 
 }  // namespace taf::core

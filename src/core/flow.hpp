@@ -133,7 +133,7 @@ struct GuardbandStats {
   X(thermal_cg_iterations, "Algorithm 1 thermal CG iterations (loop solves)") \
   X(transient_steps, "backward-Euler steps of trace replays")                 \
   X(transient_cg_iterations, "CG iterations those steps cost")                \
-  X(thermal_adjoint_solves, "thermal_place per-pass thermal solves")          \
+  X(thermal_adjoint_solves, "thermal_place tiebreak peak thermal solves")     \
   X(replace_moves, "re-place moves proposed by thermal_place refinement")
 
 struct FlowCounters {

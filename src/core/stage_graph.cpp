@@ -1,6 +1,7 @@
 #include "core/stage_graph.hpp"
 
 #include <cassert>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -243,13 +244,19 @@ void run_thermal_place(FlowBuild& b) {
           .analyze_uniform(dev, tp.pricing_temp_c)
           .fmax_mhz.value();
 
-  for (int pass = 0; pass < tp.passes; ++pass) {
-    const power::PowerBreakdown power = power::compute_power(
-        dev, impl.nl, impl.packed, impl.placement, impl.rr, impl.routes,
-        impl.activity, tp.pricing_f_mhz, pricing_temp, impl.grid);
-    const units::Celsius peak_now = thermal::ThermalGrid::peak(tgrid.solve(power.tile_w));
+  // Realized peak at the pricing point, read only by the equal-fmax
+  // tiebreak: the current state's is solved on first use and kept until
+  // a pass replaces that state.
+  const auto peak_of = [&](const place::Placement& pl, const route::RouteResult& rt) {
+    const power::PowerBreakdown power =
+        power::compute_power(dev, impl.nl, impl.packed, pl, impl.rr, rt, impl.activity,
+                             tp.pricing_f_mhz, pricing_temp, impl.grid);
     counters.thermal_adjoint_solves += 1;
+    return thermal::ThermalGrid::peak(tgrid.solve(power.tile_w));
+  };
+  std::optional<units::Celsius> peak_now;
 
+  for (int pass = 0; pass < tp.passes; ++pass) {
     ropt.seed = b.opt.seed + static_cast<unsigned>(pass);
     place::RefineStats rstats;
     place::Placement refined = place::refine_placement(
@@ -274,20 +281,19 @@ void run_thermal_place(FlowBuild& b) {
     // move sequence (seed advances with the pass index) from the same
     // placement, so one unlucky candidate does not end refinement.
     if (fmax_refined < fmax_best) continue;
+    std::optional<units::Celsius> peak_refined;
     if (fmax_refined == fmax_best) {
       // Timing is flat, so the pass must pay its way thermally: require
       // the realized peak at the pricing point to drop.
-      const power::PowerBreakdown p_ref = power::compute_power(
-          dev, impl.nl, impl.packed, refined, impl.rr, rerouted, impl.activity,
-          tp.pricing_f_mhz, pricing_temp, impl.grid);
-      const units::Celsius peak_ref =
-          thermal::ThermalGrid::peak(tgrid.solve(p_ref.tile_w));
-      if (!(peak_ref.value() < peak_now.value())) continue;
+      if (!peak_now) peak_now = peak_of(impl.placement, impl.routes);
+      peak_refined = peak_of(refined, rerouted);
+      if (!(peak_refined->value() < peak_now->value())) continue;
     }
 
     impl.placement = std::move(refined);
     impl.routes = std::move(rerouted);
     fmax_best = fmax_refined;
+    peak_now = peak_refined;  // the new state's peak, when the tiebreak priced it
   }
 }
 

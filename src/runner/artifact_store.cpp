@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "util/codec.hpp"
-#include "util/env.hpp"
 #include "util/log.hpp"
 
 namespace taf::runner {
@@ -28,12 +27,6 @@ ArtifactStore::ArtifactStore(std::string root) : root_(std::move(root)) {
     throw std::runtime_error("ArtifactStore: cannot create directory '" + root_ +
                              "': " + ec.message());
   }
-}
-
-std::unique_ptr<ArtifactStore> ArtifactStore::from_env() {
-  const char* dir = util::env_cstr("TAF_ARTIFACT_DIR");
-  if (dir == nullptr || *dir == '\0') return nullptr;
-  return std::make_unique<ArtifactStore>(dir);
 }
 
 std::string ArtifactStore::path_for(std::string_view kind, std::uint64_t key) const {

@@ -22,7 +22,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -61,10 +60,6 @@ class ArtifactStore {
   explicit ArtifactStore(std::string root);
   ArtifactStore(const ArtifactStore&) = delete;
   ArtifactStore& operator=(const ArtifactStore&) = delete;
-
-  /// Store rooted at $TAF_ARTIFACT_DIR, or nullptr when the variable is
-  /// unset/empty (the disk tier is opt-in).
-  static std::unique_ptr<ArtifactStore> from_env();
 
   const std::string& root() const { return root_; }
 

@@ -1,10 +1,8 @@
 #pragma once
 // Thread-safe, process-wide cache of the expensive flow artifacts:
 // characterizers, characterized device models, and implemented (packed/
-// placed/routed) benchmarks. Replaces the per-binary static caches the
-// bench helpers used to keep, so concurrent sweep tasks — and the
-// different experiments of one bench_all run — share work instead of
-// redoing it.
+// placed/routed) benchmarks. Concurrent sweep tasks — and the different
+// experiments of one bench_all run — share work instead of redoing it.
 //
 // Keys:
 //  * characterizers: {tech-hash, arch-hash}
@@ -60,7 +58,7 @@ class FlowCache {
   FlowCache(const FlowCache&) = delete;
   FlowCache& operator=(const FlowCache&) = delete;
 
-  /// The process-wide instance shared by the bench binaries.
+  /// The process-wide instance shared by the bench_all experiments.
   static FlowCache& global();
 
   /// Millidegree quantization of a device design corner.

@@ -30,6 +30,9 @@ constexpr double kMaxActivityScale = 100.0;
 constexpr int kMaxServiceTraceSegments = 256;
 constexpr int kMaxSamplesPerSegment = 16;
 
+/// Max requests the admission thread drains per batch.
+constexpr std::size_t kMaxAdmission = 256;
+
 std::int64_t quantize_permille(double scale) {
   return static_cast<std::int64_t>(std::llround(scale * 1000.0));
 }
@@ -426,8 +429,7 @@ void GuardbandServer::admission_loop() {
       std::unique_lock<std::mutex> lock(admission_mutex_);
       admission_cv_.wait(lock, [&] { return stop_ || !admission_queue_.empty(); });
       if (admission_queue_.empty()) return;  // stop_ and drained
-      const std::size_t take =
-          std::min(admission_queue_.size(), std::max<std::size_t>(1, config_.max_admission));
+      const std::size_t take = std::min(admission_queue_.size(), kMaxAdmission);
       batch.assign(std::make_move_iterator(admission_queue_.begin()),
                    std::make_move_iterator(admission_queue_.begin() +
                                            static_cast<std::ptrdiff_t>(take)));

@@ -65,8 +65,6 @@ struct ServerConfig {
   double scale = 1.0 / 16.0;
   /// Max corners per core::guardband_batch() chunk within one group.
   std::size_t max_batch = 8;
-  /// Max requests drained per admission batch.
-  std::size_t max_admission = 256;
   /// Root of the on-disk artifact tier; empty = in-memory only.
   std::string artifact_dir;
   /// Base guardband options; t_amb_c and power_scale are per-request

@@ -8,7 +8,7 @@
 // unconditional; dt only trades accuracy), so a trace replay is a pure
 // function of (grid, options, power, duration, start field): bit-identical
 // on every rerun, which is what the service determinism contract and the
-// transient-smoke CI gate pin.
+// CI rerun-and-cmp gate on the dynamic-workload experiments pin.
 //
 // Long-dwell contract: the fixed point of one backward-Euler step,
 // (C/dt + A) x = P + (C/dt) x, is exactly the steady-state solution

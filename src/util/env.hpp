@@ -1,7 +1,8 @@
 #pragma once
 // Single sanctioned doorway to process environment variables.
 //
-// Every TAF_* knob (TAF_ARTIFACT_DIR, TAF_BENCH_THREADS, ...) is read
+// Every TAF_* knob (TAF_THREADS, the parallel_sweep example's pool size;
+// TAF_UPDATE_GOLDEN, which regenerates the Table II golden file) is read
 // through these helpers so that a grep for util::env_cstr enumerates the
 // complete environment surface of the library. taf-analyze enforces
 // this: std::getenv anywhere outside src/util/env.cpp is a finding

@@ -1,5 +1,5 @@
 #pragma once
-// ASCII table printer used by the bench binaries to emit the paper's
+// ASCII table printer used by the bench experiments to emit the paper's
 // tables and figure series as aligned rows.
 
 #include <cstdio>
