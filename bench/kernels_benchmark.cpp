@@ -112,21 +112,21 @@ void BM_StaSessionNonUniform(benchmark::State& state) {
 }
 BENCHMARK(BM_StaSessionNonUniform)->Unit(benchmark::kMicrosecond);
 
-/// stereovision0's power map priced from its prebuilt load table, the
-/// way Algorithm 1 prices it every iteration.
-void BM_PowerMapLoads(benchmark::State& state) {
+/// stereovision0's power map priced from its stored per-tile activity
+/// maps, the way Algorithm 1 prices it every iteration.
+void BM_PowerMap(benchmark::State& state) {
   const auto& impl = bench::implementation_of("stereovision0");
   const auto& dev = bench::device_at(25.0);
   const std::vector<double> temps = random_map(impl);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        power::compute_power(dev, impl.loads, units::Megahertz(150.0), temps, impl.grid));
+    benchmark::DoNotOptimize(power::compute_power(dev, impl.tile_activity,
+                                                  units::Megahertz(150.0), temps, impl.grid));
   }
 }
-BENCHMARK(BM_PowerMapLoads)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_PowerMap)->Unit(benchmark::kMicrosecond);
 
-/// The same map from the one-shot walk over netlist and routes, the way
-/// thermal_place prices a candidate placement.
+/// The same map with the activity maps rebuilt from the netlist and
+/// routes first, the way thermal_place prices a candidate placement.
 void BM_PowerMapOneShot(benchmark::State& state) {
   const auto& impl = bench::implementation_of("stereovision0");
   const auto& dev = bench::device_at(25.0);

@@ -286,7 +286,8 @@ DynamicGuardband::DynamicGuardband(const Implementation& impl,
   priming_fmax_mhz_ = impl_.sta->analyze_uniform(dev_, opt_.t_amb_c).fmax_mhz;
   const std::vector<double> ambient_field(n_tiles, opt_.t_amb_c.value());
   power::PowerBreakdown base =
-      power::compute_power(dev_, impl_.loads, priming_fmax_mhz_, ambient_field, impl_.grid);
+      power::compute_power(dev_, impl_.tile_activity, priming_fmax_mhz_, ambient_field,
+                           impl_.grid);
   base_power_w_ = std::move(base.tile_w);
   if (opt_.power_scale != 1.0) {
     for (double& w : base_power_w_) w *= opt_.power_scale;

@@ -64,7 +64,7 @@ const UnitResponses& unit_responses(const Implementation& impl,
                                tgrid.vertical_g(), tgrid.config().solve_tol_k.value()};
   return impl.unit_responses.get_or_build(key, [&] {
     const std::vector<std::vector<double>> basis =
-        power::uniform_power_basis(impl.loads, impl.grid);
+        power::uniform_power_basis(impl.tile_activity, impl.grid);
     return tgrid.solve_batch(
         basis, std::vector<std::vector<double>>(basis.size(), std::vector<double>(basis[0].size())),
         std::vector<double>(basis.size(), 0.0));
@@ -164,7 +164,7 @@ std::vector<GuardbandResult> guardband_lockstep(const Implementation& impl,
   auto run_power = [&](const CornerState& c, double f_mhz,
                        const std::vector<double>& t) {
     power::PowerBreakdown p =
-        power::compute_power(dev, impl.loads, units::Megahertz{f_mhz}, t, impl.grid);
+        power::compute_power(dev, impl.tile_activity, units::Megahertz{f_mhz}, t, impl.grid);
     if (c.opt->power_scale != 1.0) {
       for (double& w : p.tile_w) w *= c.opt->power_scale;
       p.dynamic_w *= c.opt->power_scale;

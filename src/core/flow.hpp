@@ -64,7 +64,7 @@ struct Implementation {
   std::vector<activity::SignalStats> activity;
   // Derived from the final artifacts by the StaBuild stage; never stored.
   std::unique_ptr<timing::TimingAnalyzer> sta;
-  power::DynamicLoads loads;  ///< every dynamic-power term, priced per call
+  power::TileActivity tile_activity;  ///< dynamic-power activity per tile, priced per call
   /// Unit responses per thermal operator, built by the first guardband()
   /// on that operator and shared by every later call and thread; they
   /// start Algorithm 1's first thermal solve (DESIGN.md section 8).
@@ -81,7 +81,7 @@ struct Implementation {
 /// the FlowPhase enumerator and its report label, in enum order. The
 /// runner's sweep reports aggregate per-task time under these labels.
 /// StaBuild is TimingAnalyzer construction (the route-tree walk) plus the
-/// dynamic-load table.
+/// per-tile activity maps (power::TileActivity).
 #define TAF_FLOW_PHASES(X) \
   X(Pack, "pack")          \
   X(Place, "place")        \

@@ -321,8 +321,8 @@ void run_sta_build(FlowBuild& b) {
   Implementation& impl = *b.impl;
   impl.sta = std::make_unique<timing::TimingAnalyzer>(
       impl.nl, impl.packed, impl.placement, impl.rr, impl.routes, impl.grid);
-  impl.loads = power::dynamic_loads(impl.nl, impl.packed, impl.placement, impl.rr,
-                                    impl.routes, impl.activity, impl.grid);
+  impl.tile_activity = power::tile_activity(impl.nl, impl.packed, impl.placement, impl.rr,
+                                            impl.routes, impl.activity, impl.grid);
 }
 
 }  // namespace

@@ -77,7 +77,7 @@ struct FlowStage {
   /// the store itself).
   std::uint64_t input_hash = 0;
   /// Whether the output artifact has a codec round-trip (StaBuild's
-  /// analyzer and load table are rebuilt, never stored).
+  /// analyzer and activity maps are rebuilt, never stored).
   bool storable = false;
   /// Compute the stage's output from its inputs.
   std::function<void(FlowBuild&)> run;

@@ -1,5 +1,6 @@
 #include "power/power.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <limits>
@@ -18,8 +19,8 @@ double net_density(const std::vector<activity::SignalStats>& act, netlist::NetId
 }
 
 // The dynamic terms, defined once. Each visitor calls
-// emit(anchor, kind, activity) per term, in compute_power's order; the
-// term burns dev.dyn_power(kind, f, activity) in the anchor's tile.
+// emit(anchor, kind, activity) per term, in term order; the term burns
+// dev.dyn_power(kind, f, activity) in the anchor's tile.
 
 /// Block-anchored terms (LUT + local/output mux, BRAM, DSP switching);
 /// the anchor is the packed block.
@@ -81,22 +82,6 @@ void for_each_wire_term(const pack::PackedNetlist& packed, const route::RrGraph&
   }
 }
 
-/// Every dynamic term with its tile index, blocks then wires.
-template <typename Emit>
-void for_each_dynamic_term(const netlist::Netlist& nl, const pack::PackedNetlist& packed,
-                           const place::Placement& pl, const route::RrGraph& rr,
-                           const route::RouteResult& routes,
-                           const std::vector<activity::SignalStats>& act,
-                           const arch::FpgaGrid& grid, Emit&& emit) {
-  for_each_block_term(nl, packed, act, [&](int block, ResourceKind k, double a) {
-    emit(grid.index_of(pl.pos[static_cast<std::size_t>(block)]), k, a);
-  });
-  for_each_wire_term(packed, rr, routes, act, [&](arch::TilePos pos, ResourceKind k,
-                                                  double a) {
-    emit(grid.index_of(pos), k, a);
-  });
-}
-
 /// A power map holding only leakage: the full per-tile inventory at the
 /// tile temperature. tile_leakage is a pure function of (tile kind,
 /// temperature), so each kind keeps its last evaluation; uniform maps
@@ -129,6 +114,18 @@ PowerBreakdown leakage_map(const coffe::DeviceModel& dev,
     }
   }
   return result;
+}
+
+/// c_k = dyn_power(k, f, 1) * 1e-6, resource kind k's dynamic power [W]
+/// per unit activity. dyn_power is (pdyn * (f / 100)) * activity, so
+/// activity 1 is exact.
+std::array<double, coffe::kNumResourceKinds> dynamic_coefficients(
+    const coffe::DeviceModel& dev, units::Megahertz f) {
+  std::array<double, coffe::kNumResourceKinds> c{};
+  for (const ResourceKind k : coffe::all_resource_kinds()) {
+    c[static_cast<std::size_t>(k)] = dev.dyn_power(k, f, 1.0).value() * 1e-6;
+  }
+  return c;
 }
 
 /// First leakage term of the uniform-field basis.
@@ -174,26 +171,40 @@ std::vector<double> block_dynamic_power(const coffe::DeviceModel& dev,
   return block_w;
 }
 
-DynamicLoads dynamic_loads(const netlist::Netlist& nl, const pack::PackedNetlist& packed,
+TileActivity tile_activity(const netlist::Netlist& nl, const pack::PackedNetlist& packed,
                            const place::Placement& pl, const route::RrGraph& rr,
                            const route::RouteResult& routes,
                            const std::vector<activity::SignalStats>& act,
                            const arch::FpgaGrid& grid) {
-  // Count first so the table is allocated at its exact size.
-  std::size_t n = 0;
-  for_each_dynamic_term(nl, packed, pl, rr, routes, act, grid,
-                        [&](int, ResourceKind, double) { ++n; });
-  DynamicLoads loads;
-  loads.tile.reserve(n);
-  loads.kind.reserve(n);
-  loads.activity.reserve(n);
-  for_each_dynamic_term(nl, packed, pl, rr, routes, act, grid,
-                        [&](int tile, ResourceKind k, double a) {
-                          loads.tile.push_back(tile);
-                          loads.kind.push_back(static_cast<std::uint8_t>(k));
-                          loads.activity.push_back(a);
-                        });
-  return loads;
+  TileActivity activity;
+  const auto add = [&](arch::TilePos pos, ResourceKind k, double a) {
+    std::vector<double>& map = activity.by_kind[static_cast<std::size_t>(k)];
+    if (map.empty()) map.assign(static_cast<std::size_t>(grid.num_tiles()), 0.0);
+    map[static_cast<std::size_t>(grid.index_of(pos))] += a;
+  };
+  for_each_block_term(nl, packed, act, [&](int block, ResourceKind k, double a) {
+    add(pl.pos[static_cast<std::size_t>(block)], k, a);
+  });
+  for_each_wire_term(packed, rr, routes, act, add);
+  return activity;
+}
+
+PowerBreakdown compute_power(const coffe::DeviceModel& dev, const TileActivity& activity,
+                             units::Megahertz f, const std::vector<double>& tile_temp_c,
+                             const arch::FpgaGrid& grid) {
+  PowerBreakdown result = leakage_map(dev, tile_temp_c, grid);
+  const std::array<double, coffe::kNumResourceKinds> c = dynamic_coefficients(dev, f);
+  double dynamic = 0.0;
+  for (std::size_t t = 0; t < result.tile_w.size(); ++t) {
+    double w = 0.0;
+    for (std::size_t k = 0; k < c.size(); ++k) {
+      if (!activity.by_kind[k].empty()) w += c[k] * activity.by_kind[k][t];
+    }
+    result.tile_w[t] += w;
+    dynamic += w;
+  }
+  result.dynamic_w = units::Watts{dynamic};
+  return result;
 }
 
 PowerBreakdown compute_power(const coffe::DeviceModel& dev, const netlist::Netlist& nl,
@@ -203,44 +214,19 @@ PowerBreakdown compute_power(const coffe::DeviceModel& dev, const netlist::Netli
                              const std::vector<activity::SignalStats>& act,
                              units::Megahertz f, const std::vector<double>& tile_temp_c,
                              const arch::FpgaGrid& grid) {
-  PowerBreakdown result = leakage_map(dev, tile_temp_c, grid);
-  for_each_dynamic_term(nl, packed, pl, rr, routes, act, grid,
-                        [&](int tile, ResourceKind k, double a) {
-                          const double w = dev.dyn_power(k, f, a).value() * 1e-6;
-                          result.tile_w[static_cast<std::size_t>(tile)] += w;
-                          result.dynamic_w += units::Watts{w};
-                        });
-  return result;
+  return compute_power(dev, tile_activity(nl, packed, pl, rr, routes, act, grid), f,
+                       tile_temp_c, grid);
 }
 
-PowerBreakdown compute_power(const coffe::DeviceModel& dev, const DynamicLoads& loads,
-                             units::Megahertz f, const std::vector<double>& tile_temp_c,
-                             const arch::FpgaGrid& grid) {
-  PowerBreakdown result = leakage_map(dev, tile_temp_c, grid);
-  // dyn_power is (pdyn * (f / 100)) * activity; alpha = 1 is exact, so
-  // pricing each kind once and multiplying by the activity is dyn_power's
-  // own product, term for term.
-  std::array<double, coffe::kNumResourceKinds> per_alpha{};
-  for (const ResourceKind k : coffe::all_resource_kinds()) {
-    per_alpha[static_cast<std::size_t>(k)] = dev.dyn_power(k, f, 1.0).value();
-  }
-  double dynamic = 0.0;
-  for (std::size_t i = 0; i < loads.tile.size(); ++i) {
-    const double w = per_alpha[loads.kind[i]] * loads.activity[i] * 1e-6;
-    result.tile_w[static_cast<std::size_t>(loads.tile[i])] += w;
-    dynamic += w;
-  }
-  result.dynamic_w = units::Watts{dynamic};
-  return result;
-}
-
-std::vector<std::vector<double>> uniform_power_basis(const DynamicLoads& loads,
+std::vector<std::vector<double>> uniform_power_basis(const TileActivity& activity,
                                                      const arch::FpgaGrid& grid) {
-  std::vector<std::vector<double>> basis(
-      kNumUniformPowerTerms, std::vector<double>(static_cast<std::size_t>(grid.num_tiles())));
-  for (std::size_t i = 0; i < loads.tile.size(); ++i) {
-    basis[loads.kind[i]][static_cast<std::size_t>(loads.tile[i])] += loads.activity[i];
+  const std::vector<double> zero(static_cast<std::size_t>(grid.num_tiles()), 0.0);
+  std::vector<std::vector<double>> basis;
+  basis.reserve(kNumUniformPowerTerms);
+  for (const std::vector<double>& map : activity.by_kind) {
+    basis.push_back(map.empty() ? zero : map);
   }
+  basis.resize(kNumUniformPowerTerms, zero);
   for (int y = 0; y < grid.height(); ++y) {
     for (int x = 0; x < grid.width(); ++x) {
       basis[kFirstLeakageTerm + static_cast<std::size_t>(grid.at(x, y))]
@@ -253,9 +239,8 @@ std::vector<std::vector<double>> uniform_power_basis(const DynamicLoads& loads,
 UniformPowerCoefficients uniform_power_coefficients(const coffe::DeviceModel& dev,
                                                     units::Megahertz f, units::Celsius t) {
   UniformPowerCoefficients coef{};
-  for (const ResourceKind k : coffe::all_resource_kinds()) {
-    coef[static_cast<std::size_t>(k)] = dev.dyn_power(k, f, 1.0).value() * 1e-6;
-  }
+  const std::array<double, coffe::kNumResourceKinds> c = dynamic_coefficients(dev, f);
+  std::copy(c.begin(), c.end(), coef.begin());
   for (int kind = 0; kind < arch::kNumTileKinds; ++kind) {
     coef[kFirstLeakageTerm + static_cast<std::size_t>(kind)] =
         tile_leakage(dev, static_cast<arch::TileKind>(kind), dev.arch, t).value() * 1e-6;

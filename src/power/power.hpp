@@ -16,7 +16,6 @@
 
 #include <array>
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "activity/activity.hpp"
@@ -45,42 +44,46 @@ units::Microwatts tile_leakage(const coffe::DeviceModel& dev, arch::TileKind kin
 /// Per-block movable dynamic power [W]: the block-anchored dynamic terms
 /// of compute_power() (LUT + local/output mux, BRAM, DSP switching)
 /// attributed to the packed block that carries them — one entry per
-/// block. This is the per-block -> per-tile power Jacobian of placement:
-/// tile_w = sum_b block_w[b] * e_{tile(b)} + placement-anchored routing
-/// and leakage terms, so moving block b from tile t1 to t2 shifts
-/// exactly block_w[b] watts between the two tiles. Routing and leakage
-/// are excluded (the former follows the routes, the latter the
-/// temperature field); the thermal-aware placer treats both as frozen
-/// between gradient refreshes (DESIGN.md section 15).
+/// block. Routing and leakage are excluded (the former follows the
+/// routes, the latter the temperature field). It feeds
+/// place::refine_placement, which proposes moves only for the blocks at
+/// or above the mean of these powers (DESIGN.md section 15).
 std::vector<double> block_dynamic_power(const coffe::DeviceModel& dev,
                                         const netlist::Netlist& nl,
                                         const pack::PackedNetlist& packed,
                                         const std::vector<activity::SignalStats>& act,
                                         units::Megahertz f);
 
-/// Every dynamic term of one implementation, in the order compute_power()
-/// adds them: the tile that burns the term (FpgaGrid::index_of), its
-/// resource kind (coffe::ResourceKind) and the activity argument of
-/// DeviceModel::dyn_power. Neither the device nor the frequency enters,
-/// so core::Implementation builds the table once and prices it at every
-/// (f, temperature map). Struct of arrays: 13 bytes per term.
-struct DynamicLoads {
-  std::vector<std::int32_t> tile;
-  std::vector<std::uint8_t> kind;
-  std::vector<double> activity;
+/// Every dynamic term of one implementation as per-tile activity sums:
+/// by_kind[k][t] adds up, in term order (block terms, then wire terms),
+/// the activity argument of DeviceModel::dyn_power of each resource
+/// kind k term burned in tile t (FpgaGrid::index_of). A kind with no
+/// term stores an empty map. Neither the device nor the frequency
+/// enters, so core::Implementation builds it once and prices it at every
+/// (f, temperature map).
+struct TileActivity {
+  std::array<std::vector<double>, coffe::kNumResourceKinds> by_kind;
 
-  bool operator==(const DynamicLoads&) const = default;
+  bool operator==(const TileActivity&) const = default;
 };
 
-DynamicLoads dynamic_loads(const netlist::Netlist& nl, const pack::PackedNetlist& packed,
+TileActivity tile_activity(const netlist::Netlist& nl, const pack::PackedNetlist& packed,
                            const place::Placement& pl, const route::RrGraph& rr,
                            const route::RouteResult& routes,
                            const std::vector<activity::SignalStats>& act,
                            const arch::FpgaGrid& grid);
 
-/// Full power map for an implemented design at frequency f and the given
-/// per-tile temperatures. One-shot: walks the netlist and routes in
-/// place, allocating only the result.
+/// Full power map at frequency f and the given per-tile temperatures:
+/// the leakage of each tile at its temperature, plus per tile
+/// w = sum_k c_k * A_k[t], summed in ResourceKind order from 0.0, with
+/// c_k = dyn_power(k, f, 1) * 1e-6 and A_k = activity.by_kind[k].
+/// dynamic_w adds up the w in tile order.
+PowerBreakdown compute_power(const coffe::DeviceModel& dev, const TileActivity& activity,
+                             units::Megahertz f, const std::vector<double>& tile_temp_c,
+                             const arch::FpgaGrid& grid);
+
+/// The same map for a placement and routes without a prebuilt
+/// TileActivity: compute_power(dev, tile_activity(...), f, ...).
 PowerBreakdown compute_power(const coffe::DeviceModel& dev,
                              const netlist::Netlist& nl,
                              const pack::PackedNetlist& packed,
@@ -90,33 +93,28 @@ PowerBreakdown compute_power(const coffe::DeviceModel& dev,
                              units::Megahertz f, const std::vector<double>& tile_temp_c,
                              const arch::FpgaGrid& grid);
 
-/// The same power map priced from a prebuilt table: bit-identical to the
-/// overload above on the artifacts the table was built from.
-PowerBreakdown compute_power(const coffe::DeviceModel& dev, const DynamicLoads& loads,
-                             units::Megahertz f, const std::vector<double>& tile_temp_c,
-                             const arch::FpgaGrid& grid);
-
 /// A power map at a uniform temperature field (Algorithm 1's first, at
 /// the ambient) as a linear combination of fixed unit maps: term k <
-/// coffe::kNumResourceKinds is the per-tile activity sum of resource kind
-/// k's dynamic terms, term coffe::kNumResourceKinds + t the indicator map
-/// of tile kind t. compute_power(dev, loads, f, uniform t, grid).tile_w
-/// equals sum_j uniform_power_coefficients(dev, f, t)[j] * basis[j] up to
-/// rounding, so the thermal response of that map is the same combination
-/// of the basis maps' responses (the thermal model is linear).
+/// coffe::kNumResourceKinds is activity.by_kind[k], term
+/// coffe::kNumResourceKinds + t the indicator map of tile kind t.
+/// compute_power(dev, activity, f, uniform t, grid).tile_w equals
+/// sum_j uniform_power_coefficients(dev, f, t)[j] * basis[j], summed in
+/// term order from 0.0, bit for bit: both add the same dynamic sum to one
+/// leakage term, and every other term is exactly zero. So the thermal
+/// response of that map is the same combination of the basis maps'
+/// responses (the thermal model is linear).
 inline constexpr auto kNumUniformPowerTerms =
     static_cast<std::size_t>(coffe::kNumResourceKinds + arch::kNumTileKinds);
 using UniformPowerCoefficients = std::array<double, kNumUniformPowerTerms>;
 
 /// The unit maps, one per term in term order (all-zero for a resource
 /// kind without dynamic terms or a tile kind the grid lacks).
-std::vector<std::vector<double>> uniform_power_basis(const DynamicLoads& loads,
+std::vector<std::vector<double>> uniform_power_basis(const TileActivity& activity,
                                                      const arch::FpgaGrid& grid);
 
 /// The terms' coefficients [W per unit] at frequency f and the uniform
-/// temperature t: each resource kind's dynamic power at activity 1 and
-/// each tile kind's leakage inventory, priced as compute_power() prices
-/// them.
+/// temperature t: each resource kind's c_k and each tile kind's leakage
+/// inventory, priced as compute_power() prices them.
 UniformPowerCoefficients uniform_power_coefficients(const coffe::DeviceModel& dev,
                                                     units::Megahertz f, units::Celsius t);
 

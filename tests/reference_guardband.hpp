@@ -58,7 +58,7 @@ inline core::GuardbandResult guardband(const core::Implementation& impl,
 
   const auto run_power = [&](double f_mhz, const std::vector<double>& t) {
     power::PowerBreakdown p =
-        power::compute_power(dev, impl.loads, units::Megahertz{f_mhz}, t, impl.grid);
+        power::compute_power(dev, impl.tile_activity, units::Megahertz{f_mhz}, t, impl.grid);
     if (opt.power_scale != 1.0) {
       for (double& w : p.tile_w) w *= opt.power_scale;
       p.dynamic_w *= opt.power_scale;

@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -31,14 +33,25 @@ const coffe::Characterizer& characterizer() {
   return ch;
 }
 
+constexpr double kSuiteScale = 1.0 / 16;
+
+netlist::BenchmarkSpec suite_spec(std::string_view name) {
+  netlist::BenchmarkSpec spec;
+  for (const auto& s : netlist::vtr_suite()) {
+    if (s.name == name) spec = s;
+  }
+  return spec;
+}
+
 const core::Implementation& sha_impl() {
-  static const auto impl = [] {
-    netlist::BenchmarkSpec spec;
-    for (const auto& s : netlist::vtr_suite()) {
-      if (s.name == "sha") spec = netlist::scaled(s, 1.0 / 16);
-    }
-    return core::implement(spec, test_arch());
-  }();
+  static const auto impl =
+      core::implement(netlist::scaled(suite_spec("sha"), kSuiteScale), test_arch());
+  return *impl;
+}
+
+const core::Implementation& stereovision0_impl() {
+  static const auto impl =
+      core::implement(netlist::scaled(suite_spec("stereovision0"), kSuiteScale), test_arch());
   return *impl;
 }
 
@@ -91,9 +104,9 @@ TEST(Power, TilePowersSumToTotals) {
 }
 
 /// compute_power without its leakage memo: tile_leakage evaluated at
-/// every tile, then the block and routing dynamic terms, accumulated in
-/// the same order. The block terms are also binned by block, the way
-/// block_dynamic_power bins them.
+/// every tile; then every dynamic term's activity summed per (tile, kind)
+/// in term order, and each tile's sums priced in kind order. The block
+/// terms are also binned by block, the way block_dynamic_power bins them.
 struct ReferencePower {
   power::PowerBreakdown map;
   std::vector<double> block_w;
@@ -107,19 +120,22 @@ ReferencePower reference_power(const coffe::DeviceModel& dev,
   power::PowerBreakdown& r = ref.map;
   r.tile_w.assign(temps.size(), 0.0);
   ref.block_w.assign(impl.packed.blocks.size(), 0.0);
-  auto add_uw = [&](arch::TilePos pos, double uw, bool dynamic) {
-    const double w = uw * 1e-6;
-    r.tile_w[static_cast<std::size_t>(impl.grid.index_of(pos))] += w;
-    (dynamic ? r.dynamic_w : r.leakage_w) += units::Watts{w};
-  };
   for (int y = 0; y < impl.grid.height(); ++y) {
     for (int x = 0; x < impl.grid.width(); ++x) {
-      const double t = temps[static_cast<std::size_t>(impl.grid.index_of(x, y))];
-      add_uw({x, y},
-             power::tile_leakage(dev, impl.grid.at(x, y), dev.arch, units::Celsius{t}).value(),
-             false);
+      const auto i = static_cast<std::size_t>(impl.grid.index_of(x, y));
+      const double w =
+          power::tile_leakage(dev, impl.grid.at(x, y), dev.arch, units::Celsius{temps[i]})
+              .value() *
+          1e-6;
+      r.tile_w[i] += w;
+      r.leakage_w += units::Watts{w};
     }
   }
+  std::vector<std::array<double, coffe::kNumResourceKinds>> activity(temps.size());
+  auto add = [&](arch::TilePos pos, ResourceKind k, double a) {
+    activity[static_cast<std::size_t>(impl.grid.index_of(pos))]
+            [static_cast<std::size_t>(k)] += a;
+  };
   auto density = [&](netlist::NetId n) {
     return n >= 0 && n < static_cast<netlist::NetId>(impl.activity.size())
                ? impl.activity[static_cast<std::size_t>(n)].density
@@ -130,23 +146,22 @@ ReferencePower reference_power(const coffe::DeviceModel& dev,
     const auto& p = impl.nl.prim(id);
     const int block = impl.packed.block_of_prim[static_cast<std::size_t>(id)];
     if (block < 0) continue;
-    const arch::TilePos pos = impl.placement.pos[static_cast<std::size_t>(block)];
-    auto add_block_uw = [&](double uw) {
-      add_uw(pos, uw, true);
-      ref.block_w[static_cast<std::size_t>(block)] += uw * 1e-6;
+    auto add_block = [&](ResourceKind k, double a) {
+      add(impl.placement.pos[static_cast<std::size_t>(block)], k, a);
+      ref.block_w[static_cast<std::size_t>(block)] += dev.dyn_power(k, f, a).value() * 1e-6;
     };
     const double alpha = p.output != netlist::kNoNet ? density(p.output) : 0.0;
     if (p.kind == netlist::PrimKind::Lut) {
-      add_block_uw(dev.dyn_power(ResourceKind::Lut, f, alpha).value());
+      add_block(ResourceKind::Lut, alpha);
       double in_alpha = 0.0;
       for (netlist::NetId in : p.inputs)
         if (in != netlist::kNoNet) in_alpha += density(in);
-      add_block_uw(dev.dyn_power(ResourceKind::LocalMux, f, in_alpha).value());
-      add_block_uw(dev.dyn_power(ResourceKind::OutputMux, f, alpha).value());
+      add_block(ResourceKind::LocalMux, in_alpha);
+      add_block(ResourceKind::OutputMux, alpha);
     } else if (p.kind == netlist::PrimKind::Bram) {
-      add_block_uw(dev.dyn_power(ResourceKind::Bram, f, 0.5 + alpha).value());
+      add_block(ResourceKind::Bram, 0.5 + alpha);
     } else if (p.kind == netlist::PrimKind::Dsp) {
-      add_block_uw(dev.dyn_power(ResourceKind::Dsp, f, 0.25 + 0.5 * alpha).value());
+      add_block(ResourceKind::Dsp, 0.25 + 0.5 * alpha);
     }
   }
   for (std::size_t bn = 0; bn < impl.packed.block_nets.size(); ++bn) {
@@ -154,11 +169,19 @@ ReferencePower reference_power(const coffe::DeviceModel& dev,
     for (route::RrNodeId n : impl.routes.routes[bn].nodes) {
       const route::RrNode& node = impl.rr.node(n);
       if (node.kind == route::RrKind::WireH || node.kind == route::RrKind::WireV) {
-        add_uw(node.tile, dev.dyn_power(ResourceKind::SbMux, f, alpha).value(), true);
+        add(node.tile, ResourceKind::SbMux, alpha);
       } else if (node.kind == route::RrKind::Ipin) {
-        add_uw(node.tile, dev.dyn_power(ResourceKind::CbMux, f, alpha).value(), true);
+        add(node.tile, ResourceKind::CbMux, alpha);
       }
     }
+  }
+  for (std::size_t t = 0; t < temps.size(); ++t) {
+    double w = 0.0;
+    for (const ResourceKind k : coffe::all_resource_kinds()) {
+      w += dev.dyn_power(k, f, 1.0).value() * 1e-6 * activity[t][static_cast<std::size_t>(k)];
+    }
+    r.tile_w[t] += w;
+    r.dynamic_w += units::Watts{w};
   }
   return ref;
 }
@@ -179,8 +202,8 @@ TEST(Power, MatchesPerTileReferenceBitForBit) {
   // unchanged; that must be invisible in every output bit. The NaN tile
   // comes first in scan order, where a memo that matched NaN bit patterns
   // would hand back its empty initial value instead of NaN. The one-shot
-  // walk, the implementation's load table and the per-block bins must all
-  // reproduce the reference's sums.
+  // path, the implementation's stored activity maps and the per-block bins
+  // must all reproduce the reference's sums.
   const auto& impl = sha_impl();
   const auto dev = characterizer().characterize(units::Celsius(25.0));
   const auto n = static_cast<std::size_t>(impl.grid.num_tiles());
@@ -204,8 +227,9 @@ TEST(Power, MatchesPerTileReferenceBitForBit) {
                        want.map);
     }
     {
-      SCOPED_TRACE("load table");
-      expect_same_bits(power::compute_power(dev, impl.loads, f, temps, impl.grid), want.map);
+      SCOPED_TRACE("stored activity maps");
+      expect_same_bits(power::compute_power(dev, impl.tile_activity, f, temps, impl.grid),
+                       want.map);
     }
     const std::vector<double> block_w =
         power::block_dynamic_power(dev, impl.nl, impl.packed, impl.activity, f);
@@ -216,49 +240,77 @@ TEST(Power, MatchesPerTileReferenceBitForBit) {
   }
 }
 
-power::DynamicLoads loads_of_artifacts(const core::Implementation& impl) {
-  return power::dynamic_loads(impl.nl, impl.packed, impl.placement, impl.rr, impl.routes,
+TEST(Power, UniformMapIsTheBasisCombination) {
+  // At a uniform temperature the power map is the combination of the unit
+  // maps that first_solve_start superposes, bit for bit: the dynamic sum
+  // runs in the same kind order, and the other tile kinds' indicator terms
+  // add exact zeros.
+  const auto dev = characterizer().characterize(units::Celsius(25.0));
+  const units::Megahertz f(180.0);
+  for (const core::Implementation* impl : {&sha_impl(), &stereovision0_impl()}) {
+    const auto n = static_cast<std::size_t>(impl->grid.num_tiles());
+    const std::vector<std::vector<double>> basis =
+        power::uniform_power_basis(impl->tile_activity, impl->grid);
+    ASSERT_EQ(basis.size(), power::kNumUniformPowerTerms);
+    for (const double t : {25.0, 70.0}) {
+      SCOPED_TRACE(t);
+      const power::UniformPowerCoefficients coef =
+          power::uniform_power_coefficients(dev, f, units::Celsius(t));
+      const std::vector<double> map =
+          power::compute_power(dev, impl->tile_activity, f, std::vector<double>(n, t),
+                               impl->grid)
+              .tile_w;
+      for (std::size_t i = 0; i < n; ++i) {
+        double want = 0.0;
+        for (std::size_t j = 0; j < basis.size(); ++j) want += coef[j] * basis[j][i];
+        ASSERT_EQ(bits(map[i]), bits(want)) << "tile " << i;
+      }
+    }
+  }
+}
+
+power::TileActivity activity_of_artifacts(const core::Implementation& impl) {
+  return power::tile_activity(impl.nl, impl.packed, impl.placement, impl.rr, impl.routes,
                               impl.activity, impl.grid);
 }
 
-TEST(Power, LoadsMatchFinalArtifacts) {
-  // The table is built once per implementation, from the final placement
+TEST(Power, TileActivityMatchesFinalArtifacts) {
+  // The maps are built once per implementation, from the final placement
   // and routes: after thermal_place moved blocks, and after the stages
   // were reloaded from the artifact store instead of computed.
-  EXPECT_FALSE(sha_impl().loads.tile.empty());
-  EXPECT_TRUE(sha_impl().loads == loads_of_artifacts(sha_impl()));
+  EXPECT_FALSE(
+      sha_impl().tile_activity.by_kind[static_cast<std::size_t>(coffe::ResourceKind::Lut)]
+          .empty());
+  EXPECT_TRUE(sha_impl().tile_activity == activity_of_artifacts(sha_impl()));
 
   const coffe::DeviceModel dev = coffe::Characterizer::paper_table2_reference();
   core::ImplementOptions aware;
   aware.thermal_place.enabled = true;
   aware.thermal_place.device = &dev;
   // stereovision0's re-place keeps a candidate at the default options.
-  netlist::BenchmarkSpec spec;
-  for (const auto& s : netlist::vtr_suite()) {
-    if (s.name == "stereovision0") spec = s;
-  }
-  constexpr double kScale = 1.0 / 16;
-  const auto blind = core::implement(netlist::scaled(spec, kScale), test_arch());
-  const auto refined = core::implement(netlist::scaled(spec, kScale), test_arch(), aware);
-  ASSERT_NE(refined->placement.pos, blind->placement.pos) << "thermal_place moved nothing";
-  EXPECT_TRUE(refined->loads == loads_of_artifacts(*refined));
-  EXPECT_FALSE(refined->loads == blind->loads);
+  const netlist::BenchmarkSpec spec = suite_spec("stereovision0");
+  const core::Implementation& blind = stereovision0_impl();
+  const auto refined = core::implement(netlist::scaled(spec, kSuiteScale), test_arch(), aware);
+  ASSERT_NE(refined->placement.pos, blind.placement.pos) << "thermal_place moved nothing";
+  EXPECT_TRUE(refined->tile_activity == activity_of_artifacts(*refined));
+  EXPECT_FALSE(refined->tile_activity == blind.tile_activity);
 
   const testutil::TempDir dir;
   {
     runner::ArtifactStore store(dir.path);
     runner::FlowCache cache;
     cache.set_artifact_store(&store);
-    cache.implementation(spec, test_arch(), kScale, aware);
+    cache.implementation(spec, test_arch(), kSuiteScale, aware);
     ASSERT_EQ(cache.stats().disk_writes, 5u);
   }
   runner::ArtifactStore store(dir.path);
   runner::FlowCache cache;
   cache.set_artifact_store(&store);
-  const core::Implementation& warm = cache.implementation(spec, test_arch(), kScale, aware);
+  const core::Implementation& warm =
+      cache.implementation(spec, test_arch(), kSuiteScale, aware);
   ASSERT_EQ(cache.stats().disk_hits, 5u);
-  EXPECT_TRUE(warm.loads == loads_of_artifacts(warm));
-  EXPECT_TRUE(warm.loads == refined->loads);
+  EXPECT_TRUE(warm.tile_activity == activity_of_artifacts(warm));
+  EXPECT_TRUE(warm.tile_activity == refined->tile_activity);
 }
 
 TEST(Guardband, GainIsPositiveAtRoomAmbient) {

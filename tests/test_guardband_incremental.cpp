@@ -125,8 +125,8 @@ std::vector<double> cold_first_solve(const core::Implementation& impl,
                                      const core::GuardbandOptions& opt, units::Megahertz f) {
   const auto n = static_cast<std::size_t>(impl.grid.num_tiles());
   std::vector<double> power =
-      power::compute_power(device(), impl.loads, f, std::vector<double>(n, opt.t_amb_c.value()),
-                           impl.grid)
+      power::compute_power(device(), impl.tile_activity, f,
+                           std::vector<double>(n, opt.t_amb_c.value()), impl.grid)
           .tile_w;
   for (double& w : power) w *= opt.power_scale;
   thermal::ThermalConfig tcfg = opt.thermal;
